@@ -4,12 +4,16 @@ p-value construction.
 Every combiner maps a block of p-values to a single global-null p-value and
 is monotone in each input.  The matrix forms (`*_rows`) combine each row of
 an (r, n) array at once, which is what the Monte Carlo validity checks need.
+Smoothing and intersection p-values both combine over column segments (a
+node with its descendants, or a node's annotated items) through one
+size-grouped kernel, ``combine_segments``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +34,21 @@ class AnnotationNotNestedError(ValueError):
 
 class EmptyAnnotationError(ValueError):
     pass
+
+
+class UndefinedSegmentError(DomainError):
+    """Stouffer's combination is undefined on a node's segment because it
+    holds both a zero and a one; ``node`` is the node's id."""
+
+    def __init__(self, node):
+        super().__init__(f"Stouffer is undefined at node {node}: its block"
+                         " holds both a zero and a one")
+        self.node = node
+
+
+# Entries per gather in ``combine_segments``: enough segments per combiner
+# call to amortise its overhead, few enough to stay in cache.
+_GATHER_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,9 +102,7 @@ def combine_rows(combiner, block):
     kind = combiner.kind
 
     if kind == "fisher":
-        with np.errstate(divide="ignore"):
-            stat = -2.0 * np.sum(np.log(block), axis=1)
-        return chisq_survival(stat, 2 * n)
+        return chisq_survival(_fisher_statistic(block), 2 * n)
 
     if kind == "stouffer":
         zeros = np.any(block == 0.0, axis=1)
@@ -119,6 +136,11 @@ def combine_rows(combiner, block):
     raise ValueError(f"unknown combiner kind {combiner.kind!r}")
 
 
+def _fisher_statistic(block):
+    with np.errstate(divide="ignore"):
+        return -2.0 * np.sum(np.log(block), axis=1)
+
+
 def combine(combiner, pvalues):
     """Combine a nonempty sequence of p-values into one p-value.
 
@@ -133,19 +155,103 @@ def combine(combiner, pvalues):
     return float(combine_rows(combiner, arr[None, :])[0])
 
 
+def _chunks(nodes, size):
+    return (nodes[i:i + size] for i in range(0, nodes.size, size))
+
+
+def combine_segments(combiner, block, out, nodes, indptr, indices, lead):
+    """Combine each row of ``block`` over one column segment per node.
+
+    Node v's segment is ``indices[indptr[v]:indptr[v + 1]]``, preceded by v
+    itself when ``lead`` is true; ``out[:, v]`` receives the combination of
+    ``block[:, segment]`` for every v in ``nodes``.  Nodes are grouped by
+    segment size n, largest first, and each group is gathered into (g, n)
+    column matrices of at most ``_GATHER_ENTRIES`` entries (never less than
+    one node), each combined by a single ``combine_rows`` call.  Fisher's
+    statistics are calibrated afterwards by ``chisq_survival`` with one df
+    per node, so its series runs once over all sizes.
+    Every row sees the floating-point operations of combining its segment
+    on its own, so the result is bit-identical to a per-node loop.
+
+    Raises:
+        UndefinedSegmentError: naming the smallest node whose Stouffer
+            segment holds both a zero and a one in some row.
+    """
+    r, lead = block.shape[0], int(lead)
+    sizes = indptr[nodes + 1] - indptr[nodes] + lead
+    order = np.argsort(-sizes, kind="stable")
+    nodes, sizes = nodes[order], sizes[order]
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+    fisher = combiner.kind == "fisher"
+    for group, n in zip(np.split(nodes, starts[1:]), sizes[starts].tolist()):
+        width = np.arange(n - lead)
+        for chunk in _chunks(group, max(1, _GATHER_ENTRIES // max(r * n, 1))):
+            cols = indices[indptr[chunk][:, None] + width]
+            if lead:
+                cols = np.column_stack((chunk, cols))
+            vals = _gather(block, cols)
+            try:
+                res = (_fisher_statistic(vals) if fisher
+                       else combine_rows(combiner, vals))
+            except DomainError:
+                node = (_first_undefined(block, nodes, indptr, indices, lead)
+                        if combiner.kind == "stouffer" else None)
+                if node is None:
+                    raise
+                raise UndefinedSegmentError(node) from None
+            out[:, chunk] = res.reshape(chunk.size, r).T
+    if fisher:
+        # the statistics wait in ``out``
+        for chunk in _chunks(nodes, max(1, _GATHER_ENTRIES // max(r, 1))):
+            df = 2 * (indptr[chunk + 1] - indptr[chunk] + lead)
+            out[:, chunk] = chisq_survival(
+                np.ascontiguousarray(out[:, chunk].T), df).T
+
+
+def _gather(block, cols):
+    """The rows ``block[:, cols[j]]`` for every j, stacked node-major into a
+    (g * r, n) matrix laid out as one node's gather ``block[:, cols[j]]`` is:
+    a contiguous row when r = 1, column-major otherwise.  numpy sums a
+    contiguous row pairwise but a column-major row left to right, so the
+    layout keeps row sums (Fisher, Stouffer) equal bit for bit."""
+    if block.shape[0] == 1:
+        return block[0, cols]
+    g, n = cols.shape
+    return block.T[cols.T].reshape(n, g * block.shape[0]).T
+
+
+def _first_undefined(block, nodes, indptr, indices, lead):
+    """Smallest node whose segment holds both a 0 and a 1 in some row."""
+    zero, one = block == 0.0, block == 1.0
+    for v in np.sort(nodes).tolist():
+        cols = indices[indptr[v]:indptr[v + 1]]
+        if lead:
+            cols = np.concatenate(([v], cols))
+        if np.any(zero[:, cols].any(axis=1) & one[:, cols].any(axis=1)):
+            return v
+    return None
+
+
 def smooth_rows(dag, block, combiner):
-    """All-descendant smoothing applied to each row of an (r, m) block."""
+    """All-descendant smoothing applied to each row of an (r, m) block.
+
+    Node v's value becomes the combination of its row entries at
+    ``[v, *descendants ascending]`` (``dag.descendant_closure``); leaves keep
+    their own.  See ``combine_segments`` for the size-grouped, bounded
+    gathers; the result equals combining node by node, bit for bit.
+
+    Raises:
+        UndefinedSegmentError: for Stouffer, naming the smallest node whose
+            block holds both a zero and a one in some row.
+    """
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[1] != dag.m:
         raise LengthMismatchError(
             f"expected rows of length {dag.m}, got {block.shape}")
     out = block.copy()
-    for v in range(dag.m):
-        desc = dag.descendant_indices(v)
-        if desc.size == 0:
-            continue
-        cols = np.concatenate(([v], desc))
-        out[:, v] = combine_rows(combiner, block[:, cols])
+    indptr, indices = dag.descendant_closure
+    combine_segments(combiner, block, out, np.flatnonzero(np.diff(indptr)),
+                     indptr, indices, lead=True)
     return out
 
 
@@ -179,7 +285,13 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
         if not sets[child] <= sets[parent]:
             raise AnnotationNotNestedError(
                 f"items of node {child} not contained in its parent {parent}")
-    out = np.empty(dag.m, dtype=float)
-    for i, a in enumerate(sets):
-        out[i] = combine(combiner, items[sorted(a)])
-    return out
+    rows = [sorted(a) for a in sets]
+    indptr = np.zeros(dag.m + 1, dtype=np.intp)
+    np.cumsum([len(a) for a in rows], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                          count=int(indptr[-1]))
+    out = np.empty((1, dag.m), dtype=float)
+    combine_segments(combiner, items[None, :], out,
+                     np.arange(dag.m, dtype=np.intp), indptr, indices,
+                     lead=False)
+    return out[0]

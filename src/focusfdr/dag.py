@@ -1,9 +1,16 @@
 """Hypothesis DAG representation and the structural indexes the procedures use.
 
 Nodes are dense integer ids in [0, m).  An edge (parent, child) points from
-the source hypothesis to its refinement.  Ancestor/descendant closures are
-cached per node as integer bitmasks, which at the graph sizes this package
-targets (a few thousand nodes) are both exact and fast.
+the source hypothesis to its refinement.  Closures are computed lazily and
+cached on the Dag:
+
+- ``descendant_closure``: the strict descendants of every node as a CSR
+  (compressed sparse row) pair of integer arrays, each row sorted.
+  Smoothing gathers its segments from it.
+- ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node.
+  Filters (``apply_filter``), ``check_heredity``,
+  ``disjoint_descendant_depths`` and ``ancestors`` / ``descendants`` still
+  use these; they take O(m^2) bits.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class Dag:
         self.leaves = tuple(i for i in range(m) if not self.children[i])
         self._anc_masks = None
         self._desc_masks = None
-        self._desc_indices = None
+        self._desc_closure = None
 
     def _toposort(self):
         indeg = [len(p) for p in self.parents]
@@ -120,15 +127,40 @@ class Dag:
             self._desc_masks = masks
         return self._desc_masks
 
+    @property
+    def descendant_closure(self):
+        """Strict descendants in CSR form: ``(indptr, indices)``.
+
+        Row v, ``indices[indptr[v]:indptr[v + 1]]``, holds v's strict
+        descendants in ascending order.  Built in one reverse-topological
+        pass that merges each node's children with their rows; both arrays
+        are read-only.
+        """
+        if self._desc_closure is None:
+            rows = [None] * self.m
+            empty = np.empty(0, dtype=np.intp)
+            for v in reversed(self.topo_order):
+                kids = self.children[v]
+                if not kids:
+                    rows[v] = empty
+                else:
+                    rows[v] = np.unique(np.concatenate(
+                        [np.asarray(kids, dtype=np.intp)]
+                        + [rows[c] for c in kids]))
+            indptr = np.zeros(self.m + 1, dtype=np.intp)
+            np.cumsum([r.size for r in rows], out=indptr[1:])
+            indices = np.concatenate(rows) if rows else empty
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            self._desc_closure = (indptr, indices)
+        return self._desc_closure
+
     def descendant_indices(self, node):
-        """Sorted numpy array of strict descendants of ``node``."""
+        """Sorted strict descendants of ``node``: a view of its row of
+        ``descendant_closure``."""
         self._check_node(node)
-        if self._desc_indices is None:
-            self._desc_indices = [None] * self.m
-        if self._desc_indices[node] is None:
-            self._desc_indices[node] = np.array(
-                _mask_to_list(self.descendant_masks[node]), dtype=np.intp)
-        return self._desc_indices[node]
+        indptr, indices = self.descendant_closure
+        return indices[indptr[node]:indptr[node + 1]]
 
     def __repr__(self):
         return f"Dag(m={self.m}, edges={len(self.edges)})"

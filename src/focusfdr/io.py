@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import Combiner, intersection_dag_pvalues, smooth_all_descendants
+from .combine import (Combiner, UndefinedSegmentError,
+                      intersection_dag_pvalues, smooth_all_descendants)
 from .dag import build_dag, compute_depths, disjoint_descendant_depths, group_index, is_tree
 from .filters import FilterSpec, is_monotonic
 from .procedures import (ReshapingFn, bh, by_procedure, storey_bh,
                          unity_weights, wfbh, yekutieli_tree)
+from .special import DomainError
 from .weights import WeightConfig, dag_weights
 
 PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
@@ -77,25 +79,34 @@ def read_edge_csv(path):
     return names, ids, edges
 
 
+def _parse_p(path, lineno, text):
+    try:
+        p = float(text)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: bad p-value {text!r}") from None
+    if not 0.0 <= p <= 1.0:  # also rejects nan
+        raise ParseError(f"{path}:{lineno}: p-value {text!r} not in [0, 1]")
+    return p
+
+
 def read_pvalue_csv(path, name_to_id):
     """Parse node,p rows into a dense vector; every node exactly once."""
-    values = np.full(len(name_to_id), np.nan)
+    values = [0.0] * len(name_to_id)
+    seen = bytearray(len(name_to_id))
     for lineno, (name, text) in _rows(path, ("node", "p")):
-        if name not in name_to_id:
+        idx = name_to_id.get(name)
+        if idx is None:
             raise UnknownNodeInPvaluesError(
                 f"{path}:{lineno}: node {name!r} not present in the graph")
-        idx = name_to_id[name]
-        if not np.isnan(values[idx]):
+        if seen[idx]:
             raise ParseError(f"{path}:{lineno}: duplicate p-value for {name!r}")
-        try:
-            values[idx] = float(text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad p-value {text!r}") from None
-    missing = [name for name, idx in name_to_id.items() if np.isnan(values[idx])]
-    if missing:
+        values[idx] = _parse_p(path, lineno, text)
+        seen[idx] = 1
+    if not all(seen):
+        missing = [name for name, idx in name_to_id.items() if not seen[idx]]
         raise MissingPvalueError(f"{path}: missing p-value for node(s) "
                                  + ", ".join(sorted(missing)[:5]))
-    return values
+    return np.array(values, dtype=float)
 
 
 def read_item_pvalue_csv(path):
@@ -106,10 +117,7 @@ def read_item_pvalue_csv(path):
             raise ParseError(f"{path}:{lineno}: duplicate item {name!r}")
         ids[name] = len(names)
         names.append(name)
-        try:
-            vals.append(float(text))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad p-value {text!r}") from None
+        vals.append(_parse_p(path, lineno, text))
     if not names:
         raise ParseError(f"{path}: no items found")
     return names, ids, np.asarray(vals)
@@ -188,21 +196,26 @@ def analyze(request):
     groups = group_index(dag, depths)
     lam = request.resolved_lambda()
 
-    if request.items_file is not None:
-        comb = Combiner.from_name(request.combiner or "simes")
-        _, item_to_id, item_p = read_item_pvalue_csv(request.pvalues_file)
-        annotations = read_annotation_csv(request.items_file, name_to_id,
-                                          item_to_id)
-        p_original = intersection_dag_pvalues(dag, annotations, item_p, comb)
-        p_used = p_original
-    else:
-        p_original = read_pvalue_csv(request.pvalues_file, name_to_id)
-        if np.any((p_original < 0) | (p_original > 1)):
-            raise ParseError(f"{request.pvalues_file}: p-values outside [0, 1]")
-        p_used = p_original
-        if request.combiner is not None:
-            p_used = smooth_all_descendants(
-                dag, p_original, Combiner.from_name(request.combiner))
+    try:
+        if request.items_file is not None:
+            comb = Combiner.from_name(request.combiner or "simes")
+            _, item_to_id, item_p = read_item_pvalue_csv(request.pvalues_file)
+            annotations = read_annotation_csv(request.items_file, name_to_id,
+                                              item_to_id)
+            p_original = intersection_dag_pvalues(dag, annotations, item_p,
+                                                  comb)
+            p_used = p_original
+        else:
+            p_original = read_pvalue_csv(request.pvalues_file, name_to_id)
+            p_used = p_original
+            if request.combiner is not None:
+                p_used = smooth_all_descendants(
+                    dag, p_original, Combiner.from_name(request.combiner))
+    except UndefinedSegmentError as exc:
+        raise DomainError(
+            f"{request.pvalues_file}: Stouffer is undefined at node "
+            f"{names[exc.node]!r}: its block holds both a zero and a one"
+        ) from None
 
     fspec = FilterSpec.from_name(request.filter)
     result = None

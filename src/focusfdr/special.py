@@ -194,27 +194,59 @@ def normal_quantile(p):
 
 
 def chisq_survival(x, df):
-    """Chi-square survival function for a positive even number of dof.
+    """Chi-square survival function for positive even degrees of freedom.
 
     For df = 2n this is the exact Poisson tail
-    ``exp(-x/2) * sum_{k<n} (x/2)^k / k!``, which is what combining 2n
+    ``exp(-x/2) * sum_{k<n} (x/2)^k / k!``, which is what combining n
     log-transformed p-values requires.
+
+    ``df`` is a scalar, or a 1-D array giving one df per entry of x's first
+    axis.  The series runs once over the rows sorted by decreasing df, each
+    row dropping out once its terms run out, so every element gets the
+    same floating-point operations whichever form it is evaluated in.
     """
-    if df <= 0 or df % 2 != 0:
-        raise DomainError("chisq_survival requires a positive even df")
     x_arr = np.asarray(x, dtype=float)
+    scalar_df = np.ndim(df) == 0
+    if scalar_df:
+        bad_df = df <= 0 or df % 2 != 0
+    else:
+        df = np.asarray(df)
+        if df.ndim != 1 or x_arr.ndim == 0 or x_arr.shape[0] != df.size:
+            raise ValueError("array df needs one entry per row of x")
+        bad_df = np.any(~((df > 0) & (df % 2 == 0)))
+    if bad_df:
+        raise DomainError("chisq_survival requires a positive even df")
     if np.any(x_arr < 0):
         raise DomainError("chisq_survival requires x >= 0")
+    # spans: (a, n) = rows [0, a) take the series terms k < n
+    if scalar_df:
+        order, rows = None, x_arr.reshape(-1)
+        spans = [(rows.shape[0], int(df) // 2)]
+    else:
+        order = np.argsort(-df, kind="stable")
+        rows = x_arr[order]
+        terms = (df[order] // 2).astype(np.intp).tolist()
+        spans = [(a, terms[a - 1]) for a in range(len(terms), 0, -1)
+                 if a == len(terms) or terms[a - 1] > terms[a]]
     # +inf statistic (a zero p-value in Fisher's method) yields survival 0
-    inf = np.isposinf(x_arr)
-    half = np.where(inf, 0.0, x_arr / 2.0)
+    inf = np.isposinf(rows)
+    half = np.where(inf, 0.0, rows / 2.0)
     with np.errstate(under="ignore"):
         term = np.exp(-half)
         total = term.copy()
-        for k in range(1, df // 2):
-            term = term * half / k
-            total = total + term
+        start = 1
+        for a, stop in spans:
+            t, h, tot = term[:a], half[:a], total[:a]
+            for k in range(start, stop):
+                t = t * h / k
+                tot = tot + t
+            term[:a], total[:a] = t, tot
+            start = stop
     res = np.clip(np.where(inf, 0.0, total), 0.0, 1.0)
+    if order is None:
+        res = res.reshape(x_arr.shape)
+    else:
+        res[order] = res.copy()
     return float(res) if np.ndim(x) == 0 else res
 
 

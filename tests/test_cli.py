@@ -130,6 +130,32 @@ def test_cli_analyze_missing_pvalue_exits_2(chain_files, tmp_path, capsys):
     assert "missing p-value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [
+    "a,0.01\nb,nan\nc,0.03\n",
+    "a,0.01\nb,nan\nb,0.3\nc,0.03\n",
+    "a,0.01\nb,1.5\nc,0.03\n",
+    "a,0.01\nb,-inf\nc,0.03\n",
+])
+def test_cli_analyze_invalid_pvalue_exits_2_with_line(chain_files, tmp_path,
+                                                      capsys, rows):
+    bad = write(tmp_path / "bad.csv", "node,p\n" + rows)
+    code = main(["analyze", "--dag", chain_files[0], "--pvalues", bad])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{bad}:3:" in err and "not in [0, 1]" in err
+
+
+def test_cli_analyze_stouffer_undefined_names_node(tmp_path, capsys):
+    dag = write(tmp_path / "dag.csv", "parent,child\nx,y\nz,w\nw,v\n")
+    pv = write(tmp_path / "p.csv",
+               "node,p\nx,0.5\ny,0.2\nz,0.4\nw,0.0\nv,1.0\n")
+    code = main(["analyze", "--dag", dag, "--pvalues", pv,
+                 "--smoothing", "stouffer"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Stouffer is undefined at node 'z'" in err and pv in err
+
+
 def test_cli_graph_info_round_trip(tmp_path, capsys):
     dag = generate_graph("wide-tree")
     path = tmp_path / "wide.csv"

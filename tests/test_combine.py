@@ -4,17 +4,24 @@ Expected values for the named combiners were frozen from scipy 1.15
 (combine_pvalues, beta.cdf) and hand enumeration of order statistics.
 """
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from focusfdr.checks import random_dag, random_tree
 from focusfdr.combine import (AnnotationNotNestedError, Combiner,
                               EmptyAnnotationError, EmptyInputError,
-                              combine, combine_rows,
+                              UndefinedSegmentError, combine, combine_rows,
                               intersection_dag_pvalues, smooth_rows,
                               smooth_all_descendants, LengthMismatchError)
-from focusfdr.dag import build_dag
+from focusfdr.dag import build_dag, descendants
 from focusfdr.special import DomainError
+
+# the module itself; ``focusfdr.combine`` the attribute is the function
+combine_module = importlib.import_module("focusfdr.combine")
 
 ALL_COMBINERS = [Combiner("fisher"), Combiner("stouffer"), Combiner("simes"),
                  Combiner("orderstat", 1), Combiner("orderstat", 2),
@@ -220,3 +227,105 @@ def test_intersection_errors():
     with pytest.raises(EmptyAnnotationError):
         intersection_dag_pvalues(dag, [{0, 1}, set()], np.array([0.5, 0.5]),
                                  Combiner("fisher"))
+
+
+SMOOTHERS = [Combiner("fisher"), Combiner("stouffer"), Combiner("simes"),
+             Combiner("orderstat", 1), Combiner("orderstat", 3),
+             Combiner("bonferroni")]
+
+
+def smooth_oracle(dag, block, comb):
+    """Node-by-node smoothing over mask-derived descendant sets; returns
+    (smoothed block, None), or (None, v) for the first node v whose
+    combination raises."""
+    out = block.copy()
+    for v in range(dag.m):
+        desc = sorted(descendants(dag, v))
+        if desc:
+            try:
+                out[:, v] = combine_rows(comb, block[:, [v] + desc])
+            except DomainError:
+                return None, v
+    return out, None
+
+
+def with_exact_bounds(rng, shape, share):
+    """Uniform p-values with about ``share`` of them set to exactly 0 or 1."""
+    p = rng.uniform(size=shape)
+    u = rng.uniform(size=shape)
+    p[u < share / 2] = 0.0
+    p[u > 1.0 - share / 2] = 1.0
+    return p
+
+
+@given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
+       max_m=st.sampled_from([4, 12, 30]), r=st.sampled_from([1, 3]),
+       share=st.sampled_from([0.0, 0.05, 0.3]),
+       comb=st.sampled_from(SMOOTHERS),
+       gather=st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_smooth_rows_matches_per_node_oracle(seed, tree, max_m, r, share,
+                                             comb, gather):
+    rng = np.random.default_rng(seed)
+    dag = random_tree(rng, max_m) if tree else random_dag(rng, max_m)
+    block = with_exact_bounds(rng, (r, dag.m), share)
+    expected, bad = smooth_oracle(dag, block, comb)
+    with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
+        if bad is None:
+            assert np.array_equal(smooth_rows(dag, block, comb), expected)
+        else:
+            with pytest.raises(UndefinedSegmentError) as info:
+                smooth_rows(dag, block, comb)
+            assert info.value.node == bad
+
+
+def test_stouffer_smoothing_names_smallest_undefined_node():
+    # nodes 2 and 3 both see the 0 at node 0 and the 1 at node 1; node 3's
+    # larger segment is combined first, yet node 2 is the one named
+    dag = build_dag(6, [(2, 0), (2, 1), (3, 2), (3, 4)])
+    block = np.array([[0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+                      [0.0, 1.0, 0.5, 0.5, 0.5, 0.5]])
+    with pytest.raises(UndefinedSegmentError) as info:
+        smooth_rows(dag, block, Combiner("stouffer"))
+    assert info.value.node == 2
+    assert isinstance(info.value, DomainError)
+    assert "node 2" in str(info.value)
+    # valid results are unchanged: a lone 0 or 1 still propagates as a limit
+    sm = smooth_rows(dag, block[:, [0, 0, 2, 3, 4, 5]], Combiner("stouffer"))
+    assert sm[1, 2] == 0.0 and sm[1, 3] == 0.0
+
+
+def nested_annotations(rng, dag, n_items):
+    """Random item sets, each node's the union of its children's and its own."""
+    sets = [None] * dag.m
+    for v in reversed(dag.topo_order):
+        own = rng.integers(0, n_items, size=int(rng.integers(1, 4)))
+        sets[v] = set(own.tolist()).union(*(sets[c] for c in dag.children[v]))
+    return sets
+
+
+@given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
+       share=st.sampled_from([0.0, 0.05, 0.3]),
+       comb=st.sampled_from(SMOOTHERS),
+       gather=st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=200, deadline=None)
+def test_intersection_matches_per_node_loop(seed, tree, share, comb, gather):
+    rng = np.random.default_rng(seed)
+    dag = random_tree(rng, 20) if tree else random_dag(rng, 20)
+    items = with_exact_bounds(rng, 25, share)
+    sets = nested_annotations(rng, dag, items.size)
+    expected, bad = np.empty(dag.m), None
+    for i, a in enumerate(sets):
+        try:
+            expected[i] = combine(comb, items[sorted(a)])
+        except DomainError:
+            bad = i
+            break
+    with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
+        if bad is None:
+            out = intersection_dag_pvalues(dag, sets, items, comb)
+            assert np.array_equal(out, expected)
+        else:
+            with pytest.raises(UndefinedSegmentError) as info:
+                intersection_dag_pvalues(dag, sets, items, comb)
+            assert info.value.node == bad

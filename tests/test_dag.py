@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from focusfdr.checks import random_tree
 from focusfdr.dag import (CycleDetectedError, DuplicateEdgeError,
                           NodeIdOutOfRangeError, SelfLoopError, ancestors,
                           build_dag, check_heredity, compute_depths,
@@ -182,3 +184,32 @@ def test_isolated_nodes_are_depth1_roots_and_leaves():
     depths = compute_depths(dag)
     assert 2 in dag.roots and 2 in dag.leaves
     assert depths.depth[2] == 1
+
+
+@given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
+       max_m=st.sampled_from([2, 14, 40]))
+@settings(max_examples=100, deadline=None)
+def test_descendant_closure_rows_match_masks(seed, tree, max_m):
+    rng = np.random.default_rng(seed)
+    dag = random_tree(rng, max_m) if tree else random_dag(rng, max_m)
+    indptr, indices = dag.descendant_closure
+    assert indptr.shape == (dag.m + 1,) and indptr[0] == 0
+    assert indices.size == indptr[-1]
+    for v in range(dag.m):
+        row = indices[indptr[v]:indptr[v + 1]]
+        assert row.tolist() == sorted(descendants(dag, v))
+        assert np.array_equal(dag.descendant_indices(v), row)
+
+
+def test_descendant_closure_is_cached_and_read_only():
+    dag = diamond_tail()
+    indptr, indices = dag.descendant_closure
+    assert dag.descendant_closure[1] is indices
+    assert indptr.tolist() == [0, 2, 4, 5, 5]
+    assert indices.tolist() == [2, 3, 2, 3, 3]
+    with pytest.raises(ValueError):
+        indices[0] = 1
+    with pytest.raises(NodeIdOutOfRangeError):
+        dag.descendant_indices(4)
+    empty = build_dag(0, [])
+    assert [a.tolist() for a in empty.descendant_closure] == [[0], []]

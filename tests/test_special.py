@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focusfdr.special import (DomainError, beta_cdf, chisq_survival, erf,
                               erfc, normal_cdf, normal_quantile)
@@ -102,6 +103,37 @@ def test_chisq_survival_edges():
         chisq_survival(1.0, 0)
     with pytest.raises(DomainError):
         chisq_survival(-0.5, 2)
+
+
+@given(rows=st.lists(
+    st.tuples(st.integers(1, 40),
+              st.lists(st.one_of(st.floats(0.0, 300.0),
+                                 st.just(float("inf"))),
+                       min_size=2, max_size=2)),
+    min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_chisq_survival_array_df_matches_scalar_calls(rows):
+    df = np.array([2 * n for n, _ in rows])
+    x = np.array([xs for _, xs in rows])
+    out = chisq_survival(x, df)
+    assert out.shape == x.shape
+    for i in range(df.size):
+        assert np.array_equal(out[i], chisq_survival(x[i], int(df[i])))
+    flat = chisq_survival(x[:, 0], df)
+    for i in range(df.size):
+        assert flat[i] == chisq_survival(float(x[i, 0]), int(df[i]))
+
+
+def test_chisq_survival_array_df_errors():
+    with pytest.raises(DomainError):
+        chisq_survival(np.ones(2), np.array([2, 3]))
+    with pytest.raises(DomainError):
+        chisq_survival(np.array([1.0, -1.0]), np.array([2, 4]))
+    with pytest.raises(ValueError):
+        chisq_survival(np.ones(3), np.array([2, 4]))
+    with pytest.raises(ValueError):
+        chisq_survival(1.0, np.array([2]))
+    assert chisq_survival(np.empty(0), np.empty(0, dtype=int)).size == 0
 
 
 @pytest.mark.parametrize("x,a,b,expected", [
