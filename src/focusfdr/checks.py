@@ -39,6 +39,20 @@ def random_tree(rng, max_m=12):
     return build_dag(m, edges)
 
 
+def random_near_tree(rng, max_m=12, extra_edges=3):
+    """Deep random near-tree: a path through the first half of the nodes,
+    the rest hung on random earlier nodes, plus up to ``extra_edges``
+    random forward edges."""
+    m = int(rng.integers(2, max_m + 1))
+    spine = m // 2 + 1
+    edges = {(j - 1, j) if j < spine else (int(rng.integers(0, j)), j)
+             for j in range(1, m)}
+    for _ in range(int(rng.integers(0, extra_edges + 1))):
+        i, j = sorted(rng.choice(m, size=2, replace=False).tolist())
+        edges.add((i, j))
+    return build_dag(m, sorted(edges))
+
+
 def check_condition1(n_mc=10_000, seed=0):
     """Summed inverse leave-self-zero weights on the all-null wide tree."""
     dag = generate_graph("wide-tree")

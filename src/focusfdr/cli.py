@@ -15,7 +15,7 @@ import sys
 
 from . import io as fio
 from .checks import SUITES, UnknownSuiteError, run_suite
-from .dag import build_dag, compute_depths, group_index
+from .dag import compute_depths, group_index
 from .simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec, SimConfig,
                        run_simulation)
 
@@ -206,8 +206,7 @@ def _cmd_check(args):
 
 
 def _cmd_graph_info(args):
-    names, _, edges = fio.read_edge_csv(args.dag)
-    dag = build_dag(len(names), edges)
+    _, _, dag = fio.read_dag(args.dag)
     depths = compute_depths(dag)
     groups = group_index(dag, depths)
     info = fio.structure_summary(dag, depths, groups)

@@ -7,16 +7,19 @@ cached on the Dag:
 - ``descendant_closure``: the strict descendants of every node as a CSR
   (compressed sparse row) pair of integer arrays, each row sorted.
   Smoothing gathers its segments from it.
-- ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node.
-  Filters (``apply_filter``), ``check_heredity``,
-  ``disjoint_descendant_depths`` and ``ancestors`` / ``descendants`` still
-  use these; they take O(m^2) bits.
+- ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node,
+  O(m^2) bits in all.  They are oracle-only: ``apply_filter`` and the
+  checks and tests built on it use them as the independent reference, and
+  no production path (analysis, graph summaries, procedures, simulation)
+  touches them.  ``check_heredity``, ``disjoint_descendant_depths`` and
+  ``ancestors`` / ``descendants`` are O(m + E)-class passes over the edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,7 +29,11 @@ class DagError(ValueError):
 
 
 class CycleDetectedError(DagError):
-    pass
+    """A directed cycle; ``node`` is one node that lies on it."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class SelfLoopError(DagError):
@@ -94,7 +101,15 @@ class Dag:
                 if indeg[c] == 0:
                     queue.append(c)
         if len(order) != self.m:
-            raise CycleDetectedError("edge set contains a directed cycle")
+            # every node left unordered has an unordered parent: walking
+            # those parents must revisit a node, and that node is on a cycle
+            v = next(i for i in range(self.m) if indeg[i])
+            seen = set()
+            while v not in seen:
+                seen.add(v)
+                v = next(a for a in self.parents[v] if indeg[a])
+            raise CycleDetectedError(
+                f"edge set contains a directed cycle through node {v}", node=v)
         return tuple(order)
 
     def _check_node(self, node):
@@ -166,15 +181,6 @@ class Dag:
         return f"Dag(m={self.m}, edges={len(self.edges)})"
 
 
-def _mask_to_list(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def mask_of(nodes):
     """Integer bitmask for an iterable of node ids."""
     acc = 0
@@ -213,16 +219,28 @@ def compute_depths(dag):
     return DepthIndex(depth=depth, levels=levels, max_depth=max_depth)
 
 
+def _reachable(adjacency, node):
+    """Nodes reachable from ``node`` in one or more steps (breadth first)."""
+    seen = set(adjacency[node])
+    queue = deque(seen)
+    while queue:
+        for u in adjacency[queue.popleft()]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return frozenset(seen)
+
+
 def ancestors(dag, node):
     """Strict ancestors of ``node`` (transitive closure along reversed edges)."""
     dag._check_node(node)
-    return frozenset(_mask_to_list(dag.ancestor_masks[node]))
+    return _reachable(dag.parents, node)
 
 
 def descendants(dag, node):
     """Strict descendants of ``node``."""
     dag._check_node(node)
-    return frozenset(_mask_to_list(dag.descendant_masks[node]))
+    return _reachable(dag.children, node)
 
 
 @dataclass(frozen=True)
@@ -292,32 +310,74 @@ def is_tree(dag):
                if dag.parents[v])
 
 
+def _edge_arrays(dag):
+    """All edges as ``(parent, child)`` integer arrays, grouped by child."""
+    n_parents = np.fromiter(map(len, dag.parents), dtype=np.intp, count=dag.m)
+    child = np.repeat(np.arange(dag.m, dtype=np.intp), n_parents)
+    parent = np.fromiter(chain.from_iterable(dag.parents), dtype=np.intp,
+                         count=child.size)
+    return parent, child
+
+
+def _canonical_lca_depth(canon, depth, max_depth, a, w):
+    """Depth of lca(a[i], w[i]) in the forest ``canon`` (roots map to
+    themselves), 0 when the two lie in different trees.  Needs
+    depth[w] >= depth[a]; vectorized binary lifting over all pairs."""
+    a, w = a.copy(), w.copy()
+    jumps = [canon]
+    while (1 << len(jumps)) < max_depth:
+        jumps.append(jumps[-1][jumps[-1]])
+    gap = depth[w] - depth[a]
+    for k, jump in enumerate(jumps):
+        lift = (gap >> k) & 1 == 1
+        w[lift] = jump[w[lift]]
+    for jump in reversed(jumps):
+        ja, jw = jump[a], jump[w]
+        move = ja != jw
+        a[move] = ja[move]
+        w[move] = jw[move]
+    # a == w: a was an ancestor of w; otherwise the parents now agree
+    # unless a and w are the distinct roots of two trees
+    return np.where(a == w, depth[a],
+                    np.where(canon[a] == canon[w], depth[a] - 1, 0))
+
+
 def disjoint_descendant_depths(dag, depths):
     """Depths whose nodes have pairwise disjoint descendant sets.
 
-    Uses the popcount identity: the per-node descendant sets at a depth are
-    pairwise disjoint iff the popcount of their union equals the sum of the
-    individual popcounts.
+    Every non-root node w has a parent of depth depth(w) - 1 (depth is the
+    longest path); fixing one such canonical parent per node gives a
+    spanning forest.  Depth d is not disjoint iff some non-canonical edge
+    a -> w has depth(lca(a, w)) < d <= depth(a), with the LCA taken in the
+    canonical forest (depth 0 across trees): then a's and w's canonical
+    ancestors at depth d differ and both have w as a descendant, and any
+    shared descendant of two depth-d nodes is reached by a path that
+    crosses such an edge.  Trees have no non-canonical edge, so all their
+    depths are disjoint.  O((m + E) log max_depth) time, no closure.
     """
-    masks = dag.descendant_masks
-    out = set()
-    for d, level in depths.levels.items():
-        union = 0
-        total = 0
-        for v in level:
-            union |= masks[v]
-            total += masks[v].bit_count()
-        if union.bit_count() == total:
-            out.add(d)
-    return frozenset(out)
+    depth = np.asarray(depths.depth, dtype=np.intp)
+    parent, child = _edge_arrays(dag)
+    tight = np.flatnonzero(depth[parent] == depth[child] - 1)
+    kids, first = np.unique(child[tight], return_index=True)
+    canon = np.arange(dag.m, dtype=np.intp)
+    canon[kids] = parent[tight[first]]
+    extra = canon[child] != parent
+    a, w = parent[extra], child[extra]
+    low = _canonical_lca_depth(canon, depth, depths.max_depth, a, w)
+    # each edge covers the depths low+1 .. depth(a): a difference array
+    size = depths.max_depth + 2
+    cover = np.cumsum(np.bincount(low + 1, minlength=size)
+                      - np.bincount(depth[a] + 1, minlength=size))
+    return frozenset(d for d in depths.levels if cover[d] == 0)
 
 
 def check_heredity(dag, nonnull):
-    """True iff every ancestor of every non-null node is also non-null."""
-    nn_mask = mask_of(nonnull)
-    anc = dag.ancestor_masks
-    for v in nonnull:
+    """True iff every ancestor of every non-null node is also non-null.
+
+    A set is ancestor-closed iff it is parent-closed, so only the parents
+    of each non-null node are looked at.
+    """
+    nn = frozenset(nonnull)
+    for v in nn:
         dag._check_node(v)
-        if anc[v] & ~nn_mask:
-            return False
-    return True
+    return all(a in nn for v in nn for a in dag.parents[v])

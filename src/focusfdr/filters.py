@@ -4,6 +4,14 @@ subset before reporting.
 A filter maps (R, p) to U <= R.  The built-in kinds are the trivial filter,
 the ancestor-closed ("ds") filter, the outer-nodes filter, and a fixed
 threshold screening filter.
+
+On the base sets R(t) = {i: wp_i <= t} that the step-up procedures scan,
+every built-in filter keeps node v exactly on one interval of thresholds,
+``enter_v <= t < leave_v``.  ``keep_intervals`` computes those intervals
+in O(m + E); it is the one production form of each filter, behind both
+the threshold curve and the reported discovery set.  ``apply_filter``
+evaluates a filter on an arbitrary set with bigint closure masks; it is
+the independent oracle for the checks and tests, not a production path.
 """
 
 from __future__ import annotations
@@ -33,7 +41,13 @@ class FilterSpec:
     def from_name(cls, name):
         name = name.strip().lower()
         if name.startswith("screen:"):
-            return cls("screen", float(name.split(":", 1)[1]))
+            text = name.split(":", 1)[1]
+            try:
+                threshold = float(text)
+            except ValueError:
+                raise ValueError(f"filter {name!r}: screening threshold "
+                                 f"{text!r} is not a number") from None
+            return cls("screen", threshold)
         return cls(name)
 
     @property
@@ -89,48 +103,61 @@ def is_monotonic(spec, dag):
     return None
 
 
-def filtered_count_curve(spec, dag, weighted_p, pvalues=None):
-    """Threshold curve of filtered-set sizes for base sets {i: wp_i <= t}.
+def keep_intervals(spec, dag, weighted_p, pvalues=None):
+    """Per-node threshold intervals ``(enter, leave)`` of a filter.
 
-    Returns a function mapping a sorted-or-not array of thresholds t to
-    |F({i: wp_i <= t}, p)| for each t, in O(log m) per threshold after an
-    O(m log m + edges) setup.  Each node contributes over an interval of
-    thresholds, so the curve is a difference of two sorted-rank lookups.
+    Node v is in F({i: wp_i <= t}, p) exactly when enter_v <= t < leave_v.
+    ``leave`` is +inf except under "outer"; "screen" sets enter to +inf for
+    nodes with p above its threshold, which are never kept.
     """
     wp = np.asarray(weighted_p, dtype=float)
-
+    leave = np.full(wp.shape, np.inf)
     if spec.kind == "trivial":
-        enter = np.sort(wp)
-        leave = None
+        enter = wp.copy()
     elif spec.kind == "ds":
         # a node is kept once itself and every ancestor is rejected
-        enter = wp.copy()
+        ent = wp.tolist()
         for v in dag.topo_order:
             for a in dag.parents[v]:
-                if enter[a] > enter[v]:
-                    enter[v] = enter[a]
-        enter = np.sort(enter)
-        leave = None
+                if ent[a] > ent[v]:
+                    ent[v] = ent[a]
+        enter = np.array(ent, dtype=float)
     elif spec.kind == "outer":
         # kept while rejected but before any descendant enters
-        dmin = np.full(dag.m, np.inf)
+        w = wp.tolist()
+        dmin = [np.inf] * dag.m
         for v in reversed(dag.topo_order):
             for c in dag.children[v]:
-                dmin[v] = min(dmin[v], wp[c], dmin[c])
-        enter = np.sort(wp)
-        leave = np.sort(np.maximum(wp, dmin))
+                dmin[v] = min(dmin[v], w[c], dmin[c])
+        enter = wp.copy()
+        leave = np.maximum(wp, dmin)
     elif spec.kind == "screen":
         p = np.asarray(pvalues, dtype=float)
-        enter = np.sort(wp[p <= spec.threshold])
-        leave = None
+        enter = np.where(p <= spec.threshold, wp, np.inf)
     else:
         raise ValueError(f"unknown filter kind {spec.kind!r}")
+    return enter, leave
+
+
+def interval_count_curve(enter, leave):
+    """Function mapping thresholds t to #{v: enter_v <= t < leave_v}, each
+    a difference of two sorted-rank lookups (O(log m) per threshold)."""
+    enter, leave = np.sort(enter), np.sort(leave)
 
     def counts(ts):
         ts = np.asarray(ts, dtype=float)
-        c = np.searchsorted(enter, ts, side="right")
-        if leave is not None:
-            c = c - np.searchsorted(leave, ts, side="right")
-        return c
+        return (np.searchsorted(enter, ts, side="right")
+                - np.searchsorted(leave, ts, side="right"))
 
     return counts
+
+
+def filtered_count_curve(spec, dag, weighted_p, pvalues=None):
+    """Threshold curve of filtered-set sizes for base sets {i: wp_i <= t}.
+
+    Returns a function mapping a sorted-or-not array of finite thresholds t
+    to |F({i: wp_i <= t}, p)| for each t, in O(log m) per threshold after
+    an O(m log m + edges) setup (``keep_intervals``).
+    """
+    return interval_count_curve(*keep_intervals(spec, dag, weighted_p,
+                                                 pvalues))

@@ -17,12 +17,13 @@ import numpy as np
 
 from .combine import (Combiner, UndefinedSegmentError,
                       intersection_dag_pvalues, smooth_all_descendants)
-from .dag import build_dag, compute_depths, disjoint_descendant_depths, group_index, is_tree
+from .dag import (CycleDetectedError, build_dag, compute_depths,
+                  disjoint_descendant_depths, group_index, is_tree)
 from .filters import FilterSpec, is_monotonic
 from .procedures import (ReshapingFn, bh, by_procedure, storey_bh,
                          unity_weights, wfbh, yekutieli_tree)
 from .special import DomainError
-from .weights import WeightConfig, dag_weights
+from .weights import WeightConfig, dag_weights, parse_lambda_policy
 
 PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
 
@@ -71,12 +72,32 @@ def read_edge_csv(path):
             names.append(name)
         return ids[name]
 
-    edges = []
+    edges, seen = [], set()
     for lineno, (parent, child) in _rows(path, ("parent", "child")):
-        edges.append((intern(parent, lineno), intern(child, lineno)))
+        edge = (intern(parent, lineno), intern(child, lineno))
+        if edge[0] == edge[1]:
+            raise ParseError(f"{path}:{lineno}: self-loop at node {parent!r}")
+        if edge in seen:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate edge {parent!r} -> {child!r}")
+        seen.add(edge)
+        edges.append(edge)
     if not edges:
         raise ParseError(f"{path}: no edges found")
     return names, ids, edges
+
+
+def read_dag(path):
+    """Parse an edge list and build its Dag; returns (names, name_to_id,
+    dag).  A cycle is reported with the file and a node name on it."""
+    names, ids, edges = read_edge_csv(path)
+    try:
+        dag = build_dag(len(names), edges)
+    except CycleDetectedError as exc:
+        raise CycleDetectedError(
+            f"{path}: edge set contains a directed cycle through node "
+            f"{names[exc.node]!r}", node=exc.node) from None
+    return names, ids, dag
 
 
 def _parse_p(path, lineno, text):
@@ -178,11 +199,7 @@ class AnalysisRequest:
     yk_divisor: float = 2.88
 
     def resolved_lambda(self):
-        if self.lambda_policy == "q":
-            return self.q
-        if self.lambda_policy.startswith("fixed:"):
-            return float(self.lambda_policy.split(":", 1)[1])
-        raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
+        return parse_lambda_policy(self.lambda_policy, self.q)
 
 
 def analyze(request):
@@ -190,9 +207,14 @@ def analyze(request):
     if request.method not in PROCEDURES:
         raise ValueError(f"unknown method {request.method!r}; "
                          f"choose from {PROCEDURES}")
-    names, name_to_id, edges = read_edge_csv(request.dag_file)
-    dag = build_dag(len(names), edges)
+    names, name_to_id, dag = read_dag(request.dag_file)
     depths = compute_depths(dag)
+    if not isinstance(request.dw, str):
+        for d in sorted(request.dw):
+            if not 1 <= d <= depths.max_depth:
+                raise ValueError(
+                    f"dw depth {d} is outside [1, {depths.max_depth}]: "
+                    f"{request.dag_file} has max depth {depths.max_depth}")
     groups = group_index(dag, depths)
     lam = request.resolved_lambda()
 

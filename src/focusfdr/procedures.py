@@ -16,7 +16,8 @@ import numpy as np
 
 from .combine import validate_pvalues
 from .dag import build_dag, is_tree
-from .filters import TRIVIAL, apply_filter, filtered_count_curve
+from .filters import (TRIVIAL, apply_filter, interval_count_curve,
+                      keep_intervals)
 from .weights import WeightVector, storey_pi0
 
 
@@ -163,6 +164,8 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     reported discoveries are the filtered base set.  With unity weights this
     is the plain focused procedure; with the trivial filter on top it
     reduces to BH.  Weighted p-values above 1 stay legal candidates.
+    Both the scan and the discoveries come from the filter's keep
+    intervals: the discoveries are {v: enter_v <= t* < leave_v}.
     """
     _check_q(q)
     p = validate_pvalues(pvalues)
@@ -173,15 +176,17 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
 
     wp = w * p
     cands = np.unique(np.concatenate(([0.0], wp)))
-    counts = filtered_count_curve(filter_spec, dag, wp, p)(cands)
+    enter, leave = keep_intervals(filter_spec, dag, wp, p)
+    counts = interval_count_curve(enter, leave)(cands)
     reshaped = beta(counts.astype(float))
     # m*t <= q*beta(count), with 0/0 = 0 at t = 0 and +inf otherwise
     feasible = (dag.m * cands <= q * reshaped) & (reshaped > 0)
     feasible |= cands == 0.0
     t_star = float(cands[feasible][-1])
 
-    base = frozenset(int(i) for i in np.flatnonzero(wp <= t_star))
-    discoveries = apply_filter(filter_spec, dag, base, p)
+    base = frozenset(np.flatnonzero(wp <= t_star).tolist())
+    discoveries = frozenset(
+        np.flatnonzero((enter <= t_star) & (t_star < leave)).tolist())
     n_disc = len(discoveries)
     if t_star == 0.0 and n_disc == 0:
         fdp_hat = 0.0

@@ -21,7 +21,8 @@ from .filters import FilterSpec
 from .procedures import (ReshapingFn, bh, by_procedure, storey_bh,
                          unity_weights, wfbh, yekutieli_tree)
 from .special import normal_cdf
-from .weights import WeightConfig, WeightWorkspace, dag_weights, resolve_dw
+from .weights import (WeightConfig, WeightWorkspace, dag_weights,
+                      parse_lambda_policy, resolve_dw)
 
 GRAPH_FAMILIES = ("wide-tree", "bipartite1", "deep-tree", "bipartite2")
 SIGNAL_SETUPS = ("global", "decremental", "incremental")
@@ -177,11 +178,7 @@ class SimConfig:
     yk_divisor: float = 2.88
 
     def resolved_lambda(self):
-        if self.lambda_policy == "q":
-            return self.q
-        if self.lambda_policy.startswith("fixed:"):
-            return float(self.lambda_policy.split(":", 1)[1])
-        raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
+        return parse_lambda_policy(self.lambda_policy, self.q)
 
 
 @dataclass(frozen=True)

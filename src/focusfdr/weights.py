@@ -44,6 +44,21 @@ def _check_lambda(lam):
         raise LambdaOutOfRangeError(f"lambda must be in (0, 1), got {lam}")
 
 
+def parse_lambda_policy(policy, q):
+    """Storey's lambda under a policy string: "q" (lambda = q) or
+    "fixed:<value>"."""
+    if policy == "q":
+        return q
+    if policy.startswith("fixed:"):
+        text = policy.split(":", 1)[1]
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"lambda policy {policy!r}: {text!r} is not a "
+                             "number") from None
+    raise ValueError(f"unknown lambda policy {policy!r}")
+
+
 def storey_pi0(pvalues, lam):
     """Storey's null-proportion estimate (1 + #{p > lam}) / (m (1 - lam))."""
     _check_lambda(lam)

@@ -7,10 +7,13 @@ import pytest
 
 from focusfdr.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 from focusfdr.checks import SUITES
+from focusfdr.dag import Dag, build_dag
+from focusfdr.filters import FilterSpec, apply_filter
 from focusfdr.io import (AnalysisRequest, MissingPvalueError, ParseError,
                          UnknownNodeInPvaluesError, analyze, export_edge_csv,
                          read_edge_csv, read_pvalue_csv)
-from focusfdr.simulate import generate_graph
+from focusfdr.simulate import (MethodSpec, SimConfig, generate_graph,
+                               run_simulation)
 
 
 def write(path, text):
@@ -154,6 +157,122 @@ def test_cli_analyze_stouffer_undefined_names_node(tmp_path, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "Stouffer is undefined at node 'z'" in err and pv in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "graph-info"])
+@pytest.mark.parametrize("rows,message", [
+    ("a,b\nb,c\na,b\n", ":4: duplicate edge 'a' -> 'b'"),
+    ("a,b\nc,c\n", ":3: self-loop at node 'c'"),
+])
+def test_cli_edge_list_errors_name_line_and_nodes(tmp_path, capsys, command,
+                                                  rows, message):
+    dag = write(tmp_path / "e.csv", "parent,child\n" + rows)
+    pv = write(tmp_path / "p.csv", "node,p\na,0.1\nb,0.2\nc,0.3\n")
+    argv = [command, "--dag", dag]
+    if command == "analyze":
+        argv += ["--pvalues", pv]
+    assert main(argv) == EXIT_INPUT
+    assert f"{dag}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "graph-info"])
+def test_cli_cycle_names_file_and_a_node_on_it(tmp_path, capsys, command):
+    # d is not on the cycle c -> a -> b -> c but sorts first among the
+    # nodes left unordered; the reported node must lie on the cycle
+    dag = write(tmp_path / "cyc.csv",
+                "parent,child\nr,d\nc,d\na,b\nb,c\nc,a\n")
+    pv = write(tmp_path / "p.csv",
+               "node,p\nr,0.1\nd,0.1\na,0.1\nb,0.1\nc,0.1\n")
+    argv = [command, "--dag", dag]
+    if command == "analyze":
+        argv += ["--pvalues", pv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{dag}: edge set contains a directed cycle through node" in err
+    assert err.rstrip().endswith(("'a'", "'b'", "'c'"))
+
+
+@pytest.mark.parametrize("dw", ["7", "0", "1,4"])
+def test_cli_analyze_rejects_dw_outside_graph_depths(chain_files, capsys, dw):
+    code = main(["analyze", "--dag", chain_files[0],
+                 "--pvalues", chain_files[1], "--dw", dw])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    bad = [d for d in dw.split(",") if not 1 <= int(d) <= 3][0]
+    assert f"dw depth {bad} is outside [1, 3]" in err
+    assert "max depth 3" in err
+
+
+def test_cli_analyze_bad_screen_threshold_names_flag(chain_files, capsys):
+    code = main(["analyze", "--dag", chain_files[0],
+                 "--pvalues", chain_files[1], "--filter", "screen:abc"])
+    assert code == EXIT_INPUT
+    assert "filter 'screen:abc'" in capsys.readouterr().err
+
+
+def test_cli_analyze_bad_lambda_policy_names_flag(chain_files, capsys):
+    code = main(["analyze", "--dag", chain_files[0],
+                 "--pvalues", chain_files[1], "--lambda-policy", "fixed:abc"])
+    assert code == EXIT_INPUT
+    assert "lambda policy 'fixed:abc'" in capsys.readouterr().err
+
+
+def test_cli_simulate_bad_lambda_policy_names_flag(tmp_path, capsys):
+    code = main(["simulate", "--family", "wide-tree", "--p", "0.3",
+                 "--reps", "1", "--lambda-policy", "fixed:abc",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_INPUT
+    assert "lambda policy 'fixed:abc'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def masks_forbidden(monkeypatch):
+    """Make the O(m^2) bigint closures raise on any access: they are the
+    filter oracle's, and no production path may build them."""
+    def forbidden(self):
+        raise AssertionError("bigint closure masks are oracle-only")
+
+    for name in ("ancestor_masks", "descendant_masks"):
+        monkeypatch.setattr(Dag, name, property(forbidden))
+    monkeypatch.delenv("FOCUSFDR_THREADS", raising=False)
+    with pytest.raises(AssertionError):
+        apply_filter(FilterSpec("ds"), build_dag(2, [(0, 1)]), {1})
+
+
+@pytest.mark.parametrize("filter_name", ["ds", "outer", "screen:0.5"])
+@pytest.mark.parametrize("smoothing", [None, "fisher"])
+def test_analyze_never_builds_closure_masks(masks_forbidden, tmp_path,
+                                            filter_name, smoothing):
+    dag = write(tmp_path / "dag.csv",
+                "parent,child\na,c\nb,c\nc,d\na,e\nb,f\n")
+    pv = write(tmp_path / "p.csv", "node,p\na,0.001\nb,0.002\nc,0.003\n"
+                                   "d,0.004\ne,0.6\nf,0.005\n")
+    report = analyze(AnalysisRequest(dag_file=dag, pvalues_file=pv,
+                                     filter=filter_name, q=0.2,
+                                     combiner=smoothing))
+    assert report["counts"]["discoveries"] > 0
+    assert report["structure"]["disjoint_descendant_depths"] == [2, 3]
+
+
+def test_graph_info_never_builds_closure_masks(masks_forbidden, tmp_path,
+                                               capsys):
+    dag = write(tmp_path / "dag.csv", "parent,child\na,c\nb,c\nc,d\n")
+    assert main(["graph-info", "--dag", dag]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["n_d"] == {"1": 1, "2": 2,
+                                                          "3": 1}
+
+
+@pytest.mark.parametrize("family", ["wide-tree", "bipartite2"])
+def test_simulation_never_builds_closure_masks(masks_forbidden, family):
+    methods = tuple(MethodSpec(*m) for m in (
+        ("wfbh", "ds"), ("fbh", "ds"), ("wfbh", "outer"), ("wrfbh", "ds"),
+        ("wfbh", "screen:0.5"), ("bh", "trivial"), ("storey-bh", "trivial"),
+        ("by", "trivial")))
+    for smoothing in (None, "simes"):
+        summary = run_simulation(SimConfig(
+            family=family, setup="decremental", p_nonnull=(0.3,), n_reps=2,
+            smoothing=smoothing, methods=methods))
+        assert len(summary.cells) == len(methods)
 
 
 def test_cli_graph_info_round_trip(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfdr.checks import random_tree
+from focusfdr.checks import random_near_tree, random_tree
 from focusfdr.dag import (CycleDetectedError, DuplicateEdgeError,
                           NodeIdOutOfRangeError, SelfLoopError, ancestors,
                           build_dag, check_heredity, compute_depths,
@@ -186,12 +186,19 @@ def test_isolated_nodes_are_depth1_roots_and_leaves():
     assert depths.depth[2] == 1
 
 
-@given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
+GRAPHS = {"dag": random_dag, "tree": random_tree, "near-tree": random_near_tree}
+SHAPES = st.sampled_from(sorted(GRAPHS))
+
+
+def mask_members(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES,
        max_m=st.sampled_from([2, 14, 40]))
 @settings(max_examples=100, deadline=None)
-def test_descendant_closure_rows_match_masks(seed, tree, max_m):
-    rng = np.random.default_rng(seed)
-    dag = random_tree(rng, max_m) if tree else random_dag(rng, max_m)
+def test_descendant_closure_rows_match_masks(seed, shape, max_m):
+    dag = GRAPHS[shape](np.random.default_rng(seed), max_m)
     indptr, indices = dag.descendant_closure
     assert indptr.shape == (dag.m + 1,) and indptr[0] == 0
     assert indices.size == indptr[-1]
@@ -199,6 +206,69 @@ def test_descendant_closure_rows_match_masks(seed, tree, max_m):
         row = indices[indptr[v]:indptr[v + 1]]
         assert row.tolist() == sorted(descendants(dag, v))
         assert np.array_equal(dag.descendant_indices(v), row)
+        # the searches behind ancestors/descendants against the bigint masks
+        assert descendants(dag, v) == mask_members(dag.descendant_masks[v])
+        assert ancestors(dag, v) == mask_members(dag.ancestor_masks[v])
+
+
+def popcount_disjoint_depths(dag, depths):
+    """Oracle: a level's descendant sets are pairwise disjoint iff the
+    popcount of their union is the sum of their popcounts."""
+    masks = dag.descendant_masks
+    out = set()
+    for d, level in depths.levels.items():
+        union = 0
+        for v in level:
+            union |= masks[v]
+        if union.bit_count() == sum(masks[v].bit_count() for v in level):
+            out.add(d)
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES,
+       max_m=st.sampled_from([2, 14, 40]),
+       edge_prob=st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+@settings(max_examples=200, deadline=None)
+def test_disjoint_descendant_depths_match_popcount_oracle(seed, shape, max_m,
+                                                          edge_prob):
+    rng = np.random.default_rng(seed)
+    dag = (random_dag(rng, max_m, edge_prob) if shape == "dag"
+           else GRAPHS[shape](rng, max_m))
+    depths = compute_depths(dag)
+    assert disjoint_descendant_depths(dag, depths) == \
+        popcount_disjoint_depths(dag, depths)
+
+
+def test_disjoint_descendant_depths_deep_near_tree():
+    # a 3000-deep path with side branches and a few cross edges: the
+    # binary lifting spans many levels
+    rng = np.random.default_rng(11)
+    m = 4000
+    edges = {(j - 1, j) for j in range(1, 3000)}
+    edges |= {(int(rng.integers(0, j)), j) for j in range(3000, m)}
+    edges |= {(100, 2500), (2999, 3500), (3100, 3200), (5, 3300)}
+    dag = build_dag(m, sorted(edges))
+    depths = compute_depths(dag)
+    got = disjoint_descendant_depths(dag, depths)
+    assert got == popcount_disjoint_depths(dag, depths)
+    assert got != set(depths.levels)
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES,
+       max_m=st.sampled_from([2, 14, 40]))
+@settings(max_examples=100, deadline=None)
+def test_check_heredity_matches_mask_oracle(seed, shape, max_m):
+    rng = np.random.default_rng(seed)
+    dag = GRAPHS[shape](rng, max_m)
+    anc = dag.ancestor_masks
+    picked = [v for v in range(dag.m) if rng.random() < 0.4]
+    closed = set(picked)
+    for v in picked:
+        closed |= mask_members(anc[v])
+    for nonnull in (picked, closed, closed - {int(rng.integers(dag.m))}):
+        nn_mask = sum(1 << v for v in set(nonnull))
+        expected = all(anc[v] & ~nn_mask == 0 for v in nonnull)
+        assert check_heredity(dag, nonnull) == expected
 
 
 def test_descendant_closure_is_cached_and_read_only():

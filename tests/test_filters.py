@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focusfdr.checks import (check_filter_monotonicity,
                              find_outer_counterexample, random_dag,
-                             random_tree)
+                             random_near_tree, random_tree)
 from focusfdr.dag import ancestors, build_dag, descendants
 from focusfdr.filters import (FilterSpec, apply_filter, filtered_count_curve,
-                              is_monotonic)
+                              is_monotonic, keep_intervals)
+from focusfdr.procedures import ReshapingFn, wfbh
 
 
 def chain3():
@@ -24,6 +26,8 @@ def test_from_name():
         FilterSpec.from_name("inner")
     with pytest.raises(ValueError):
         FilterSpec("screen")
+    with pytest.raises(ValueError, match="filter 'screen:abc'.*'abc'"):
+        FilterSpec.from_name("screen:abc")
 
 
 def test_ds_filter_chain():
@@ -112,3 +116,48 @@ def test_count_curve_matches_fresh_evaluation():
                                       set(np.flatnonzero(wp <= t)), p))
                      for t in cands]
             assert list(curve) == fresh
+
+
+GRAPHS = {"dag": random_dag, "tree": random_tree, "near-tree": random_near_tree}
+
+
+def _random_case(seed, shape, max_m):
+    """A random graph with p-values that tie and hit 0 and 1, weights that
+    are unity (more ties) or random, and each filter kind; the screening
+    threshold sits on one of the p-values."""
+    rng = np.random.default_rng(seed)
+    dag = GRAPHS[shape](rng, max_m)
+    pool = np.concatenate(([0.0, 1.0], rng.uniform(size=3)))
+    p = np.where(rng.random(dag.m) < 0.5, rng.choice(pool, size=dag.m),
+                 rng.uniform(size=dag.m))
+    w = (np.ones(dag.m) if rng.random() < 0.3
+         else np.exp(rng.normal(size=dag.m)))
+    specs = [FilterSpec("trivial"), FilterSpec("ds"), FilterSpec("outer"),
+             FilterSpec("screen", float(rng.choice(p)))]
+    return rng, dag, p, w, specs
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(sorted(GRAPHS)),
+       max_m=st.sampled_from([2, 12, 40]))
+@settings(max_examples=150, deadline=None)
+def test_keep_intervals_equal_apply_filter(seed, shape, max_m):
+    _, dag, p, w, specs = _random_case(seed, shape, max_m)
+    wp = w * p
+    for spec in specs:
+        enter, leave = keep_intervals(spec, dag, wp, p)
+        for t in np.unique(np.concatenate(([0.0], wp))):
+            kept = np.flatnonzero((enter <= t) & (t < leave)).tolist()
+            base = np.flatnonzero(wp <= t).tolist()
+            assert set(kept) == apply_filter(spec, dag, base, p)
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(sorted(GRAPHS)),
+       max_m=st.sampled_from([2, 12, 40]))
+@settings(max_examples=150, deadline=None)
+def test_wfbh_discoveries_equal_apply_filter(seed, shape, max_m):
+    rng, dag, p, w, specs = _random_case(seed, shape, max_m)
+    q = float(rng.uniform(0.05, 0.5))
+    beta = ReshapingFn.by(dag.m) if rng.random() < 0.3 else None
+    for spec in specs:
+        res = wfbh(dag, p, w, spec, q, reshaping=beta)
+        assert res.discovery_set == apply_filter(spec, dag, res.base_set, p)
