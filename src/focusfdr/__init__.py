@@ -8,14 +8,15 @@ from .dag import (Dag, DepthIndex, Group, GroupIndex, ancestors, build_dag,
                   check_heredity, compute_depths, descendants,
                   disjoint_descendant_depths, group_index, is_tree)
 from .filters import FilterSpec, apply_filter, is_monotonic
-from .procedures import (ProcedureResult, ReshapingFn, bh, by_procedure,
-                         fbh, storey_bh, unity_weights, weighted_reshaped_fbh,
-                         wfbh, yekutieli_tree)
+from .procedures import (PROCEDURES, ProcedureResult, ReshapingFn, bh,
+                         by_procedure, fbh, run_procedure, storey_bh,
+                         unity_weights, weighted_reshaped_fbh, wfbh,
+                         yekutieli_tree)
 from .simulate import (MethodSpec, SimConfig, SimSummary, assign_truth,
                        condition1_check, generate_graph, run_simulation,
                        sample_pvalues, superuniformity_check)
 from .weights import (WeightConfig, WeightVector, auto_dw, dag_weights,
-                      group_storey, min_possible_weight, storey_pi0)
+                      min_possible_weight, storey_pi0)
 
 __version__ = "0.1.0"
 
@@ -25,13 +26,13 @@ __all__ = [
     "check_heredity", "compute_depths", "descendants",
     "disjoint_descendant_depths", "group_index", "is_tree",
     "FilterSpec", "apply_filter", "is_monotonic",
-    "ProcedureResult", "ReshapingFn", "bh", "by_procedure", "fbh",
-    "storey_bh", "unity_weights", "weighted_reshaped_fbh", "wfbh",
-    "yekutieli_tree",
+    "PROCEDURES", "ProcedureResult", "ReshapingFn", "bh", "by_procedure",
+    "fbh", "run_procedure", "storey_bh", "unity_weights",
+    "weighted_reshaped_fbh", "wfbh", "yekutieli_tree",
     "MethodSpec", "SimConfig", "SimSummary", "assign_truth",
     "condition1_check", "generate_graph", "run_simulation", "sample_pvalues",
     "superuniformity_check",
-    "WeightConfig", "WeightVector", "auto_dw", "dag_weights", "group_storey",
+    "WeightConfig", "WeightVector", "auto_dw", "dag_weights",
     "min_possible_weight", "storey_pi0",
     "__version__",
 ]

@@ -16,6 +16,7 @@ import sys
 from . import io as fio
 from .checks import SUITES, UnknownSuiteError, run_suite
 from .dag import compute_depths, group_index
+from .procedures import PROCEDURES
 from .simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec, SimConfig,
                        run_simulation)
 
@@ -72,7 +73,7 @@ def build_parser():
     a.add_argument("--dag", required=True, help="edge CSV (parent,child)")
     a.add_argument("--pvalues", required=True,
                    help="node,p CSV (item,p in intersection mode)")
-    a.add_argument("--method", default="wfbh", choices=fio.PROCEDURES)
+    a.add_argument("--method", default="wfbh", choices=PROCEDURES)
     a.add_argument("--filter", default="ds",
                    help='"trivial" | "ds" | "outer" | "screen:<s>"')
     _add_analysis_knobs(a)
@@ -80,10 +81,11 @@ def build_parser():
                    help="combiner name for all-descendant smoothing "
                         "(fisher|stouffer|simes|tippett|orderstat:i|bonferroni)")
     a.add_argument("--reshaping", default=None, choices=["by"],
-                   help="apply the harmonic-sum reshaping")
+                   help="harmonic-sum reshaping (fbh, wfbh, wrfbh only)")
     a.add_argument("--items", default=None,
                    help="node,item annotation CSV (intersection-DAG mode)")
-    a.add_argument("--yk-divisor", type=float, default=2.88)
+    a.add_argument("--yk-divisor", type=float, default=2.88,
+                   help="yekutieli-tree runs at level q / divisor")
     a.add_argument("--json-out", default=None, help="report path (default stdout)")
     a.add_argument("--csv-out", default=None, help="discoveries CSV path")
 
@@ -112,7 +114,8 @@ def build_parser():
     s.add_argument("--methods", default=None,
                    help='comma list of procedure[:filter] entries '
                         "(default wfbh:ds,fbh:ds)")
-    s.add_argument("--yk-divisor", type=float, default=None)
+    s.add_argument("--yk-divisor", type=float, default=None,
+                   help="yekutieli-tree level divisor (default 2.88)")
     s.add_argument("--config", default=None,
                    help="JSON file of simulation fields (flags override)")
     s.add_argument("--out", default=None, help="CSV path (default stdout)")

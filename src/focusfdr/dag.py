@@ -52,34 +52,31 @@ class Dag:
     """Immutable directed acyclic graph over nodes 0..m-1.
 
     All derived structure (topological order, closures) is computed once and
-    shared; instances are safe to use from multiple threads.
+    shared; instances are safe to use from multiple threads.  ``edges`` is
+    the set of (parent, child) pairs built while validating them; like
+    every attribute, it is read-only.
     """
 
     def __init__(self, m, edges):
-        edges = [(int(a), int(b)) for a, b in edges]
         if m < 0:
             raise DagError("node count must be nonnegative")
+        seen = set()
+        children = [[] for _ in range(m)]
+        parents = [[] for _ in range(m)]
         for a, b in edges:
+            a, b = int(a), int(b)
             if not (0 <= a < m) or not (0 <= b < m):
                 raise NodeIdOutOfRangeError(f"edge ({a}, {b}) outside [0, {m})")
             if a == b:
                 raise SelfLoopError(f"self-loop at node {a}")
-        if len(set(edges)) != len(edges):
-            seen, dup = set(), None
-            for e in edges:
-                if e in seen:
-                    dup = e
-                    break
-                seen.add(e)
-            raise DuplicateEdgeError(f"duplicate edge {dup}")
-
-        self.m = int(m)
-        self.edges = frozenset(edges)
-        children = [[] for _ in range(m)]
-        parents = [[] for _ in range(m)]
-        for a, b in edges:
+            if (a, b) in seen:
+                raise DuplicateEdgeError(f"duplicate edge {(a, b)}")
+            seen.add((a, b))
             children[a].append(b)
             parents[b].append(a)
+
+        self.m = int(m)
+        self.edges = seen
         self.children = tuple(tuple(sorted(c)) for c in children)
         self.parents = tuple(tuple(sorted(p)) for p in parents)
         self.topo_order = self._toposort()

@@ -20,12 +20,9 @@ from .combine import (Combiner, UndefinedSegmentError,
 from .dag import (CycleDetectedError, build_dag, compute_depths,
                   disjoint_descendant_depths, group_index, is_tree)
 from .filters import FilterSpec, is_monotonic
-from .procedures import (ReshapingFn, bh, by_procedure, storey_bh,
-                         unity_weights, wfbh, yekutieli_tree)
+from .procedures import check_procedure, run_procedure
 from .special import DomainError
-from .weights import WeightConfig, dag_weights, parse_lambda_policy
-
-PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
+from .weights import WeightConfig, parse_lambda_policy
 
 
 class ParseError(ValueError):
@@ -204,9 +201,10 @@ class AnalysisRequest:
 
 def analyze(request):
     """Run one analysis end to end; returns the report as a plain dict."""
-    if request.method not in PROCEDURES:
-        raise ValueError(f"unknown method {request.method!r}; "
-                         f"choose from {PROCEDURES}")
+    if request.reshaping not in (None, "by"):
+        raise ValueError(f"unknown reshaping {request.reshaping!r}")
+    reshaped = request.reshaping == "by"
+    check_procedure(request.method, reshaped, request.yk_divisor)
     names, name_to_id, dag = read_dag(request.dag_file)
     depths = compute_depths(dag)
     if not isinstance(request.dw, str):
@@ -240,30 +238,10 @@ def analyze(request):
         ) from None
 
     fspec = FilterSpec.from_name(request.filter)
-    result = None
-    if request.method in ("fbh", "wfbh", "wrfbh"):
-        if request.method == "fbh":
-            wv = unity_weights(dag.m)
-        else:
-            wv = dag_weights(dag, depths, groups, p_used,
-                             WeightConfig(lam=lam, c=request.c, dw=request.dw))
-        beta = None
-        if request.method == "wrfbh" or request.reshaping == "by":
-            beta = ReshapingFn.by(dag.m)
-        result = wfbh(dag, p_used, wv, fspec, request.q, reshaping=beta)
-        discoveries = result.discovery_set
-        weights_arr = result.weights_used
-    else:
-        if request.method == "bh":
-            discoveries = bh(p_used, request.q)
-        elif request.method == "storey-bh":
-            discoveries = storey_bh(p_used, request.q, lam)
-        elif request.method == "by":
-            discoveries = by_procedure(p_used, request.q)
-        else:
-            discoveries = yekutieli_tree(dag, p_used,
-                                         request.q / request.yk_divisor)
-        weights_arr = unity_weights(dag.m)
+    discoveries, weights_arr, result = run_procedure(
+        request.method, dag, depths, groups, p_used, fspec, request.q,
+        WeightConfig(lam=lam, c=request.c, dw=request.dw), reshaped,
+        request.yk_divisor)
 
     rows = []
     for v in sorted(discoveries,

@@ -1,5 +1,6 @@
 """Multiple testing procedures: BH, Storey-BH, the focused step-up family
-(weighted, reshaped), and a simplified top-down tree baseline.
+(weighted, reshaped), a simplified top-down tree baseline, and
+``run_procedure``, the name dispatch shared by analyses and simulations.
 
 The focused procedures scan the candidate thresholds {0, w_1 p_1, ..., w_m p_m},
 estimate the false discovery proportion of each filtered candidate set, and
@@ -18,7 +19,7 @@ from .combine import validate_pvalues
 from .dag import build_dag, is_tree
 from .filters import (TRIVIAL, apply_filter, interval_count_curve,
                       keep_intervals)
-from .weights import WeightVector, storey_pi0
+from .weights import WeightVector, dag_weights, storey_pi0
 
 
 class QOutOfRangeError(ValueError):
@@ -46,33 +47,29 @@ def _check_q(q):
         raise QOutOfRangeError(f"target FDR level must be in (0, 1), got {q}")
 
 
+def _step_up(p, q, pi0=1.0):
+    """Reject the k smallest p-values, k maximal with p_(k) m pi0 <= k q."""
+    m = p.size
+    order = np.argsort(p, kind="stable")
+    ks = np.flatnonzero(p[order] * m * pi0 <= np.arange(1, m + 1) * q)
+    if ks.size == 0:
+        return frozenset()
+    return frozenset(int(i) for i in order[:ks[-1] + 1])
+
+
 def bh(pvalues, q):
     """Classic step-up rule: reject the k smallest p-values, k maximal with
     p_(k) <= k q / m.  Kept deliberately textbook; it doubles as the
     reference oracle for the focused procedures with unity weights."""
     _check_q(q)
-    p = validate_pvalues(pvalues)
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    ks = np.flatnonzero(p[order] * m <= (np.arange(1, m + 1)) * q)
-    if ks.size == 0:
-        return frozenset()
-    k = ks[-1] + 1
-    return frozenset(int(i) for i in order[:k])
+    return _step_up(validate_pvalues(pvalues), q)
 
 
 def storey_bh(pvalues, q, lam):
     """Adaptive step-up with thresholds k q / (m pi0_hat)."""
     _check_q(q)
     p = validate_pvalues(pvalues)
-    pi0 = storey_pi0(p, lam)
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    ks = np.flatnonzero(p[order] * m * pi0 <= np.arange(1, m + 1) * q)
-    if ks.size == 0:
-        return frozenset()
-    k = ks[-1] + 1
-    return frozenset(int(i) for i in order[:k])
+    return _step_up(p, q, storey_pi0(p, lam))
 
 
 @dataclass(frozen=True)
@@ -247,6 +244,53 @@ def yekutieli_tree(dag, pvalues, level):
             rejected.add(node)
             frontier.append(list(dag.children[node]))
     return frozenset(rejected)
+
+
+PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
+# the procedures with a filtered count that a reshaping function can act on
+FOCUSED = ("fbh", "wfbh", "wrfbh")
+
+
+def check_procedure(name, reshaped=False, yk_divisor=2.88):
+    """Reject what ``run_procedure`` cannot run: an unknown name, reshaping
+    asked of a procedure without a filtered count, or a top-down level
+    divisor that is not finite and positive."""
+    if name not in PROCEDURES:
+        raise ValueError(f"unknown procedure {name!r}; choose from "
+                         + ", ".join(PROCEDURES))
+    if reshaped and name not in FOCUSED:
+        raise InvalidReshapingError(
+            f"method {name!r} takes no reshaping; only the focused methods "
+            + ", ".join(FOCUSED) + " accept it")
+    if name == "yekutieli-tree" and not 0.0 < yk_divisor < np.inf:
+        raise ValueError(f"yk-divisor must be finite and > 0, got {yk_divisor}")
+
+
+def run_procedure(name, dag, depths, groups, p, fspec, q, weight_config,
+                  reshaped=False, yk_divisor=2.88):
+    """Run the named procedure on p; returns (discoveries, weights, result).
+
+    The focused methods run ``wfbh`` with unity (fbh) or adaptive weights,
+    BY-reshaped for wrfbh or when ``reshaped``; result is their
+    ProcedureResult.  The others ignore the filter and return unity weights
+    and result None.  ``yekutieli-tree`` runs at level q / yk_divisor.
+    """
+    check_procedure(name, reshaped, yk_divisor)
+    if name in FOCUSED:
+        w = (unity_weights(dag.m) if name == "fbh"
+             else dag_weights(dag, depths, groups, p, weight_config))
+        beta = ReshapingFn.by(dag.m) if reshaped or name == "wrfbh" else None
+        result = wfbh(dag, p, w, fspec, q, reshaping=beta)
+        return result.discovery_set, result.weights_used, result
+    if name == "bh":
+        discoveries = bh(p, q)
+    elif name == "storey-bh":
+        discoveries = storey_bh(p, q, weight_config.lam)
+    elif name == "by":
+        discoveries = by_procedure(p, q)
+    else:
+        discoveries = yekutieli_tree(dag, p, q / yk_divisor)
+    return discoveries, unity_weights(dag.m), None
 
 
 def brute_force_tstar(dag, pvalues, weights, filter_spec, q, reshaping=None):

@@ -18,11 +18,10 @@ import numpy as np
 from .combine import Combiner, smooth_all_descendants, smooth_rows
 from .dag import build_dag, check_heredity, compute_depths, group_index
 from .filters import FilterSpec
-from .procedures import (ReshapingFn, bh, by_procedure, storey_bh,
-                         unity_weights, wfbh, yekutieli_tree)
+from .procedures import check_procedure, run_procedure
 from .special import normal_cdf
-from .weights import (WeightConfig, WeightWorkspace, dag_weights,
-                      parse_lambda_policy, resolve_dw)
+from .weights import (WeightConfig, WeightWorkspace, parse_lambda_policy,
+                      resolve_dw)
 
 GRAPH_FAMILIES = ("wide-tree", "bipartite1", "deep-tree", "bipartite2")
 SIGNAL_SETUPS = ("global", "decremental", "incremental")
@@ -207,35 +206,21 @@ class SimSummary:
     histories: dict = field(repr=False)
 
 
-def run_method(spec, dag, depths, groups, pvalues, config):
-    """Dispatch one configured method; returns the discovery set."""
-    q = config.q
-    lam = config.resolved_lambda()
-    fspec = FilterSpec.from_name(spec.filter)
-    if spec.procedure == "bh":
-        return bh(pvalues, q)
-    if spec.procedure == "storey-bh":
-        return storey_bh(pvalues, q, lam)
-    if spec.procedure == "by":
-        return by_procedure(pvalues, q)
-    if spec.procedure == "fbh":
-        return wfbh(dag, pvalues, unity_weights(dag.m), fspec, q).discovery_set
-    if spec.procedure == "wfbh":
-        wv = dag_weights(dag, depths, groups, pvalues,
-                         WeightConfig(lam=lam, c=config.c, dw=config.dw))
-        return wfbh(dag, pvalues, wv, fspec, q).discovery_set
-    if spec.procedure == "wrfbh":
-        wv = dag_weights(dag, depths, groups, pvalues,
-                         WeightConfig(lam=lam, c=config.c, dw=config.dw))
-        return wfbh(dag, pvalues, wv, fspec, q,
-                    reshaping=ReshapingFn.by(dag.m)).discovery_set
-    if spec.procedure == "yekutieli-tree":
-        return yekutieli_tree(dag, pvalues, q / config.yk_divisor)
-    raise ValueError(f"unknown procedure {spec.procedure!r}")
+def _resolve_methods(config):
+    """Check every method and parse its filter once per sweep; returns
+    (weight config, ((procedure, FilterSpec), ...)) for the replications."""
+    for spec in config.methods:
+        check_procedure(spec.procedure, yk_divisor=config.yk_divisor)
+    weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,
+                                 dw=config.dw)
+    return weight_config, tuple((spec.procedure,
+                                 FilterSpec.from_name(spec.filter))
+                                for spec in config.methods)
 
 
-def _replicate(config, p_idx, rep):
-    """One replication: build, assign, sample, run every method."""
+def _replicate(config, plan, p_idx, rep):
+    """One replication: build, assign, sample, run every method.  plan is
+    ``_resolve_methods(config)``."""
     rng = np.random.default_rng([config.seed, p_idx, rep])
     dag = generate_graph(config.family, rng)
     depths = compute_depths(dag)
@@ -247,9 +232,12 @@ def _replicate(config, p_idx, rep):
         pv = smooth_all_descendants(dag, pv, Combiner.from_name(config.smoothing))
 
     n_nonnull = len(truth)
+    weight_config, resolved = plan
     out = []
-    for spec in config.methods:
-        disc = run_method(spec, dag, depths, groups, pv, config)
+    for procedure, fspec in resolved:
+        disc, _, _ = run_procedure(procedure, dag, depths, groups, pv, fspec,
+                                   config.q, weight_config,
+                                   yk_divisor=config.yk_divisor)
         n_disc = len(disc)
         false_disc = sum(1 for v in disc if v not in truth)
         fdp = false_disc / max(n_disc, 1)
@@ -259,8 +247,8 @@ def _replicate(config, p_idx, rep):
 
 
 def _replicate_star(args):
-    config, p_idx, rep = args
-    return p_idx, rep, _replicate(config, p_idx, rep)
+    config, plan, p_idx, rep = args
+    return p_idx, rep, _replicate(config, plan, p_idx, rep)
 
 
 def resolve_workers(n_workers=None):
@@ -281,7 +269,8 @@ def run_simulation(config, n_workers=None):
     Results are deterministic in (config, seed) regardless of the worker
     count; replication streams never depend on scheduling order.
     """
-    jobs = [(config, p_idx, rep)
+    plan = _resolve_methods(config)
+    jobs = [(config, plan, p_idx, rep)
             for p_idx in range(len(config.p_nonnull))
             for rep in range(config.n_reps)]
     workers = resolve_workers(n_workers)

@@ -68,11 +68,6 @@ def storey_pi0(pvalues, lam):
     return float((1.0 + np.count_nonzero(arr > lam)) / (arr.size * (1.0 - lam)))
 
 
-def group_storey(group_pvalues, lam):
-    """Storey's estimate restricted to one sibling group."""
-    return storey_pi0(group_pvalues, lam)
-
-
 def min_possible_weight(d, groups, lam, c=1):
     """Smallest weight any hypothesis at depth d can receive, n_d/((1-lam)|H_d|).
 
@@ -148,47 +143,35 @@ class WeightWorkspace:
             ratios.append(g.size / groups.depth_sizes[g.depth] * groups.n_d[g.depth])
             mem_node.extend(g.members)
             mem_group.extend([gi] * g.size)
-        self.group_size = np.asarray(sizes, dtype=float)
-        self.group_ratio = np.asarray(ratios, dtype=float)
         self.mem_node = np.asarray(mem_node, dtype=np.intp)
         self.mem_group = np.asarray(mem_group, dtype=np.intp)
-        self.storey_branch = self.group_size > c
+        # per-membership copies of each group's size, ratio and branch
+        self.mem_size = np.asarray(sizes, dtype=float)[self.mem_group]
+        self.mem_ratio = np.asarray(ratios, dtype=float)[self.mem_group]
+        self.mem_storey = self.mem_size > c
         # membership count per node; > 0 exactly on nodes at gated depths
         self.par_count = np.bincount(self.mem_node, minlength=m).astype(float)
         self.gated_nodes = self.par_count > 0
 
-    def _group_inv_weights(self, counts, lam):
-        # counts: per-group Storey exceedance counts (possibly adjusted)
-        pi_hat = (1.0 + counts) / ((1.0 - lam) * self.group_size)
-        w = np.where(self.storey_branch, pi_hat * self.group_ratio,
-                     self.group_ratio)
-        return 1.0 / w
-
     def node_weights(self, pvalues, lam):
         """Per-node weights for the given p-values (1 outside gated depths)."""
-        _check_lambda(lam)
-        exceed = (np.asarray(pvalues, dtype=float) > lam).astype(float)
-        counts = np.bincount(self.mem_group, weights=exceed[self.mem_node],
-                             minlength=self.n_groups)
-        inv_flat = self._group_inv_weights(counts, lam)[self.mem_group]
-        inv_sum = np.bincount(self.mem_node, weights=inv_flat, minlength=self.m)
-        weights = np.ones(self.m)
-        g = self.gated_nodes
-        weights[g] = self.par_count[g] / inv_sum[g]
-        return weights
+        return self._weights(pvalues, lam, leave_self_zero=False)
 
     def leave_self_zero_weights(self, pvalues, lam):
         """Per-node weights each evaluated with that node's own p-value at 0."""
+        return self._weights(pvalues, lam, leave_self_zero=True)
+
+    def _weights(self, pvalues, lam, leave_self_zero):
         _check_lambda(lam)
         exceed = (np.asarray(pvalues, dtype=float) > lam).astype(float)
         counts = np.bincount(self.mem_group, weights=exceed[self.mem_node],
-                             minlength=self.n_groups)
-        # zeroing p_i removes only node i's own exceedance from its groups
-        adj = counts[self.mem_group] - exceed[self.mem_node]
-        pi_hat = (1.0 + adj) / ((1.0 - lam) * self.group_size[self.mem_group])
-        w_flat = np.where(self.storey_branch[self.mem_group],
-                          pi_hat * self.group_ratio[self.mem_group],
-                          self.group_ratio[self.mem_group])
+                             minlength=self.n_groups)[self.mem_group]
+        if leave_self_zero:
+            # zeroing p_i removes only node i's own exceedance from its groups
+            counts = counts - exceed[self.mem_node]
+        pi_hat = (1.0 + counts) / ((1.0 - lam) * self.mem_size)
+        w_flat = np.where(self.mem_storey, pi_hat * self.mem_ratio,
+                          self.mem_ratio)
         inv_sum = np.bincount(self.mem_node, weights=1.0 / w_flat,
                               minlength=self.m)
         weights = np.ones(self.m)

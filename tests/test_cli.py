@@ -225,6 +225,62 @@ def test_cli_simulate_bad_lambda_policy_names_flag(tmp_path, capsys):
     assert "lambda policy 'fixed:abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["bh", "storey-bh", "by", "yekutieli-tree"])
+def test_cli_analyze_rejects_reshaping_without_filtered_count(chain_files,
+                                                              capsys, method):
+    code = main(["analyze", "--dag", chain_files[0],
+                 "--pvalues", chain_files[1], "--method", method,
+                 "--reshaping", "by"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"method {method!r} takes no reshaping" in err
+    assert "fbh, wfbh, wrfbh" in err
+
+
+@pytest.mark.parametrize("divisor", ["0", "-1", "inf", "nan"])
+def test_cli_analyze_rejects_bad_yk_divisor(chain_files, capsys, divisor):
+    code = main(["analyze", "--dag", chain_files[0],
+                 "--pvalues", chain_files[1], "--method", "yekutieli-tree",
+                 "--yk-divisor", divisor])
+    assert code == EXIT_INPUT
+    assert "yk-divisor must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("divisor", ["0", "-1", "inf", "nan"])
+def test_cli_simulate_rejects_bad_yk_divisor(tmp_path, capsys, divisor):
+    code = main(["simulate", "--family", "wide-tree", "--p", "0.3",
+                 "--reps", "1", "--methods", "bh,yekutieli-tree",
+                 "--yk-divisor", divisor, "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_INPUT
+    assert "yk-divisor must be finite and > 0" in capsys.readouterr().err
+
+
+def test_cli_simulate_unknown_procedure_lists_choices(tmp_path, capsys):
+    code = main(["simulate", "--family", "wide-tree", "--p", "0.3",
+                 "--reps", "1", "--methods", "wfbh:ds,bogus",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "unknown procedure 'bogus'" in err
+    assert "bh, storey-bh, by, fbh, wfbh, wrfbh, yekutieli-tree" in err
+
+
+@pytest.mark.parametrize("spec", [MethodSpec("bogus"),
+                                  MethodSpec("wfbh", "screen:abc")])
+def test_simulation_rejects_bad_method_before_any_replication(monkeypatch,
+                                                              spec):
+    # every method is resolved once, before any replication or worker
+    import focusfdr.simulate as sim
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_replicate", no_replication)
+    config = SimConfig(n_reps=2, methods=(MethodSpec("bh"), spec))
+    with pytest.raises(ValueError):
+        run_simulation(config, n_workers=2)
+
+
 @pytest.fixture
 def masks_forbidden(monkeypatch):
     """Make the O(m^2) bigint closures raise on any access: they are the

@@ -206,14 +206,14 @@ def test_replication_composition_with_smoothing():
     from focusfdr.dag import group_index
     from focusfdr.filters import FilterSpec
     from focusfdr.procedures import wfbh
-    from focusfdr.simulate import _replicate
+    from focusfdr.simulate import _replicate, _resolve_methods
     from focusfdr.combine import smooth_all_descendants
     from focusfdr.weights import dag_weights
 
     cfg = SimConfig(family="wide-tree", setup="decremental", p_nonnull=(0.3,),
                     n_reps=1, seed=3, smoothing="fisher",
                     methods=(MethodSpec("wfbh", "ds"),))
-    fdp, power = _replicate(cfg, 0, 0)[0]
+    fdp, power = _replicate(cfg, _resolve_methods(cfg), 0, 0)[0]
 
     rng = np.random.default_rng([3, 0, 0])
     dag = generate_graph("wide-tree", rng)

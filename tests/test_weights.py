@@ -8,7 +8,7 @@ from focusfdr.dag import build_dag, compute_depths, group_index
 from focusfdr.simulate import generate_graph
 from focusfdr.weights import (LambdaOutOfRangeError, NoEligibleGroupError,
                               WeightConfig, WeightWorkspace, auto_dw,
-                              dag_weights, group_storey, min_possible_weight,
+                              dag_weights, min_possible_weight,
                               resolve_dw, storey_pi0)
 
 
@@ -34,9 +34,9 @@ def test_storey_pi0_errors():
 
 
 def test_group_storey_examples():
-    assert group_storey(np.full(10, 0.9), 0.5) == pytest.approx(2.2)
-    assert group_storey(np.full(10, 0.1), 0.5) == pytest.approx(0.2)
-    assert group_storey([0.9], 0.5) == pytest.approx(4.0)
+    assert storey_pi0(np.full(10, 0.9), 0.5) == pytest.approx(2.2)
+    assert storey_pi0(np.full(10, 0.1), 0.5) == pytest.approx(0.2)
+    assert storey_pi0([0.9], 0.5) == pytest.approx(4.0)
 
 
 def test_min_possible_weight_families():
@@ -94,10 +94,10 @@ def test_wide_tree_leaf_weights_match_group_storey():
     wv = dag_weights(dag, depths, groups, p, WeightConfig(lam=0.5, c=0))
     for g in groups.by_depth[2]:
         # K = (10/500)*50 = 1, so the Storey factor is the whole weight
-        expected = group_storey(p[list(g.members)], 0.5)
+        expected = storey_pi0(p[list(g.members)], 0.5)
         for v in g.members:
             assert wv.values[v] == pytest.approx(expected)
-    root_expected = group_storey(p[list(groups.by_depth[1][0].members)], 0.5)
+    root_expected = storey_pi0(p[list(groups.by_depth[1][0].members)], 0.5)
     for r in dag.roots:
         assert wv.values[r] == pytest.approx(root_expected)
 
