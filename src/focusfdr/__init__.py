@@ -2,9 +2,9 @@
 hypotheses: weighted focused step-up procedures with data-adaptive weights,
 rejection-set filters, p-value smoothing, and a Monte Carlo harness."""
 
-from .combine import (Combiner, combine, intersection_dag_pvalues,
+from .combine import (Combiner, intersection_dag_pvalues,
                       smooth_all_descendants)
-from .dag import (Dag, DepthIndex, Group, GroupIndex, ancestors, build_dag,
+from .dag import (Dag, DepthIndex, GroupIndex, ancestors, build_dag,
                   check_heredity, compute_depths, descendants,
                   disjoint_descendant_depths, group_index, is_tree)
 from .filters import FilterSpec, apply_filter, is_monotonic
@@ -21,8 +21,8 @@ from .weights import (WeightConfig, WeightVector, auto_dw, dag_weights,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Combiner", "combine", "intersection_dag_pvalues", "smooth_all_descendants",
-    "Dag", "DepthIndex", "Group", "GroupIndex", "ancestors", "build_dag",
+    "Combiner", "intersection_dag_pvalues", "smooth_all_descendants",
+    "Dag", "DepthIndex", "GroupIndex", "ancestors", "build_dag",
     "check_heredity", "compute_depths", "descendants",
     "disjoint_descendant_depths", "group_index", "is_tree",
     "FilterSpec", "apply_filter", "is_monotonic",

@@ -1,8 +1,12 @@
 """Hypothesis DAG representation and the structural indexes the procedures use.
 
 Nodes are dense integer ids in [0, m).  An edge (parent, child) points from
-the source hypothesis to its refinement.  Closures are computed lazily and
-cached on the Dag:
+the source hypothesis to its refinement.  Building a Dag runs Kahn's
+algorithm a level at a time, which yields the topological order, the
+longest-path depths and cycle detection in one pass, and keeps the edges as
+arrays ordered by child depth.  Depths, sibling groups (as membership
+arrays), ``level_sweep`` and the structure checks are O(m + E)-class passes
+over the edges.  Closures are computed lazily and cached on the Dag:
 
 - ``descendant_closure``: the strict descendants of every node as a CSR
   (compressed sparse row) pair of integer arrays, each row sorted.
@@ -11,8 +15,7 @@ cached on the Dag:
   O(m^2) bits in all.  They are oracle-only: ``apply_filter`` and the
   checks and tests built on it use them as the independent reference, and
   no production path (analysis, graph summaries, procedures, simulation)
-  touches them.  ``check_heredity``, ``disjoint_descendant_depths`` and
-  ``ancestors`` / ``descendants`` are O(m + E)-class passes over the edges.
+  touches them.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ class Dag:
     shared; instances are safe to use from multiple threads.  ``edges`` is
     the set of (parent, child) pairs built while validating them; like
     every attribute, it is read-only.
+
+    ``depth`` holds longest-path depths (roots have 1), ``topo_order`` the
+    nodes by (depth, id).  ``edge_parent`` / ``edge_child`` list the edges
+    by (child depth, child, parent), those into depth d at positions
+    ``level_ptr[d - 1]:level_ptr[d]``.
     """
 
     def __init__(self, m, edges):
@@ -79,35 +87,53 @@ class Dag:
         self.edges = seen
         self.children = tuple(tuple(sorted(c)) for c in children)
         self.parents = tuple(tuple(sorted(p)) for p in parents)
-        self.topo_order = self._toposort()
+        depth, parent, child = self._levels()
+        order = np.argsort(depth[child], kind="stable")
+        self.depth = _read_only(depth)
+        self.edge_parent = _read_only(parent[order])
+        self.edge_child = _read_only(child[order])
+        self.level_ptr = _read_only(np.cumsum(np.bincount(
+            depth[child], minlength=depth.max(initial=0) + 1)))
+        self.topo_order = tuple(np.argsort(depth, kind="stable").tolist())
         self.roots = tuple(i for i in range(m) if not self.parents[i])
         self.leaves = tuple(i for i in range(m) if not self.children[i])
         self._anc_masks = None
         self._desc_masks = None
         self._desc_closure = None
 
-    def _toposort(self):
-        indeg = [len(p) for p in self.parents]
-        queue = deque(i for i in range(self.m) if indeg[i] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for c in self.children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != self.m:
+    def _levels(self):
+        """Kahn's algorithm a whole level per round: the round that removes a
+        node is its depth.  Returns depths and the edges grouped by child."""
+        child = np.repeat(np.arange(self.m), [len(p) for p in self.parents])
+        parent = np.fromiter(chain.from_iterable(self.parents), np.intp,
+                             child.size)
+        kids = np.fromiter(chain.from_iterable(self.children), np.intp,
+                           child.size)
+        n_kids = np.bincount(parent, minlength=self.m)
+        kids_end = np.cumsum(n_kids)
+        indeg = np.bincount(child, minlength=self.m)
+        depth = np.zeros(self.m, dtype=np.intp)
+        level, d = np.flatnonzero(indeg == 0), 0
+        while level.size:
+            d += 1
+            depth[level] = d
+            counts = n_kids[level]
+            out = (np.repeat(kids_end[level] - np.cumsum(counts), counts)
+                   + np.arange(counts.sum()))
+            hit, times = np.unique(kids[out], return_counts=True)
+            indeg[hit] -= times
+            level = hit[indeg[hit] == 0]
+        if indeg.any():
             # every node left unordered has an unordered parent: walking
             # those parents must revisit a node, and that node is on a cycle
-            v = next(i for i in range(self.m) if indeg[i])
+            v = int(np.flatnonzero(indeg)[0])
             seen = set()
             while v not in seen:
                 seen.add(v)
                 v = next(a for a in self.parents[v] if indeg[a])
             raise CycleDetectedError(
                 f"edge set contains a directed cycle through node {v}", node=v)
-        return tuple(order)
+        return depth, parent, child
 
     def _check_node(self, node):
         if not (0 <= node < self.m):
@@ -162,9 +188,7 @@ class Dag:
             indptr = np.zeros(self.m + 1, dtype=np.intp)
             np.cumsum([r.size for r in rows], out=indptr[1:])
             indices = np.concatenate(rows) if rows else empty
-            indptr.flags.writeable = False
-            indices.flags.writeable = False
-            self._desc_closure = (indptr, indices)
+            self._desc_closure = (_read_only(indptr), _read_only(indices))
         return self._desc_closure
 
     def descendant_indices(self, node):
@@ -186,6 +210,11 @@ def mask_of(nodes):
     return acc
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 def build_dag(m, edges):
     """Validate and build a Dag; rejects cycles, self-loops and duplicates."""
     return Dag(m, edges)
@@ -204,16 +233,26 @@ class DepthIndex:
 
 
 def compute_depths(dag):
-    """Longest-path depth per node: depth(v) = 1 + max over parents."""
-    depth = np.zeros(dag.m, dtype=np.intp)
-    for v in dag.topo_order:
-        if dag.parents[v]:
-            depth[v] = 1 + max(depth[p] for p in dag.parents[v])
-        else:
-            depth[v] = 1
-    max_depth = int(depth.max()) if dag.m else 0
-    levels = {d: np.flatnonzero(depth == d) for d in range(1, max_depth + 1)}
-    return DepthIndex(depth=depth, levels=levels, max_depth=max_depth)
+    """Longest-path depth per node, from the Dag's level pass, and the nodes
+    of each depth in ascending order."""
+    order = np.fromiter(dag.topo_order, dtype=np.intp, count=dag.m)
+    bounds = np.cumsum(np.bincount(dag.depth, minlength=1))
+    levels = {d: order[bounds[d - 1]:bounds[d]] for d in range(1, bounds.size)}
+    return DepthIndex(depth=dag.depth, levels=levels, max_depth=len(levels))
+
+
+def level_sweep(dag, ufunc, values, upward=False):
+    """Fold ``values`` in place along the edges, a level at a time: downward
+    (parents first) each node takes ``ufunc`` of itself and its parents,
+    upward (children first) of itself and its children.  Returns values."""
+    ptr, tail, head = dag.level_ptr, dag.edge_parent, dag.edge_child
+    if upward:
+        tail, head = head, tail
+    depths = range(2, ptr.size)
+    for d in reversed(depths) if upward else depths:
+        edges = slice(ptr[d - 1], ptr[d])
+        ufunc.at(values, head[edges], values[tail[edges]])
+    return values
 
 
 def _reachable(adjacency, node):
@@ -241,79 +280,51 @@ def descendants(dag, node):
 
 
 @dataclass(frozen=True)
-class Group:
-    """One sibling group: the children of ``parent`` lying at ``depth``.
-
-    ``parent is None`` marks the dummy super-root whose children are all the
-    depth-1 roots; the dummy never carries a p-value or appears in closures.
-    """
-
-    parent: object
-    depth: int
-    members: tuple
-
-    @property
-    def size(self):
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class GroupIndex:
-    """Sibling groups per depth, group counts n_d, and per-node memberships."""
+    """Sibling groups as arrays: group g has ``group_parent[g]`` (-1 for the
+    roots' dummy parent), ``group_depth[g]`` and ``group_size[g]``, and
+    membership k puts node ``mem_node[k]`` in group ``mem_group[k]``."""
 
-    by_depth: dict
+    mem_node: np.ndarray
+    mem_group: np.ndarray
+    group_parent: np.ndarray
+    group_depth: np.ndarray
+    group_size: np.ndarray
     n_d: dict
-    node_groups: tuple
     depth_sizes: dict
 
 
 def group_index(dag, depths):
     """Group the nodes of each depth by shared parent.
 
-    The roots always form a single group keyed by the dummy parent, so
-    n_1 = 1; for d > 1, n_d counts the nodes (at any shallower depth) with
-    at least one child of depth d.
+    The roots always form a single group under the dummy parent, so n_1 = 1;
+    every edge (a, c) makes c a member of a's group at depth(c), so for
+    d > 1, n_d counts the nodes (at any shallower depth) with at least one
+    child of depth d.  Groups are ordered by (depth, parent) and memberships
+    by (group, node); ``depth_sizes`` holds |H_d|.
     """
-    by_depth = {d: [] for d in range(1, depths.max_depth + 1)}
-    node_groups = [[] for _ in range(dag.m)]
-
-    if depths.max_depth >= 1:
-        root_group = Group(parent=None, depth=1,
-                           members=tuple(int(v) for v in depths.levels[1]))
-        by_depth[1].append(root_group)
-        for v in root_group.members:
-            node_groups[v].append(root_group)
-
-    for a in range(dag.m):
-        buckets = {}
-        for c in dag.children[a]:
-            buckets.setdefault(int(depths.depth[c]), []).append(c)
-        for d, members in sorted(buckets.items()):
-            g = Group(parent=a, depth=d, members=tuple(sorted(members)))
-            by_depth[d].append(g)
-            for v in g.members:
-                node_groups[v].append(g)
-
-    n_d = {d: len(gs) for d, gs in by_depth.items()}
-    depth_sizes = {d: len(depths.levels[d]) for d in by_depth}
-    return GroupIndex(by_depth=by_depth, n_d=n_d,
-                      node_groups=tuple(tuple(gs) for gs in node_groups),
-                      depth_sizes=depth_sizes)
+    roots = np.flatnonzero(depths.depth == 1)
+    parent = np.concatenate([np.full(roots.size, -1), dag.edge_parent])
+    child = np.concatenate([roots, dag.edge_child])
+    order = np.lexsort((child, parent, depths.depth[child]))
+    parent, child = parent[order], child[order]
+    child_depth = depths.depth[child]
+    first = np.ones(child.size, dtype=bool)
+    first[1:] = ((parent[1:] != parent[:-1])
+                 | (child_depth[1:] != child_depth[:-1]))
+    mem_group = np.cumsum(first) - 1
+    n_d = np.bincount(child_depth[first], minlength=depths.max_depth + 1)
+    return GroupIndex(
+        mem_node=child, mem_group=mem_group, group_parent=parent[first],
+        group_depth=child_depth[first], group_size=np.bincount(mem_group),
+        n_d={d: int(n_d[d]) for d in depths.levels},
+        depth_sizes={d: len(level) for d, level in depths.levels.items()})
 
 
 def is_tree(dag):
     """True iff every non-root node has exactly one parent."""
-    return all(len(dag.parents[v]) == 1 for v in range(dag.m)
-               if dag.parents[v])
-
-
-def _edge_arrays(dag):
-    """All edges as ``(parent, child)`` integer arrays, grouped by child."""
-    n_parents = np.fromiter(map(len, dag.parents), dtype=np.intp, count=dag.m)
-    child = np.repeat(np.arange(dag.m, dtype=np.intp), n_parents)
-    parent = np.fromiter(chain.from_iterable(dag.parents), dtype=np.intp,
-                         count=child.size)
-    return parent, child
+    child = dag.edge_child      # each child's edges are adjacent
+    return not np.any(child[1:] == child[:-1])
 
 
 def _canonical_lca_depth(canon, depth, max_depth, a, w):
@@ -353,7 +364,7 @@ def disjoint_descendant_depths(dag, depths):
     depths are disjoint.  O((m + E) log max_depth) time, no closure.
     """
     depth = np.asarray(depths.depth, dtype=np.intp)
-    parent, child = _edge_arrays(dag)
+    parent, child = dag.edge_parent, dag.edge_child
     tight = np.flatnonzero(depth[parent] == depth[child] - 1)
     kids, first = np.unique(child[tight], return_index=True)
     canon = np.arange(dag.m, dtype=np.intp)

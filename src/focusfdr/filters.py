@@ -8,10 +8,11 @@ threshold screening filter.
 On the base sets R(t) = {i: wp_i <= t} that the step-up procedures scan,
 every built-in filter keeps node v exactly on one interval of thresholds,
 ``enter_v <= t < leave_v``.  ``keep_intervals`` computes those intervals
-in O(m + E); it is the one production form of each filter, behind both
-the threshold curve and the reported discovery set.  ``apply_filter``
-evaluates a filter on an arbitrary set with bigint closure masks; it is
-the independent oracle for the checks and tests, not a production path.
+in O(m + E), by ``dag.level_sweep`` for ds and outer; it is the one
+production form of each filter, behind the threshold curve and the
+reported discovery set.  ``apply_filter`` evaluates a filter on an
+arbitrary set with bigint closure masks; it is the independent oracle for
+the checks and tests, not a production path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import is_tree, mask_of
+from .dag import is_tree, level_sweep, mask_of
 
 
 @dataclass(frozen=True)
@@ -116,19 +117,12 @@ def keep_intervals(spec, dag, weighted_p, pvalues=None):
         enter = wp.copy()
     elif spec.kind == "ds":
         # a node is kept once itself and every ancestor is rejected
-        ent = wp.tolist()
-        for v in dag.topo_order:
-            for a in dag.parents[v]:
-                if ent[a] > ent[v]:
-                    ent[v] = ent[a]
-        enter = np.array(ent, dtype=float)
+        enter = level_sweep(dag, np.maximum, wp.copy())
     elif spec.kind == "outer":
         # kept while rejected but before any descendant enters
-        w = wp.tolist()
-        dmin = [np.inf] * dag.m
-        for v in reversed(dag.topo_order):
-            for c in dag.children[v]:
-                dmin[v] = min(dmin[v], w[c], dmin[c])
+        low = level_sweep(dag, np.minimum, wp.copy(), upward=True)
+        dmin = np.full(wp.shape, np.inf)
+        np.minimum.at(dmin, dag.edge_parent, low[dag.edge_child])
         enter = wp.copy()
         leave = np.maximum(wp, dmin)
     elif spec.kind == "screen":

@@ -20,7 +20,7 @@ from .combine import (Combiner, UndefinedSegmentError,
 from .dag import (CycleDetectedError, build_dag, compute_depths,
                   disjoint_descendant_depths, group_index, is_tree)
 from .filters import FilterSpec, is_monotonic
-from .procedures import check_procedure, run_procedure
+from .procedures import FOCUSED, check_procedure, run_procedure
 from .special import DomainError
 from .weights import WeightConfig, parse_lambda_policy
 
@@ -238,6 +238,7 @@ def analyze(request):
         ) from None
 
     fspec = FilterSpec.from_name(request.filter)
+    filtered = request.method in FOCUSED
     discoveries, weights_arr, result = run_procedure(
         request.method, dag, depths, groups, p_used, fspec, request.q,
         WeightConfig(lam=lam, c=request.c, dw=request.dw), reshaped,
@@ -262,7 +263,7 @@ def analyze(request):
             "pvalues_file": request.pvalues_file,
             "items_file": request.items_file,
             "method": request.method,
-            "filter": fspec.name,
+            "filter": fspec.name if filtered else None,
             "q": request.q,
             "lambda": lam,
             "lambda_policy": request.lambda_policy,
@@ -273,7 +274,7 @@ def analyze(request):
             "reshaping": request.reshaping,
         },
         "structure": structure_summary(dag, depths, groups),
-        "filter_monotonic": is_monotonic(fspec, dag),
+        "filter_monotonic": is_monotonic(fspec, dag) if filtered else None,
         "node_ids": {name: idx for name, idx in name_to_id.items()},
         "t_star": None if result is None else result.t_star,
         "fdp_hat_at_t_star": None if result is None else result.fdp_hat_at_tstar,

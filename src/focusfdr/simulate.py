@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combine import Combiner, smooth_all_descendants, smooth_rows
-from .dag import build_dag, check_heredity, compute_depths, group_index
+from .dag import (build_dag, check_heredity, compute_depths, group_index,
+                  level_sweep)
 from .filters import FilterSpec
 from .procedures import check_procedure, run_procedure
 from .special import normal_cdf
@@ -107,9 +108,7 @@ def assign_truth(dag, p_nonnull, seed=0):
     nonnull = np.zeros(dag.m, dtype=bool)
     if k > 0:
         nonnull[rng.choice(leaves, size=k, replace=False)] = True
-    for v in reversed(dag.topo_order):
-        if dag.children[v]:
-            nonnull[v] = any(nonnull[c] for c in dag.children[v])
+    level_sweep(dag, np.logical_or, nonnull, upward=True)
     out = frozenset(int(i) for i in np.flatnonzero(nonnull))
     assert check_heredity(dag, out)
     return out

@@ -6,6 +6,8 @@ within-group null-proportion estimate times a size ratio K, groups at or
 below the size threshold c fall back to the ratio alone, and a node that
 belongs to several groups gets the harmonic average across them.  Depths
 outside the gated set receive unity weights.
+The groups are ``dag.group_index``'s membership arrays, so the weights are
+two bincounts over the gated memberships: per group, then per node.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def min_possible_weight(d, groups, lam, c=1):
     estimation; smaller groups carry data-free ratio weights instead.
     """
     _check_lambda(lam)
-    if not any(g.size > c for g in groups.by_depth.get(d, ())):
+    if not np.any(groups.group_size[groups.group_depth == d] > c):
         raise NoEligibleGroupError(f"no group at depth {d} larger than c={c}")
     return groups.n_d[d] / ((1.0 - lam) * groups.depth_sizes[d])
 
@@ -90,7 +92,7 @@ def auto_dw(groups, depths, lam, c=1):
     """
     out = set()
     for d in range(1, depths.max_depth + 1):
-        if not any(g.size > c for g in groups.by_depth.get(d, ())):
+        if not np.any(groups.group_size[groups.group_depth == d] > c):
             out.add(d)
         elif min_possible_weight(d, groups, lam, c) <= 1.0:
             out.add(d)
@@ -118,7 +120,7 @@ class WeightVector:
 
 
 class WeightWorkspace:
-    """Flattened group-membership indexes for one (dag, depths, groups, dw, c).
+    """The gated memberships of a GroupIndex for one (depths, groups, dw, c).
 
     Precomputing these arrays makes both the weight evaluation and the
     leave-self-out variant (each null's weight with its own p-value zeroed,
@@ -129,25 +131,17 @@ class WeightWorkspace:
     def __init__(self, groups, depths, dw, c):
         self.dw = frozenset(dw)
         self.c = c
-        m = len(groups.node_groups)
-        self.m = m
-
-        gated_groups = []
-        for d in sorted(self.dw):
-            gated_groups.extend(groups.by_depth.get(d, ()))
-        self.n_groups = len(gated_groups)
-
-        sizes, ratios, mem_node, mem_group = [], [], [], []
-        for gi, g in enumerate(gated_groups):
-            sizes.append(g.size)
-            ratios.append(g.size / groups.depth_sizes[g.depth] * groups.n_d[g.depth])
-            mem_node.extend(g.members)
-            mem_group.extend([gi] * g.size)
-        self.mem_node = np.asarray(mem_node, dtype=np.intp)
-        self.mem_group = np.asarray(mem_group, dtype=np.intp)
+        self.m = m = len(depths.depth)
+        depth, size = groups.group_depth, groups.group_size
+        # the size ratio K = size / |H_d| * n_d, in this float order
+        ratio = (size / np.bincount(depths.depth)[depth]
+                 * np.bincount(depth)[depth])
+        gated = np.isin(depth, list(self.dw))[groups.mem_group]
+        self.mem_node = groups.mem_node[gated]
+        self.mem_group = groups.mem_group[gated]
         # per-membership copies of each group's size, ratio and branch
-        self.mem_size = np.asarray(sizes, dtype=float)[self.mem_group]
-        self.mem_ratio = np.asarray(ratios, dtype=float)[self.mem_group]
+        self.mem_size = size[self.mem_group].astype(float)
+        self.mem_ratio = ratio[self.mem_group]
         self.mem_storey = self.mem_size > c
         # membership count per node; > 0 exactly on nodes at gated depths
         self.par_count = np.bincount(self.mem_node, minlength=m).astype(float)
@@ -164,8 +158,8 @@ class WeightWorkspace:
     def _weights(self, pvalues, lam, leave_self_zero):
         _check_lambda(lam)
         exceed = (np.asarray(pvalues, dtype=float) > lam).astype(float)
-        counts = np.bincount(self.mem_group, weights=exceed[self.mem_node],
-                             minlength=self.n_groups)[self.mem_group]
+        counts = np.bincount(self.mem_group,
+                             weights=exceed[self.mem_node])[self.mem_group]
         if leave_self_zero:
             # zeroing p_i removes only node i's own exceedance from its groups
             counts = counts - exceed[self.mem_node]

@@ -4,13 +4,15 @@ Expected values for the named combiners were frozen from scipy 1.15
 (combine_pvalues, beta.cdf) and hand enumeration of order statistics.
 """
 
-import importlib
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import focusfdr
+import focusfdr.combine as combine_module
 from focusfdr.checks import random_dag, random_tree
 from focusfdr.combine import (AnnotationNotNestedError, Combiner,
                               EmptyAnnotationError, EmptyInputError,
@@ -20,12 +22,16 @@ from focusfdr.combine import (AnnotationNotNestedError, Combiner,
 from focusfdr.dag import build_dag, descendants
 from focusfdr.special import DomainError
 
-# the module itself; ``focusfdr.combine`` the attribute is the function
-combine_module = importlib.import_module("focusfdr.combine")
-
 ALL_COMBINERS = [Combiner("fisher"), Combiner("stouffer"), Combiner("simes"),
                  Combiner("orderstat", 1), Combiner("orderstat", 2),
                  Combiner("bonferroni")]
+
+
+def test_combine_import_yields_the_module():
+    # the package no longer re-exports the function under the module's name
+    assert isinstance(combine_module, types.ModuleType)
+    assert focusfdr.combine is combine_module
+    assert combine_module.combine is combine
 
 
 def test_from_name():

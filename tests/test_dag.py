@@ -9,7 +9,8 @@ from focusfdr.dag import (CycleDetectedError, DuplicateEdgeError,
                           NodeIdOutOfRangeError, SelfLoopError, ancestors,
                           build_dag, check_heredity, compute_depths,
                           descendants, disjoint_descendant_depths,
-                          group_index, is_tree)
+                          group_index, is_tree, level_sweep)
+from focusfdr.simulate import assign_truth
 
 
 def chain3():
@@ -101,13 +102,18 @@ def test_ancestor_descendant_duality_random():
                 assert b in descendants(dag, a)
 
 
+def members_of(groups, g):
+    return groups.mem_node[groups.mem_group == g].tolist()
+
+
 def test_group_index_chain():
     dag = chain3()
     depths = compute_depths(dag)
     groups = group_index(dag, depths)
     assert groups.n_d == {1: 1, 2: 1, 3: 1}
-    root_group = groups.by_depth[1][0]
-    assert root_group.parent is None and root_group.members == (0,)
+    # the root group comes first, under the dummy parent
+    assert groups.group_parent[0] == -1 and groups.group_depth[0] == 1
+    assert members_of(groups, 0) == [0]
 
 
 def test_group_index_partition_and_membership_random():
@@ -117,18 +123,22 @@ def test_group_index_partition_and_membership_random():
         depths = compute_depths(dag)
         groups = group_index(dag, depths)
         assert groups.n_d[1] == 1
-        for d, gs in groups.by_depth.items():
+        for d in depths.levels:
             members = set()
-            for g in gs:
-                assert g.size > 0
-                members.update(g.members)
+            for g in np.flatnonzero(groups.group_depth == d):
+                assert groups.group_size[g] > 0
+                assert groups.group_size[g] == len(members_of(groups, g))
+                members.update(members_of(groups, g))
             assert members == set(int(v) for v in depths.levels[d])
         # membership count = parent count (1 for roots via the dummy group)
+        counts = np.bincount(groups.mem_node, minlength=dag.m)
         for v in range(dag.m):
-            expected = max(len(dag.parents[v]), 1)
-            assert len(groups.node_groups[v]) == expected
-            for g in groups.node_groups[v]:
-                assert v in g.members
+            assert counts[v] == max(len(dag.parents[v]), 1)
+        # each membership joins a node to a group of its own depth under
+        # one of its parents (the dummy one for roots)
+        for v, g in zip(groups.mem_node, groups.mem_group):
+            assert groups.group_depth[g] == depths.depth[v]
+            assert groups.group_parent[g] in (dag.parents[v] or (-1,))
         # n_d formula: nodes at shallower depths with children at depth d
         for d in range(2, depths.max_depth + 1):
             count = sum(1 for a in range(dag.m)
@@ -145,8 +155,7 @@ def test_group_index_tree_single_membership():
         dag = build_dag(m, edges)
         depths = compute_depths(dag)
         groups = group_index(dag, depths)
-        for v in range(dag.m):
-            assert len(groups.node_groups[v]) == 1
+        assert np.all(np.bincount(groups.mem_node, minlength=m) == 1)
 
 
 def test_is_tree():
@@ -283,3 +292,147 @@ def test_descendant_closure_is_cached_and_read_only():
         dag.descendant_indices(4)
     empty = build_dag(0, [])
     assert [a.tolist() for a in empty.descendant_closure] == [[0], []]
+
+
+def test_cycle_node_below_acyclic_part():
+    # 0 -> 2 -> 5 and 0 -> 4 are acyclic, 5 -> 6 -> 7 -> 5 is the cycle,
+    # and 1 hangs off it (6 -> 1 -> 3).  Node 1 sorts first among the
+    # nodes left unordered; the parent walk from it must end on the cycle
+    with pytest.raises(CycleDetectedError) as info:
+        build_dag(8, [(0, 2), (2, 5), (5, 6), (6, 7), (7, 5), (6, 1), (1, 3),
+                      (0, 4)])
+    assert info.value.node == 6
+    assert str(info.value) == "edge set contains a directed cycle through node 6"
+
+
+# -- the level pass against per-node loops
+
+
+def edge_free(rng, max_m):
+    return build_dag(int(rng.integers(0, max_m + 1)), [])
+
+
+STRUCTURES = {**GRAPHS, "edge-free": edge_free}
+
+
+def structure_case(seed, shape, max_m, edge_prob):
+    rng = np.random.default_rng(seed)
+    if shape == "dag":
+        return random_dag(rng, max_m, edge_prob)
+    return STRUCTURES[shape](rng, max_m)
+
+
+STRUCTURE_CASE = dict(seed=st.integers(0, 2**32 - 1),
+                      shape=st.sampled_from(sorted(STRUCTURES)),
+                      max_m=st.sampled_from([2, 14, 40]),
+                      edge_prob=st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+
+
+def depth_oracle(dag):
+    """Longest-path depths, relaxing every edge until nothing changes."""
+    depth = [1] * dag.m
+    changed = True
+    while changed:
+        changed = False
+        for a, c in dag.edges:
+            if depth[c] < depth[a] + 1:
+                depth[c] = depth[a] + 1
+                changed = True
+    return depth
+
+
+def group_oracle(dag, depth):
+    """The per-node bucket loop: every group as (parent, depth, members) in
+    the order weights flatten them (by depth, each depth in loop order),
+    and each node's groups in the order its weight sums them."""
+    by_depth = {d: [] for d in range(1, max(depth, default=0) + 1)}
+    node_groups = [[] for _ in range(dag.m)]
+
+    def add(group):
+        by_depth[group[1]].append(group)
+        for v in group[2]:
+            node_groups[v].append(group)
+
+    if dag.m:
+        add((-1, 1, tuple(v for v in range(dag.m) if depth[v] == 1)))
+    for a in range(dag.m):
+        buckets = {}
+        for c in dag.children[a]:
+            buckets.setdefault(depth[c], []).append(c)
+        for d, members in sorted(buckets.items()):
+            add((a, d, tuple(sorted(members))))
+    flat = [g for d in sorted(by_depth) for g in by_depth[d]]
+    return flat, node_groups
+
+
+@given(**STRUCTURE_CASE)
+@settings(max_examples=200, deadline=None)
+def test_level_pass_matches_per_node_loops(seed, shape, max_m, edge_prob):
+    dag = structure_case(seed, shape, max_m, edge_prob)
+    depths = compute_depths(dag)
+    depth = depth_oracle(dag)
+    assert depths.depth.tolist() == depth
+    assert depths.max_depth == max(depth, default=0)
+    for d, level in depths.levels.items():
+        assert level.tolist() == [v for v in range(dag.m) if depth[v] == d]
+
+    # a topological order: every node once, every edge forward
+    position = {v: i for i, v in enumerate(dag.topo_order)}
+    assert sorted(position) == list(range(dag.m))
+    assert all(position[a] < position[c] for a, c in dag.edges)
+
+    # every edge once, by (child depth, child, parent), cut at each level
+    edges = list(zip(dag.edge_parent.tolist(), dag.edge_child.tolist()))
+    assert edges == sorted(dag.edges, key=lambda e: (depth[e[1]], e[1], e[0]))
+    ptr = dag.level_ptr.tolist()
+    assert len(ptr) == depths.max_depth + 1
+    assert ptr[0] == 0 and ptr[-1] == len(edges)
+    for d in range(1, len(ptr)):
+        assert all(depth[c] == d for _, c in edges[ptr[d - 1]:ptr[d]])
+    assert is_tree(dag) == all(len(p) <= 1 for p in dag.parents)
+
+    groups = group_index(dag, depths)
+    flat, node_groups = group_oracle(dag, depth)
+    assert groups.group_parent.tolist() == [g[0] for g in flat]
+    assert groups.group_depth.tolist() == [g[1] for g in flat]
+    assert groups.group_size.tolist() == [len(g[2]) for g in flat]
+    assert groups.mem_node.tolist() == [v for g in flat for v in g[2]]
+    assert groups.mem_group.tolist() == [i for i, g in enumerate(flat)
+                                         for _ in g[2]]
+    position = {g: i for i, g in enumerate(flat)}
+    pairs = list(zip(groups.mem_node.tolist(), groups.mem_group.tolist()))
+    for v in range(dag.m):
+        assert [g for n, g in pairs if n == v] == \
+            [position[g] for g in node_groups[v]]
+    assert groups.n_d == {d: sum(g[1] == d for g in flat)
+                          for d in depths.levels}
+    assert groups.depth_sizes == {d: depth.count(d) for d in depths.levels}
+
+
+@given(**STRUCTURE_CASE)
+@settings(max_examples=100, deadline=None)
+def test_level_sweep_folds_over_ancestors_and_descendants(seed, shape, max_m,
+                                                          edge_prob):
+    dag = structure_case(seed, shape, max_m, edge_prob)
+    values = np.random.default_rng(seed).permutation(dag.m).astype(float)
+    down = level_sweep(dag, np.maximum, values.copy())
+    up = level_sweep(dag, np.minimum, values.copy(), upward=True)
+    for v in range(dag.m):
+        assert down[v] == max(values[[v, *ancestors(dag, v)]])
+        assert up[v] == min(values[[v, *descendants(dag, v)]])
+
+
+@given(p_nonnull=st.sampled_from([0.1, 0.5, 0.9]), **STRUCTURE_CASE)
+@settings(max_examples=100, deadline=None)
+def test_assign_truth_matches_per_node_loop(seed, shape, max_m, edge_prob,
+                                            p_nonnull):
+    dag = structure_case(seed, shape, max_m, edge_prob)
+    truth = assign_truth(dag, p_nonnull, seed)
+    drawn = [v for v in dag.leaves if v in truth]
+    assert len(drawn) == round(p_nonnull * len(dag.leaves))
+    # the per-node loop, from the leaves the draw picked
+    nonnull = [v in drawn for v in range(dag.m)]
+    for v in reversed(dag.topo_order):
+        if dag.children[v]:
+            nonnull[v] = any(nonnull[c] for c in dag.children[v])
+    assert truth == {v for v in range(dag.m) if nonnull[v]}

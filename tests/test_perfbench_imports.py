@@ -2,8 +2,10 @@
 it, so an API change could silently break its traced replay.  Every
 ``from focusfdr... import name`` there must resolve, and so must every
 attribute it reads from a focusfdr module imported that way
-(``from focusfdr import io as fio`` ... ``fio.analyze``).  The benchmark's
-files are only read, never imported or run."""
+(``from focusfdr import io as fio`` ... ``fio.analyze``) and every
+attribute it reads from a variable named ``dag``, ``depths`` or ``groups``
+(``dag.edges``), which must exist on a built Dag, DepthIndex or GroupIndex.
+The benchmark's files are only read, never imported or run."""
 
 import ast
 import importlib
@@ -11,6 +13,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+from focusfdr.dag import build_dag, compute_depths, group_index
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -23,12 +27,17 @@ def _resolve(module_name, name):
     return importlib.import_module(f"{module_name}.{name}")
 
 
+def _trees():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"),
+                              filename=str(path))
+
+
 def _references():
     """(where, module, name) for each imported name, then for each
     attribute read from an imported focusfdr module."""
     refs = []
-    for path in sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _trees():
         aliases = {}
         for node in ast.walk(tree):
             if (isinstance(node, ast.ImportFrom) and node.module
@@ -67,3 +76,38 @@ def test_perfbench_reference_resolves(where, module, name):
         _resolve(module, name)
     except ImportError:
         pytest.fail(f"perfbench/{where}: {module}.{name} does not resolve")
+
+
+def _built():
+    dag = build_dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    depths = compute_depths(dag)
+    return {"dag": dag, "depths": depths, "groups": group_index(dag, depths)}
+
+
+BUILT = _built()
+
+
+def _instance_reads():
+    """(where, variable, attribute) for each attribute read from a variable
+    named like one of the BUILT structures."""
+    return sorted({(f"{path.name}:{node.lineno}", node.value.id, node.attr)
+                   for path, tree in _trees() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in BUILT})
+
+
+INSTANCE_READS = _instance_reads()
+
+
+def test_perfbench_instance_reads_are_found():
+    reads = {(variable, attr) for _, variable, attr in INSTANCE_READS}
+    assert {("dag", "m"), ("dag", "edges"), ("dag", "ancestor_masks"),
+            ("depths", "depth")} <= reads
+
+
+@pytest.mark.parametrize("where,variable,attr", INSTANCE_READS,
+                         ids=[f"{w}:{v}.{a}" for w, v, a in INSTANCE_READS])
+def test_perfbench_instance_read_exists(where, variable, attr):
+    assert hasattr(BUILT[variable], attr), \
+        f"perfbench/{where}: {variable}.{attr} is not an attribute"

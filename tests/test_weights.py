@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from focusfdr.checks import random_dag, random_near_tree
 from focusfdr.combine import EmptyInputError
 from focusfdr.dag import build_dag, compute_depths, group_index
 from focusfdr.simulate import generate_graph
@@ -92,12 +94,14 @@ def test_wide_tree_leaf_weights_match_group_storey():
     rng = np.random.default_rng(0)
     p = rng.uniform(size=dag.m)
     wv = dag_weights(dag, depths, groups, p, WeightConfig(lam=0.5, c=0))
-    for g in groups.by_depth[2]:
+    for g in np.flatnonzero(groups.group_depth == 2):
         # K = (10/500)*50 = 1, so the Storey factor is the whole weight
-        expected = storey_pi0(p[list(g.members)], 0.5)
-        for v in g.members:
+        members = groups.mem_node[groups.mem_group == g]
+        expected = storey_pi0(p[members], 0.5)
+        for v in members:
             assert wv.values[v] == pytest.approx(expected)
-    root_expected = storey_pi0(p[list(groups.by_depth[1][0].members)], 0.5)
+    assert groups.group_parent[0] == -1
+    root_expected = storey_pi0(p[groups.mem_node[groups.mem_group == 0]], 0.5)
     for r in dag.roots:
         assert wv.values[r] == pytest.approx(root_expected)
 
@@ -211,3 +215,42 @@ def test_workspace_matches_dag_weights():
     p = np.random.default_rng(7).uniform(size=dag.m)
     assert np.allclose(ws.node_weights(p, cfg.lam),
                        dag_weights(dag, depths, groups, p, cfg).values)
+
+
+def per_group_loop_weights(groups, depths, p, lam, c, dw):
+    """Weights from a loop over the gated groups in index order; each node
+    sums its inverse group weights in that order, as the workspace must."""
+    inverses = [[] for _ in range(len(depths.depth))]
+    for g, d in enumerate(groups.group_depth.tolist()):
+        if d not in dw:
+            continue
+        members = groups.mem_node[groups.mem_group == g].tolist()
+        size = len(members)
+        ratio = size / groups.depth_sizes[d] * groups.n_d[d]
+        w = ratio
+        if size > c:
+            exceed = sum(1 for v in members if p[v] > lam)
+            w = (1.0 + exceed) / ((1.0 - lam) * size) * ratio
+        for v in members:
+            inverses[v].append(1.0 / w)
+    weights = []
+    for terms in inverses:
+        total = 0.0
+        for t in terms:
+            total += t
+        weights.append(len(terms) / total if terms else 1.0)
+    return np.array(weights)
+
+
+@given(seed=st.integers(0, 2**32 - 1), near_tree=st.booleans(),
+       c=st.sampled_from([0, 1, 3]), lam=st.sampled_from([0.2, 0.5]))
+@settings(max_examples=100, deadline=None)
+def test_workspace_matches_per_group_loop_exactly(seed, near_tree, c, lam):
+    rng = np.random.default_rng(seed)
+    dag = random_near_tree(rng, 30) if near_tree else random_dag(rng, 30)
+    depths, groups = _indexes(dag)
+    p = rng.uniform(size=dag.m)
+    dw = {d for d in depths.levels if rng.random() < 0.7}
+    ws = WeightWorkspace(groups, depths, dw, c)
+    assert np.array_equal(ws.node_weights(p, lam),
+                          per_group_loop_weights(groups, depths, p, lam, c, dw))
