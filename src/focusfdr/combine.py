@@ -29,11 +29,21 @@ class LengthMismatchError(ValueError):
 
 
 class AnnotationNotNestedError(ValueError):
-    pass
+    """An edge whose child has an item its parent lacks; ``parent`` and
+    ``child`` are the edge's node ids."""
+
+    def __init__(self, message, parent=None, child=None):
+        super().__init__(message)
+        self.parent = parent
+        self.child = child
 
 
 class EmptyAnnotationError(ValueError):
-    pass
+    """A node without items; ``node`` is its id."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class UndefinedSegmentError(DomainError):
@@ -269,6 +279,8 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
 
     ``annotations[i]`` is the set of item indices node i's hypothesis
     intersects over; every edge must satisfy the nesting A_child <= A_parent.
+    Edges are checked in the Dag's stored order, so an input with several
+    violations always names the same one.
     """
     items = validate_pvalues(item_pvalues)
     if len(annotations) != dag.m:
@@ -277,14 +289,17 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
     sets = [frozenset(int(j) for j in a) for a in annotations]
     for i, a in enumerate(sets):
         if not a:
-            raise EmptyAnnotationError(f"node {i} has an empty annotation set")
+            raise EmptyAnnotationError(
+                f"node {i} has an empty annotation set", node=i)
         for j in a:
             if not (0 <= j < items.size):
                 raise DomainError(f"node {i} references unknown item {j}")
-    for parent, child in dag.edges:
+    for parent, child in zip(dag.edge_parent.tolist(),
+                             dag.edge_child.tolist()):
         if not sets[child] <= sets[parent]:
             raise AnnotationNotNestedError(
-                f"items of node {child} not contained in its parent {parent}")
+                f"items of node {child} not contained in its parent {parent}",
+                parent=parent, child=child)
     rows = [sorted(a) for a in sets]
     indptr = np.zeros(dag.m + 1, dtype=np.intp)
     np.cumsum([len(a) for a in rows], out=indptr[1:])

@@ -1,16 +1,24 @@
 """Hypothesis DAG representation and the structural indexes the procedures use.
 
 Nodes are dense integer ids in [0, m).  An edge (parent, child) points from
-the source hypothesis to its refinement.  Building a Dag runs Kahn's
-algorithm a level at a time, which yields the topological order, the
-longest-path depths and cycle detection in one pass, and keeps the edges as
-arrays ordered by child depth.  Depths, sibling groups (as membership
-arrays), ``level_sweep`` and the structure checks are O(m + E)-class passes
-over the edges.  Closures are computed lazily and cached on the Dag:
+the source hypothesis to its refinement.  A Dag keeps its edges as integer
+arrays only.  ``check_edges`` validates them in one vectorised pass (range
+masks, ``a == b`` and a stable sort of ``a * m + b``) that reports the
+first faulty edge in input order, and its sort gives the child CSR
+(compressed sparse row) arrays.  Kahn's algorithm then runs a level at a
+time over that CSR, which yields the topological order, the longest-path
+depths and cycle detection in one pass, and the edges are kept a second
+time ordered by child depth, each node's parents contiguous.  Depths,
+sibling groups (as membership arrays), ``level_sweep`` and the structure
+checks are O(m + E)-class passes over these arrays.
+
+``children``, ``parents`` and ``edges`` are Python views of the arrays,
+built on first use for tests, oracles and tracing; no production path
+reads them.  Closures are computed lazily and cached on the Dag:
 
 - ``descendant_closure``: the strict descendants of every node as a CSR
-  (compressed sparse row) pair of integer arrays, each row sorted.
-  Smoothing gathers its segments from it.
+  pair of integer arrays, each row sorted.  Smoothing gathers its segments
+  from it.
 - ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node,
   O(m^2) bits in all.  They are oracle-only: ``apply_filter`` and the
   checks and tests built on it use them as the independent reference, and
@@ -20,9 +28,9 @@ over the edges.  Closures are computed lazily and cached on the Dag:
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -39,105 +47,134 @@ class CycleDetectedError(DagError):
         self.node = node
 
 
-class SelfLoopError(DagError):
+class EdgeError(DagError):
+    """A faulty edge; ``index`` is its position in the input, if known."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+class SelfLoopError(EdgeError):
     pass
 
 
-class DuplicateEdgeError(DagError):
+class DuplicateEdgeError(EdgeError):
     pass
 
 
-class NodeIdOutOfRangeError(DagError, IndexError):
+class NodeIdOutOfRangeError(EdgeError, IndexError):
     pass
 
 
 class Dag:
     """Immutable directed acyclic graph over nodes 0..m-1.
 
-    All derived structure (topological order, closures) is computed once and
-    shared; instances are safe to use from multiple threads.  ``edges`` is
-    the set of (parent, child) pairs built while validating them; like
-    every attribute, it is read-only.
+    ``edges`` may be any iterable of (parent, child) pairs or an (E, 2)
+    integer array.  All derived structure is computed once and shared;
+    instances are safe to use from multiple threads, and every array is
+    read-only.
 
     ``depth`` holds longest-path depths (roots have 1), ``topo_order`` the
     nodes by (depth, id).  ``edge_parent`` / ``edge_child`` list the edges
     by (child depth, child, parent), those into depth d at positions
-    ``level_ptr[d - 1]:level_ptr[d]``.
+    ``level_ptr[d - 1]:level_ptr[d]``; node v's parents, ascending, are
+    ``edge_parent[parent_start[v]:parent_start[v] + in_degree[v]]``.  The
+    child CSR lists the edges by (parent, child): v's children are
+    ``child_indices[child_indptr[v]:child_indptr[v + 1]]``.  ``roots`` and
+    ``leaves`` are tuples of ids.
+
+    ``children`` / ``parents`` (per-node tuples of ids) and ``edges`` (a
+    frozenset of pairs) are lazily built, cached views of these arrays.
     """
 
     def __init__(self, m, edges):
+        m = operator.index(m)
         if m < 0:
             raise DagError("node count must be nonnegative")
-        seen = set()
-        children = [[] for _ in range(m)]
-        parents = [[] for _ in range(m)]
-        for a, b in edges:
-            a, b = int(a), int(b)
-            if not (0 <= a < m) or not (0 <= b < m):
-                raise NodeIdOutOfRangeError(f"edge ({a}, {b}) outside [0, {m})")
-            if a == b:
-                raise SelfLoopError(f"self-loop at node {a}")
-            if (a, b) in seen:
-                raise DuplicateEdgeError(f"duplicate edge {(a, b)}")
-            seen.add((a, b))
-            children[a].append(b)
-            parents[b].append(a)
+        parent, child = _edge_arrays(edges)
+        order = check_edges(m, parent, child)
+        parent, child = parent[order], child[order]
+        self.m = m
+        n_kids = np.bincount(parent, minlength=m)
+        in_degree = np.bincount(child, minlength=m)
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(n_kids, out=indptr[1:])
+        self.child_indptr = _read_only(indptr)
+        self.child_indices = _read_only(child)
+        depth = self._levels(parent, n_kids, in_degree)
 
-        self.m = int(m)
-        self.edges = seen
-        self.children = tuple(tuple(sorted(c)) for c in children)
-        self.parents = tuple(tuple(sorted(p)) for p in parents)
-        depth, parent, child = self._levels()
-        order = np.argsort(depth[child], kind="stable")
+        # stable over the (parent, child) order, so ties go by parent
+        by_depth = np.argsort(depth[child] * m + child, kind="stable")
         self.depth = _read_only(depth)
-        self.edge_parent = _read_only(parent[order])
-        self.edge_child = _read_only(child[order])
+        self.edge_parent = _read_only(parent[by_depth])
+        self.edge_child = _read_only(child[by_depth])
         self.level_ptr = _read_only(np.cumsum(np.bincount(
             depth[child], minlength=depth.max(initial=0) + 1)))
-        self.topo_order = tuple(np.argsort(depth, kind="stable").tolist())
-        self.roots = tuple(i for i in range(m) if not self.parents[i])
-        self.leaves = tuple(i for i in range(m) if not self.children[i])
+        topo = np.argsort(depth, kind="stable")
+        self.topo_order = tuple(topo.tolist())
+        start = np.empty(m, dtype=np.intp)
+        start[topo] = np.cumsum(in_degree[topo]) - in_degree[topo]
+        self.parent_start = _read_only(start)
+        self.in_degree = _read_only(in_degree)
+        self.roots = tuple(np.flatnonzero(in_degree == 0).tolist())
+        self.leaves = tuple(np.flatnonzero(n_kids == 0).tolist())
         self._anc_masks = None
         self._desc_masks = None
         self._desc_closure = None
 
-    def _levels(self):
-        """Kahn's algorithm a whole level per round: the round that removes a
-        node is its depth.  Returns depths and the edges grouped by child."""
-        child = np.repeat(np.arange(self.m), [len(p) for p in self.parents])
-        parent = np.fromiter(chain.from_iterable(self.parents), np.intp,
-                             child.size)
-        kids = np.fromiter(chain.from_iterable(self.children), np.intp,
-                           child.size)
-        n_kids = np.bincount(parent, minlength=self.m)
-        kids_end = np.cumsum(n_kids)
-        indeg = np.bincount(child, minlength=self.m)
+    def _levels(self, parent, n_kids, in_degree):
+        """Kahn's algorithm a whole level per round over the child CSR: the
+        round that removes a node is its depth."""
+        starts, kids = self.child_indptr[:-1], self.child_indices
+        indeg = in_degree.copy()
         depth = np.zeros(self.m, dtype=np.intp)
         level, d = np.flatnonzero(indeg == 0), 0
         while level.size:
             d += 1
             depth[level] = d
-            counts = n_kids[level]
-            out = (np.repeat(kids_end[level] - np.cumsum(counts), counts)
-                   + np.arange(counts.sum()))
-            hit, times = np.unique(kids[out], return_counts=True)
+            hit, times = np.unique(
+                kids[_segments(starts[level], n_kids[level])],
+                return_counts=True)
             indeg[hit] -= times
             level = hit[indeg[hit] == 0]
         if indeg.any():
-            # every node left unordered has an unordered parent: walking
-            # those parents must revisit a node, and that node is on a cycle
-            v = int(np.flatnonzero(indeg)[0])
-            seen = set()
+            # every node left unordered has an unordered parent: walking to
+            # the smallest such parent must revisit a node, which is on a
+            # cycle
+            left = indeg[parent] > 0
+            step = np.full(self.m, self.m, dtype=np.intp)
+            np.minimum.at(step, kids[left], parent[left])
+            v, seen = int(np.flatnonzero(indeg)[0]), set()
             while v not in seen:
                 seen.add(v)
-                v = next(a for a in self.parents[v] if indeg[a])
+                v = int(step[v])
             raise CycleDetectedError(
                 f"edge set contains a directed cycle through node {v}", node=v)
-        return depth, parent, child
+        return depth
 
     def _check_node(self, node):
         if not (0 <= node < self.m):
             raise NodeIdOutOfRangeError(f"node {node} outside [0, {self.m})")
+
+    @cached_property
+    def children(self):
+        """Per-node tuple of children, ascending."""
+        ptr, kids = self.child_indptr.tolist(), self.child_indices.tolist()
+        return tuple(tuple(kids[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    @cached_property
+    def parents(self):
+        """Per-node tuple of parents, ascending."""
+        par = self.edge_parent.tolist()
+        return tuple(tuple(par[a:a + n]) for a, n in
+                     zip(self.parent_start.tolist(), self.in_degree.tolist()))
+
+    @cached_property
+    def edges(self):
+        """The (parent, child) pairs."""
+        return frozenset(zip(self.edge_parent.tolist(),
+                             self.edge_child.tolist()))
 
     @property
     def ancestor_masks(self):
@@ -175,19 +212,16 @@ class Dag:
         are read-only.
         """
         if self._desc_closure is None:
+            ptr, kids = self.child_indptr.tolist(), self.child_indices
             rows = [None] * self.m
-            empty = np.empty(0, dtype=np.intp)
             for v in reversed(self.topo_order):
-                kids = self.children[v]
-                if not kids:
-                    rows[v] = empty
-                else:
-                    rows[v] = np.unique(np.concatenate(
-                        [np.asarray(kids, dtype=np.intp)]
-                        + [rows[c] for c in kids]))
+                own = kids[ptr[v]:ptr[v + 1]]
+                rows[v] = own if not own.size else np.unique(np.concatenate(
+                    [own] + [rows[c] for c in own.tolist()]))
             indptr = np.zeros(self.m + 1, dtype=np.intp)
             np.cumsum([r.size for r in rows], out=indptr[1:])
-            indices = np.concatenate(rows) if rows else empty
+            indices = (np.concatenate(rows) if rows
+                       else np.empty(0, dtype=np.intp))
             self._desc_closure = (_read_only(indptr), _read_only(indices))
         return self._desc_closure
 
@@ -199,7 +233,56 @@ class Dag:
         return indices[indptr[node]:indptr[node + 1]]
 
     def __repr__(self):
-        return f"Dag(m={self.m}, edges={len(self.edges)})"
+        return f"Dag(m={self.m}, edges={self.edge_parent.size})"
+
+
+def _edge_arrays(edges):
+    """(parent, child) intp arrays from an (E, 2) array or an iterable of
+    pairs."""
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.intp)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise DagError("edges must be (parent, child) pairs")
+    return pairs[:, 0], pairs[:, 1]
+
+
+def repeats(keys):
+    """Mask of the entries of ``keys`` equal to an earlier entry, and the
+    stable order that sorts ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    out = np.zeros(keys.size, dtype=bool)
+    out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return out, order
+
+
+def check_edges(m, parent, child):
+    """Validate edges (parent[i], child[i]) over nodes [0, m) as a loop
+    over them in order would: the first faulty edge raises, checked for an
+    id out of range, then a self-loop, then a repeat of an earlier edge.
+    The error's ``index`` is the edge's position.  Returns the permutation
+    that sorts the edges by (parent, child)."""
+    inside = (parent >= 0) & (parent < m) & (child >= 0) & (child < m)
+    # out-of-range edges get keys of their own, below every valid key
+    repeat, order = repeats(np.where(inside, parent * m + child,
+                                     -1 - np.arange(parent.size)))
+    bad = ~inside | (parent == child) | repeat
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = int(parent[i]), int(child[i])
+        if not inside[i]:
+            raise NodeIdOutOfRangeError(f"edge ({a}, {b}) outside [0, {m})", i)
+        if a == b:
+            raise SelfLoopError(f"self-loop at node {a}", i)
+        raise DuplicateEdgeError(f"duplicate edge {(a, b)}", i)
+    return order
+
+
+def _segments(start, count):
+    """Positions start[i] .. start[i] + count[i] - 1, concatenated over i."""
+    return (np.repeat(start + count - np.cumsum(count), count)
+            + np.arange(count.sum()))
 
 
 def mask_of(nodes):
@@ -216,7 +299,8 @@ def _read_only(array):
 
 
 def build_dag(m, edges):
-    """Validate and build a Dag; rejects cycles, self-loops and duplicates."""
+    """Validate and build a Dag; rejects ids outside [0, m), self-loops,
+    duplicates and cycles."""
     return Dag(m, edges)
 
 
@@ -255,28 +339,29 @@ def level_sweep(dag, ufunc, values, upward=False):
     return values
 
 
-def _reachable(adjacency, node):
-    """Nodes reachable from ``node`` in one or more steps (breadth first)."""
-    seen = set(adjacency[node])
-    queue = deque(seen)
-    while queue:
-        for u in adjacency[queue.popleft()]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return frozenset(seen)
+def _reachable(adjacency, start, count, node):
+    """Nodes reachable from ``node`` in one or more steps, where node v
+    steps to ``adjacency[start[v]:start[v] + count[v]]`` (breadth first)."""
+    seen = np.zeros(count.size, dtype=bool)
+    frontier = np.array([node])
+    while frontier.size:
+        step = adjacency[_segments(start[frontier], count[frontier])]
+        frontier = np.unique(step[~seen[step]])
+        seen[frontier] = True
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def ancestors(dag, node):
     """Strict ancestors of ``node`` (transitive closure along reversed edges)."""
     dag._check_node(node)
-    return _reachable(dag.parents, node)
+    return _reachable(dag.edge_parent, dag.parent_start, dag.in_degree, node)
 
 
 def descendants(dag, node):
     """Strict descendants of ``node``."""
     dag._check_node(node)
-    return _reachable(dag.children, node)
+    ptr = dag.child_indptr
+    return _reachable(dag.child_indices, ptr[:-1], np.diff(ptr), node)
 
 
 @dataclass(frozen=True)
@@ -382,10 +467,12 @@ def disjoint_descendant_depths(dag, depths):
 def check_heredity(dag, nonnull):
     """True iff every ancestor of every non-null node is also non-null.
 
-    A set is ancestor-closed iff it is parent-closed, so only the parents
-    of each non-null node are looked at.
+    A set is ancestor-closed iff it is parent-closed, so only the edges
+    into non-null nodes are looked at.
     """
     nn = frozenset(nonnull)
     for v in nn:
         dag._check_node(v)
-    return all(a in nn for v in nn for a in dag.parents[v])
+    mask = np.zeros(dag.m, dtype=bool)
+    mask[list(nn)] = True
+    return bool(mask[dag.edge_parent[mask[dag.edge_child]]].all())

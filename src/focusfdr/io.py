@@ -1,10 +1,14 @@
 """File formats and the end-to-end analysis pipeline behind the CLI.
 
 Edge lists are UTF-8 CSV with a ``parent,child`` header and string node
-names; p-value files are ``node,p``.  Intersection mode replaces the node
-p-value file with an item-level ``item,p`` file plus a ``node,item``
-annotation file.  Node names map to dense internal ids in order of first
-appearance, and reports echo that mapping.
+names; a row with an empty child cell declares a node without an edge.
+P-value files are ``node,p``.  Intersection mode replaces the node p-value
+file with an item-level ``item,p`` file plus a ``node,item`` annotation
+file.  Node names map to dense internal ids in order of first appearance,
+and reports echo that mapping.  Each reader makes one pass over its file
+into Python lists, then runs its checks as array operations; an error
+names the first faulty line in file order, with the message a check of
+each line in turn would give.
 """
 
 from __future__ import annotations
@@ -12,13 +16,17 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .combine import (Combiner, UndefinedSegmentError,
+from .combine import (AnnotationNotNestedError, Combiner,
+                      EmptyAnnotationError, UndefinedSegmentError,
                       intersection_dag_pvalues, smooth_all_descendants)
-from .dag import (CycleDetectedError, build_dag, compute_depths,
-                  disjoint_descendant_depths, group_index, is_tree)
+from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
+                  build_dag, check_edges, compute_depths,
+                  disjoint_descendant_depths, group_index, is_tree, repeats)
 from .filters import FilterSpec, is_monotonic
 from .procedures import FOCUSED, check_procedure, run_procedure
 from .special import DomainError
@@ -37,51 +45,75 @@ class MissingPvalueError(ValueError):
     pass
 
 
-def _rows(path, expected_header):
+def _rows(path, header):
+    """(line number, first cell, second cell) of each data row of a
+    two-column CSV file with the given header, cells stripped.  Blank rows
+    are skipped; a row of another width raises."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            first = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != list(expected_header):
-            raise ParseError(
-                f"{path}:1: expected header {','.join(expected_header)!r}")
+        if [h.strip().lower() for h in first] != list(header):
+            raise ParseError(f"{path}:1: expected header {','.join(header)!r}")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}:{lineno}: expected "
-                                 f"{len(expected_header)} columns")
-            yield lineno, [c.strip() for c in row]
+            if len(row) == 2:
+                a, b = row[0].strip(), row[1].strip()
+                if a or b:
+                    yield lineno, a, b
+            elif any(c.strip() for c in row):
+                raise ParseError(f"{path}:{lineno}: expected 2 columns")
+
+
+def _line_of(path, header, k):
+    """Line number of the k-th data row (from 0) that ``_rows`` yields."""
+    return next(islice(_rows(path, header), k, None))[0]
 
 
 def read_edge_csv(path):
-    """Parse a parent,child edge list; returns (names, name_to_id, edges)."""
-    names = []
+    """Parse a parent,child edge list; returns (names, name_to_id, edges).
+
+    Names map to dense ids in order of first appearance, and ``edges`` is
+    an (E, 2) intp array of (parent, child) ids in file order.  A row whose
+    child cell is empty declares its parent node without an edge.  Faults
+    are reported for the first faulty line: a wrong column count or an
+    empty parent ends the pass, but a self-loop or duplicate edge on an
+    earlier line, found afterwards by ``check_edges``, is reported first.
+    """
+    header = ("parent", "child")
     ids = {}
-
-    def intern(name, lineno):
-        if not name:
-            raise ParseError(f"{path}:{lineno}: empty node name")
-        if name not in ids:
-            ids[name] = len(names)
-            names.append(name)
-        return ids[name]
-
-    edges, seen = [], set()
-    for lineno, (parent, child) in _rows(path, ("parent", "child")):
-        edge = (intern(parent, lineno), intern(child, lineno))
-        if edge[0] == edge[1]:
-            raise ParseError(f"{path}:{lineno}: self-loop at node {parent!r}")
-        if edge in seen:
+    intern = ids.setdefault
+    flat = []
+    add = flat.append
+    row_error = None
+    try:
+        for lineno, parent, child in _rows(path, header):
+            if not parent:
+                raise ParseError(f"{path}:{lineno}: empty node name")
+            add(intern(parent, len(ids)))
+            add(intern(child, len(ids)) if child else -1)
+    except ParseError as exc:
+        row_error = exc
+    pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    is_edge = pairs[:, 1] >= 0
+    edges = pairs if is_edge.all() else pairs[is_edge]
+    try:
+        check_edges(len(ids), edges[:, 0], edges[:, 1])
+    except (SelfLoopError, DuplicateEdgeError) as exc:
+        lineno = _line_of(path, header, np.flatnonzero(is_edge)[exc.index])
+        names = list(ids)
+        parent, child = (names[v] for v in edges[exc.index])
+        if isinstance(exc, SelfLoopError):
             raise ParseError(
-                f"{path}:{lineno}: duplicate edge {parent!r} -> {child!r}")
-        seen.add(edge)
-        edges.append(edge)
-    if not edges:
+                f"{path}:{lineno}: self-loop at node {parent!r}") from None
+        raise ParseError(f"{path}:{lineno}: duplicate edge {parent!r} -> "
+                         f"{child!r}") from None
+    if row_error is not None:
+        raise row_error
+    if not ids:
         raise ParseError(f"{path}: no edges found")
-    return names, ids, edges
+    return list(ids), ids, edges
 
 
 def read_dag(path):
@@ -97,54 +129,97 @@ def read_dag(path):
     return names, ids, dag
 
 
-def _parse_p(path, lineno, text):
+def _parse_floats(texts):
+    """``float`` of each text (nan where it fails) and the mask of failures."""
     try:
-        p = float(text)
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+        return values, np.zeros(len(texts), dtype=bool)
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: bad p-value {text!r}") from None
-    if not 0.0 <= p <= 1.0:  # also rejects nan
-        raise ParseError(f"{path}:{lineno}: p-value {text!r} not in [0, 1]")
-    return p
+        bad = np.array([not _is_float(t) for t in texts], dtype=bool)
+        values = np.array([np.nan if b else float(t)
+                           for t, b in zip(texts, bad)], dtype=float)
+        return values, bad
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_pvalues(path, header, name_to_id, duplicate):
+    """One pass over name,p rows; returns (name_to_id, ids, values), with
+    the ids the names map to and the p-values parsed by ``float``.  With
+    ``name_to_id`` None, names map to dense ids in order of first
+    appearance.
+
+    The first faulty line raises.  Within a line the checks run in the
+    order: unknown name, name seen before (``duplicate`` formats that
+    message), text that does not parse, p outside [0, 1] (nan included).
+    A wrong column count ends the pass, but a fault on an earlier line is
+    reported first.
+    """
+    names, texts, row_error = [], [], None
+    try:
+        for _, name, text in _rows(path, header):
+            names.append(name)
+            texts.append(text)
+    except ParseError as exc:
+        row_error = exc
+    if name_to_id is None:
+        name_to_id = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    ids = np.fromiter(map(name_to_id.get, names, repeat(-1)), dtype=np.intp,
+                      count=len(names))
+    values, bad_text = _parse_floats(texts)
+    unknown = ids < 0
+    repeated, _ = repeats(np.where(unknown, -1 - np.arange(ids.size), ids))
+    bad = unknown | repeated | bad_text | ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"{path}:{_line_of(path, header, k)}"
+        if unknown[k]:
+            raise UnknownNodeInPvaluesError(
+                f"{where}: node {names[k]!r} not present in the graph")
+        if repeated[k]:
+            raise ParseError(f"{where}: {duplicate} {names[k]!r}")
+        if bad_text[k]:
+            raise ParseError(f"{where}: bad p-value {texts[k]!r}")
+        raise ParseError(f"{where}: p-value {texts[k]!r} not in [0, 1]")
+    if row_error is not None:
+        raise row_error
+    return name_to_id, ids, values
 
 
 def read_pvalue_csv(path, name_to_id):
     """Parse node,p rows into a dense vector; every node exactly once."""
-    values = [0.0] * len(name_to_id)
-    seen = bytearray(len(name_to_id))
-    for lineno, (name, text) in _rows(path, ("node", "p")):
-        idx = name_to_id.get(name)
-        if idx is None:
-            raise UnknownNodeInPvaluesError(
-                f"{path}:{lineno}: node {name!r} not present in the graph")
-        if seen[idx]:
-            raise ParseError(f"{path}:{lineno}: duplicate p-value for {name!r}")
-        values[idx] = _parse_p(path, lineno, text)
-        seen[idx] = 1
-    if not all(seen):
+    _, ids, values = _read_pvalues(path, ("node", "p"), name_to_id,
+                                   "duplicate p-value for")
+    if ids.size < len(name_to_id):
+        seen = np.zeros(len(name_to_id), dtype=bool)
+        seen[ids] = True
         missing = [name for name, idx in name_to_id.items() if not seen[idx]]
         raise MissingPvalueError(f"{path}: missing p-value for node(s) "
                                  + ", ".join(sorted(missing)[:5]))
-    return np.array(values, dtype=float)
+    out = np.empty(len(name_to_id), dtype=float)
+    out[ids] = values
+    return out
 
 
 def read_item_pvalue_csv(path):
     """Parse item,p rows; returns (item_names, item_to_id, values)."""
-    names, ids, vals = [], {}, []
-    for lineno, (name, text) in _rows(path, ("item", "p")):
-        if name in ids:
-            raise ParseError(f"{path}:{lineno}: duplicate item {name!r}")
-        ids[name] = len(names)
-        names.append(name)
-        vals.append(_parse_p(path, lineno, text))
-    if not names:
+    item_to_id, _, values = _read_pvalues(path, ("item", "p"), None,
+                                          "duplicate item")
+    if not item_to_id:
         raise ParseError(f"{path}: no items found")
-    return names, ids, np.asarray(vals)
+    return list(item_to_id), item_to_id, values
 
 
 def read_annotation_csv(path, name_to_id, item_to_id):
     """Parse node,item rows into per-node item index sets."""
     sets = [set() for _ in range(len(name_to_id))]
-    for lineno, (node, item) in _rows(path, ("node", "item")):
+    for lineno, node, item in _rows(path, ("node", "item")):
         if node not in name_to_id:
             raise ParseError(f"{path}:{lineno}: unknown node {node!r}")
         if item not in item_to_id:
@@ -154,12 +229,17 @@ def read_annotation_csv(path, name_to_id, item_to_id):
 
 
 def export_edge_csv(dag, names, path):
-    """Write a Dag back out in the edge-list format."""
+    """Write a Dag back out in the edge-list format: its edges by (parent,
+    child), then a ``name,`` row for each node without any edge."""
+    ptr = dag.child_indptr
+    parent = np.repeat(np.arange(dag.m), np.diff(ptr))
+    alone = np.flatnonzero((dag.in_degree == 0) & (ptr[1:] == ptr[:-1]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parent", "child"])
-        for a, b in sorted(dag.edges):
-            writer.writerow([names[a], names[b]])
+        writer.writerows([names[a], names[b]] for a, b in
+                         zip(parent.tolist(), dag.child_indices.tolist()))
+        writer.writerows([names[v], ""] for v in alone.tolist())
 
 
 def structure_summary(dag, depths, groups):
@@ -236,6 +316,15 @@ def analyze(request):
             f"{request.pvalues_file}: Stouffer is undefined at node "
             f"{names[exc.node]!r}: its block holds both a zero and a one"
         ) from None
+    except EmptyAnnotationError as exc:
+        raise EmptyAnnotationError(
+            f"{request.items_file}: node {names[exc.node]!r} has no items",
+            node=exc.node) from None
+    except AnnotationNotNestedError as exc:
+        raise AnnotationNotNestedError(
+            f"{request.items_file}: items of node {names[exc.child]!r} not "
+            f"contained in its parent {names[exc.parent]!r}",
+            parent=exc.parent, child=exc.child) from None
 
     fspec = FilterSpec.from_name(request.filter)
     filtered = request.method in FOCUSED
@@ -289,8 +378,45 @@ def analyze(request):
 
 
 def write_report_json(report, stream):
-    json.dump(report, stream, indent=2, sort_keys=False)
+    """Write ``report`` as ``json.dump(report, stream, indent=2)`` would,
+    byte for byte, then a newline.
+
+    ``json`` indents only through its pure-Python encoder.  Here every
+    non-empty dict or list whose items are all plain scalars, such as the
+    ``node_ids`` map and each discovery row, is encoded in one call of
+    json's C encoder with a line break as the item separator; each break
+    then becomes a comma and the next line's indent.
+    """
+    stream.write(_json(report, "\n"))
     stream.write("\n")
+
+
+# A line break never appears inside the C encoder's output except as this
+# separator: it escapes line breaks in strings.
+_ITEM_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json(value, newline):
+    """``json.dumps(value, indent=2)`` with each line break replaced by
+    ``newline``: the break and the indent of the line ``value`` starts on."""
+    kind = type(value)
+    if (kind is dict or kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        if _JSON_SCALARS.issuperset(map(type, value.values() if kind is dict
+                                        else value)):
+            text = _ITEM_PER_LINE.encode(value)
+            return (text[0] + inner + text[1:-1].replace("\n", "," + inner)
+                    + newline + text[-1])
+        if kind is not dict:
+            return ("[" + ",".join([inner + _json(v, inner) for v in value])
+                    + newline + "]")
+        if all(type(k) is str for k in value):
+            return ("{" + ",".join([inner + encode_basestring_ascii(k) + ": "
+                                    + _json(v, inner)
+                                    for k, v in value.items()])
+                    + newline + "}")
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 DISCOVERY_COLUMNS = ("node", "id", "depth", "p", "p_used", "weight",

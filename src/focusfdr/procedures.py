@@ -232,6 +232,7 @@ def yekutieli_tree(dag, pvalues, level):
     if p.size != dag.m:
         raise ValueError(f"expected {dag.m} p-values, got {p.size}")
 
+    ptr, kids = dag.child_indptr, dag.child_indices
     rejected = set()
     frontier = [list(dag.roots)]
     while frontier:
@@ -242,7 +243,7 @@ def yekutieli_tree(dag, pvalues, level):
         for local in family_hits:
             node = family[local]
             rejected.add(node)
-            frontier.append(list(dag.children[node]))
+            frontier.append(kids[ptr[node]:ptr[node + 1]].tolist())
     return frozenset(rejected)
 
 

@@ -40,29 +40,30 @@ def _rng(seed):
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def _stars(parents, children):
+    """Edges from each parent to its row of ``children``."""
+    return np.column_stack((np.repeat(parents, children.shape[1]),
+                            children.ravel()))
+
+
 def _wide_tree():
-    edges = [(r, 50 + 10 * r + j) for r in range(50) for j in range(10)]
-    return build_dag(550, edges)
+    return build_dag(550, _stars(np.arange(50),
+                                 np.arange(50, 550).reshape(50, 10)))
 
 
 def _deep_tree():
-    edges = [(r, 5 + 10 * r + j) for r in range(5) for j in range(10)]
-    edges += [(5 + k, 55 + 10 * k + j) for k in range(50) for j in range(10)]
-    return build_dag(555, edges)
+    return build_dag(555, _stars(np.arange(55),
+                                 np.arange(5, 555).reshape(55, 10)))
 
 
 def _bipartite1(rng, max_tries=1000):
     # 200 roots each pick 10 distinct leaf children; resample until every
     # leaf is covered so the generated graph keeps its two-level shape
     for _ in range(max_tries):
-        edges = []
-        covered = np.zeros(350, dtype=bool)
-        for r in range(200):
-            picks = rng.choice(350, size=10, replace=False)
-            covered[picks] = True
-            edges.extend((r, 200 + int(j)) for j in picks)
-        if covered.all():
-            return build_dag(550, edges)
+        picks = np.stack([rng.choice(350, size=10, replace=False)
+                          for _ in range(200)])
+        if np.unique(picks).size == 350:
+            return build_dag(550, _stars(np.arange(200), 200 + picks))
     raise RuntimeError("failed to cover every leaf of bipartite graph 1")
 
 
@@ -73,11 +74,9 @@ def _bipartite2(rng, max_tries=10000):
     doubled = rng.choice(490, size=120, replace=False)
     pool = np.concatenate([np.arange(490), doubled])
     for _ in range(max_tries):
-        perm = rng.permutation(pool)
-        hands = perm.reshape(61, 10)
+        hands = rng.permutation(pool).reshape(61, 10)
         if all(np.unique(h).size == 10 for h in hands):
-            edges = [(r, 61 + int(leaf)) for r in range(61) for leaf in hands[r]]
-            return build_dag(551, edges)
+            return build_dag(551, _stars(np.arange(61), 61 + hands))
     raise RuntimeError("failed to deal distinct children for bipartite graph 2")
 
 

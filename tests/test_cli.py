@@ -31,7 +31,7 @@ def chain_files(tmp_path):
 def test_read_edge_csv_names_in_first_appearance_order(chain_files):
     names, ids, edges = read_edge_csv(chain_files[0])
     assert names == ["a", "b", "c"]
-    assert edges == [(0, 1), (1, 2)]
+    assert edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_read_edge_csv_errors(tmp_path):
@@ -283,16 +283,21 @@ def test_simulation_rejects_bad_method_before_any_replication(monkeypatch,
 
 @pytest.fixture
 def masks_forbidden(monkeypatch):
-    """Make the O(m^2) bigint closures raise on any access: they are the
-    filter oracle's, and no production path may build them."""
+    """Make the O(m^2) bigint closures and the Python views of the edges
+    raise on any access: they are for the filter oracle and the tests, and
+    no production path may build them."""
     def forbidden(self):
-        raise AssertionError("bigint closure masks are oracle-only")
+        raise AssertionError("closure masks and edge views are oracle-only")
 
-    for name in ("ancestor_masks", "descendant_masks"):
+    for name in ("ancestor_masks", "descendant_masks", "children", "parents",
+                 "edges"):
         monkeypatch.setattr(Dag, name, property(forbidden))
     monkeypatch.delenv("FOCUSFDR_THREADS", raising=False)
     with pytest.raises(AssertionError):
         apply_filter(FilterSpec("ds"), build_dag(2, [(0, 1)]), {1})
+    for name in ("children", "parents", "edges"):
+        with pytest.raises(AssertionError):
+            getattr(build_dag(2, [(0, 1)]), name)
 
 
 @pytest.mark.parametrize("filter_name", ["ds", "outer", "screen:0.5"])
@@ -310,6 +315,21 @@ def test_analyze_never_builds_closure_masks(masks_forbidden, tmp_path,
     assert report["structure"]["disjoint_descendant_depths"] == [2, 3]
 
 
+def test_intersection_and_tree_analyses_never_build_edge_views(
+        masks_forbidden, tmp_path):
+    dag = write(tmp_path / "dag.csv", "parent,child\ntop,a\ntop,b\n")
+    items = write(tmp_path / "ann.csv",
+                  "node,item\ntop,g1\ntop,g2\na,g1\nb,g2\n")
+    itemp = write(tmp_path / "itemp.csv", "item,p\ng1,0.001\ng2,0.002\n")
+    rep = analyze(AnalysisRequest(dag_file=dag, pvalues_file=itemp,
+                                  items_file=items, method="wfbh", q=0.1))
+    assert rep["counts"]["discoveries"] == 3
+    pv = write(tmp_path / "p.csv", "node,p\ntop,0.001\na,0.002\nb,0.3\n")
+    rep = analyze(AnalysisRequest(dag_file=dag, pvalues_file=pv,
+                                  method="yekutieli-tree", q=0.1))
+    assert [r["node"] for r in rep["discoveries"]] == ["top", "a"]
+
+
 def test_graph_info_never_builds_closure_masks(masks_forbidden, tmp_path,
                                                capsys):
     dag = write(tmp_path / "dag.csv", "parent,child\na,c\nb,c\nc,d\n")
@@ -318,12 +338,15 @@ def test_graph_info_never_builds_closure_masks(masks_forbidden, tmp_path,
                                                           "3": 1}
 
 
-@pytest.mark.parametrize("family", ["wide-tree", "bipartite2"])
+@pytest.mark.parametrize("family", ["wide-tree", "deep-tree", "bipartite1",
+                                    "bipartite2"])
 def test_simulation_never_builds_closure_masks(masks_forbidden, family):
     methods = tuple(MethodSpec(*m) for m in (
         ("wfbh", "ds"), ("fbh", "ds"), ("wfbh", "outer"), ("wrfbh", "ds"),
         ("wfbh", "screen:0.5"), ("bh", "trivial"), ("storey-bh", "trivial"),
         ("by", "trivial")))
+    if family.endswith("tree"):
+        methods += (MethodSpec("yekutieli-tree", "trivial"),)
     for smoothing in (None, "simes"):
         summary = run_simulation(SimConfig(
             family=family, setup="decremental", p_nonnull=(0.3,), n_reps=2,
