@@ -229,9 +229,6 @@ def main(argv=None):
                 "check": _cmd_check, "graph-info": _cmd_graph_info}
     try:
         return handlers[args.command](args)
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

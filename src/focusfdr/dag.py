@@ -119,9 +119,6 @@ class Dag:
         self.in_degree = _read_only(in_degree)
         self.roots = tuple(np.flatnonzero(in_degree == 0).tolist())
         self.leaves = tuple(np.flatnonzero(n_kids == 0).tolist())
-        self._anc_masks = None
-        self._desc_masks = None
-        self._desc_closure = None
 
     def _levels(self, parent, n_kids, in_degree):
         """Kahn's algorithm a whole level per round over the child CSR: the
@@ -176,33 +173,29 @@ class Dag:
         return frozenset(zip(self.edge_parent.tolist(),
                              self.edge_child.tolist()))
 
-    @property
+    @cached_property
     def ancestor_masks(self):
         """Per-node bitmask of strict ancestors (bit i set <=> i is an ancestor)."""
-        if self._anc_masks is None:
-            masks = [0] * self.m
-            for v in self.topo_order:
-                acc = 0
-                for p in self.parents[v]:
-                    acc |= masks[p] | (1 << p)
-                masks[v] = acc
-            self._anc_masks = masks
-        return self._anc_masks
+        masks = [0] * self.m
+        for v in self.topo_order:
+            acc = 0
+            for p in self.parents[v]:
+                acc |= masks[p] | (1 << p)
+            masks[v] = acc
+        return masks
 
-    @property
+    @cached_property
     def descendant_masks(self):
         """Per-node bitmask of strict descendants."""
-        if self._desc_masks is None:
-            masks = [0] * self.m
-            for v in reversed(self.topo_order):
-                acc = 0
-                for c in self.children[v]:
-                    acc |= masks[c] | (1 << c)
-                masks[v] = acc
-            self._desc_masks = masks
-        return self._desc_masks
+        masks = [0] * self.m
+        for v in reversed(self.topo_order):
+            acc = 0
+            for c in self.children[v]:
+                acc |= masks[c] | (1 << c)
+            masks[v] = acc
+        return masks
 
-    @property
+    @cached_property
     def descendant_closure(self):
         """Strict descendants in CSR form: ``(indptr, indices)``.
 
@@ -211,19 +204,17 @@ class Dag:
         pass that merges each node's children with their rows; both arrays
         are read-only.
         """
-        if self._desc_closure is None:
-            ptr, kids = self.child_indptr.tolist(), self.child_indices
-            rows = [None] * self.m
-            for v in reversed(self.topo_order):
-                own = kids[ptr[v]:ptr[v + 1]]
-                rows[v] = own if not own.size else np.unique(np.concatenate(
-                    [own] + [rows[c] for c in own.tolist()]))
-            indptr = np.zeros(self.m + 1, dtype=np.intp)
-            np.cumsum([r.size for r in rows], out=indptr[1:])
-            indices = (np.concatenate(rows) if rows
-                       else np.empty(0, dtype=np.intp))
-            self._desc_closure = (_read_only(indptr), _read_only(indices))
-        return self._desc_closure
+        ptr, kids = self.child_indptr.tolist(), self.child_indices
+        rows = [None] * self.m
+        for v in reversed(self.topo_order):
+            own = kids[ptr[v]:ptr[v + 1]]
+            rows[v] = own if not own.size else np.unique(np.concatenate(
+                [own] + [rows[c] for c in own.tolist()]))
+        indptr = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum([r.size for r in rows], out=indptr[1:])
+        indices = (np.concatenate(rows) if rows
+                   else np.empty(0, dtype=np.intp))
+        return _read_only(indptr), _read_only(indices)
 
     def descendant_indices(self, node):
         """Sorted strict descendants of ``node``: a view of its row of

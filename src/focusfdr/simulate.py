@@ -5,6 +5,10 @@ procedures.
 Per-replication RNG streams are derived from (seed, grid index, replication
 index) through numpy's SeedSequence, so results are bit-identical no matter
 how replications are scheduled across workers.
+
+The deterministic families (wide-tree, deep-tree) are module constants, built
+once per process: every replication shares one read-only Dag and its lazily
+cached closures.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -36,24 +41,17 @@ class UnknownFamilyError(ValueError):
     pass
 
 
-def _rng(seed):
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def _stars(parents, children):
     """Edges from each parent to its row of ``children``."""
     return np.column_stack((np.repeat(parents, children.shape[1]),
                             children.ravel()))
 
 
-def _wide_tree():
-    return build_dag(550, _stars(np.arange(50),
-                                 np.arange(50, 550).reshape(50, 10)))
-
-
-def _deep_tree():
-    return build_dag(555, _stars(np.arange(55),
-                                 np.arange(5, 555).reshape(55, 10)))
+# the deterministic families: built once per process and shared, read-only
+_WIDE_TREE = build_dag(550, _stars(np.arange(50),
+                                   np.arange(50, 550).reshape(50, 10)))
+_DEEP_TREE = build_dag(555, _stars(np.arange(55),
+                                   np.arange(5, 555).reshape(55, 10)))
 
 
 def _bipartite1(rng, max_tries=1000):
@@ -75,19 +73,22 @@ def _bipartite2(rng, max_tries=10000):
     pool = np.concatenate([np.arange(490), doubled])
     for _ in range(max_tries):
         hands = rng.permutation(pool).reshape(61, 10)
-        if all(np.unique(h).size == 10 for h in hands):
+        dealt = np.sort(hands, axis=1)
+        if not (dealt[:, 1:] == dealt[:, :-1]).any():
             return build_dag(551, _stars(np.arange(61), 61 + hands))
     raise RuntimeError("failed to deal distinct children for bipartite graph 2")
 
 
 def generate_graph(family, seed=0):
-    """Build one of the named simulation graphs; random families draw from
-    the seed, deterministic ones ignore it."""
-    rng = _rng(seed)
+    """One of the named simulation graphs.  Random families draw from
+    ``np.random.default_rng(seed)`` (a Generator is used as is); the
+    deterministic ones ignore the seed and return one shared, read-only
+    Dag, the same object on every call."""
     if family == "wide-tree":
-        return _wide_tree()
+        return _WIDE_TREE
     if family == "deep-tree":
-        return _deep_tree()
+        return _DEEP_TREE
+    rng = np.random.default_rng(seed)
     if family == "bipartite1":
         return _bipartite1(rng)
     if family == "bipartite2":
@@ -101,14 +102,14 @@ def assign_truth(dag, p_nonnull, seed=0):
     the ancestor-heredity assumption."""
     if not (0.0 < p_nonnull < 1.0):
         raise ValueError(f"p_nonnull must be in (0, 1), got {p_nonnull}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     leaves = np.asarray(dag.leaves, dtype=np.intp)
     k = round(p_nonnull * leaves.size)
     nonnull = np.zeros(dag.m, dtype=bool)
     if k > 0:
         nonnull[rng.choice(leaves, size=k, replace=False)] = True
     level_sweep(dag, np.logical_or, nonnull, upward=True)
-    out = frozenset(int(i) for i in np.flatnonzero(nonnull))
+    out = frozenset(np.flatnonzero(nonnull).tolist())
     assert check_heredity(dag, out)
     return out
 
@@ -138,7 +139,7 @@ def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
     the exact rho = 0 stream."""
     if not (0.0 <= rho < 1.0):
         raise RhoOutOfRangeError(f"rho must be in [0, 1), got {rho}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     mu = signal_means(depths, truth, setup)
     z0 = rng.standard_normal()
     z = rng.standard_normal(dag.m)
@@ -205,20 +206,24 @@ class SimSummary:
 
 
 def _resolve_methods(config):
-    """Check every method and parse its filter once per sweep; returns
-    (weight config, ((procedure, FilterSpec), ...)) for the replications."""
+    """Check every method and the smoothing, and parse them once per sweep;
+    returns (weight config, ((procedure, FilterSpec), ...), Combiner or
+    None) for the replications."""
     for spec in config.methods:
         check_procedure(spec.procedure, yk_divisor=config.yk_divisor)
     weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,
                                  dw=config.dw)
-    return weight_config, tuple((spec.procedure,
-                                 FilterSpec.from_name(spec.filter))
-                                for spec in config.methods)
+    resolved = tuple((spec.procedure, FilterSpec.from_name(spec.filter))
+                     for spec in config.methods)
+    combiner = (None if config.smoothing is None
+                else Combiner.from_name(config.smoothing))
+    return weight_config, resolved, combiner
 
 
 def _replicate(config, plan, p_idx, rep):
-    """One replication: build, assign, sample, run every method.  plan is
-    ``_resolve_methods(config)``."""
+    """One replication: build, assign, sample, run every method; returns
+    one (FDP, power) pair per method.  plan is ``_resolve_methods(config)``."""
+    weight_config, resolved, combiner = plan
     rng = np.random.default_rng([config.seed, p_idx, rep])
     dag = generate_graph(config.family, rng)
     depths = compute_depths(dag)
@@ -226,71 +231,71 @@ def _replicate(config, plan, p_idx, rep):
     p_nonnull = config.p_nonnull[p_idx]
     truth = assign_truth(dag, p_nonnull, rng)
     pv = sample_pvalues(dag, depths, truth, config.setup, config.rho, rng)
-    if config.smoothing is not None:
-        pv = smooth_all_descendants(dag, pv, Combiner.from_name(config.smoothing))
+    if combiner is not None:
+        pv = smooth_all_descendants(dag, pv, combiner)
 
     n_nonnull = len(truth)
-    weight_config, resolved = plan
     out = []
     for procedure, fspec in resolved:
         disc, _, _ = run_procedure(procedure, dag, depths, groups, pv, fspec,
                                    config.q, weight_config,
                                    yk_divisor=config.yk_divisor)
         n_disc = len(disc)
-        false_disc = sum(1 for v in disc if v not in truth)
+        false_disc = len(disc - truth)
         fdp = false_disc / max(n_disc, 1)
         power = (n_disc - false_disc) / max(n_nonnull, 1)
         out.append((fdp, power))
     return out
 
 
-def _replicate_star(args):
-    config, plan, p_idx, rep = args
-    return p_idx, rep, _replicate(config, plan, p_idx, rep)
-
-
 def resolve_workers(n_workers=None):
-    """Worker count: explicit argument, else FOCUSFDR_THREADS (0 = auto),
-    else serial."""
+    """Worker count: explicit argument, else FOCUSFDR_THREADS (a
+    nonnegative integer, 0 = all cores), else serial."""
     if n_workers is not None:
         return max(1, int(n_workers))
     env = os.environ.get("FOCUSFDR_THREADS", "").strip()
     if not env:
         return 1
-    n = int(env)
-    return (os.cpu_count() or 1) if n == 0 else max(1, n)
+    try:
+        n = int(env)
+        if n < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError("FOCUSFDR_THREADS must be a nonnegative integer "
+                         f"(0 = all cores), got {env!r}") from None
+    return (os.cpu_count() or 1) if n == 0 else n
 
 
 def run_simulation(config, n_workers=None):
     """Run the configured replications over the p_nonnull grid.
 
-    Results are deterministic in (config, seed) regardless of the worker
-    count; replication streams never depend on scheduling order.
+    Replications are mapped in (p_idx, rep) order, serially or over a
+    process pool.  Results are deterministic in (config, seed) regardless
+    of the worker count; replication streams never depend on scheduling.
     """
+    if config.n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {config.n_reps}")
     plan = _resolve_methods(config)
-    jobs = [(config, plan, p_idx, rep)
-            for p_idx in range(len(config.p_nonnull))
-            for rep in range(config.n_reps)]
     workers = resolve_workers(n_workers)
-
-    results = {}
+    n_p, n = len(config.p_nonnull), config.n_reps
+    jobs = (_replicate, repeat(config), repeat(plan),
+            [p_idx for p_idx in range(n_p) for _ in range(n)],
+            list(range(n)) * n_p)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for p_idx, rep, rows in pool.map(_replicate_star, jobs, chunksize=8):
-                results[(p_idx, rep)] = rows
+            rows = list(pool.map(*jobs, chunksize=8))
     else:
-        for job in jobs:
-            p_idx, rep, rows = _replicate_star(job)
-            results[(p_idx, rep)] = rows
+        rows = list(map(*jobs))
+    results = np.array(rows, dtype=float).reshape(
+        n_p, n, len(config.methods), 2)
 
     cells = []
     histories = {}
     for p_idx, p_nonnull in enumerate(config.p_nonnull):
         for mi, spec in enumerate(config.methods):
-            hist = np.array([results[(p_idx, rep)][mi]
-                             for rep in range(config.n_reps)])
+            # a contiguous (n_reps, 2) copy: mean and std sum in row order
+            hist = results[p_idx, :, mi].copy()
             histories[(spec.label, p_nonnull)] = hist
-            n = config.n_reps
             fdr_hat, power_hat = hist.mean(axis=0)
             sds = hist.std(axis=0, ddof=1) if n > 1 else np.zeros(2)
             cells.append(CellSummary(
@@ -319,7 +324,7 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     of inverse weights over the nulls.  FDR control needs the expectation of
     this sum to stay at or below the number of hypotheses.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     depths = compute_depths(dag)
     groups = group_index(dag, depths)
     dw = resolve_dw(weight_config, groups, depths)
@@ -360,7 +365,7 @@ def superuniformity_check(dag, combiner, n_mc, seed=0,
     to Monte Carlo noise; ``se`` is the binomial standard error of the
     empirical CDF at each threshold.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     block = rng.uniform(size=(n_mc, dag.m))
     smoothed = smooth_rows(dag, block, combiner)
     ts = np.asarray(thresholds, dtype=float)

@@ -281,6 +281,44 @@ def test_simulation_rejects_bad_method_before_any_replication(monkeypatch,
         run_simulation(config, n_workers=2)
 
 
+def test_simulation_rejects_bad_smoothing_before_any_replication(
+        monkeypatch):
+    # the smoothing is parsed with the methods, before any replication or
+    # worker
+    import focusfdr.simulate as sim
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_replicate", no_replication)
+    config = SimConfig(n_reps=2, smoothing="bogus")
+    with pytest.raises(ValueError, match="unknown combiner 'bogus'"):
+        run_simulation(config, n_workers=2)
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_cli_simulate_rejects_bad_thread_count(monkeypatch, tmp_path, capsys,
+                                              value):
+    monkeypatch.setenv("FOCUSFDR_THREADS", value)
+    assert main(_simulate_args(str(tmp_path / "s.csv"))) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert ("FOCUSFDR_THREADS must be a nonnegative integer (0 = all cores), "
+            f"got {value!r}") in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_cli_simulate_valid_thread_counts_agree(monkeypatch, tmp_path):
+    monkeypatch.delenv("FOCUSFDR_THREADS", raising=False)
+    assert main(_simulate_args(str(tmp_path / "serial.csv"))) == EXIT_OK
+    want = (tmp_path / "serial.csv").read_bytes()
+    # 0 means all cores; pin the core count so the pool stays small
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    for value in ("0", "1", "2", " 2 "):
+        monkeypatch.setenv("FOCUSFDR_THREADS", value)
+        assert main(_simulate_args(str(tmp_path / "s.csv"))) == EXIT_OK
+        assert (tmp_path / "s.csv").read_bytes() == want
+
+
 @pytest.fixture
 def masks_forbidden(monkeypatch):
     """Make the O(m^2) bigint closures and the Python views of the edges
@@ -451,6 +489,7 @@ def test_cli_check_superuniformity_small(capsys):
 
 def test_cli_check_unknown_suite(capsys):
     assert main(["check", "nonsense"]) == EXIT_INPUT
+    assert "error: unknown suite 'nonsense'" in capsys.readouterr().err
 
 
 def test_cli_check_failure_exit_code(monkeypatch, capsys):

@@ -294,6 +294,14 @@ def test_descendant_closure_is_cached_and_read_only():
     assert [a.tolist() for a in empty.descendant_closure] == [[0], []]
 
 
+def test_closure_masks_are_cached():
+    dag = diamond_tail()
+    assert dag.ancestor_masks is dag.ancestor_masks
+    assert dag.descendant_masks is dag.descendant_masks
+    assert dag.ancestor_masks[3] == 0b111
+    assert dag.descendant_masks[0] == 0b1100
+
+
 def test_cycle_node_below_acyclic_part():
     # 0 -> 2 -> 5 and 0 -> 4 are acyclic, 5 -> 6 -> 7 -> 5 is the cycle,
     # and 1 hangs off it (6 -> 1 -> 3).  Node 1 sorts first among the

@@ -48,10 +48,10 @@ def golden_sim_configs():
                     p_nonnull=(0.3,), n_reps=3, seed=13, methods=TREE_METHODS)
 
 
-def simulation_csv():
+def simulation_csv(n_workers=None):
     out = io.StringIO(newline="")
     for config in golden_sim_configs():
-        write_simulation_csv(run_simulation(config), out)
+        write_simulation_csv(run_simulation(config, n_workers=n_workers), out)
     return out.getvalue().encode("utf-8")
 
 
@@ -78,6 +78,10 @@ def _case_name(method, reshaping):
 
 def test_simulation_csv_matches_golden():
     assert simulation_csv() == SIM_GOLDEN.read_bytes()
+
+
+def test_pooled_simulation_csv_matches_golden():
+    assert simulation_csv(n_workers=2) == SIM_GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("method,reshaping", ANALYZE_CASES,

@@ -5,11 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from focusfdr.combine import Combiner
 from focusfdr.dag import build_dag, check_heredity, compute_depths, is_tree
-from focusfdr.simulate import (MethodSpec, RhoOutOfRangeError, SimConfig,
+from focusfdr.simulate import (GRAPH_FAMILIES, MethodSpec,
+                               RhoOutOfRangeError, SimConfig,
                                UnknownFamilyError, assign_truth,
                                condition1_check, generate_graph,
                                run_simulation, sample_pvalues, signal_means,
@@ -66,6 +68,43 @@ def test_bipartite2_parent_multiset():
     counts = Counter(len(dag.parents[v]) for v in range(61, 551))
     assert counts == {1: 370, 2: 120}
     assert all(len(dag.children[r]) == 10 for r in range(61))
+
+
+@pytest.mark.parametrize("family", ["wide-tree", "deep-tree"])
+def test_fixed_families_share_one_read_only_dag(family):
+    dag = generate_graph(family)
+    assert generate_graph(family, 9) is dag
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert generate_graph(family, rng) is dag
+    assert rng.bit_generator.state == state      # no draw moves a stream
+    arrays = [a for a in vars(dag).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 8
+    for a in arrays + list(dag.descendant_closure):
+        assert not a.flags.writeable
+
+
+def _bipartite2_per_hand(rng, max_tries=10000):
+    """The bipartite-2 dealer with one ``np.unique`` check per hand."""
+    doubled = rng.choice(490, size=120, replace=False)
+    pool = np.concatenate([np.arange(490), doubled])
+    for _ in range(max_tries):
+        hands = rng.permutation(pool).reshape(61, 10)
+        if all(np.unique(h).size == 10 for h in hands):
+            return build_dag(551, [(r, 61 + int(c)) for r in range(61)
+                                   for c in hands[r]])
+    raise RuntimeError("no hand dealt")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bipartite2_matches_per_hand_generator(seed):
+    # same graph, and the same draws consumed by the rejection loop
+    old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _bipartite2_per_hand(old_rng)
+    assert generate_graph("bipartite2", new_rng).edges == want.edges
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert generate_graph("bipartite2", seed).edges == want.edges
 
 
 def test_generate_graph_deterministic_in_seed():
@@ -193,11 +232,23 @@ def test_run_simulation_deterministic():
 
 
 def test_run_simulation_worker_count_invariance():
-    serial = run_simulation(_small_config(n_reps=6))
-    parallel = run_simulation(_small_config(n_reps=6), n_workers=2)
-    assert serial.cells == parallel.cells
-    for key in serial.histories:
-        assert np.array_equal(serial.histories[key], parallel.histories[key])
+    # each worker process holds its own copy of the shared fixed trees
+    for family in GRAPH_FAMILIES:
+        for smoothing in (None, "simes"):
+            config = _small_config(family=family, smoothing=smoothing,
+                                   setup="decremental", n_reps=6)
+            serial = run_simulation(config)
+            parallel = run_simulation(config, n_workers=2)
+            assert serial.cells == parallel.cells
+            for key in serial.histories:
+                assert np.array_equal(serial.histories[key],
+                                      parallel.histories[key])
+
+
+@pytest.mark.parametrize("n_reps", [0, -1])
+def test_run_simulation_rejects_empty_sweep(n_reps):
+    with pytest.raises(ValueError, match="n_reps must be >= 1"):
+        run_simulation(_small_config(n_reps=n_reps))
 
 
 def test_replication_composition_with_smoothing():
@@ -289,6 +340,11 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("FOCUSFDR_THREADS", "0")
     assert resolve_workers() >= 1
     assert resolve_workers(2) == 2
+    for bad in ("abc", "-3", "1.5"):
+        monkeypatch.setenv("FOCUSFDR_THREADS", bad)
+        with pytest.raises(ValueError, match=f"FOCUSFDR_THREADS .* {bad!r}"):
+            resolve_workers()
+        assert resolve_workers(2) == 2
 
 
 def test_superuniformity_leaves_exact():
