@@ -6,7 +6,9 @@ is monotone in each input.  The matrix forms (`*_rows`) combine each row of
 an (r, n) array at once, which is what the Monte Carlo validity checks need.
 Smoothing and intersection p-values both combine over column segments (a
 node with its descendants, or a node's annotated items) through one
-size-grouped kernel, ``combine_segments``.
+size-grouped kernel, ``combine_segments``, which transforms each entry for
+Fisher (log p) and Stouffer (normal quantile) once, not once per segment
+holding it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class UndefinedSegmentError(DomainError):
 # Entries per gather in ``combine_segments``: enough segments per combiner
 # call to amortise its overhead, few enough to stay in cache.
 _GATHER_ENTRIES = 1 << 16
+_ABOVE_ZERO, _BELOW_ONE = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,8 @@ def combine_rows(combiner, block):
     kind = combiner.kind
 
     if kind == "fisher":
-        return chisq_survival(_fisher_statistic(block), 2 * n)
+        return chisq_survival(-2.0 * np.sum(_terms(kind, block), axis=1),
+                              2 * n)
 
     if kind == "stouffer":
         zeros = np.any(block == 0.0, axis=1)
@@ -120,12 +124,8 @@ def combine_rows(combiner, block):
         if np.any(zeros & ones):
             raise DomainError("Stouffer is undefined when a block has both a"
                               " zero and a one")
-        inner = np.clip(block, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-        z = normal_quantile(inner)
-        out = normal_cdf(np.sum(z, axis=1) / math.sqrt(n))
-        out = np.where(zeros, 0.0, out)
-        out = np.where(ones, 1.0, out)
-        return np.atleast_1d(out)
+        return np.atleast_1d(_stouffer(np.sum(_terms(kind, block), axis=1),
+                                       n, zeros, ones))
 
     if kind == "simes":
         srt = np.sort(block, axis=1)
@@ -146,9 +146,23 @@ def combine_rows(combiner, block):
     raise ValueError(f"unknown combiner kind {combiner.kind!r}")
 
 
-def _fisher_statistic(block):
-    with np.errstate(divide="ignore"):
-        return -2.0 * np.sum(np.log(block), axis=1)
+def _terms(kind, block):
+    """The per-entry terms whose row sums Fisher and Stouffer calibrate:
+    log p, or the normal quantile of p clipped into the open unit interval.
+    Applied element by element, so an entry's term never depends on the
+    array it sits in."""
+    if kind == "fisher":
+        with np.errstate(divide="ignore"):
+            return np.log(block)
+    return normal_quantile(np.clip(block, _ABOVE_ZERO, _BELOW_ONE))
+
+
+def _stouffer(zsum, n, zeros, ones):
+    """Stouffer's p from the z-sums of blocks of n values, with the blocks
+    holding a 0 (``zeros``) or a 1 (``ones``) set to that limit."""
+    out = normal_cdf(zsum / math.sqrt(n))
+    out = np.where(zeros, 0.0, out)
+    return np.where(ones, 1.0, out)
 
 
 def combine(combiner, pvalues):
@@ -169,53 +183,85 @@ def _chunks(nodes, size):
     return (nodes[i:i + size] for i in range(0, nodes.size, size))
 
 
-def combine_segments(combiner, block, out, nodes, indptr, indices, lead):
+def combine_segments(combiner, block, nodes, indptr, indices, lead):
     """Combine each row of ``block`` over one column segment per node.
 
     Node v's segment is ``indices[indptr[v]:indptr[v + 1]]``, preceded by v
-    itself when ``lead`` is true; ``out[:, v]`` receives the combination of
-    ``block[:, segment]`` for every v in ``nodes``.  Nodes are grouped by
-    segment size n, largest first, and each group is gathered into (g, n)
-    column matrices of at most ``_GATHER_ENTRIES`` entries (never less than
-    one node), each combined by a single ``combine_rows`` call.  Fisher's
-    statistics are calibrated afterwards by ``chisq_survival`` with one df
-    per node, so its series runs once over all sizes.
-    Every row sees the floating-point operations of combining its segment
-    on its own, so the result is bit-identical to a per-node loop.
+    itself when ``lead`` is true.  Returns an (r, len(nodes)) array whose
+    column j combines ``block[:, segment]`` for v = ``nodes[j]``.
+
+    Fisher and Stouffer first apply their per-entry term (``_terms``) to
+    every entry of the block once, a bounded number of rows at a time,
+    and their segments then gather and sum terms; Stouffer gathers the raw
+    block for its zero/one limits only if the block holds a 0 or a 1.  The
+    other combiners gather raw p-values.  Nodes are grouped by segment size
+    n, largest first, and each group is gathered into (g, n) column
+    matrices of at most ``_GATHER_ENTRIES`` entries (never less than one
+    node).  Fisher's statistics are calibrated afterwards by
+    ``chisq_survival`` with one df per node, so its series runs once over
+    all sizes.  Every row sees the floating-point operations of combining
+    its segment on its own, so the result is bit-identical to a per-node
+    loop.
 
     Raises:
         UndefinedSegmentError: naming the smallest node whose Stouffer
             segment holds both a zero and a one in some row.
     """
-    r, lead = block.shape[0], int(lead)
+    r, lead, kind = block.shape[0], int(lead), combiner.kind
     sizes = indptr[nodes + 1] - indptr[nodes] + lead
     order = np.argsort(-sizes, kind="stable")
-    nodes, sizes = nodes[order], sizes[order]
-    starts = np.flatnonzero(np.diff(sizes, prepend=-1))
-    fisher = combiner.kind == "fisher"
-    for group, n in zip(np.split(nodes, starts[1:]), sizes[starts].tolist()):
+    starts = np.flatnonzero(np.diff(sizes[order], prepend=-1))
+    if kind in ("fisher", "stouffer"):
+        terms, bounded = _block_terms(kind, block)
+    out = np.empty((r, nodes.size))
+    for group, n in zip(np.split(order, starts[1:]),
+                        sizes[order][starts].tolist()):
         width = np.arange(n - lead)
         for chunk in _chunks(group, max(1, _GATHER_ENTRIES // max(r * n, 1))):
-            cols = indices[indptr[chunk][:, None] + width]
+            at = nodes[chunk]
+            cols = indices[indptr[at][:, None] + width]
             if lead:
-                cols = np.column_stack((chunk, cols))
-            vals = _gather(block, cols)
-            try:
-                res = (_fisher_statistic(vals) if fisher
-                       else combine_rows(combiner, vals))
-            except DomainError:
-                node = (_first_undefined(block, nodes, indptr, indices, lead)
-                        if combiner.kind == "stouffer" else None)
-                if node is None:
-                    raise
-                raise UndefinedSegmentError(node) from None
+                cols = np.column_stack((at, cols))
+            if kind == "fisher":
+                res = -2.0 * np.sum(_gather(terms, cols), axis=1)
+            elif kind == "stouffer":
+                zeros = ones = False
+                if bounded:
+                    vals = _gather(block, cols)
+                    zeros = np.any(vals == 0.0, axis=1)
+                    ones = np.any(vals == 1.0, axis=1)
+                    if np.any(zeros & ones):
+                        raise UndefinedSegmentError(_first_undefined(
+                            block, nodes, indptr, indices, lead))
+                res = _stouffer(np.sum(_gather(terms, cols), axis=1), n,
+                                zeros, ones)
+            else:
+                res = combine_rows(combiner, _gather(block, cols))
             out[:, chunk] = res.reshape(chunk.size, r).T
-    if fisher:
-        # the statistics wait in ``out``
-        for chunk in _chunks(nodes, max(1, _GATHER_ENTRIES // max(r, 1))):
-            df = 2 * (indptr[chunk + 1] - indptr[chunk] + lead)
-            out[:, chunk] = chisq_survival(
-                np.ascontiguousarray(out[:, chunk].T), df).T
+    if kind == "fisher":
+        # the statistics wait in ``out``; the terms are no longer needed
+        del terms
+        step = max(1, _GATHER_ENTRIES // max(r, 1))
+        for a in range(0, nodes.size, step):
+            out[:, a:a + step] = chisq_survival(
+                np.ascontiguousarray(out[:, a:a + step].T),
+                2 * sizes[a:a + step]).T
+    return out
+
+
+def _block_terms(kind, block):
+    """``_terms`` of every entry of ``block``, computed into one buffer at
+    most ``_GATHER_ENTRIES`` entries (never less than one row) at a time;
+    for Stouffer, also whether the block holds a 0 or a 1."""
+    terms = np.empty(block.shape)
+    step = max(1, _GATHER_ENTRIES // max(block.shape[1], 1))
+    bounded = False
+    for a in range(0, block.shape[0], step):
+        rows = np.ascontiguousarray(block[a:a + step])
+        terms[a:a + step] = _terms(kind, rows)
+        if kind == "stouffer" and not bounded:
+            bounded = bool(np.any((rows == 0.0) | (rows == 1.0)))
+    return terms, bounded
 
 
 def _gather(block, cols):
@@ -247,8 +293,10 @@ def smooth_rows(dag, block, combiner):
 
     Node v's value becomes the combination of its row entries at
     ``[v, *descendants ascending]`` (``dag.descendant_closure``); leaves keep
-    their own.  See ``combine_segments`` for the size-grouped, bounded
-    gathers; the result equals combining node by node, bit for bit.
+    their own.  ``combine_segments`` combines the inner nodes into a
+    compact (r, #inner) array, which is scattered once into a copy of the
+    block (after Fisher's and Stouffer's term buffer has been released).
+    The result equals combining node by node, bit for bit.
 
     Raises:
         UndefinedSegmentError: for Stouffer, naming the smallest node whose
@@ -258,10 +306,12 @@ def smooth_rows(dag, block, combiner):
     if block.ndim != 2 or block.shape[1] != dag.m:
         raise LengthMismatchError(
             f"expected rows of length {dag.m}, got {block.shape}")
-    out = block.copy()
     indptr, indices = dag.descendant_closure
-    combine_segments(combiner, block, out, np.flatnonzero(np.diff(indptr)),
-                     indptr, indices, lead=True)
+    inner = np.flatnonzero(np.diff(indptr))
+    res = combine_segments(combiner, block, inner, indptr, indices,
+                           lead=True)
+    out = block.copy()
+    out[:, inner] = res
     return out
 
 
@@ -305,8 +355,6 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
     np.cumsum([len(a) for a in rows], out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
                           count=int(indptr[-1]))
-    out = np.empty((1, dag.m), dtype=float)
-    combine_segments(combiner, items[None, :], out,
-                     np.arange(dag.m, dtype=np.intp), indptr, indices,
-                     lead=False)
-    return out[0]
+    return combine_segments(combiner, items[None, :],
+                            np.arange(dag.m, dtype=np.intp), indptr, indices,
+                            lead=False)[0]

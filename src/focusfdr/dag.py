@@ -17,8 +17,10 @@ built on first use for tests, oracles and tracing; no production path
 reads them.  Closures are computed lazily and cached on the Dag:
 
 - ``descendant_closure``: the strict descendants of every node as a CSR
-  pair of integer arrays, each row sorted.  Smoothing gathers its segments
-  from it.
+  pair of integer arrays, each row sorted.  It is built a depth level at a
+  time, deepest first, with one sort of ``owner * m + node`` keys per level
+  (``np.unique`` would hash the integer keys, which is slower).  Smoothing
+  gathers its segments from it.
 - ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node,
   O(m^2) bits in all.  They are oracle-only: ``apply_filter`` and the
   checks and tests built on it use them as the independent reference, and
@@ -200,20 +202,59 @@ class Dag:
         """Strict descendants in CSR form: ``(indptr, indices)``.
 
         Row v, ``indices[indptr[v]:indptr[v + 1]]``, holds v's strict
-        descendants in ascending order.  Built in one reverse-topological
-        pass that merges each node's children with their rows; both arrays
-        are read-only.
+        descendants in ascending order.  Built a depth level at a time,
+        deepest first: every child of a depth-d node is deeper, so its row
+        is ready when level d is built.  A level's rows are its nodes'
+        children and those children's rows (one gather per deeper level
+        they lie in), keyed ``owner * m + node`` and put in order, without
+        repeats, by one sort.  Each level's rows stay one block until the
+        end, when the blocks are scattered into node order one at a time
+        and released.  Both arrays are read-only.
         """
-        ptr, kids = self.child_indptr.tolist(), self.child_indices
-        rows = [None] * self.m
-        for v in reversed(self.topo_order):
-            own = kids[ptr[v]:ptr[v + 1]]
-            rows[v] = own if not own.size else np.unique(np.concatenate(
-                [own] + [rows[c] for c in own.tolist()]))
-        indptr = np.zeros(self.m + 1, dtype=np.intp)
-        np.cumsum([r.size for r in rows], out=indptr[1:])
-        indices = (np.concatenate(rows) if rows
-                   else np.empty(0, dtype=np.intp))
+        m, ptr, depth = self.m, self.child_indptr, self.depth
+        n_kids = np.diff(ptr)
+        # level d holds the nodes of depth d + 1 that have children; v's
+        # row is blocks[depth[v] - 1][start[v]:start[v] + count[v]]
+        start = np.zeros(m, dtype=np.intp)
+        count = np.zeros(m, dtype=np.intp)
+        topo = np.fromiter(self.topo_order, dtype=np.intp, count=m)
+        bounds = np.cumsum(np.bincount(depth, minlength=1))
+        levels = [topo[a:b][n_kids[topo[a:b]] > 0]
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        blocks = [np.empty(0, dtype=np.intp)] * len(levels)
+        for d in reversed(range(len(levels))):
+            level = levels[d]
+            if not level.size:
+                continue
+            kids = self.child_indices[_segments(ptr[level], n_kids[level])]
+            owner = np.repeat(np.arange(level.size) * m, n_kids[level])
+            # keys of the children's rows, then of the children, formed in
+            # place and released early: the level's temporaries set the
+            # build's peak memory
+            parts = []
+            below = depth[kids] - 1
+            for e in (np.flatnonzero(np.bincount(below - d)) + d).tolist():
+                at = below == e
+                rows = count[kids[at]]
+                part = blocks[e][_segments(start[kids[at]], rows)]
+                part += np.repeat(owner[at], rows)
+                parts.append(part)
+            kids += owner
+            parts.append(kids)
+            del owner, below
+            keys = _sorted_unique(np.concatenate(parts))
+            del parts, kids
+            sizes = np.bincount(keys // m, minlength=level.size)
+            keys %= m
+            blocks[d] = keys
+            count[level] = sizes
+            start[level] = np.cumsum(sizes) - sizes
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(count, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.intp)
+        for d, level in enumerate(levels):
+            indices[_segments(indptr[level], count[level])] = blocks[d]
+            blocks[d] = None
         return _read_only(indptr), _read_only(indices)
 
     def descendant_indices(self, node):
@@ -270,10 +311,22 @@ def check_edges(m, parent, child):
     return order
 
 
+def _sorted_unique(keys):
+    """The distinct values of an integer array, ascending, by one in-place
+    sort of ``keys`` and an adjacent-compare mask (``np.unique`` hashes
+    integer keys, which is several times slower)."""
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _segments(start, count):
     """Positions start[i] .. start[i] + count[i] - 1, concatenated over i."""
-    return (np.repeat(start + count - np.cumsum(count), count)
-            + np.arange(count.sum()))
+    out = np.repeat(start + count - np.cumsum(count), count)
+    out += np.arange(out.size)
+    return out
 
 
 def mask_of(nodes):
@@ -337,7 +390,7 @@ def _reachable(adjacency, start, count, node):
     frontier = np.array([node])
     while frontier.size:
         step = adjacency[_segments(start[frontier], count[frontier])]
-        frontier = np.unique(step[~seen[step]])
+        frontier = _sorted_unique(step[~seen[step]])
         seen[frontier] = True
     return frozenset(np.flatnonzero(seen).tolist())
 

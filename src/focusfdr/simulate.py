@@ -60,7 +60,7 @@ def _bipartite1(rng, max_tries=1000):
     for _ in range(max_tries):
         picks = np.stack([rng.choice(350, size=10, replace=False)
                           for _ in range(200)])
-        if np.unique(picks).size == 350:
+        if np.count_nonzero(np.bincount(picks.ravel(), minlength=350)) == 350:
             return build_dag(550, _stars(np.arange(200), 200 + picks))
     raise RuntimeError("failed to cover every leaf of bipartite graph 1")
 
@@ -96,12 +96,21 @@ def generate_graph(family, seed=0):
     raise UnknownFamilyError(f"unknown graph family {family!r}")
 
 
+def _check_p_nonnull(p_nonnull):
+    if not (0.0 < p_nonnull < 1.0):
+        raise ValueError(f"p_nonnull must be in (0, 1), got {p_nonnull}")
+
+
+def _check_rho(rho):
+    if not (0.0 <= rho < 1.0):
+        raise RhoOutOfRangeError(f"rho must be in [0, 1), got {rho}")
+
+
 def assign_truth(dag, p_nonnull, seed=0):
     """Sample round(p * #leaves) leaves as non-null, then mark every inner
     node non-null iff it has a non-null child.  The result always respects
     the ancestor-heredity assumption."""
-    if not (0.0 < p_nonnull < 1.0):
-        raise ValueError(f"p_nonnull must be in (0, 1), got {p_nonnull}")
+    _check_p_nonnull(p_nonnull)
     rng = np.random.default_rng(seed)
     leaves = np.asarray(dag.leaves, dtype=np.intp)
     k = round(p_nonnull * leaves.size)
@@ -137,8 +146,7 @@ def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
     X = mu + (1 - rho) Z + rho Z0 (shared Z0; no variance renormalization).
     The shared draw is consumed even at rho = 0, so the independent model is
     the exact rho = 0 stream."""
-    if not (0.0 <= rho < 1.0):
-        raise RhoOutOfRangeError(f"rho must be in [0, 1), got {rho}")
+    _check_rho(rho)
     rng = np.random.default_rng(seed)
     mu = signal_means(depths, truth, setup)
     z0 = rng.standard_normal()
@@ -206,9 +214,17 @@ class SimSummary:
 
 
 def _resolve_methods(config):
-    """Check every method and the smoothing, and parse them once per sweep;
+    """Check the whole sweep (family, setup, every p_nonnull, rho, every
+    method and the smoothing) and parse it once, before any replication;
     returns (weight config, ((procedure, FilterSpec), ...), Combiner or
     None) for the replications."""
+    if config.family not in GRAPH_FAMILIES:
+        raise UnknownFamilyError(f"unknown graph family {config.family!r}")
+    if config.setup not in SIGNAL_SETUPS:
+        raise ValueError(f"unknown signal setup {config.setup!r}")
+    for p_nonnull in config.p_nonnull:
+        _check_p_nonnull(p_nonnull)
+    _check_rho(config.rho)
     for spec in config.methods:
         check_procedure(spec.procedure, yk_divisor=config.yk_divisor)
     weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,

@@ -159,14 +159,21 @@ _PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 
 def _poly(coeffs, r):
+    """Horner's rule in place.  ``acc *= r; acc += c`` rounds exactly as
+    ``acc * r + c``: numpy never fuses the two into one multiply-add."""
     acc = np.full_like(r, coeffs[7])
     for c in reversed(coeffs[:7]):
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
 def normal_quantile(p):
     """Standard normal quantile Phi^{-1}(p) for p in the open unit interval.
+
+    The central rational (|p - 0.5| <= 0.425, most of a uniform sample) is
+    evaluated on the whole array; only the tail entries are indexed out
+    and overwritten.
 
     Raises:
         DomainError: if any p lies outside (0, 1).
@@ -175,21 +182,22 @@ def normal_quantile(p):
     if np.any(~((p_arr > 0.0) & (p_arr < 1.0))):
         raise DomainError("normal_quantile requires p in (0, 1)")
     q = p_arr - 0.5
-    out = np.empty_like(p_arr)
+    # on the tails r lies in [-0.069375, 0), where both polynomials stay
+    # positive, so the values computed there (overwritten below) are finite
+    r = 0.180625 - q * q
+    out = np.multiply(q, _poly(_PPND_A, r), out=np.empty_like(p_arr))
+    out /= _poly(_PPND_B, r)
 
-    central = np.abs(q) <= 0.425
-    if central.any():
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    if (~central).any():
-        qt = q[~central]
-        pt = p_arr[~central]
+    tail = np.abs(q) > 0.425
+    if tail.any():
+        qt = q[tail]
+        pt = p_arr[tail]
         r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
         near = r <= 5.0
         val = np.empty_like(r)
         val[near] = _poly(_PPND_C, r[near] - 1.6) / _poly(_PPND_D, r[near] - 1.6)
         val[~near] = _poly(_PPND_E, r[~near] - 5.0) / _poly(_PPND_F, r[~near] - 5.0)
-        out[~central] = np.where(qt < 0.0, -val, val)
+        out[tail] = np.where(qt < 0.0, -val, val)
     return float(out) if np.ndim(p) == 0 else out
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -294,6 +295,52 @@ def test_simulation_rejects_bad_smoothing_before_any_replication(
     config = SimConfig(n_reps=2, smoothing="bogus")
     with pytest.raises(ValueError, match="unknown combiner 'bogus'"):
         run_simulation(config, n_workers=2)
+
+
+BAD_SWEEPS = [
+    ({"family": "ladder"}, "unknown graph family 'ladder'"),
+    ({"setup": "bogus"}, "unknown signal setup 'bogus'"),
+    ({"p_nonnull": (0.3, 1.5)}, r"p_nonnull must be in \(0, 1\), got 1.5"),
+    ({"p_nonnull": (0.0,)}, r"p_nonnull must be in \(0, 1\), got 0.0"),
+    ({"rho": 1.0}, r"rho must be in \[0, 1\), got 1.0"),
+    ({"rho": -0.1}, r"rho must be in \[0, 1\), got -0.1"),
+]
+BAD_SWEEP_IDS = ["family", "setup", "p-above-one", "p-zero", "rho-one",
+                 "rho-negative"]
+
+
+@pytest.mark.parametrize("fields, message", BAD_SWEEPS, ids=BAD_SWEEP_IDS)
+def test_simulation_rejects_bad_sweep_before_any_replication(
+        monkeypatch, fields, message):
+    # family, setup, every p_nonnull and rho are checked with the methods,
+    # before any replication or worker
+    import focusfdr.simulate as sim
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_replicate", no_replication)
+    config = SimConfig(n_reps=3, **fields)
+    with pytest.raises(ValueError, match=message):
+        run_simulation(config, n_workers=2)
+
+
+@pytest.mark.parametrize("fields, message", BAD_SWEEPS, ids=BAD_SWEEP_IDS)
+def test_cli_simulate_rejects_bad_sweep(monkeypatch, tmp_path, capsys,
+                                       fields, message):
+    import focusfdr.simulate as sim
+
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_replicate", no_replication)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(fields))
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", str(cfg), "--reps", "3",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert re.search("error: " + message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])

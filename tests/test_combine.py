@@ -4,6 +4,7 @@ Expected values for the named combiners were frozen from scipy 1.15
 (combine_pvalues, beta.cdf) and hand enumeration of order statistics.
 """
 
+import tracemalloc
 import types
 from unittest import mock
 
@@ -20,6 +21,7 @@ from focusfdr.combine import (AnnotationNotNestedError, Combiner,
                               intersection_dag_pvalues, smooth_rows,
                               smooth_all_descendants, LengthMismatchError)
 from focusfdr.dag import build_dag, descendants
+from focusfdr.simulate import generate_graph
 from focusfdr.special import DomainError
 
 ALL_COMBINERS = [Combiner("fisher"), Combiner("stouffer"), Combiner("simes"),
@@ -265,7 +267,7 @@ def with_exact_bounds(rng, shape, share):
 
 
 @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
-       max_m=st.sampled_from([4, 12, 30]), r=st.sampled_from([1, 3]),
+       max_m=st.sampled_from([4, 12, 30]), r=st.sampled_from([1, 3, 40]),
        share=st.sampled_from([0.0, 0.05, 0.3]),
        comb=st.sampled_from(SMOOTHERS),
        gather=st.sampled_from([1, 7, 1 << 16]))
@@ -283,6 +285,26 @@ def test_smooth_rows_matches_per_node_oracle(seed, tree, max_m, r, share,
             with pytest.raises(UndefinedSegmentError) as info:
                 smooth_rows(dag, block, comb)
             assert info.value.node == bad
+
+
+@pytest.mark.parametrize("name", ["fisher", "stouffer", "simes", "tippett",
+                                  "bonferroni"])
+def test_smooth_rows_peak_memory_is_bounded(name):
+    # Fisher's and Stouffer's terms share one block-sized buffer, released
+    # before the block is copied for the output; the combined inner nodes
+    # are a compact (r, #inner) array
+    dag = generate_graph("deep-tree")
+    dag.descendant_closure
+    block = np.random.default_rng(3).uniform(size=(2000, dag.m))
+    comb = Combiner.from_name(name)
+    smooth_rows(dag, block[:2], comb)
+    tracemalloc.start()
+    try:
+        smooth_rows(dag, block, comb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block.nbytes
 
 
 def test_stouffer_smoothing_names_smallest_undefined_node():

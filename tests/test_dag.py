@@ -203,19 +203,57 @@ def mask_members(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
-@given(seed=st.integers(0, 2**32 - 1), shape=SHAPES,
-       max_m=st.sampled_from([2, 14, 40]))
-@settings(max_examples=100, deadline=None)
-def test_descendant_closure_rows_match_masks(seed, shape, max_m):
-    dag = GRAPHS[shape](np.random.default_rng(seed), max_m)
+def path(rng, max_m):
+    """A path through max_m nodes, numbered in a random order."""
+    ids = rng.permutation(max_m)
+    return build_dag(max_m, np.column_stack((ids[:-1], ids[1:])))
+
+
+def shared_levels(rng, max_m):
+    """Levels of up to 8 nodes, each non-root node taking 1-3 parents from
+    any shallower level, so rows of several levels share descendants and
+    a level's children lie in several deeper levels; ids are shuffled."""
+    sizes = rng.integers(1, 9, size=max_m)
+    sizes = sizes[:np.searchsorted(np.cumsum(sizes), max_m) + 1]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    ids = rng.permutation(int(starts[-1]))
+    edges = set()
+    for d in range(1, sizes.size):
+        for v in range(starts[d], starts[d + 1]):
+            # one parent in the level above keeps v at this depth
+            edges.add((int(rng.integers(starts[d - 1], starts[d])), v))
+            for u in rng.integers(0, starts[d], size=rng.integers(0, 3)):
+                edges.add((int(u), v))
+    return build_dag(ids.size, [(ids[a], ids[b]) for a, b in sorted(edges)])
+
+
+# (shape, max_m): the small shapes, then deep ones (many levels, children
+# several levels down, descendants shared across levels)
+CLOSURE_CASES = ([(shape, max_m) for shape in sorted(GRAPHS)
+                  for max_m in (2, 14, 40)]
+                 + [("near-tree", 200), ("path", 300),
+                    ("shared-levels", 60), ("shared-levels", 150)])
+CLOSURE_GRAPHS = {**GRAPHS, "path": path, "shared-levels": shared_levels}
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(CLOSURE_CASES))
+@settings(max_examples=150, deadline=None)
+def test_descendant_closure_rows_match_masks(seed, case):
+    shape, max_m = case
+    dag = CLOSURE_GRAPHS[shape](np.random.default_rng(seed), max_m)
     indptr, indices = dag.descendant_closure
+    assert indptr.dtype == indices.dtype == np.intp
+    assert not indptr.flags.writeable and not indices.flags.writeable
     assert indptr.shape == (dag.m + 1,) and indptr[0] == 0
     assert indices.size == indptr[-1]
     for v in range(dag.m):
         row = indices[indptr[v]:indptr[v + 1]]
-        assert row.tolist() == sorted(descendants(dag, v))
+        assert row.tolist() == sorted(mask_members(dag.descendant_masks[v]))
         assert np.array_equal(dag.descendant_indices(v), row)
-        # the searches behind ancestors/descendants against the bigint masks
+    # the searches behind ancestors/descendants against the bigint masks,
+    # on at most 40 nodes (a search on a deep graph takes a step per level)
+    rng = np.random.default_rng(seed)
+    for v in rng.permutation(dag.m)[:40].tolist():
         assert descendants(dag, v) == mask_members(dag.descendant_masks[v])
         assert ancestors(dag, v) == mask_members(dag.ancestor_masks[v])
 

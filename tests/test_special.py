@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import focusfdr.special as sp
 from focusfdr.special import (DomainError, beta_cdf, chisq_survival, erf,
                               erfc, normal_cdf, normal_quantile)
 
@@ -74,6 +75,69 @@ def test_normal_quantile_domain():
             normal_quantile(bad)
     with pytest.raises(DomainError):
         normal_quantile(np.array([0.5, 1.0]))
+
+
+def _horner(coeffs, r):
+    acc = coeffs[7]
+    for c in reversed(coeffs[:7]):
+        acc = acc * r + c
+    return acc
+
+
+def ppnd16(p):
+    """Wichura's AS 241 (PPND16) for one p, operation for operation as the
+    masked array kernel evaluated it: central rational for |p - 0.5| <=
+    0.425, else r = sqrt(-log(min(p, 1 - p))) and the r <= 5 or r > 5 tail
+    rational."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        return q * _horner(sp._PPND_A, r) / _horner(sp._PPND_B, r)
+    r = math.sqrt(-float(np.log(p if q < 0.0 else 1.0 - p)))
+    if r <= 5.0:
+        val = (_horner(sp._PPND_C, r - 1.6)
+               / _horner(sp._PPND_D, r - 1.6))
+    else:
+        val = (_horner(sp._PPND_E, r - 5.0)
+               / _horner(sp._PPND_F, r - 5.0))
+    return -val if q < 0.0 else val
+
+
+def _around(x, k=3):
+    """x and its k nearest floats on either side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        out += [lo, hi]
+    return out
+
+
+# the central/tail switch (|p - 0.5| = 0.425) and the tail's r = 5 switch
+# (p = exp(-25) and its mirror), each with its neighbouring floats
+QUANTILE_EDGES = (_around(0.075) + _around(0.925) + _around(math.exp(-25))
+                  + _around(1.0 - math.exp(-25))
+                  + [5e-324, 1e-300, 1e-20, 0.5, math.nextafter(1.0, 0.0)])
+UNIT_OPEN = st.floats(min_value=5e-324, max_value=math.nextafter(1.0, 0.0))
+QUANTILE_P = st.one_of(UNIT_OPEN, st.sampled_from(QUANTILE_EDGES),
+                       st.floats(1e-300, 1e-5), st.floats(1.0 - 1e-5, 1.0,
+                                                          exclude_max=True))
+
+
+@given(ps=st.lists(QUANTILE_P, min_size=1, max_size=60),
+       fortran=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_normal_quantile_matches_per_element_formula(ps, fortran):
+    # the kernel evaluates the central rational on every entry and indexes
+    # only the tails; each entry must still get exactly the bits of the
+    # per-entry formula
+    want = np.array([ppnd16(p) for p in ps])
+    assert np.array_equal(normal_quantile(np.array(ps)), want)
+    assert [normal_quantile(p) for p in ps] == want.tolist()
+    if len(ps) % 2 == 0:
+        grid = np.array(ps).reshape(2, -1, order="F" if fortran else "C")
+        assert np.array_equal(normal_quantile(grid),
+                              want.reshape(grid.shape, order="F"
+                                           if fortran else "C"))
 
 
 @pytest.mark.parametrize("x,df,expected", [
