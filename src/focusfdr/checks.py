@@ -200,10 +200,3 @@ SUITES = {
     "procedure-monotonicity": check_procedure_monotonicity,
     "outer-monotone-counterexample": check_outer_counterexample,
 }
-
-
-def run_suite(name, **kwargs):
-    if name not in SUITES:
-        raise UnknownSuiteError(
-            f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import io as fio
-from .checks import SUITES, UnknownSuiteError, run_suite
+from .checks import SUITES, UnknownSuiteError
 from .dag import compute_depths, group_index
 from .procedures import PROCEDURES
 from .simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec, SimConfig,
@@ -126,7 +126,8 @@ def build_parser():
                    help="Monte Carlo replications (suite default otherwise)")
     c.add_argument("--trials", type=int, default=None,
                    help="random trials (suite default otherwise)")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, default=None,
+                   help="random seed (suite default otherwise)")
 
     g = sub.add_parser("graph-info", help="structure summary of an edge list")
     g.add_argument("--dag", required=True)
@@ -189,18 +190,21 @@ def _cmd_simulate(args):
 
 
 def _cmd_check(args):
-    kwargs = {"seed": args.seed}
-    if args.reps is not None:
-        kwargs["n_mc"] = args.reps
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    fn = SUITES.get(args.suite)
-    if fn is None:
+    suite = SUITES.get(args.suite)
+    if suite is None:
         raise UnknownSuiteError(f"unknown suite {args.suite!r}; "
                                 f"choose from {sorted(SUITES)}")
-    accepted = set(inspect.signature(fn).parameters)
-    kwargs = {k: v for k, v in kwargs.items() if k in accepted}
-    ok, lines = run_suite(args.suite, **kwargs)
+    accepted = inspect.signature(suite).parameters
+    kwargs = {}
+    for flag, name, value in (("--reps", "n_mc", args.reps),
+                              ("--trials", "trials", args.trials),
+                              ("--seed", "seed", args.seed)):
+        if value is None:
+            continue
+        if name not in accepted:
+            raise ValueError(f"{flag} does not apply to suite {args.suite!r}")
+        kwargs[name] = value
+    ok, lines = suite(**kwargs)
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {args.suite}")
     for line in lines:

@@ -80,11 +80,13 @@ class Dag:
     ``depth`` holds longest-path depths (roots have 1), ``topo_order`` the
     nodes by (depth, id).  ``edge_parent`` / ``edge_child`` list the edges
     by (child depth, child, parent), those into depth d at positions
-    ``level_ptr[d - 1]:level_ptr[d]``; node v's parents, ascending, are
+    ``level_ptr[d - 1]:level_ptr[d]``, and the nodes of depth d are
+    ``topo_order[node_ptr[d - 1]:node_ptr[d]]``; node v's parents,
+    ascending, are
     ``edge_parent[parent_start[v]:parent_start[v] + in_degree[v]]``.  The
     child CSR lists the edges by (parent, child): v's children are
     ``child_indices[child_indptr[v]:child_indptr[v + 1]]``.  ``roots`` and
-    ``leaves`` are tuples of ids.
+    ``leaves`` are ascending id arrays.
 
     ``children`` / ``parents`` (per-node tuples of ids) and ``edges`` (a
     frozenset of pairs) are lazily built, cached views of these arrays.
@@ -111,16 +113,18 @@ class Dag:
         self.depth = _read_only(depth)
         self.edge_parent = _read_only(parent[by_depth])
         self.edge_child = _read_only(child[by_depth])
-        self.level_ptr = _read_only(np.cumsum(np.bincount(
-            depth[child], minlength=depth.max(initial=0) + 1)))
         topo = np.argsort(depth, kind="stable")
-        self.topo_order = tuple(topo.tolist())
+        self.topo_order = _read_only(topo)
+        self.node_ptr = _read_only(np.cumsum(np.bincount(depth, minlength=1)))
+        # the edges into the nodes before each position of topo_order
+        before = np.concatenate(([0], np.cumsum(in_degree[topo])))
+        self.level_ptr = _read_only(before[self.node_ptr])
         start = np.empty(m, dtype=np.intp)
-        start[topo] = np.cumsum(in_degree[topo]) - in_degree[topo]
+        start[topo] = before[:-1]
         self.parent_start = _read_only(start)
         self.in_degree = _read_only(in_degree)
-        self.roots = tuple(np.flatnonzero(in_degree == 0).tolist())
-        self.leaves = tuple(np.flatnonzero(n_kids == 0).tolist())
+        self.roots = _read_only(np.flatnonzero(in_degree == 0))
+        self.leaves = _read_only(np.flatnonzero(n_kids == 0))
 
     def _levels(self, parent, n_kids, in_degree):
         """Kahn's algorithm a whole level per round over the child CSR: the
@@ -179,7 +183,7 @@ class Dag:
     def ancestor_masks(self):
         """Per-node bitmask of strict ancestors (bit i set <=> i is an ancestor)."""
         masks = [0] * self.m
-        for v in self.topo_order:
+        for v in self.topo_order.tolist():
             acc = 0
             for p in self.parents[v]:
                 acc |= masks[p] | (1 << p)
@@ -190,7 +194,7 @@ class Dag:
     def descendant_masks(self):
         """Per-node bitmask of strict descendants."""
         masks = [0] * self.m
-        for v in reversed(self.topo_order):
+        for v in reversed(self.topo_order.tolist()):
             acc = 0
             for c in self.children[v]:
                 acc |= masks[c] | (1 << c)
@@ -217,8 +221,7 @@ class Dag:
         # row is blocks[depth[v] - 1][start[v]:start[v] + count[v]]
         start = np.zeros(m, dtype=np.intp)
         count = np.zeros(m, dtype=np.intp)
-        topo = np.fromiter(self.topo_order, dtype=np.intp, count=m)
-        bounds = np.cumsum(np.bincount(depth, minlength=1))
+        topo, bounds = self.topo_order, self.node_ptr
         levels = [topo[a:b][n_kids[topo[a:b]] > 0]
                   for a, b in zip(bounds[:-1], bounds[1:])]
         blocks = [np.empty(0, dtype=np.intp)] * len(levels)
@@ -356,17 +359,13 @@ class DepthIndex:
     levels: dict
     max_depth: int
 
-    def nodes_at(self, d):
-        return self.levels[d]
-
 
 def compute_depths(dag):
     """Longest-path depth per node, from the Dag's level pass, and the nodes
-    of each depth in ascending order."""
-    order = np.fromiter(dag.topo_order, dtype=np.intp, count=dag.m)
-    bounds = np.cumsum(np.bincount(dag.depth, minlength=1))
-    levels = {d: order[bounds[d - 1]:bounds[d]] for d in range(1, bounds.size)}
-    return DepthIndex(depth=dag.depth, levels=levels, max_depth=len(levels))
+    of each depth in ascending order (read-only views of ``topo_order``)."""
+    topo, ptr = dag.topo_order, dag.node_ptr
+    levels = {d: topo[ptr[d - 1]:ptr[d]] for d in range(1, ptr.size)}
+    return DepthIndex(depth=dag.depth, levels=levels, max_depth=ptr.size - 1)
 
 
 def level_sweep(dag, ufunc, values, upward=False):
@@ -412,15 +411,17 @@ def descendants(dag, node):
 class GroupIndex:
     """Sibling groups as arrays: group g has ``group_parent[g]`` (-1 for the
     roots' dummy parent), ``group_depth[g]`` and ``group_size[g]``, and
-    membership k puts node ``mem_node[k]`` in group ``mem_group[k]``."""
+    membership k puts node ``mem_node[k]`` in group ``mem_group[k]``.
+    ``n_d[d]`` (groups at depth d) and ``depth_sizes[d]`` (|H_d|) are
+    integer arrays over depths 0..max_depth, 0 at depth 0."""
 
     mem_node: np.ndarray
     mem_group: np.ndarray
     group_parent: np.ndarray
     group_depth: np.ndarray
     group_size: np.ndarray
-    n_d: dict
-    depth_sizes: dict
+    n_d: np.ndarray
+    depth_sizes: np.ndarray
 
 
 def group_index(dag, depths):
@@ -430,11 +431,10 @@ def group_index(dag, depths):
     every edge (a, c) makes c a member of a's group at depth(c), so for
     d > 1, n_d counts the nodes (at any shallower depth) with at least one
     child of depth d.  Groups are ordered by (depth, parent) and memberships
-    by (group, node); ``depth_sizes`` holds |H_d|.
+    by (group, node); ``depth_sizes`` comes from the Dag's ``node_ptr``.
     """
-    roots = np.flatnonzero(depths.depth == 1)
-    parent = np.concatenate([np.full(roots.size, -1), dag.edge_parent])
-    child = np.concatenate([roots, dag.edge_child])
+    parent = np.concatenate([np.full(dag.roots.size, -1), dag.edge_parent])
+    child = np.concatenate([dag.roots, dag.edge_child])
     order = np.lexsort((child, parent, depths.depth[child]))
     parent, child = parent[order], child[order]
     child_depth = depths.depth[child]
@@ -446,8 +446,7 @@ def group_index(dag, depths):
     return GroupIndex(
         mem_node=child, mem_group=mem_group, group_parent=parent[first],
         group_depth=child_depth[first], group_size=np.bincount(mem_group),
-        n_d={d: int(n_d[d]) for d in depths.levels},
-        depth_sizes={d: len(level) for d, level in depths.levels.items()})
+        n_d=n_d, depth_sizes=np.diff(dag.node_ptr, prepend=0))
 
 
 def is_tree(dag):

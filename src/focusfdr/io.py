@@ -30,7 +30,7 @@ from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
 from .filters import FilterSpec, is_monotonic
 from .procedures import FOCUSED, check_procedure, run_procedure
 from .special import DomainError
-from .weights import WeightConfig, parse_lambda_policy
+from .weights import WeightConfig, check_dw_depths, parse_lambda_policy
 
 
 class ParseError(ValueError):
@@ -247,9 +247,9 @@ def structure_summary(dag, depths, groups):
     return {
         "m": dag.m,
         "max_depth": depths.max_depth,
-        "depth_sizes": {str(d): int(len(depths.levels[d]))
-                        for d in sorted(depths.levels)},
-        "n_d": {str(d): int(groups.n_d[d]) for d in sorted(groups.n_d)},
+        "depth_sizes": {str(d): n for d, n in
+                        enumerate(groups.depth_sizes[1:].tolist(), 1)},
+        "n_d": {str(d): n for d, n in enumerate(groups.n_d[1:].tolist(), 1)},
         "is_tree": is_tree(dag),
         "disjoint_descendant_depths":
             sorted(disjoint_descendant_depths(dag, depths)),
@@ -285,16 +285,11 @@ def analyze(request):
         raise ValueError(f"unknown reshaping {request.reshaping!r}")
     reshaped = request.reshaping == "by"
     check_procedure(request.method, reshaped, request.yk_divisor)
+    lam = request.resolved_lambda()
     names, name_to_id, dag = read_dag(request.dag_file)
     depths = compute_depths(dag)
-    if not isinstance(request.dw, str):
-        for d in sorted(request.dw):
-            if not 1 <= d <= depths.max_depth:
-                raise ValueError(
-                    f"dw depth {d} is outside [1, {depths.max_depth}]: "
-                    f"{request.dag_file} has max depth {depths.max_depth}")
+    check_dw_depths(request.dw, depths.max_depth, request.dag_file)
     groups = group_index(dag, depths)
-    lam = request.resolved_lambda()
 
     try:
         if request.items_file is not None:

@@ -234,7 +234,7 @@ def yekutieli_tree(dag, pvalues, level):
 
     ptr, kids = dag.child_indptr, dag.child_indices
     rejected = set()
-    frontier = [list(dag.roots)]
+    frontier = [dag.roots.tolist()]
     while frontier:
         family = frontier.pop()
         if not family:

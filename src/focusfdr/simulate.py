@@ -26,10 +26,9 @@ from .dag import (build_dag, check_heredity, compute_depths, group_index,
 from .filters import FilterSpec
 from .procedures import check_procedure, run_procedure
 from .special import normal_cdf
-from .weights import (WeightConfig, WeightWorkspace, parse_lambda_policy,
-                      resolve_dw)
+from .weights import (WeightConfig, WeightWorkspace, check_dw_depths,
+                      parse_lambda_policy, resolve_dw)
 
-GRAPH_FAMILIES = ("wide-tree", "bipartite1", "deep-tree", "bipartite2")
 SIGNAL_SETUPS = ("global", "decremental", "incremental")
 
 
@@ -52,6 +51,10 @@ _WIDE_TREE = build_dag(550, _stars(np.arange(50),
                                    np.arange(50, 550).reshape(50, 10)))
 _DEEP_TREE = build_dag(555, _stars(np.arange(55),
                                    np.arange(5, 555).reshape(55, 10)))
+# each family and the max depth of its every graph: the trees' own, and 2
+# for the bipartite families, whose roots point straight at leaves
+GRAPH_FAMILIES = {"wide-tree": _WIDE_TREE.node_ptr.size - 1, "bipartite1": 2,
+                  "deep-tree": _DEEP_TREE.node_ptr.size - 1, "bipartite2": 2}
 
 
 def _bipartite1(rng, max_tries=1000):
@@ -112,11 +115,10 @@ def assign_truth(dag, p_nonnull, seed=0):
     the ancestor-heredity assumption."""
     _check_p_nonnull(p_nonnull)
     rng = np.random.default_rng(seed)
-    leaves = np.asarray(dag.leaves, dtype=np.intp)
-    k = round(p_nonnull * leaves.size)
+    k = round(p_nonnull * dag.leaves.size)
     nonnull = np.zeros(dag.m, dtype=bool)
     if k > 0:
-        nonnull[rng.choice(leaves, size=k, replace=False)] = True
+        nonnull[rng.choice(dag.leaves, size=k, replace=False)] = True
     level_sweep(dag, np.logical_or, nonnull, upward=True)
     out = frozenset(np.flatnonzero(nonnull).tolist())
     assert check_heredity(dag, out)
@@ -214,10 +216,10 @@ class SimSummary:
 
 
 def _resolve_methods(config):
-    """Check the whole sweep (family, setup, every p_nonnull, rho, every
-    method and the smoothing) and parse it once, before any replication;
-    returns (weight config, ((procedure, FilterSpec), ...), Combiner or
-    None) for the replications."""
+    """Check the whole sweep (family, setup, every p_nonnull, rho, the dw
+    depths, lambda, every method and the smoothing) and parse it once,
+    before any replication; returns (weight config, ((procedure,
+    FilterSpec), ...), Combiner or None) for the replications."""
     if config.family not in GRAPH_FAMILIES:
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
@@ -225,6 +227,8 @@ def _resolve_methods(config):
     for p_nonnull in config.p_nonnull:
         _check_p_nonnull(p_nonnull)
     _check_rho(config.rho)
+    check_dw_depths(config.dw, GRAPH_FAMILIES[config.family],
+                    f"graph family {config.family!r}")
     for spec in config.methods:
         check_procedure(spec.procedure, yk_divisor=config.yk_divisor)
     weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,

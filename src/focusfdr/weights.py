@@ -48,17 +48,29 @@ def _check_lambda(lam):
 
 def parse_lambda_policy(policy, q):
     """Storey's lambda under a policy string: "q" (lambda = q) or
-    "fixed:<value>"."""
+    "fixed:<value>" with the value in (0, 1)."""
     if policy == "q":
         return q
     if policy.startswith("fixed:"):
         text = policy.split(":", 1)[1]
         try:
-            return float(text)
+            lam = float(text)
         except ValueError:
             raise ValueError(f"lambda policy {policy!r}: {text!r} is not a "
                              "number") from None
+        _check_lambda(lam)
+        return lam
     raise ValueError(f"unknown lambda policy {policy!r}")
+
+
+def check_dw_depths(dw, max_depth, graph):
+    """Reject explicit dw depths outside [1, max_depth] of ``graph``."""
+    if isinstance(dw, str):
+        return
+    bad = [d for d in sorted(dw) if not 1 <= d <= max_depth]
+    if bad:
+        raise ValueError(f"dw depth {bad[0]} is outside [1, {max_depth}]: "
+                         f"{graph} has max depth {max_depth}")
 
 
 def storey_pi0(pvalues, lam):
@@ -70,16 +82,26 @@ def storey_pi0(pvalues, lam):
     return float((1.0 + np.count_nonzero(arr > lam)) / (arr.size * (1.0 - lam)))
 
 
+def _depth_rule(groups, lam, c):
+    """Per depth 1..max_depth: is some group there larger than c (Storey
+    eligible), and the minimum possible weight n_d / ((1 - lam) |H_d|)."""
+    _check_lambda(lam)
+    storey = np.zeros(groups.n_d.size, dtype=bool)
+    storey[groups.group_depth[groups.group_size > c]] = True
+    n_d, sizes = groups.n_d[1:], groups.depth_sizes[1:]
+    return storey[1:], n_d / ((1.0 - lam) * sizes)
+
+
 def min_possible_weight(d, groups, lam, c=1):
     """Smallest weight any hypothesis at depth d can receive, n_d/((1-lam)|H_d|).
 
     Only defined when some group at d is large enough (> c) for Storey
     estimation; smaller groups carry data-free ratio weights instead.
     """
-    _check_lambda(lam)
-    if not np.any(groups.group_size[groups.group_depth == d] > c):
+    storey, floor = _depth_rule(groups, lam, c)
+    if not (1 <= d <= storey.size and storey[d - 1]):
         raise NoEligibleGroupError(f"no group at depth {d} larger than c={c}")
-    return groups.n_d[d] / ((1.0 - lam) * groups.depth_sizes[d])
+    return float(floor[d - 1])
 
 
 def auto_dw(groups, depths, lam, c=1):
@@ -88,15 +110,11 @@ def auto_dw(groups, depths, lam, c=1):
     A depth is gated unless its minimum possible weight already exceeds one
     (in which case adaptive weights could only hurt).  Depths whose groups
     are all at or below the size threshold keep their data-free ratio
-    weights and are always gated.  The rule never looks at p-values.
+    weights and are always gated.  The rule never looks at p-values; the
+    depths come from ``groups``' per-depth tables.
     """
-    out = set()
-    for d in range(1, depths.max_depth + 1):
-        if not np.any(groups.group_size[groups.group_depth == d] > c):
-            out.add(d)
-        elif min_possible_weight(d, groups, lam, c) <= 1.0:
-            out.add(d)
-    return frozenset(out)
+    storey, floor = _depth_rule(groups, lam, c)
+    return frozenset((np.flatnonzero(~storey | (floor <= 1.0)) + 1).tolist())
 
 
 def resolve_dw(config, groups, depths):
@@ -129,14 +147,11 @@ class WeightWorkspace:
     """
 
     def __init__(self, groups, depths, dw, c):
-        self.dw = frozenset(dw)
-        self.c = c
         self.m = m = len(depths.depth)
         depth, size = groups.group_depth, groups.group_size
         # the size ratio K = size / |H_d| * n_d, in this float order
-        ratio = (size / np.bincount(depths.depth)[depth]
-                 * np.bincount(depth)[depth])
-        gated = np.isin(depth, list(self.dw))[groups.mem_group]
+        ratio = size / groups.depth_sizes[depth] * groups.n_d[depth]
+        gated = np.isin(depth, list(dw))[groups.mem_group]
         self.mem_node = groups.mem_node[gated]
         self.mem_group = groups.mem_group[gated]
         # per-membership copies of each group's size, ratio and branch

@@ -226,6 +226,59 @@ def test_cli_simulate_bad_lambda_policy_names_flag(tmp_path, capsys):
     assert "lambda policy 'fixed:abc'" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_replication(monkeypatch):
+    import focusfdr.simulate as sim
+
+    def replicate(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_replicate", replicate)
+
+
+@pytest.mark.parametrize("policy", ["fixed:1.5", "fixed:1", "fixed:0",
+                                    "fixed:-0.2"])
+@pytest.mark.parametrize("method", ["fbh", "wfbh", "bh"])
+def test_cli_analyze_rejects_lambda_outside_unit_interval(chain_files, capsys,
+                                                          policy, method):
+    code = main(["analyze", "--dag", chain_files[0],
+                 "--pvalues", chain_files[1], "--method", method,
+                 "--lambda-policy", policy])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "error: lambda must be in (0, 1), got " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("policy", ["fixed:7", "fixed:1", "fixed:0"])
+@pytest.mark.parametrize("methods", ["bh", "wfbh:ds"])
+def test_cli_simulate_rejects_lambda_outside_unit_interval(
+        no_replication, tmp_path, capsys, policy, methods):
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--family", "wide-tree", "--p", "0.3",
+                 "--reps", "2", "--methods", methods,
+                 "--lambda-policy", policy, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "error: lambda must be in (0, 1), got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, max_depth, dw", [
+    ("wide-tree", 2, "7"), ("wide-tree", 2, "1,3"), ("deep-tree", 3, "4"),
+    ("bipartite1", 2, "0"), ("bipartite2", 2, "2,3")])
+def test_cli_simulate_rejects_dw_outside_family_depths(
+        no_replication, tmp_path, capsys, family, max_depth, dw):
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--family", family, "--p", "0.3", "--reps", "2",
+                 "--dw", dw, "--out", str(out)])
+    assert code == EXIT_INPUT
+    bad = [d for d in dw.split(",") if not 1 <= int(d) <= max_depth][0]
+    assert (f"error: dw depth {bad} is outside [1, {max_depth}]: graph "
+            f"family {family!r} has max depth {max_depth}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["bh", "storey-bh", "by", "yekutieli-tree"])
 def test_cli_analyze_rejects_reshaping_without_filtered_count(chain_files,
                                                               capsys, method):
@@ -537,6 +590,19 @@ def test_cli_check_superuniformity_small(capsys):
 def test_cli_check_unknown_suite(capsys):
     assert main(["check", "nonsense"]) == EXIT_INPUT
     assert "error: unknown suite 'nonsense'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, flag", [
+    ("oracle-tstar", "--reps"), ("condition1", "--trials"),
+    ("superuniformity", "--trials"),
+    ("outer-monotone-counterexample", "--seed"),
+    ("outer-monotone-counterexample", "--reps"),
+    ("outer-monotone-counterexample", "--trials")])
+def test_cli_check_rejects_flags_the_suite_does_not_take(capsys, suite, flag):
+    assert main(["check", suite, flag, "5"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"error: {flag} does not apply to suite {suite!r}" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_check_failure_exit_code(monkeypatch, capsys):

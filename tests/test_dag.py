@@ -30,7 +30,7 @@ def random_dag(rng, max_m=14, edge_prob=0.3):
 
 def test_build_chain():
     dag = chain3()
-    assert dag.roots == (0,) and dag.leaves == (2,)
+    assert dag.roots.tolist() == [0] and dag.leaves.tolist() == [2]
 
 
 def test_build_rejects_cycle():
@@ -49,7 +49,7 @@ def test_build_rejects_self_loop_duplicate_out_of_range():
 
 def test_build_diamond_tail():
     dag = diamond_tail()
-    assert dag.roots == (0, 1)
+    assert dag.roots.tolist() == [0, 1]
     assert dag.children[2] == (3,)
     assert dag.parents[2] == (0, 1)
 
@@ -110,7 +110,8 @@ def test_group_index_chain():
     dag = chain3()
     depths = compute_depths(dag)
     groups = group_index(dag, depths)
-    assert groups.n_d == {1: 1, 2: 1, 3: 1}
+    assert groups.n_d.tolist() == [0, 1, 1, 1]
+    assert groups.depth_sizes.tolist() == [0, 1, 1, 1]
     # the root group comes first, under the dummy parent
     assert groups.group_parent[0] == -1 and groups.group_depth[0] == 1
     assert members_of(groups, 0) == [0]
@@ -139,12 +140,17 @@ def test_group_index_partition_and_membership_random():
         for v, g in zip(groups.mem_node, groups.mem_group):
             assert groups.group_depth[g] == depths.depth[v]
             assert groups.group_parent[g] in (dag.parents[v] or (-1,))
-        # n_d formula: nodes at shallower depths with children at depth d
-        for d in range(2, depths.max_depth + 1):
-            count = sum(1 for a in range(dag.m)
-                        if depths.depth[a] < d
-                        and any(depths.depth[c] == d for c in dag.children[a]))
-            assert groups.n_d[d] == count
+        # n_d formula: nodes at shallower depths with children at depth d;
+        # |H_d| counts the nodes of depth d; both 0 at depth 0
+        n_d = [0, 1] + [sum(1 for a in range(dag.m)
+                            if depths.depth[a] < d
+                            and any(depths.depth[c] == d
+                                    for c in dag.children[a]))
+                        for d in range(2, depths.max_depth + 1)]
+        assert groups.n_d.tolist() == n_d
+        assert groups.depth_sizes.tolist() == [
+            int(np.sum(depths.depth == d))
+            for d in range(depths.max_depth + 1)]
 
 
 def test_group_index_tree_single_membership():
@@ -422,10 +428,18 @@ def test_level_pass_matches_per_node_loops(seed, shape, max_m, edge_prob):
     for d, level in depths.levels.items():
         assert level.tolist() == [v for v in range(dag.m) if depth[v] == d]
 
-    # a topological order: every node once, every edge forward
-    position = {v: i for i, v in enumerate(dag.topo_order)}
+    # a topological order: every node once, every edge forward, cut at
+    # each depth by node_ptr
+    position = {v: i for i, v in enumerate(dag.topo_order.tolist())}
     assert sorted(position) == list(range(dag.m))
     assert all(position[a] < position[c] for a, c in dag.edges)
+    node_ptr = dag.node_ptr.tolist()
+    assert node_ptr == [sum(x <= d for x in depth)
+                        for d in range(depths.max_depth + 1)]
+    assert dag.roots.tolist() == [v for v in range(dag.m)
+                                  if not dag.parents[v]]
+    assert dag.leaves.tolist() == [v for v in range(dag.m)
+                                   if not dag.children[v]]
 
     # every edge once, by (child depth, child, parent), cut at each level
     edges = list(zip(dag.edge_parent.tolist(), dag.edge_child.tolist()))
@@ -450,9 +464,10 @@ def test_level_pass_matches_per_node_loops(seed, shape, max_m, edge_prob):
     for v in range(dag.m):
         assert [g for n, g in pairs if n == v] == \
             [position[g] for g in node_groups[v]]
-    assert groups.n_d == {d: sum(g[1] == d for g in flat)
-                          for d in depths.levels}
-    assert groups.depth_sizes == {d: depth.count(d) for d in depths.levels}
+    assert groups.n_d.tolist() == [sum(g[1] == d for g in flat)
+                                   for d in range(depths.max_depth + 1)]
+    assert groups.depth_sizes.tolist() == [depth.count(d) for d in
+                                           range(depths.max_depth + 1)]
 
 
 @given(**STRUCTURE_CASE)

@@ -235,15 +235,18 @@ def test_array_dag_matches_per_edge_loop(case, form):
         return
     dag = build_dag(m, given_edges)
     assert dag.depth.tolist() == want["depth"]
-    assert dag.topo_order == want["topo_order"]
     assert list(zip(dag.edge_parent.tolist(), dag.edge_child.tolist())) \
         == want["edge_order"]
-    for name in ("edges", "children", "parents", "roots", "leaves"):
+    for name in ("topo_order", "roots", "leaves"):
+        assert tuple(getattr(dag, name).tolist()) == want[name], name
+    for name in ("edges", "children", "parents"):
         assert getattr(dag, name) == want[name], name
     assert isinstance(dag.edges, frozenset)
     assert dag.children is dag.children     # cached
     for array in (dag.depth, dag.edge_parent, dag.child_indices,
-                  dag.parent_start):
+                  dag.parent_start, dag.topo_order, dag.node_ptr, dag.roots,
+                  dag.leaves):
+        assert array.dtype == np.intp
         assert not array.flags.writeable
 
 

@@ -5,10 +5,14 @@ attribute it reads from a focusfdr module imported that way
 (``from focusfdr import io as fio`` ... ``fio.analyze``) and every
 attribute it reads from a variable named ``dag``, ``depths`` or ``groups``
 (``dag.edges``), which must exist on a built Dag, DepthIndex or GroupIndex.
-The benchmark's files are only read, never imported or run."""
+Every focusfdr function or class it calls, directly (``fio.analyze(r)``) or
+through its tracer (``tr.call(label, fn, *args)``), must accept the call's
+positional count and keyword names.  The benchmark's files are only read,
+never imported or run."""
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -33,20 +37,28 @@ def _trees():
                               filename=str(path))
 
 
+def _focusfdr_imports(tree):
+    """The ``from focusfdr... import`` statements of a file."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "focusfdr"]
+
+
+def _aliases(tree):
+    """{local name: (module, name)} for each name imported from focusfdr."""
+    return {alias.asname or alias.name: (node.module, alias.name)
+            for node in _focusfdr_imports(tree) for alias in node.names}
+
+
 def _references():
     """(where, module, name) for each imported name, then for each
     attribute read from an imported focusfdr module."""
     refs = []
     for path, tree in _trees():
-        aliases = {}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.ImportFrom) and node.module
-                    and node.module.split(".")[0] == "focusfdr"):
-                for alias in node.names:
-                    refs.append((f"{path.name}:{node.lineno}", node.module,
-                                 alias.name))
-                    aliases[alias.asname or alias.name] = (node.module,
-                                                           alias.name)
+        for node in _focusfdr_imports(tree):
+            refs.extend((f"{path.name}:{node.lineno}", node.module,
+                         alias.name) for alias in node.names)
+        aliases = _aliases(tree)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
@@ -111,3 +123,75 @@ def test_perfbench_instance_reads_are_found():
 def test_perfbench_instance_read_exists(where, variable, attr):
     assert hasattr(BUILT[variable], attr), \
         f"perfbench/{where}: {variable}.{attr} is not an attribute"
+
+
+def _focusfdr_callee(node, aliases):
+    """The focusfdr function or class that the expression ``node`` names
+    (``name``, ``alias.attr``, ``Class.method``), else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not (isinstance(node, ast.Name) and node.id in aliases):
+        return None
+    try:
+        target = _resolve(*aliases[node.id])
+    except ImportError:
+        return None             # reported by the import's own test
+    for attr in reversed(attrs):
+        target = getattr(target, attr, None)
+    if (isinstance(target, types.ModuleType) or not callable(target)
+            or not getattr(target, "__module__", "").startswith("focusfdr")):
+        return None
+    return target
+
+
+def _calls():
+    """(where, callee source, callee, positional count, keyword names,
+    starred) for each call of a focusfdr callable, the tracer's
+    ``call(label, fn, *args, **kwargs)`` counted as a call of ``fn``."""
+    out = []
+    for path, tree in _trees():
+        aliases = _aliases(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn, args = node.func, node.args
+            if (isinstance(fn, ast.Attribute) and fn.attr == "call"
+                    and len(args) >= 2):
+                fn, args = args[1], args[2:]
+            callee = _focusfdr_callee(fn, aliases)
+            if callee is None:
+                continue
+            starred = (any(isinstance(a, ast.Starred) for a in args)
+                       or any(k.arg is None for k in node.keywords))
+            out.append((f"{path.name}:{node.lineno}", ast.unparse(fn), callee,
+                        sum(not isinstance(a, ast.Starred) for a in args),
+                        tuple(k.arg for k in node.keywords if k.arg),
+                        starred))
+    return out
+
+
+CALLS = _calls()
+
+
+def test_perfbench_calls_are_found():
+    found = {(source, n_args) for _, source, _, n_args, _, _ in CALLS}
+    # direct calls and calls through the tracer, with their positional counts
+    assert {("FilterSpec.from_name", 1), ("generate_graph", 2),
+            ("group_index", 2), ("dag_weights", 5), ("fio.read_edge_csv", 1),
+            ("wfbh", 5), ("sample_pvalues", 6), ("WeightConfig", 0)} <= found
+
+
+@pytest.mark.parametrize("where,source,callee,n_args,keywords,starred", CALLS,
+                         ids=[f"{c[0]}:{c[1]}" for c in CALLS])
+def test_perfbench_call_binds_to_signature(where, source, callee, n_args,
+                                           keywords, starred):
+    signature = inspect.signature(callee)
+    bind = signature.bind_partial if starred else signature.bind
+    try:
+        bind(*[None] * n_args, **dict.fromkeys(keywords))
+    except TypeError as exc:
+        pytest.fail(f"perfbench/{where}: {source}{signature} does not take "
+                    f"{n_args} positional argument(s) and keywords "
+                    f"{list(keywords)}: {exc}")

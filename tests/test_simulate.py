@@ -42,13 +42,13 @@ def test_family_group_counts():
 
     dag = generate_graph("deep-tree")
     depths = compute_depths(dag)
-    assert group_index(dag, depths).n_d == {1: 1, 2: 5, 3: 50}
+    assert group_index(dag, depths).n_d.tolist() == [0, 1, 5, 50]
     dag = generate_graph("bipartite2", 4)
     depths = compute_depths(dag)
-    assert group_index(dag, depths).n_d == {1: 1, 2: 61}
+    assert group_index(dag, depths).n_d.tolist() == [0, 1, 61]
     dag = generate_graph("wide-tree")
     depths = compute_depths(dag)
-    assert group_index(dag, depths).n_d == {1: 1, 2: 50}
+    assert group_index(dag, depths).n_d.tolist() == [0, 1, 50]
 
 
 def test_bipartite1_counts():
@@ -287,6 +287,21 @@ def test_smoothing_config_changes_results():
     h1 = plain.histories[("wfbh+ds", 0.3)]
     h2 = smoothed.histories[("wfbh+ds", 0.3)]
     assert not np.array_equal(h1, h2)
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_dw_depths_range_over_the_family_max_depth(family):
+    # every graph of a family has one max depth, the top of the dw range
+    tops = {compute_depths(generate_graph(family, seed)).max_depth
+            for seed in range(4)}
+    assert len(tops) == 1
+    top = tops.pop()
+    config = _small_config(family=family, p_nonnull=(0.3,), n_reps=1,
+                           dw=frozenset({top}))
+    assert len(run_simulation(config).cells) == len(config.methods)
+    with pytest.raises(ValueError, match=rf"dw depth {top + 1} is outside "
+                                         rf"\[1, {top}\]: graph family"):
+        run_simulation(_small_config(family=family, dw=frozenset({top + 1})))
 
 
 def test_lambda_policy_q():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfdr.checks import random_dag, random_near_tree
+from focusfdr.checks import random_dag, random_near_tree, random_tree
 from focusfdr.combine import EmptyInputError
 from focusfdr.dag import build_dag, compute_depths, group_index
 from focusfdr.simulate import generate_graph
 from focusfdr.weights import (LambdaOutOfRangeError, NoEligibleGroupError,
                               WeightConfig, WeightWorkspace, auto_dw,
                               dag_weights, min_possible_weight,
-                              resolve_dw, storey_pi0)
+                              parse_lambda_policy, resolve_dw, storey_pi0)
 
 
 def _indexes(dag):
@@ -76,6 +76,65 @@ def test_auto_dw_includes_small_group_depths():
     dag = build_dag(3, [(0, 1), (1, 2)])
     depths, groups = _indexes(dag)
     assert auto_dw(groups, depths, 0.5, 1) == {1, 2, 3}
+
+
+def per_depth_rule(dag, depths, lam, c):
+    """The auto-dw rule as a literal loop over depths, from the children
+    lists: per depth, (gated, minimum possible weight or None when no group
+    there is larger than c)."""
+    depth = depths.depth.tolist()
+    out = {}
+    for d in range(1, depths.max_depth + 1):
+        if d == 1:
+            groups = [[v for v in range(dag.m) if depth[v] == 1]]
+        else:
+            groups = [[k for k in dag.children[a] if depth[k] == d]
+                      for a in range(dag.m)]
+            groups = [g for g in groups if g]
+        size = sum(1 for v in range(dag.m) if depth[v] == d)
+        if any(len(g) > c for g in groups):
+            floor = len(groups) / ((1.0 - lam) * size)
+            out[d] = (floor <= 1.0, floor)
+        else:
+            out[d] = (True, None)
+    return out
+
+
+RULE_GRAPHS = {"dag": random_dag, "tree": random_tree,
+               "near-tree": random_near_tree}
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(sorted(RULE_GRAPHS)),
+       max_m=st.sampled_from([2, 14, 40]), c=st.sampled_from([0, 1, 2, 5]),
+       lam=st.one_of(st.sampled_from([0.25, 0.5, 0.75]),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+@settings(max_examples=300, deadline=None)
+def test_auto_dw_and_min_possible_weight_match_per_depth_loop(seed, shape,
+                                                              max_m, c, lam):
+    dag = RULE_GRAPHS[shape](np.random.default_rng(seed), max_m)
+    depths, groups = _indexes(dag)
+    rule = per_depth_rule(dag, depths, lam, c)
+    got = auto_dw(groups, depths, lam, c)
+    assert got == {d for d, (gated, _) in rule.items() if gated}
+    assert all(type(d) is int for d in got)
+    for d, (_, floor) in rule.items():
+        if floor is None:
+            with pytest.raises(NoEligibleGroupError):
+                min_possible_weight(d, groups, lam, c)
+        else:
+            got_floor = min_possible_weight(d, groups, lam, c)
+            assert type(got_floor) is float and got_floor == floor
+    for d in (0, depths.max_depth + 1):
+        with pytest.raises(NoEligibleGroupError):
+            min_possible_weight(d, groups, lam, c)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1", "0", "-0.2", "7", "nan"])
+def test_parse_lambda_policy_rejects_fixed_outside_unit_interval(text):
+    with pytest.raises(LambdaOutOfRangeError,
+                       match=r"lambda must be in \(0, 1\)"):
+        parse_lambda_policy(f"fixed:{text}", 0.05)
 
 
 def test_resolve_dw_modes():
