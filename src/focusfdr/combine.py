@@ -183,7 +183,8 @@ def _chunks(nodes, size):
     return (nodes[i:i + size] for i in range(0, nodes.size, size))
 
 
-def combine_segments(combiner, block, nodes, indptr, indices, lead):
+def combine_segments(combiner, block, nodes, indptr, indices, lead,
+                     rowwise=False):
     """Combine each row of ``block`` over one column segment per node.
 
     Node v's segment is ``indices[indptr[v]:indptr[v + 1]]``, preceded by v
@@ -201,7 +202,11 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
     ``chisq_survival`` with one df per node, so its series runs once over
     all sizes.  Every row sees the floating-point operations of combining
     its segment on its own, so the result is bit-identical to a per-node
-    loop.
+    loop over ``block[:, segment]``.  With ``rowwise`` each row's segments
+    are gathered as contiguous rows instead, as they are when r = 1, so
+    row i of the result is bit-identical to combining ``block[i:i + 1]``
+    (numpy sums Fisher's and Stouffer's terms in another order over a
+    column-major gather; see ``_gather``).
 
     Raises:
         UndefinedSegmentError: naming the smallest node whose Stouffer
@@ -223,21 +228,22 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
             if lead:
                 cols = np.column_stack((at, cols))
             if kind == "fisher":
-                res = -2.0 * np.sum(_gather(terms, cols), axis=1)
+                res = -2.0 * np.sum(_gather(terms, cols, rowwise), axis=1)
             elif kind == "stouffer":
                 zeros = ones = False
                 if bounded:
-                    vals = _gather(block, cols)
+                    vals = _gather(block, cols, rowwise)
                     zeros = np.any(vals == 0.0, axis=1)
                     ones = np.any(vals == 1.0, axis=1)
                     if np.any(zeros & ones):
                         raise UndefinedSegmentError(_first_undefined(
                             block, nodes, indptr, indices, lead))
-                res = _stouffer(np.sum(_gather(terms, cols), axis=1), n,
-                                zeros, ones)
+                res = _stouffer(np.sum(_gather(terms, cols, rowwise),
+                                       axis=1), n, zeros, ones)
             else:
-                res = combine_rows(combiner, _gather(block, cols))
-            out[:, chunk] = res.reshape(chunk.size, r).T
+                res = combine_rows(combiner, _gather(block, cols, rowwise))
+            out[:, chunk] = (res.reshape(r, chunk.size) if rowwise
+                             else res.reshape(chunk.size, r).T)
     if kind == "fisher":
         # the statistics wait in ``out``; the terms are no longer needed
         del terms
@@ -264,15 +270,19 @@ def _block_terms(kind, block):
     return terms, bounded
 
 
-def _gather(block, cols):
-    """The rows ``block[:, cols[j]]`` for every j, stacked node-major into a
-    (g * r, n) matrix laid out as one node's gather ``block[:, cols[j]]`` is:
-    a contiguous row when r = 1, column-major otherwise.  numpy sums a
-    contiguous row pairwise but a column-major row left to right, so the
-    layout keeps row sums (Fisher, Stouffer) equal bit for bit."""
+def _gather(block, cols, rowwise=False):
+    """The rows ``block[:, cols[j]]`` for every j, stacked into a (g * r, n)
+    matrix.  Node-major, it is laid out as one node's gather
+    ``block[:, cols[j]]`` is: a contiguous row when r = 1, column-major
+    otherwise.  ``rowwise``, it is row-major, (r, g) in C order, with
+    contiguous rows as a block of one row has.  numpy sums a contiguous row
+    pairwise but a column-major row left to right, so the layout decides
+    which row sums (Fisher, Stouffer) come out equal bit for bit."""
     if block.shape[0] == 1:
         return block[0, cols]
     g, n = cols.shape
+    if rowwise:
+        return np.take(block, cols, axis=1).reshape(-1, n)
     return block.T[cols.T].reshape(n, g * block.shape[0]).T
 
 
@@ -296,7 +306,9 @@ def smooth_rows(dag, block, combiner):
     their own.  ``combine_segments`` combines the inner nodes into a
     compact (r, #inner) array, which is scattered once into a copy of the
     block (after Fisher's and Stouffer's term buffer has been released).
-    The result equals combining node by node, bit for bit.
+    The result equals combining node by node over ``block[:, segment]``,
+    bit for bit; ``smooth_all_descendants`` smooths a block so that each
+    row equals smoothing that row alone.
 
     Raises:
         UndefinedSegmentError: for Stouffer, naming the smallest node whose
@@ -306,10 +318,14 @@ def smooth_rows(dag, block, combiner):
     if block.ndim != 2 or block.shape[1] != dag.m:
         raise LengthMismatchError(
             f"expected rows of length {dag.m}, got {block.shape}")
+    return _smooth(dag, block, combiner, rowwise=False)
+
+
+def _smooth(dag, block, combiner, rowwise):
     indptr, indices = dag.descendant_closure
     inner = np.flatnonzero(np.diff(indptr))
     res = combine_segments(combiner, block, inner, indptr, indices,
-                           lead=True)
+                           lead=True, rowwise=rowwise)
     out = block.copy()
     out[:, inner] = res
     return out
@@ -317,11 +333,18 @@ def smooth_rows(dag, block, combiner):
 
 def smooth_all_descendants(dag, pvalues, combiner):
     """Replace each node's p-value by the combination of itself with all of
-    its descendants; nodes without descendants keep their own p-value."""
+    its descendants; nodes without descendants keep their own p-value.
+
+    ``pvalues`` is one (m,) vector or an (R, m) block of them, smoothed
+    row by row: each row of the result is bit-identical to smoothing that
+    row alone.
+    """
     arr = validate_pvalues(pvalues)
-    if arr.ndim != 1 or arr.size != dag.m:
-        raise LengthMismatchError(f"expected {dag.m} p-values, got {arr.size}")
-    return smooth_rows(dag, arr[None, :], combiner)[0]
+    if arr.ndim not in (1, 2) or arr.shape[-1] != dag.m:
+        raise LengthMismatchError(f"expected {dag.m} p-values, got "
+                                  f"{arr.shape[-1] if arr.ndim else 1}")
+    return _smooth(dag, np.atleast_2d(arr), combiner,
+                   rowwise=True).reshape(arr.shape)
 
 
 def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import is_tree, level_sweep, mask_of
+from .dag import fold_edges, is_tree, level_sweep, mask_of
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class FilterSpec:
 
 
 TRIVIAL = FilterSpec("trivial")
-DAG_STRUCTURED = FilterSpec("ds")
-OUTER_NODES = FilterSpec("outer")
 
 
 def apply_filter(spec, dag, rejected, pvalues=None):
@@ -109,7 +107,8 @@ def keep_intervals(spec, dag, weighted_p, pvalues=None):
 
     Node v is in F({i: wp_i <= t}, p) exactly when enter_v <= t < leave_v.
     ``leave`` is +inf except under "outer"; "screen" sets enter to +inf for
-    nodes with p above its threshold, which are never kept.
+    nodes with p above its threshold, which are never kept.  The inputs
+    are (m,) vectors, or (R, m) blocks whose rows are filtered one by one.
     """
     wp = np.asarray(weighted_p, dtype=float)
     leave = np.full(wp.shape, np.inf)
@@ -122,7 +121,7 @@ def keep_intervals(spec, dag, weighted_p, pvalues=None):
         # kept while rejected but before any descendant enters
         low = level_sweep(dag, np.minimum, wp.copy(), upward=True)
         dmin = np.full(wp.shape, np.inf)
-        np.minimum.at(dmin, dag.edge_parent, low[dag.edge_child])
+        fold_edges(np.minimum, dmin, dag.edge_parent, low, dag.edge_child)
         enter = wp.copy()
         leave = np.maximum(wp, dmin)
     elif spec.kind == "screen":

@@ -1,25 +1,32 @@
 """Multiple testing procedures: BH, Storey-BH, the focused step-up family
-(weighted, reshaped), a simplified top-down tree baseline, and
-``run_procedure``, the name dispatch shared by analyses and simulations.
+(weighted, reshaped), a simplified top-down tree baseline, and the name
+dispatch shared by analyses and simulations.
 
 The focused procedures scan the candidate thresholds {0, w_1 p_1, ..., w_m p_m},
 estimate the false discovery proportion of each filtered candidate set, and
 keep the largest feasible threshold.  Feasibility is tested in the
 cross-multiplied form m*t <= q*count so the unity-weight/trivial-filter case
 agrees bit-for-bit with the textbook step-up rule.
+
+The kernels (weights, keep intervals, threshold scan, step-up) work on
+(R, m) blocks, one row per p-value vector, with each row getting the
+floating-point operations it gets alone.  ``run_rows`` runs a procedure by
+name on a block over a ``StructurePlan``; ``run_procedure``, ``wfbh``,
+``bh``, ``storey_bh`` and ``by_procedure`` are their one-row calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .combine import validate_pvalues
-from .dag import build_dag, is_tree
-from .filters import (TRIVIAL, apply_filter, interval_count_curve,
-                      keep_intervals)
-from .weights import WeightVector, dag_weights, storey_pi0
+from .dag import compute_depths, group_index, is_tree
+from .filters import TRIVIAL, apply_filter, keep_intervals
+from .weights import (WeightVector, WeightWorkspace, _check_lambda,
+                      resolve_dw, storey_pi0, storey_pi0_rows)
 
 
 class QOutOfRangeError(ValueError):
@@ -48,13 +55,23 @@ def _check_q(q):
 
 
 def _step_up(p, q, pi0=1.0):
-    """Reject the k smallest p-values, k maximal with p_(k) m pi0 <= k q."""
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    ks = np.flatnonzero(p[order] * m * pi0 <= np.arange(1, m + 1) * q)
-    if ks.size == 0:
-        return frozenset()
-    return frozenset(int(i) for i in order[:ks[-1] + 1])
+    """Rejection mask of each row of an (R, m) block: the row's k smallest
+    p-values, ties taken in node order, k maximal with p_(k) m pi0 <= k q
+    (``pi0`` a scalar or one value per row, shaped (R, 1))."""
+    m = p.shape[1]
+    srt = np.sort(p, axis=1)
+    ranks = np.arange(1, m + 1)
+    k = np.max(np.where(srt * m * pi0 <= ranks * q, ranks, 0), axis=1,
+               initial=0)[:, None]
+    # the k-th smallest value; below it all are taken, at it the first few
+    cut = np.max(np.where(ranks <= k, srt, -np.inf), axis=1, initial=-np.inf)
+    below, at = p < cut[:, None], p == cut[:, None]
+    return below | (at & (np.cumsum(at, axis=1)
+                          <= k - np.count_nonzero(below, axis=1)[:, None]))
+
+
+def _row_set(mask):
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def bh(pvalues, q):
@@ -62,14 +79,14 @@ def bh(pvalues, q):
     p_(k) <= k q / m.  Kept deliberately textbook; it doubles as the
     reference oracle for the focused procedures with unity weights."""
     _check_q(q)
-    return _step_up(validate_pvalues(pvalues), q)
+    return _row_set(_step_up(validate_pvalues(pvalues).reshape(1, -1), q)[0])
 
 
 def storey_bh(pvalues, q, lam):
     """Adaptive step-up with thresholds k q / (m pi0_hat)."""
     _check_q(q)
     p = validate_pvalues(pvalues)
-    return _step_up(p, q, storey_pi0(p, lam))
+    return _row_set(_step_up(p.reshape(1, -1), q, storey_pi0(p, lam))[0])
 
 
 @dataclass(frozen=True)
@@ -143,13 +160,77 @@ class ProcedureResult:
     fdp_hat_at_tstar: float
     candidate_count: int
 
-    @property
-    def num_discoveries(self):
-        return len(self.discovery_set)
-
 
 def unity_weights(m):
     return np.ones(m)
+
+
+def _counts_at(ends, cands):
+    """#{v: ends[i, v] <= cands[i, j]} for every row i and column j of
+    (R, m) blocks whose ``cands`` rows ascend, i.e. a per-row
+    ``searchsorted(sort(ends[i]), cands[i], side="right")``.
+
+    All values are >= 0 (+inf allowed), so once -0.0 is made +0.0 their
+    bit patterns order as they do.  One sort per row of the merged bit
+    patterns, shifted up one place with the low bit set on candidates,
+    does the search: an end equal to a candidate sorts before it, and the
+    j-th candidate of a row sits at position count + j.
+    """
+    r, n = cands.shape
+    keys = np.concatenate((ends, cands), axis=1)
+    keys += 0.0
+    keys = keys.view(np.uint64)
+    keys <<= np.uint64(1)
+    keys[:, ends.shape[1]:] |= np.uint64(1)
+    keys.sort(axis=1)
+    keys &= np.uint64(1)
+    at = np.flatnonzero(keys).reshape(r, n)
+    at -= (np.arange(r) * keys.shape[1])[:, None]
+    at -= np.arange(n)
+    return at
+
+
+def _scan(wp, enter, leave, q, beta):
+    """The threshold t* of each row of (R, m) blocks, shaped (R, 1): the
+    largest candidate t in {0} union {wp_v} with m*t <= q*beta(count(t)),
+    count(t) = #{v: enter_v <= t < leave_v}.  Tied weighted p-values repeat
+    a candidate, and with it its count, so the feasible values are those
+    of the distinct candidates."""
+    m = wp.shape[1]
+    cands = np.sort(wp, axis=1)
+    counts = _counts_at(enter, cands)
+    if not np.isposinf(leave).all():      # only "outer" closes intervals
+        counts -= _counts_at(leave, cands)
+    reshaped = beta(counts.astype(float))
+    # m*t <= q*beta(count), with 0/0 = 0 at t = 0 and +inf otherwise;
+    # t = 0 is always feasible, so it is the floor of the maximum
+    feasible = (m * cands <= q * reshaped) & (reshaped > 0)
+    return np.max(np.where(feasible, cands, 0.0), axis=1, initial=0.0,
+                  keepdims=True)
+
+
+def _focused_rows(dag, p, w, filter_spec, q, beta):
+    """The focused scan on each row of (R, m) p-values and weights; returns
+    the weighted p-values, t* (shaped (R, 1)) and the discovery mask
+    {v: enter_v <= t* < leave_v}.  Inputs are not checked."""
+    wp = w * p
+    enter, leave = keep_intervals(filter_spec, dag, wp, p)
+    t_star = _scan(wp, enter, leave, q, beta)
+    return wp, t_star, (enter <= t_star) & (t_star < leave)
+
+
+def _result(m, w, wp, t_star, found, beta):
+    """The ProcedureResult of one row of a focused scan."""
+    discoveries = _row_set(found)
+    n_disc = len(discoveries)
+    if t_star == 0.0 and n_disc == 0:
+        fdp_hat = 0.0
+    else:
+        fdp_hat = float(m * t_star / beta(float(n_disc))) if n_disc else float("inf")
+    return ProcedureResult(
+        t_star=t_star, base_set=_row_set(wp <= t_star),
+        discovery_set=discoveries, weights_used=w, fdp_hat_at_tstar=fdp_hat,
+        candidate_count=int(np.unique(np.concatenate(([0.0], wp))).size))
 
 
 def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
@@ -170,29 +251,9 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
         raise ValueError(f"expected {dag.m} p-values, got {p.size}")
     w = _weights_array(weights, dag.m)
     beta = reshaping if reshaping is not None else ReshapingFn.identity()
-
-    wp = w * p
-    cands = np.unique(np.concatenate(([0.0], wp)))
-    enter, leave = keep_intervals(filter_spec, dag, wp, p)
-    counts = interval_count_curve(enter, leave)(cands)
-    reshaped = beta(counts.astype(float))
-    # m*t <= q*beta(count), with 0/0 = 0 at t = 0 and +inf otherwise
-    feasible = (dag.m * cands <= q * reshaped) & (reshaped > 0)
-    feasible |= cands == 0.0
-    t_star = float(cands[feasible][-1])
-
-    base = frozenset(np.flatnonzero(wp <= t_star).tolist())
-    discoveries = frozenset(
-        np.flatnonzero((enter <= t_star) & (t_star < leave)).tolist())
-    n_disc = len(discoveries)
-    if t_star == 0.0 and n_disc == 0:
-        fdp_hat = 0.0
-    else:
-        fdp_hat = float(dag.m * t_star / beta(float(n_disc))) if n_disc else float("inf")
-    return ProcedureResult(t_star=t_star, base_set=base,
-                           discovery_set=discoveries, weights_used=w,
-                           fdp_hat_at_tstar=fdp_hat,
-                           candidate_count=int(cands.size))
+    wp, t_star, found = _focused_rows(dag, p.reshape(1, -1), w.reshape(1, -1),
+                                      filter_spec, q, beta)
+    return _result(dag.m, w, wp[0], float(t_star[0, 0]), found[0], beta)
 
 
 def weighted_reshaped_fbh(dag, pvalues, weights, filter_spec, q, beta):
@@ -208,13 +269,18 @@ def fbh(dag, pvalues, filter_spec, q):
     return wfbh(dag, pvalues, unity_weights(dag.m), filter_spec, q)
 
 
+def _by_rows(p, q):
+    """BY's rejection mask of each row: the BY-reshaped focused scan with
+    unity weights and the trivial filter, whose keep intervals are
+    [p_v, inf), so no graph is read."""
+    return _focused_rows(None, p, 1.0, TRIVIAL, q,
+                         ReshapingFn.by(p.shape[1]))[2]
+
+
 def by_procedure(pvalues, q):
     """Benjamini-Yekutieli: step-up with the harmonic-sum correction."""
-    p = validate_pvalues(pvalues)
-    flat = build_dag(p.size, [])
-    res = weighted_reshaped_fbh(flat, p, unity_weights(p.size), TRIVIAL, q,
-                                ReshapingFn.by(p.size))
-    return res.discovery_set
+    _check_q(q)
+    return _row_set(_by_rows(validate_pvalues(pvalues).reshape(1, -1), q)[0])
 
 
 def yekutieli_tree(dag, pvalues, level):
@@ -267,31 +333,90 @@ def check_procedure(name, reshaped=False, yk_divisor=2.88):
         raise ValueError(f"yk-divisor must be finite and > 0, got {yk_divisor}")
 
 
+class StructurePlan:
+    """What the procedures read of one graph, none of which depends on p:
+    its depths and sibling groups and, built on first use, the
+    ``WeightWorkspace`` of the weight configuration's resolved dw set.  One
+    plan serves every procedure and every row of p-values run on the
+    graph."""
+
+    def __init__(self, dag, weight_config, depths=None, groups=None):
+        self.dag = dag
+        self.weight_config = weight_config
+        self.depths = compute_depths(dag) if depths is None else depths
+        self.groups = (group_index(dag, self.depths) if groups is None
+                       else groups)
+
+    @cached_property
+    def workspace(self):
+        cfg = self.weight_config
+        return WeightWorkspace(self.groups, self.depths,
+                               resolve_dw(cfg, self.groups, self.depths),
+                               cfg.c)
+
+
+def run_rows(plan, p, methods, q, yk_divisor=2.88):
+    """Run each (name, filter, reshaped) of ``methods`` on every row of an
+    (R, m) block of p-values over ``plan``'s graph; returns one (found,
+    weights, scan) per method: the (R, m) discovery mask and weights, and
+    for the focused methods the weighted p-values, t* (shaped (R, 1)) and
+    the reshaping, else None.
+
+    The focused methods scan with unity (fbh) or adaptive weights,
+    BY-reshaped for wrfbh or when reshaped; the adaptive weights are
+    computed once for all of them.  The others ignore the filter and weigh
+    every node 1; ``yekutieli-tree`` runs at level q / yk_divisor, a row at
+    a time.  Nothing is checked here: see ``run_procedure``.
+    """
+    ones, adaptive, out = np.ones(p.shape), None, []
+    lam = plan.weight_config.lam
+    for name, fspec, reshaped in methods:
+        scan = None
+        if name in FOCUSED:
+            if name != "fbh" and adaptive is None:
+                adaptive = plan.workspace.node_weights(p, lam)
+            w = ones if name == "fbh" else adaptive
+            beta = (ReshapingFn.by(plan.dag.m) if reshaped or name == "wrfbh"
+                    else ReshapingFn.identity())
+            wp, t_star, found = _focused_rows(plan.dag, p, w, fspec, q, beta)
+            scan = wp, t_star, beta
+        elif name == "bh":
+            w, found = ones, _step_up(p, q)
+        elif name == "storey-bh":
+            w, found = ones, _step_up(p, q, storey_pi0_rows(p, lam)[:, None])
+        elif name == "by":
+            w, found = ones, _by_rows(p, q)
+        else:
+            w, found = ones, np.zeros(p.shape, dtype=bool)
+            for row, hits in zip(p, found):
+                hits[list(yekutieli_tree(plan.dag, row, q / yk_divisor))] = True
+        out.append((found, w, scan))
+    return out
+
+
 def run_procedure(name, dag, depths, groups, p, fspec, q, weight_config,
                   reshaped=False, yk_divisor=2.88):
     """Run the named procedure on p; returns (discoveries, weights, result).
 
-    The focused methods run ``wfbh`` with unity (fbh) or adaptive weights,
-    BY-reshaped for wrfbh or when ``reshaped``; result is their
-    ProcedureResult.  The others ignore the filter and return unity weights
-    and result None.  ``yekutieli-tree`` runs at level q / yk_divisor.
+    This is ``run_rows`` on one row, after checking its arguments; result
+    is the focused methods' ProcedureResult, else None.
     """
     check_procedure(name, reshaped, yk_divisor)
-    if name in FOCUSED:
-        w = (unity_weights(dag.m) if name == "fbh"
-             else dag_weights(dag, depths, groups, p, weight_config))
-        beta = ReshapingFn.by(dag.m) if reshaped or name == "wrfbh" else None
-        result = wfbh(dag, p, w, fspec, q, reshaping=beta)
-        return result.discovery_set, result.weights_used, result
-    if name == "bh":
-        discoveries = bh(p, q)
-    elif name == "storey-bh":
-        discoveries = storey_bh(p, q, weight_config.lam)
-    elif name == "by":
-        discoveries = by_procedure(p, q)
-    else:
-        discoveries = yekutieli_tree(dag, p, q / yk_divisor)
-    return discoveries, unity_weights(dag.m), None
+    p = validate_pvalues(p)
+    if p.size != dag.m:
+        raise ValueError(f"expected {dag.m} p-values, got {p.size}")
+    if name != "yekutieli-tree":      # which checks its own level
+        _check_q(q)
+    if name == "storey-bh":
+        _check_lambda(weight_config.lam)
+    plan = StructurePlan(dag, weight_config, depths, groups)
+    [(found, w, scan)] = run_rows(plan, p.reshape(1, -1),
+                                  [(name, fspec, reshaped)], q, yk_divisor)
+    if scan is None:
+        return _row_set(found[0]), w[0], None
+    wp, t_star, beta = scan
+    result = _result(dag.m, w[0], wp[0], float(t_star[0, 0]), found[0], beta)
+    return result.discovery_set, result.weights_used, result
 
 
 def brute_force_tstar(dag, pvalues, weights, filter_spec, q, reshaping=None):

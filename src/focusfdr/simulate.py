@@ -1,14 +1,21 @@
 """Monte Carlo harness: graph generators, truth assignment, p-value
-sampling, the replication loop, and the validity checks that accompany the
-procedures.
+sampling, the replication engine, and the validity checks that accompany
+the procedures.
 
-Per-replication RNG streams are derived from (seed, grid index, replication
-index) through numpy's SeedSequence, so results are bit-identical no matter
-how replications are scheduled across workers.
+Each replication draws from its own RNG stream, derived from (seed, grid
+index, replication index) through numpy's SeedSequence, in a fixed order:
+the graph, the non-null leaves, the shared normal draw, the node draws.
 
-The deterministic families (wide-tree, deep-tree) are module constants, built
-once per process: every replication shares one read-only Dag and its lazily
-cached closures.
+The replications of each p_nonnull cell are evaluated in blocks: their
+draws are stacked into (R, m) arrays, which the truth sweep, the p-values,
+the smoothing and every procedure (``procedures.run_rows``) take whole.
+Every kernel gives each row the floating-point operations it gets alone,
+so results are bit-identical for any block size and any worker count.
+The deterministic families (wide-tree, deep-tree) are module constants,
+built once per process, and get one ``StructurePlan`` (depths, groups,
+weight workspace) per ``run_simulation`` and blocks of up to
+``_BLOCK_ENTRIES`` entries.  The bipartite families draw a new graph, and
+so a new plan, every replication, and run in blocks of one.
 """
 
 from __future__ import annotations
@@ -21,13 +28,11 @@ from itertools import repeat
 import numpy as np
 
 from .combine import Combiner, smooth_all_descendants, smooth_rows
-from .dag import (build_dag, check_heredity, compute_depths, group_index,
-                  level_sweep)
+from .dag import build_dag, hereditary, level_sweep
 from .filters import FilterSpec
-from .procedures import check_procedure, run_procedure
+from .procedures import StructurePlan, check_procedure, run_rows
 from .special import normal_cdf
-from .weights import (WeightConfig, WeightWorkspace, check_dw_depths,
-                      parse_lambda_policy, resolve_dw)
+from .weights import WeightConfig, check_dw_depths, parse_lambda_policy
 
 SIGNAL_SETUPS = ("global", "decremental", "incremental")
 
@@ -47,14 +52,17 @@ def _stars(parents, children):
 
 
 # the deterministic families: built once per process and shared, read-only
-_WIDE_TREE = build_dag(550, _stars(np.arange(50),
-                                   np.arange(50, 550).reshape(50, 10)))
-_DEEP_TREE = build_dag(555, _stars(np.arange(55),
-                                   np.arange(5, 555).reshape(55, 10)))
+_FIXED_GRAPHS = {
+    "wide-tree": build_dag(550, _stars(np.arange(50),
+                                       np.arange(50, 550).reshape(50, 10))),
+    "deep-tree": build_dag(555, _stars(np.arange(55),
+                                       np.arange(5, 555).reshape(55, 10)))}
 # each family and the max depth of its every graph: the trees' own, and 2
 # for the bipartite families, whose roots point straight at leaves
-GRAPH_FAMILIES = {"wide-tree": _WIDE_TREE.node_ptr.size - 1, "bipartite1": 2,
-                  "deep-tree": _DEEP_TREE.node_ptr.size - 1, "bipartite2": 2}
+GRAPH_FAMILIES = {"wide-tree": _FIXED_GRAPHS["wide-tree"].node_ptr.size - 1,
+                  "bipartite1": 2,
+                  "deep-tree": _FIXED_GRAPHS["deep-tree"].node_ptr.size - 1,
+                  "bipartite2": 2}
 
 
 def _bipartite1(rng, max_tries=1000):
@@ -87,10 +95,8 @@ def generate_graph(family, seed=0):
     ``np.random.default_rng(seed)`` (a Generator is used as is); the
     deterministic ones ignore the seed and return one shared, read-only
     Dag, the same object on every call."""
-    if family == "wide-tree":
-        return _WIDE_TREE
-    if family == "deep-tree":
-        return _DEEP_TREE
+    if family in _FIXED_GRAPHS:
+        return _FIXED_GRAPHS[family]
     rng = np.random.default_rng(seed)
     if family == "bipartite1":
         return _bipartite1(rng)
@@ -114,33 +120,46 @@ def assign_truth(dag, p_nonnull, seed=0):
     node non-null iff it has a non-null child.  The result always respects
     the ancestor-heredity assumption."""
     _check_p_nonnull(p_nonnull)
-    rng = np.random.default_rng(seed)
+    nonnull = _truth_rows(dag, p_nonnull, [np.random.default_rng(seed)])
+    return frozenset(np.flatnonzero(nonnull[0]).tolist())
+
+
+def _truth_rows(dag, p_nonnull, streams):
+    """Non-null masks, one row per RNG stream: each stream draws its
+    round(p * #leaves) non-null leaves, and one upward sweep of the block
+    marks every node with a non-null child."""
     k = round(p_nonnull * dag.leaves.size)
-    nonnull = np.zeros(dag.m, dtype=bool)
+    nonnull = np.zeros((len(streams), dag.m), dtype=bool)
     if k > 0:
-        nonnull[rng.choice(dag.leaves, size=k, replace=False)] = True
+        for row, rng in zip(nonnull, streams):
+            row[rng.choice(dag.leaves, size=k, replace=False)] = True
     level_sweep(dag, np.logical_or, nonnull, upward=True)
-    out = frozenset(np.flatnonzero(nonnull).tolist())
-    assert check_heredity(dag, out)
-    return out
+    assert hereditary(dag, nonnull)
+    return nonnull
+
+
+def _node_means(depths, setup):
+    """Each node's normal mean were it non-null, under the signal setup."""
+    d = depths.depth.astype(float)
+    if setup == "global":
+        return np.full(d.size, 2.0)
+    if setup == "decremental":
+        return 2.0 + 1.5 * (d - 1.0)
+    if setup == "incremental":
+        return 2.0 + 1.5 * (depths.max_depth - d)
+    raise ValueError(f"unknown signal setup {setup!r}")
+
+
+def _truth_mask(m, truth):
+    nonnull = np.zeros((1, m), dtype=bool)
+    nonnull[0, np.fromiter(truth, dtype=np.intp, count=len(truth))] = True
+    return nonnull
 
 
 def signal_means(depths, truth, setup):
     """Per-node normal means: 0 for nulls, setup-dependent for non-nulls."""
-    mu = np.zeros(len(depths.depth))
-    idx = np.asarray(sorted(truth), dtype=np.intp)
-    if idx.size == 0:
-        return mu
-    d = depths.depth[idx].astype(float)
-    if setup == "global":
-        mu[idx] = 2.0
-    elif setup == "decremental":
-        mu[idx] = 2.0 + 1.5 * (d - 1.0)
-    elif setup == "incremental":
-        mu[idx] = 2.0 + 1.5 * (depths.max_depth - d)
-    else:
-        raise ValueError(f"unknown signal setup {setup!r}")
-    return mu
+    nonnull = _truth_mask(len(depths.depth), truth)[0]
+    return np.where(nonnull, _node_means(depths, setup), 0.0)
 
 
 def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
@@ -149,12 +168,20 @@ def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
     The shared draw is consumed even at rho = 0, so the independent model is
     the exact rho = 0 stream."""
     _check_rho(rho)
-    rng = np.random.default_rng(seed)
-    mu = signal_means(depths, truth, setup)
-    z0 = rng.standard_normal()
-    z = rng.standard_normal(dag.m)
-    x = mu + (1.0 - rho) * z + rho * z0
-    return normal_cdf(-x)
+    return _pvalue_rows(depths, _truth_mask(dag.m, truth), setup, rho,
+                        [np.random.default_rng(seed)])[0]
+
+
+def _pvalue_rows(depths, nonnull, setup, rho, streams):
+    """``sample_pvalues`` for each row of the (R, m) non-null mask, each
+    row drawing Z0, then Z, from its own stream."""
+    mu = np.where(nonnull, _node_means(depths, setup), 0.0)
+    z0 = np.empty((len(streams), 1))
+    z = np.empty(nonnull.shape)
+    for i, rng in enumerate(streams):
+        z0[i] = rng.standard_normal()
+        z[i] = rng.standard_normal(nonnull.shape[1])
+    return normal_cdf(-(mu + (1.0 - rho) * z + rho * z0))
 
 
 @dataclass(frozen=True)
@@ -218,8 +245,8 @@ class SimSummary:
 def _resolve_methods(config):
     """Check the whole sweep (family, setup, every p_nonnull, rho, the dw
     depths, lambda, every method and the smoothing) and parse it once,
-    before any replication; returns (weight config, ((procedure,
-    FilterSpec), ...), Combiner or None) for the replications."""
+    before any replication; returns (weight config, the methods as
+    ``run_rows`` takes them, Combiner or None) for the replications."""
     if config.family not in GRAPH_FAMILIES:
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
@@ -233,38 +260,45 @@ def _resolve_methods(config):
         check_procedure(spec.procedure, yk_divisor=config.yk_divisor)
     weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,
                                  dw=config.dw)
-    resolved = tuple((spec.procedure, FilterSpec.from_name(spec.filter))
-                     for spec in config.methods)
+    resolved = tuple((spec.procedure, FilterSpec.from_name(spec.filter),
+                      False) for spec in config.methods)
     combiner = (None if config.smoothing is None
                 else Combiner.from_name(config.smoothing))
     return weight_config, resolved, combiner
 
 
-def _replicate(config, plan, p_idx, rep):
-    """One replication: build, assign, sample, run every method; returns
-    one (FDP, power) pair per method.  plan is ``_resolve_methods(config)``."""
-    weight_config, resolved, combiner = plan
-    rng = np.random.default_rng([config.seed, p_idx, rep])
-    dag = generate_graph(config.family, rng)
-    depths = compute_depths(dag)
-    groups = group_index(dag, depths)
-    p_nonnull = config.p_nonnull[p_idx]
-    truth = assign_truth(dag, p_nonnull, rng)
-    pv = sample_pvalues(dag, depths, truth, config.setup, config.rho, rng)
+# Entries (replications x nodes) per block of the fixed trees: enough rows
+# to amortise each kernel's per-call overhead, few enough that a block's
+# arrays stay in cache.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _run_block(config, resolved, plan, p_idx, reps):
+    """Replications ``reps`` of p_nonnull cell ``p_idx`` as one block;
+    returns their (FDP, power) pairs, shaped (len(reps), #methods, 2).
+    ``resolved`` is ``_resolve_methods(config)``; ``plan`` is the fixed
+    family's StructurePlan, or None for a random family, whose block holds
+    one replication and plans the graph it draws."""
+    weight_config, methods, combiner = resolved
+    streams = [np.random.default_rng([config.seed, p_idx, rep])
+               for rep in reps]
+    if plan is None:
+        (rng,) = streams
+        plan = StructurePlan(generate_graph(config.family, rng), weight_config)
+    dag = plan.dag
+    truth = _truth_rows(dag, config.p_nonnull[p_idx], streams)
+    pv = _pvalue_rows(plan.depths, truth, config.setup, config.rho, streams)
     if combiner is not None:
         pv = smooth_all_descendants(dag, pv, combiner)
 
-    n_nonnull = len(truth)
-    out = []
-    for procedure, fspec in resolved:
-        disc, _, _ = run_procedure(procedure, dag, depths, groups, pv, fspec,
-                                   config.q, weight_config,
-                                   yk_divisor=config.yk_divisor)
-        n_disc = len(disc)
-        false_disc = len(disc - truth)
-        fdp = false_disc / max(n_disc, 1)
-        power = (n_disc - false_disc) / max(n_nonnull, 1)
-        out.append((fdp, power))
+    n_nonnull = np.maximum(np.count_nonzero(truth, axis=1), 1)
+    out = np.empty((len(reps), len(methods), 2))
+    runs = run_rows(plan, pv, methods, config.q, config.yk_divisor)
+    for j, (found, _, _) in enumerate(runs):
+        n_disc = np.count_nonzero(found, axis=1)
+        false_disc = np.count_nonzero(found & ~truth, axis=1)
+        out[:, j, 0] = false_disc / np.maximum(n_disc, 1)
+        out[:, j, 1] = (n_disc - false_disc) / n_nonnull
     return out
 
 
@@ -289,25 +323,32 @@ def resolve_workers(n_workers=None):
 def run_simulation(config, n_workers=None):
     """Run the configured replications over the p_nonnull grid.
 
-    Replications are mapped in (p_idx, rep) order, serially or over a
-    process pool.  Results are deterministic in (config, seed) regardless
-    of the worker count; replication streams never depend on scheduling.
+    Blocks of replications are mapped in (p_idx, rep) order, serially or
+    over a process pool.  Results are deterministic in (config, seed)
+    regardless of the worker count and the block size; replication
+    streams never depend on scheduling.
     """
     if config.n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {config.n_reps}")
-    plan = _resolve_methods(config)
+    resolved = _resolve_methods(config)
     workers = resolve_workers(n_workers)
     n_p, n = len(config.p_nonnull), config.n_reps
-    jobs = (_replicate, repeat(config), repeat(plan),
-            [p_idx for p_idx in range(n_p) for _ in range(n)],
-            list(range(n)) * n_p)
+    plan, rows = None, 1
+    if config.family in _FIXED_GRAPHS:
+        plan = StructurePlan(_FIXED_GRAPHS[config.family], resolved[0])
+        plan.workspace      # built here once, not in every pooled worker
+        rows = max(1, _BLOCK_ENTRIES // plan.dag.m)
+    starts = range(0, n, rows)
+    jobs = (_run_block, repeat(config), repeat(resolved), repeat(plan),
+            [p_idx for p_idx in range(n_p) for _ in starts],
+            [range(a, min(a + rows, n)) for a in starts] * n_p)
     if workers > 1:
+        # about 8 replications per task sent to a worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(*jobs, chunksize=8))
+            blocks = list(pool.map(*jobs, chunksize=max(1, 8 // rows)))
     else:
-        rows = list(map(*jobs))
-    results = np.array(rows, dtype=float).reshape(
-        n_p, n, len(config.methods), 2)
+        blocks = list(map(*jobs))
+    results = np.concatenate(blocks).reshape(n_p, n, len(config.methods), 2)
 
     cells = []
     histories = {}
@@ -345,11 +386,8 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     this sum to stay at or below the number of hypotheses.
     """
     rng = np.random.default_rng(seed)
-    depths = compute_depths(dag)
-    groups = group_index(dag, depths)
-    dw = resolve_dw(weight_config, groups, depths)
-    ws = WeightWorkspace(groups, depths, dw, weight_config.c)
-    lam = weight_config.lam
+    plan = StructurePlan(dag, weight_config)
+    depths, ws, lam = plan.depths, plan.workspace, weight_config.lam
 
     nulls = np.array([v for v in range(dag.m) if v not in truth], dtype=np.intp)
     mu = signal_means(depths, truth, setup)

@@ -13,6 +13,7 @@ two bincounts over the gated memberships: per group, then per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -63,10 +64,26 @@ def parse_lambda_policy(policy, q):
     raise ValueError(f"unknown lambda policy {policy!r}")
 
 
+def _is_integer(value):
+    """An int, a numpy integer, or a float with no fractional part; never
+    a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, Integral):
+        return True
+    return isinstance(value, Real) and float(value).is_integer()
+
+
 def check_dw_depths(dw, max_depth, graph):
-    """Reject explicit dw depths outside [1, max_depth] of ``graph``."""
+    """Reject explicit dw depths that are not integers (booleans and
+    non-integral numbers included) or lie outside [1, max_depth] of
+    ``graph``."""
     if isinstance(dw, str):
         return
+    for d in dw:
+        if not _is_integer(d):
+            raise ValueError(f"dw depth {d!r} is not an integer: {graph} "
+                             f"has depths 1 to {max_depth}")
     bad = [d for d in sorted(dw) if not 1 <= d <= max_depth]
     if bad:
         raise ValueError(f"dw depth {bad[0]} is outside [1, {max_depth}]: "
@@ -79,7 +96,13 @@ def storey_pi0(pvalues, lam):
     arr = validate_pvalues(pvalues)
     if arr.size == 0:
         raise EmptyInputError("need at least one p-value")
-    return float((1.0 + np.count_nonzero(arr > lam)) / (arr.size * (1.0 - lam)))
+    return float(storey_pi0_rows(arr.reshape(1, -1), lam)[0])
+
+
+def storey_pi0_rows(p, lam):
+    """``storey_pi0`` of each row of an (R, m) block, unchecked."""
+    return (1.0 + np.count_nonzero(p > lam, axis=1)) / (p.shape[1]
+                                                        * (1.0 - lam))
 
 
 def _depth_rule(groups, lam, c):
@@ -154,16 +177,20 @@ class WeightWorkspace:
         gated = np.isin(depth, list(dw))[groups.mem_group]
         self.mem_node = groups.mem_node[gated]
         self.mem_group = groups.mem_group[gated]
+        self.n_groups = size.size
         # per-membership copies of each group's size, ratio and branch
         self.mem_size = size[self.mem_group].astype(float)
         self.mem_ratio = ratio[self.mem_group]
         self.mem_storey = self.mem_size > c
-        # membership count per node; > 0 exactly on nodes at gated depths
-        self.par_count = np.bincount(self.mem_node, minlength=m).astype(float)
-        self.gated_nodes = self.par_count > 0
+        # membership count per node, > 0 exactly on nodes at gated depths;
+        # the others get weight 1 = (0 + 1) / (0 + 1)
+        par_count = np.bincount(self.mem_node, minlength=m).astype(float)
+        self.ungated = (par_count == 0).astype(float)
+        self.numerator = par_count + self.ungated
 
     def node_weights(self, pvalues, lam):
-        """Per-node weights for the given p-values (1 outside gated depths)."""
+        """Per-node weights for the given p-values (1 outside gated depths):
+        an (m,) vector, or an (R, m) block weighted row by row."""
         return self._weights(pvalues, lam, leave_self_zero=False)
 
     def leave_self_zero_weights(self, pvalues, lam):
@@ -172,21 +199,27 @@ class WeightWorkspace:
 
     def _weights(self, pvalues, lam, leave_self_zero):
         _check_lambda(lam)
-        exceed = (np.asarray(pvalues, dtype=float) > lam).astype(float)
-        counts = np.bincount(self.mem_group,
-                             weights=exceed[self.mem_node])[self.mem_group]
+        p = np.asarray(pvalues, dtype=float)
+        exceed = (np.atleast_2d(p) > lam).astype(float)
+        r = exceed.shape[0]
+        mem_exceed = exceed[:, self.mem_node]
+        # the group and node sums of every row in one flattened bincount
+        # each: row i's memberships get offset i * n_groups (or i * m) and
+        # stay in their order, so every sum adds as a one-row block does
+        slot = self.mem_group + (np.arange(r) * self.n_groups)[:, None]
+        counts = np.bincount(slot.ravel(), weights=mem_exceed.ravel(),
+                             minlength=r * self.n_groups)[slot]
         if leave_self_zero:
             # zeroing p_i removes only node i's own exceedance from its groups
-            counts = counts - exceed[self.mem_node]
+            counts = counts - mem_exceed
         pi_hat = (1.0 + counts) / ((1.0 - lam) * self.mem_size)
         w_flat = np.where(self.mem_storey, pi_hat * self.mem_ratio,
                           self.mem_ratio)
-        inv_sum = np.bincount(self.mem_node, weights=1.0 / w_flat,
-                              minlength=self.m)
-        weights = np.ones(self.m)
-        g = self.gated_nodes
-        weights[g] = self.par_count[g] / inv_sum[g]
-        return weights
+        slot = self.mem_node + (np.arange(r) * self.m)[:, None]
+        inv_sum = np.bincount(slot.ravel(), weights=(1.0 / w_flat).ravel(),
+                              minlength=r * self.m).reshape(r, self.m)
+        # gated nodes' sums are positive, so adding their 0.0 is exact
+        return (self.numerator / (inv_sum + self.ungated)).reshape(p.shape)
 
 
 def dag_weights(dag, depths, groups, pvalues, config):

@@ -233,7 +233,7 @@ def no_replication(monkeypatch):
     def replicate(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(sim, "_replicate", replicate)
+    monkeypatch.setattr(sim, "_run_block", replicate)
 
 
 @pytest.mark.parametrize("policy", ["fixed:1.5", "fixed:1", "fixed:0",
@@ -277,6 +277,26 @@ def test_cli_simulate_rejects_dw_outside_family_depths(
             f"family {family!r} has max depth {max_depth}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dw", [[1.5], [True], [1, 0.5]])
+def test_cli_simulate_rejects_non_integer_dw_depth(no_replication, tmp_path,
+                                                   capsys, dw):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"family": "wide-tree", "dw": dw}))
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", str(cfg), "--reps", "2",
+                 "--out", str(out)]) == EXIT_INPUT
+    bad = [d for d in dw if d is True or d != int(d)][0]
+    assert (f"error: dw depth {bad!r} is not an integer: graph family "
+            f"'wide-tree' has depths 1 to 2" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_analyze_rejects_non_integer_dw_depth(chain_files):
+    with pytest.raises(ValueError, match="dw depth 1.5 is not an integer"):
+        analyze(AnalysisRequest(dag_file=chain_files[0],
+                                pvalues_file=chain_files[1], dw={1.5}))
 
 
 @pytest.mark.parametrize("method", ["bh", "storey-bh", "by", "yekutieli-tree"])
@@ -329,7 +349,7 @@ def test_simulation_rejects_bad_method_before_any_replication(monkeypatch,
     def no_replication(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(sim, "_replicate", no_replication)
+    monkeypatch.setattr(sim, "_run_block", no_replication)
     config = SimConfig(n_reps=2, methods=(MethodSpec("bh"), spec))
     with pytest.raises(ValueError):
         run_simulation(config, n_workers=2)
@@ -344,7 +364,7 @@ def test_simulation_rejects_bad_smoothing_before_any_replication(
     def no_replication(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(sim, "_replicate", no_replication)
+    monkeypatch.setattr(sim, "_run_block", no_replication)
     config = SimConfig(n_reps=2, smoothing="bogus")
     with pytest.raises(ValueError, match="unknown combiner 'bogus'"):
         run_simulation(config, n_workers=2)
@@ -372,7 +392,7 @@ def test_simulation_rejects_bad_sweep_before_any_replication(
     def no_replication(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(sim, "_replicate", no_replication)
+    monkeypatch.setattr(sim, "_run_block", no_replication)
     config = SimConfig(n_reps=3, **fields)
     with pytest.raises(ValueError, match=message):
         run_simulation(config, n_workers=2)
@@ -386,7 +406,7 @@ def test_cli_simulate_rejects_bad_sweep(monkeypatch, tmp_path, capsys,
     def no_replication(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(sim, "_replicate", no_replication)
+    monkeypatch.setattr(sim, "_run_block", no_replication)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(fields))
     out = tmp_path / "s.csv"

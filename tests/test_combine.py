@@ -287,6 +287,23 @@ def test_smooth_rows_matches_per_node_oracle(seed, tree, max_m, r, share,
             assert info.value.node == bad
 
 
+@pytest.mark.parametrize("gather", [7, 1 << 16])
+@pytest.mark.parametrize("family", ["wide-tree", "deep-tree", "bipartite1",
+                                    "bipartite2"])
+@pytest.mark.parametrize("name", ["fisher", "stouffer", "simes", "tippett",
+                                  "bonferroni"])
+def test_block_smoothing_matches_each_row_alone(name, family, gather):
+    # a block is smoothed so that every row gets the bits it gets alone;
+    # over 11+ entries Fisher's and Stouffer's sums depend on the layout
+    dag = generate_graph(family, 5)
+    block = np.random.default_rng(10).uniform(size=(10, dag.m))
+    comb = Combiner.from_name(name)
+    with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
+        got = smooth_all_descendants(dag, block, comb)
+        for row, p in zip(got, block):
+            assert np.array_equal(row, smooth_all_descendants(dag, p, comb))
+
+
 @pytest.mark.parametrize("name", ["fisher", "stouffer", "simes", "tippett",
                                   "bonferroni"])
 def test_smooth_rows_peak_memory_is_bounded(name):

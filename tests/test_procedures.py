@@ -3,17 +3,20 @@ self-consistency / monotonicity properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focusfdr.checks import (check_oracle_tstar, check_procedure_monotonicity,
-                             random_dag)
+                             random_dag, random_tree)
 from focusfdr.dag import build_dag
-from focusfdr.filters import FilterSpec
-from focusfdr.procedures import (InvalidReshapingError, LevelOutOfRangeError,
-                                 NonpositiveWeightError, NotATreeError,
-                                 QOutOfRangeError, ReshapingFn, bh,
-                                 brute_force_tstar, by_procedure, fbh,
+from focusfdr.filters import FilterSpec, interval_count_curve
+from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
+                                 LevelOutOfRangeError, NonpositiveWeightError,
+                                 NotATreeError, QOutOfRangeError, ReshapingFn,
+                                 StructurePlan, _scan, bh, brute_force_tstar,
+                                 by_procedure, fbh, run_procedure, run_rows,
                                  storey_bh, unity_weights,
                                  weighted_reshaped_fbh, wfbh, yekutieli_tree)
+from focusfdr.weights import WeightConfig, storey_pi0
 
 DS = FilterSpec("ds")
 TRIVIAL = FilterSpec("trivial")
@@ -242,3 +245,84 @@ def test_full_pipeline_at_large_tree_scale():
     assert time.time() - t0 < 30.0
     assert res.discovery_set
     assert res.discovery_set <= res.base_set
+
+
+def textbook_step_up(p, q, pi0=1.0):
+    """The step-up rule as a stable sort and a prefix: the k smallest
+    p-values, ties in node order, k maximal with p_(k) m pi0 <= k q."""
+    m = p.size
+    order = np.argsort(p, kind="stable")
+    ks = np.flatnonzero(p[order] * m * pi0 <= np.arange(1, m + 1) * q)
+    return frozenset(order[:ks[-1] + 1].tolist()) if ks.size else frozenset()
+
+
+def interval_scan(wp, enter, leave, q, beta):
+    """t* from the distinct candidates and the sorted-interval count curve,
+    one row at a time."""
+    cands = np.unique(np.concatenate(([0.0], wp)))
+    reshaped = beta(interval_count_curve(enter, leave)(cands).astype(float))
+    feasible = (wp.size * cands <= q * reshaped) & (reshaped > 0)
+    feasible |= cands == 0.0
+    return float(cands[feasible][-1])
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+       levels=st.sampled_from([3, 10, 1000]), q=st.sampled_from([0.1, 0.4]))
+@settings(max_examples=200, deadline=None)
+def test_step_up_matches_textbook_with_ties(seed, m, levels, q):
+    # few distinct values make ties at the cut, which go in node order
+    rng = np.random.default_rng(seed)
+    p = rng.integers(0, levels, size=m) / levels
+    assert bh(p, q) == textbook_step_up(p, q)
+    assert storey_bh(p, q, 0.5) == textbook_step_up(p, q, storey_pi0(p, 0.5))
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1, 4]),
+       m=st.integers(0, 30), outer=st.booleans(),
+       beta=st.sampled_from([ReshapingFn.identity(), ReshapingFn.by(30),
+                             ReshapingFn.custom(range(31))]))
+@settings(max_examples=200, deadline=None)
+def test_block_scan_matches_interval_curve(seed, r, m, outer, beta):
+    # ties, signed zeros and never-kept (+inf) nodes included
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 0.01, 0.02, 0.05, 0.3, 1.2])
+    wp = rng.choice(values, size=(r, m))
+    enter = np.maximum(wp, rng.choice(values, size=(r, m)))
+    enter[rng.uniform(size=(r, m)) < 0.2] = np.inf
+    leave = np.full((r, m), np.inf)
+    if outer:
+        leave = np.where(rng.uniform(size=(r, m)) < 0.5,
+                         enter + rng.choice(values[2:], size=(r, m)), np.inf)
+    got = _scan(wp, enter, leave, 0.3, beta)
+    assert got.shape == (r, 1)
+    for i in range(r):
+        assert got[i, 0] == interval_scan(wp[i], enter[i], leave[i], 0.3, beta)
+
+
+@given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
+       r=st.sampled_from([1, 5]), discrete=st.booleans(),
+       dw=st.sampled_from(["auto", "none", (1,)]))
+@settings(max_examples=100, deadline=None)
+def test_run_rows_matches_one_row_runs(seed, tree, r, discrete, dw):
+    # every procedure on a block gives each row what run_procedure gives it
+    rng = np.random.default_rng(seed)
+    dag = random_tree(rng, 25) if tree else random_dag(rng, 25)
+    block = rng.uniform(size=(r, dag.m))
+    if discrete:
+        block = np.round(block * 8) / 8
+    config = WeightConfig(lam=0.5, dw=dw)
+    plan = StructurePlan(dag, config)
+    names = [n for n in PROCEDURES if tree or n != "yekutieli-tree"]
+    methods = [(name, FilterSpec.from_name(f), reshaped)
+               for name in names
+               for f in ("trivial", "ds", "outer", "screen:0.4")
+               for reshaped in ((False, True) if name in FOCUSED
+                                else (False,))]
+    runs = run_rows(plan, block, methods, 0.3)
+    for (name, fspec, reshaped), (found, w, _) in zip(methods, runs):
+        for i in range(r):
+            disc, weights, _ = run_procedure(
+                name, dag, plan.depths, plan.groups, block[i], fspec, 0.3,
+                config, reshaped)
+            assert frozenset(np.flatnonzero(found[i]).tolist()) == disc
+            assert np.array_equal(w[i], weights)

@@ -2,22 +2,29 @@
 replication harness."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from focusfdr.combine import Combiner
-from focusfdr.dag import build_dag, check_heredity, compute_depths, is_tree
-from focusfdr.simulate import (GRAPH_FAMILIES, MethodSpec,
+import focusfdr.dag as dag_module
+import focusfdr.procedures as procedures_module
+import focusfdr.simulate as simulate_module
+from focusfdr.combine import Combiner, smooth_all_descendants
+from focusfdr.dag import (build_dag, check_heredity, compute_depths,
+                          group_index, is_tree)
+from focusfdr.filters import FilterSpec
+from focusfdr.procedures import run_procedure
+from focusfdr.simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec,
                                RhoOutOfRangeError, SimConfig,
                                UnknownFamilyError, assign_truth,
                                condition1_check, generate_graph,
                                run_simulation, sample_pvalues, signal_means,
                                superuniformity_check)
 from focusfdr.special import normal_cdf
-from focusfdr.weights import WeightConfig
+from focusfdr.weights import WeightConfig, WeightWorkspace
 
 
 def test_wide_tree_counts():
@@ -38,8 +45,6 @@ def test_deep_tree_counts():
 
 
 def test_family_group_counts():
-    from focusfdr.dag import group_index
-
     dag = generate_graph("deep-tree")
     depths = compute_depths(dag)
     assert group_index(dag, depths).n_d.tolist() == [0, 1, 5, 50]
@@ -254,17 +259,13 @@ def test_run_simulation_rejects_empty_sweep(n_reps):
 def test_replication_composition_with_smoothing():
     # pins the per-replication pipeline: draw, smooth, weight the smoothed
     # vector, run the filtered scan, score against the truth
-    from focusfdr.dag import group_index
-    from focusfdr.filters import FilterSpec
     from focusfdr.procedures import wfbh
-    from focusfdr.simulate import _replicate, _resolve_methods
-    from focusfdr.combine import smooth_all_descendants
     from focusfdr.weights import dag_weights
 
     cfg = SimConfig(family="wide-tree", setup="decremental", p_nonnull=(0.3,),
                     n_reps=1, seed=3, smoothing="fisher",
                     methods=(MethodSpec("wfbh", "ds"),))
-    fdp, power = _replicate(cfg, _resolve_methods(cfg), 0, 0)[0]
+    fdp, power = run_simulation(cfg).histories[("wfbh+ds", 0.3)][0]
 
     rng = np.random.default_rng([3, 0, 0])
     dag = generate_graph("wide-tree", rng)
@@ -278,6 +279,95 @@ def test_replication_composition_with_smoothing():
     false = len(disc - truth)
     assert fdp == false / max(len(disc), 1)
     assert power == (len(disc) - false) / len(truth)
+
+
+def replicate_oracle(config, p_idx, rep):
+    """One replication on its own: one stream, one graph and one row at a
+    time through the public one-row calls, as the harness ran before
+    replications were evaluated in blocks; returns one (FDP, power) pair
+    per method."""
+    weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,
+                                 dw=config.dw)
+    rng = np.random.default_rng([config.seed, p_idx, rep])
+    dag = generate_graph(config.family, rng)
+    depths = compute_depths(dag)
+    groups = group_index(dag, depths)
+    truth = assign_truth(dag, config.p_nonnull[p_idx], rng)
+    pv = sample_pvalues(dag, depths, truth, config.setup, config.rho, rng)
+    if config.smoothing is not None:
+        pv = smooth_all_descendants(dag, pv,
+                                    Combiner.from_name(config.smoothing))
+    out = []
+    for spec in config.methods:
+        disc, _, _ = run_procedure(spec.procedure, dag, depths, groups, pv,
+                                   FilterSpec.from_name(spec.filter),
+                                   config.q, weight_config,
+                                   yk_divisor=config.yk_divisor)
+        n_disc = len(disc)
+        false_disc = len(disc - truth)
+        out.append((false_disc / max(n_disc, 1),
+                    (n_disc - false_disc) / max(len(truth), 1)))
+    return out
+
+
+@given(family=st.sampled_from(sorted(GRAPH_FAMILIES)),
+       seed=st.integers(0, 2**16), setup=st.sampled_from(SIGNAL_SETUPS),
+       rho=st.sampled_from([0.0, 0.4]),
+       filter_name=st.sampled_from(["trivial", "ds", "outer", "screen:0.3"]),
+       smoothing=st.sampled_from([None, "fisher", "stouffer", "simes",
+                                  "tippett", "bonferroni"]),
+       rows=st.sampled_from([1, 7, 9]), workers=st.sampled_from([1, 2]))
+@settings(max_examples=25, deadline=None)
+def test_blocks_match_replications_run_alone(family, seed, setup, rho,
+                                             filter_name, smoothing, rows,
+                                             workers):
+    # 9 replications per cell: blocks of 1, of 7 (and one of 2), of all 9
+    procedures = ["bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh"]
+    if family.endswith("tree"):
+        procedures.append("yekutieli-tree")
+    config = SimConfig(
+        family=family, setup=setup, p_nonnull=(0.1, 0.5), rho=rho,
+        n_reps=9, seed=seed, smoothing=smoothing,
+        methods=tuple(MethodSpec(p, filter_name) for p in procedures))
+    entries = rows * generate_graph(family, 0).m
+    with mock.patch.object(simulate_module, "_BLOCK_ENTRIES", entries):
+        summary = run_simulation(config, n_workers=workers)
+    for p_idx, p_nonnull in enumerate(config.p_nonnull):
+        want = np.array([replicate_oracle(config, p_idx, rep)
+                         for rep in range(config.n_reps)])
+        for mi, spec in enumerate(config.methods):
+            assert np.array_equal(summary.histories[(spec.label, p_nonnull)],
+                                  want[:, mi])
+
+
+@pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+def test_structure_plan_built_once_per_graph(monkeypatch, family):
+    # depths, groups and the weight workspace read no p-value: the fixed
+    # trees plan once per sweep, the random families once per graph drawn,
+    # and never once per method
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (dag_module, procedures_module, simulate_module):
+        if hasattr(module, "group_index"):
+            monkeypatch.setattr(module, "group_index",
+                                counted("group_index", module.group_index))
+    monkeypatch.setattr(WeightWorkspace, "__init__",
+                        counted("workspace", WeightWorkspace.__init__))
+    monkeypatch.delenv("FOCUSFDR_THREADS", raising=False)
+    config = SimConfig(family=family, p_nonnull=(0.1, 0.5), n_reps=3,
+                       methods=tuple(MethodSpec(*m) for m in (
+                           ("wfbh", "ds"), ("fbh", "ds"), ("wfbh", "outer"),
+                           ("wrfbh", "ds"), ("bh", "trivial"),
+                           ("storey-bh", "trivial"))))
+    run_simulation(config)
+    plans = 1 if family.endswith("tree") else 6
+    assert calls == {"group_index": plans, "workspace": plans}
 
 
 def test_smoothing_config_changes_results():

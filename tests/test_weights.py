@@ -1,5 +1,7 @@
 """Tests for Storey estimation and the group-adaptive DAG weights."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,9 @@ from focusfdr.dag import build_dag, compute_depths, group_index
 from focusfdr.simulate import generate_graph
 from focusfdr.weights import (LambdaOutOfRangeError, NoEligibleGroupError,
                               WeightConfig, WeightWorkspace, auto_dw,
-                              dag_weights, min_possible_weight,
-                              parse_lambda_policy, resolve_dw, storey_pi0)
+                              check_dw_depths, dag_weights,
+                              min_possible_weight, parse_lambda_policy,
+                              resolve_dw, storey_pi0)
 
 
 def _indexes(dag):
@@ -135,6 +138,24 @@ def test_parse_lambda_policy_rejects_fixed_outside_unit_interval(text):
     with pytest.raises(LambdaOutOfRangeError,
                        match=r"lambda must be in \(0, 1\)"):
         parse_lambda_policy(f"fixed:{text}", 0.05)
+
+
+@pytest.mark.parametrize("depth", [1.5, True, False, np.bool_(True), "1",
+                                   float("nan"), float("inf")])
+def test_check_dw_depths_rejects_non_integer_depths(depth):
+    # a fractional depth used to be truncated by resolve_dw, and a bool
+    # read as 0 or 1
+    with pytest.raises(ValueError, match=rf"dw depth {re.escape(repr(depth))}"
+                                         r" is not an integer: graph g has "
+                                         r"depths 1 to 2"):
+        check_dw_depths([depth], 2, "graph g")
+
+
+def test_check_dw_depths_accepts_integral_numbers():
+    check_dw_depths([1, np.int64(2), 2.0], 2, "graph g")
+    check_dw_depths("auto", 2, "graph g")
+    with pytest.raises(ValueError, match=r"dw depth 3.0 is outside \[1, 2\]"):
+        check_dw_depths([3.0], 2, "graph g")
 
 
 def test_resolve_dw_modes():
