@@ -12,6 +12,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import fields
 
 from . import io as fio
 from .checks import SUITES, UnknownSuiteError
@@ -35,13 +36,22 @@ def _add_analysis_knobs(sp):
                     help='"auto", "none", or comma list of depths')
 
 
+def _parse_list(flag, text, kind):
+    """The values of a comma list given to ``flag``, parsed by ``kind``."""
+    out = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            out.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"{flag}: {tok.strip()!r} is not a valid "
+                             f"{kind.__name__}") from None
+    return out
+
+
 def _parse_dw(text):
     if text in ("auto", "none"):
         return text
-    try:
-        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad depth list {text!r}") from None
+    return frozenset(_parse_list("--dw", text, int))
 
 
 def _parse_methods(text):
@@ -56,7 +66,7 @@ def _parse_methods(text):
             proc, filt = tok, "trivial"
         specs.append(MethodSpec(proc, filt))
     if not specs:
-        raise argparse.ArgumentTypeError("no methods given")
+        raise ValueError("--methods: no methods given")
     return tuple(specs)
 
 
@@ -159,6 +169,14 @@ def _cmd_simulate(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of "
+                             f"simulation fields, got {type(merged).__name__}")
+        known = [f.name for f in fields(SimConfig)]
+        unknown = [name for name in merged if name not in known]
+        if unknown:
+            raise ValueError(f"{args.config}: unknown field {unknown[0]!r}; "
+                             "choose from " + ", ".join(known))
         if "methods" in merged:
             merged["methods"] = tuple(MethodSpec(**m) if isinstance(m, dict)
                                       else MethodSpec(*m)
@@ -169,8 +187,8 @@ def _cmd_simulate(args):
             merged["dw"] = frozenset(merged["dw"])
     flags = {
         "family": args.family, "setup": args.setup,
-        "p_nonnull": (None if args.p is None else
-                      tuple(float(t) for t in args.p.split(",") if t.strip())),
+        "p_nonnull": (None if args.p is None
+                      else tuple(_parse_list("--p", args.p, float))),
         "rho": args.rho, "q": args.q, "lambda_policy": args.lambda_policy,
         "c": args.c, "dw": None if args.dw is None else _parse_dw(args.dw),
         "n_reps": args.reps, "seed": args.seed, "smoothing": args.smoothing,

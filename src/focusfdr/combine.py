@@ -83,10 +83,11 @@ class Combiner:
         if name == "tippett":
             return cls("orderstat", 1)
         if name.startswith("orderstat:"):
-            i = int(name.split(":", 1)[1])
-            if i < 1:
-                raise ValueError("order statistic index must be >= 1")
-            return cls("orderstat", i)
+            text = name.split(":", 1)[1]
+            if not text.strip().isdecimal() or int(text) < 1:
+                raise ValueError(f"combiner {name!r}: order statistic index "
+                                 f"{text!r} is not an integer >= 1")
+            return cls("orderstat", int(text))
         if name in ("fisher", "stouffer", "simes", "bonferroni"):
             return cls(name)
         raise ValueError(f"unknown combiner {name!r}")
@@ -183,13 +184,13 @@ def _chunks(nodes, size):
     return (nodes[i:i + size] for i in range(0, nodes.size, size))
 
 
-def combine_segments(combiner, block, nodes, indptr, indices, lead,
-                     rowwise=False):
+def combine_segments(combiner, block, nodes, indptr, indices, lead):
     """Combine each row of ``block`` over one column segment per node.
 
     Node v's segment is ``indices[indptr[v]:indptr[v + 1]]``, preceded by v
     itself when ``lead`` is true.  Returns an (r, len(nodes)) array whose
-    column j combines ``block[:, segment]`` for v = ``nodes[j]``.
+    entry (i, j) combines ``block[i, segment]`` for v = ``nodes[j]``, bit
+    for bit as ``combine_rows`` does on that one row and segment.
 
     Fisher and Stouffer first apply their per-entry term (``_terms``) to
     every entry of the block once, a bounded number of rows at a time,
@@ -200,13 +201,11 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead,
     matrices of at most ``_GATHER_ENTRIES`` entries (never less than one
     node).  Fisher's statistics are calibrated afterwards by
     ``chisq_survival`` with one df per node, so its series runs once over
-    all sizes.  Every row sees the floating-point operations of combining
-    its segment on its own, so the result is bit-identical to a per-node
-    loop over ``block[:, segment]``.  With ``rowwise`` each row's segments
-    are gathered as contiguous rows instead, as they are when r = 1, so
-    row i of the result is bit-identical to combining ``block[i:i + 1]``
-    (numpy sums Fisher's and Stouffer's terms in another order over a
-    column-major gather; see ``_gather``).
+    all sizes.  The combiner sets the gather's layout: numpy sums a
+    contiguous row pairwise but a strided one left to right, so Fisher and
+    Stouffer gather row-major, each row's segments contiguous as at r = 1;
+    sorts and minima are exact in any layout, and on more than one row the
+    others gather node-major, which is faster on tall blocks.
 
     Raises:
         UndefinedSegmentError: naming the smallest node whose Stouffer
@@ -218,7 +217,9 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead,
     starts = np.flatnonzero(np.diff(sizes[order], prepend=-1))
     if kind in ("fisher", "stouffer"):
         terms, bounded = _block_terms(kind, block)
-    out = np.empty((r, nodes.size))
+    row_major = r == 1 or kind in ("fisher", "stouffer")
+    gather = _gather_rows if row_major else _gather_nodes
+    out, undefined = np.empty((r, nodes.size)), []
     for group, n in zip(np.split(order, starts[1:]),
                         sizes[order][starts].tolist()):
         width = np.arange(n - lead)
@@ -228,22 +229,23 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead,
             if lead:
                 cols = np.column_stack((at, cols))
             if kind == "fisher":
-                res = -2.0 * np.sum(_gather(terms, cols, rowwise), axis=1)
+                res = -2.0 * np.sum(gather(terms, cols), axis=1)
             elif kind == "stouffer":
                 zeros = ones = False
                 if bounded:
-                    vals = _gather(block, cols, rowwise)
+                    vals = gather(block, cols)
                     zeros = np.any(vals == 0.0, axis=1)
                     ones = np.any(vals == 1.0, axis=1)
-                    if np.any(zeros & ones):
-                        raise UndefinedSegmentError(_first_undefined(
-                            block, nodes, indptr, indices, lead))
-                res = _stouffer(np.sum(_gather(terms, cols, rowwise),
-                                       axis=1), n, zeros, ones)
+                    both = (zeros & ones).reshape(r, -1).any(axis=0)
+                    undefined.extend(at[both].tolist())
+                res = _stouffer(np.sum(gather(terms, cols), axis=1), n,
+                                zeros, ones)
             else:
-                res = combine_rows(combiner, _gather(block, cols, rowwise))
-            out[:, chunk] = (res.reshape(r, chunk.size) if rowwise
+                res = combine_rows(combiner, gather(block, cols))
+            out[:, chunk] = (res.reshape(r, chunk.size) if row_major
                              else res.reshape(chunk.size, r).T)
+    if undefined:
+        raise UndefinedSegmentError(min(undefined))
     if kind == "fisher":
         # the statistics wait in ``out``; the terms are no longer needed
         del terms
@@ -270,62 +272,38 @@ def _block_terms(kind, block):
     return terms, bounded
 
 
-def _gather(block, cols, rowwise=False):
-    """The rows ``block[:, cols[j]]`` for every j, stacked into a (g * r, n)
-    matrix.  Node-major, it is laid out as one node's gather
-    ``block[:, cols[j]]`` is: a contiguous row when r = 1, column-major
-    otherwise.  ``rowwise``, it is row-major, (r, g) in C order, with
-    contiguous rows as a block of one row has.  numpy sums a contiguous row
-    pairwise but a column-major row left to right, so the layout decides
-    which row sums (Fisher, Stouffer) come out equal bit for bit."""
-    if block.shape[0] == 1:
-        return block[0, cols]
+def _gather_rows(block, cols):
+    """The rows ``block[i, cols[j]]`` for every row i and node j, stacked
+    row-major into a C-ordered (r * g, n) matrix."""
+    return np.take(block, cols, axis=1).reshape(-1, cols.shape[1])
+
+
+def _gather_nodes(block, cols):
+    """The same rows stacked node-major, j before i, into a column-major
+    (g * r, n) matrix."""
     g, n = cols.shape
-    if rowwise:
-        return np.take(block, cols, axis=1).reshape(-1, n)
     return block.T[cols.T].reshape(n, g * block.shape[0]).T
 
 
-def _first_undefined(block, nodes, indptr, indices, lead):
-    """Smallest node whose segment holds both a 0 and a 1 in some row."""
-    zero, one = block == 0.0, block == 1.0
-    for v in np.sort(nodes).tolist():
-        cols = indices[indptr[v]:indptr[v + 1]]
-        if lead:
-            cols = np.concatenate(([v], cols))
-        if np.any(zero[:, cols].any(axis=1) & one[:, cols].any(axis=1)):
-            return v
-    return None
-
-
 def smooth_rows(dag, block, combiner):
-    """All-descendant smoothing applied to each row of an (r, m) block.
+    """All-descendant smoothing of each row of an (r, m) block of p-values,
+    which are not checked.
 
     Node v's value becomes the combination of its row entries at
     ``[v, *descendants ascending]`` (``dag.descendant_closure``); leaves keep
     their own.  ``combine_segments`` combines the inner nodes into a
     compact (r, #inner) array, which is scattered once into a copy of the
     block (after Fisher's and Stouffer's term buffer has been released).
-    The result equals combining node by node over ``block[:, segment]``,
-    bit for bit; ``smooth_all_descendants`` smooths a block so that each
-    row equals smoothing that row alone.
+    Each row of the result is bit-identical to smoothing that row alone,
+    node by node.
 
     Raises:
         UndefinedSegmentError: for Stouffer, naming the smallest node whose
             block holds both a zero and a one in some row.
     """
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[1] != dag.m:
-        raise LengthMismatchError(
-            f"expected rows of length {dag.m}, got {block.shape}")
-    return _smooth(dag, block, combiner, rowwise=False)
-
-
-def _smooth(dag, block, combiner, rowwise):
     indptr, indices = dag.descendant_closure
     inner = np.flatnonzero(np.diff(indptr))
-    res = combine_segments(combiner, block, inner, indptr, indices,
-                           lead=True, rowwise=rowwise)
+    res = combine_segments(combiner, block, inner, indptr, indices, lead=True)
     out = block.copy()
     out[:, inner] = res
     return out
@@ -335,16 +313,14 @@ def smooth_all_descendants(dag, pvalues, combiner):
     """Replace each node's p-value by the combination of itself with all of
     its descendants; nodes without descendants keep their own p-value.
 
-    ``pvalues`` is one (m,) vector or an (R, m) block of them, smoothed
-    row by row: each row of the result is bit-identical to smoothing that
-    row alone.
+    ``pvalues`` is one (m,) vector or an (R, m) block of them, checked and
+    then smoothed by ``smooth_rows``.
     """
     arr = validate_pvalues(pvalues)
     if arr.ndim not in (1, 2) or arr.shape[-1] != dag.m:
         raise LengthMismatchError(f"expected {dag.m} p-values, got "
                                   f"{arr.shape[-1] if arr.ndim else 1}")
-    return _smooth(dag, np.atleast_2d(arr), combiner,
-                   rowwise=True).reshape(arr.shape)
+    return smooth_rows(dag, np.atleast_2d(arr), combiner).reshape(arr.shape)
 
 
 def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):

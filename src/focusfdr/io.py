@@ -284,8 +284,13 @@ def analyze(request):
     if request.reshaping not in (None, "by"):
         raise ValueError(f"unknown reshaping {request.reshaping!r}")
     reshaped = request.reshaping == "by"
-    check_procedure(request.method, reshaped, request.yk_divisor)
+    check_procedure(request.method, request.q, reshaped, request.yk_divisor)
     lam = request.resolved_lambda()
+    fspec = FilterSpec.from_name(request.filter)
+    smoothing = request.combiner
+    if request.items_file is not None:
+        smoothing = smoothing or "simes"
+    comb = None if smoothing is None else Combiner.from_name(smoothing)
     names, name_to_id, dag = read_dag(request.dag_file)
     depths = compute_depths(dag)
     check_dw_depths(request.dw, depths.max_depth, request.dag_file)
@@ -293,7 +298,6 @@ def analyze(request):
 
     try:
         if request.items_file is not None:
-            comb = Combiner.from_name(request.combiner or "simes")
             _, item_to_id, item_p = read_item_pvalue_csv(request.pvalues_file)
             annotations = read_annotation_csv(request.items_file, name_to_id,
                                               item_to_id)
@@ -303,9 +307,8 @@ def analyze(request):
         else:
             p_original = read_pvalue_csv(request.pvalues_file, name_to_id)
             p_used = p_original
-            if request.combiner is not None:
-                p_used = smooth_all_descendants(
-                    dag, p_original, Combiner.from_name(request.combiner))
+            if comb is not None:
+                p_used = smooth_all_descendants(dag, p_original, comb)
     except UndefinedSegmentError as exc:
         raise DomainError(
             f"{request.pvalues_file}: Stouffer is undefined at node "
@@ -321,7 +324,6 @@ def analyze(request):
             f"contained in its parent {names[exc.parent]!r}",
             parent=exc.parent, child=exc.child) from None
 
-    fspec = FilterSpec.from_name(request.filter)
     filtered = request.method in FOCUSED
     discoveries, weights_arr, result = run_procedure(
         request.method, dag, depths, groups, p_used, fspec, request.q,

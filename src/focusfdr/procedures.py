@@ -56,18 +56,15 @@ def _check_q(q):
 
 def _step_up(p, q, pi0=1.0):
     """Rejection mask of each row of an (R, m) block: the row's k smallest
-    p-values, ties taken in node order, k maximal with p_(k) m pi0 <= k q
-    (``pi0`` a scalar or one value per row, shaped (R, 1))."""
+    p-values, k maximal with p_(k) m pi0 <= k q (``pi0`` a scalar or one
+    value per row, shaped (R, 1)).  A maximal k never splits a run of ties,
+    since p_(k+1) = p_(k) makes k + 1 feasible too, so the mask is
+    p <= p_(k), the largest feasible sorted value."""
     m = p.shape[1]
     srt = np.sort(p, axis=1)
-    ranks = np.arange(1, m + 1)
-    k = np.max(np.where(srt * m * pi0 <= ranks * q, ranks, 0), axis=1,
-               initial=0)[:, None]
-    # the k-th smallest value; below it all are taken, at it the first few
-    cut = np.max(np.where(ranks <= k, srt, -np.inf), axis=1, initial=-np.inf)
-    below, at = p < cut[:, None], p == cut[:, None]
-    return below | (at & (np.cumsum(at, axis=1)
-                          <= k - np.count_nonzero(below, axis=1)[:, None]))
+    feasible = srt * m * pi0 <= np.arange(1, m + 1) * q
+    cut = np.max(np.where(feasible, srt, -np.inf), axis=1, initial=-np.inf)
+    return p <= cut[:, None]
 
 
 def _row_set(mask):
@@ -318,10 +315,11 @@ PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
 FOCUSED = ("fbh", "wfbh", "wrfbh")
 
 
-def check_procedure(name, reshaped=False, yk_divisor=2.88):
+def check_procedure(name, q, reshaped=False, yk_divisor=2.88):
     """Reject what ``run_procedure`` cannot run: an unknown name, reshaping
-    asked of a procedure without a filtered count, or a top-down level
-    divisor that is not finite and positive."""
+    asked of a procedure without a filtered count, or a target level q
+    outside (0, 1); the top-down baseline runs at level q / yk_divisor
+    instead, with a finite positive divisor."""
     if name not in PROCEDURES:
         raise ValueError(f"unknown procedure {name!r}; choose from "
                          + ", ".join(PROCEDURES))
@@ -329,8 +327,13 @@ def check_procedure(name, reshaped=False, yk_divisor=2.88):
         raise InvalidReshapingError(
             f"method {name!r} takes no reshaping; only the focused methods "
             + ", ".join(FOCUSED) + " accept it")
-    if name == "yekutieli-tree" and not 0.0 < yk_divisor < np.inf:
+    if name != "yekutieli-tree":
+        _check_q(q)
+    elif not 0.0 < yk_divisor < np.inf:
         raise ValueError(f"yk-divisor must be finite and > 0, got {yk_divisor}")
+    elif not 0.0 < q / yk_divisor < 1.0:
+        raise LevelOutOfRangeError("yekutieli-tree level q / yk-divisor must "
+                                   f"be in (0, 1), got {q / yk_divisor}")
 
 
 class StructurePlan:
@@ -351,8 +354,7 @@ class StructurePlan:
     def workspace(self):
         cfg = self.weight_config
         return WeightWorkspace(self.groups, self.depths,
-                               resolve_dw(cfg, self.groups, self.depths),
-                               cfg.c)
+                               resolve_dw(cfg, self.groups), cfg.c)
 
 
 def run_rows(plan, p, methods, q, yk_divisor=2.88):
@@ -401,12 +403,10 @@ def run_procedure(name, dag, depths, groups, p, fspec, q, weight_config,
     This is ``run_rows`` on one row, after checking its arguments; result
     is the focused methods' ProcedureResult, else None.
     """
-    check_procedure(name, reshaped, yk_divisor)
+    check_procedure(name, q, reshaped, yk_divisor)
     p = validate_pvalues(p)
     if p.size != dag.m:
         raise ValueError(f"expected {dag.m} p-values, got {p.size}")
-    if name != "yekutieli-tree":      # which checks its own level
-        _check_q(q)
     if name == "storey-bh":
         _check_lambda(weight_config.lam)
     plan = StructurePlan(dag, weight_config, depths, groups)

@@ -244,8 +244,8 @@ class SimSummary:
 
 def _resolve_methods(config):
     """Check the whole sweep (family, setup, every p_nonnull, rho, the dw
-    depths, lambda, every method and the smoothing) and parse it once,
-    before any replication; returns (weight config, the methods as
+    depths, every method at level q, lambda and the smoothing) and parse
+    it once, before any replication; returns (weight config, the methods as
     ``run_rows`` takes them, Combiner or None) for the replications."""
     if config.family not in GRAPH_FAMILIES:
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
@@ -257,7 +257,7 @@ def _resolve_methods(config):
     check_dw_depths(config.dw, GRAPH_FAMILIES[config.family],
                     f"graph family {config.family!r}")
     for spec in config.methods:
-        check_procedure(spec.procedure, yk_divisor=config.yk_divisor)
+        check_procedure(spec.procedure, config.q, yk_divisor=config.yk_divisor)
     weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,
                                  dw=config.dw)
     resolved = tuple((spec.procedure, FilterSpec.from_name(spec.filter),

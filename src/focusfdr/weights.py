@@ -127,7 +127,7 @@ def min_possible_weight(d, groups, lam, c=1):
     return float(floor[d - 1])
 
 
-def auto_dw(groups, depths, lam, c=1):
+def auto_dw(groups, lam, c=1):
     """Depths selected for data-adaptive weights by the structural rule.
 
     A depth is gated unless its minimum possible weight already exceeds one
@@ -140,12 +140,12 @@ def auto_dw(groups, depths, lam, c=1):
     return frozenset((np.flatnonzero(~storey | (floor <= 1.0)) + 1).tolist())
 
 
-def resolve_dw(config, groups, depths):
+def resolve_dw(config, groups):
     """Resolve a WeightConfig.dw specification to a concrete depth set."""
     dw = config.dw
     if isinstance(dw, str):
         if dw == "auto":
-            return auto_dw(groups, depths, config.lam, config.c)
+            return auto_dw(groups, config.lam, config.c)
         if dw == "none":
             return frozenset()
         raise ValueError(f"unknown dw mode {dw!r}")
@@ -227,6 +227,6 @@ def dag_weights(dag, depths, groups, pvalues, config):
     arr = validate_pvalues(pvalues)
     if arr.size != dag.m:
         raise ValueError(f"expected {dag.m} p-values, got {arr.size}")
-    dw = resolve_dw(config, groups, depths)
+    dw = resolve_dw(config, groups)
     ws = WeightWorkspace(groups, depths, dw, config.c)
     return WeightVector(values=ws.node_weights(arr, config.lam), resolved_dw=dw)

@@ -293,6 +293,90 @@ def test_cli_simulate_rejects_non_integer_dw_depth(no_replication, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q", ["0", "1", "1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("methods", ["bh", "wfbh:ds,yekutieli-tree"])
+def test_cli_simulate_rejects_q_outside_unit_interval(
+        no_replication, tmp_path, capsys, q, methods):
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--family", "wide-tree", "--p", "0.3",
+                 "--reps", "2", "--methods", methods, "--q", q,
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert ("error: target FDR level must be in (0, 1), got "
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q, divisor", [("3", "2.88"), ("0.05", "0.01"),
+                                        ("0", "2.88"), ("nan", "2.88")])
+def test_cli_simulate_rejects_yekutieli_level_outside_unit_interval(
+        no_replication, tmp_path, capsys, q, divisor):
+    # the top-down baseline runs at level q / yk-divisor, which is checked
+    # in place of q
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--family", "wide-tree", "--p", "0.3",
+                 "--reps", "2", "--methods", "yekutieli-tree", "--q", q,
+                 "--yk-divisor", divisor, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert ("error: yekutieli-tree level q / yk-divisor must be in (0, 1)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--q", "1.5", "target FDR level must be in (0, 1), got 1.5"),
+    ("--filter", "bogus", "unknown filter kind 'bogus'"),
+    ("--filter", "screen:abc", "filter 'screen:abc'"),
+    ("--smoothing", "bogus", "unknown combiner 'bogus'"),
+    ("--smoothing", "orderstat:x", "combiner 'orderstat:x': order statistic "
+                                   "index 'x' is not an integer >= 1"),
+    ("--smoothing", "orderstat:0", "combiner 'orderstat:0'"),
+    ("--dw", "1,x", "--dw: 'x' is not a valid int"),
+])
+@pytest.mark.parametrize("items", [False, True])
+def test_cli_analyze_checks_flags_before_reading_files(tmp_path, capsys,
+                                                       flag, value, message,
+                                                       items):
+    argv = ["analyze", "--dag", str(tmp_path / "missing.csv"),
+            "--pvalues", str(tmp_path / "missing_p.csv"), flag, value]
+    if items:
+        argv += ["--items", str(tmp_path / "missing_items.csv")]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err and "missing" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "expected a JSON object of simulation fields, got list"),
+    ('"wide-tree"', "expected a JSON object of simulation fields, got str"),
+    ('{"family": "wide-tree", "bogus": 1}', "unknown field 'bogus'"),
+])
+def test_cli_simulate_rejects_bad_config_file(no_replication, tmp_path,
+                                              capsys, text, message):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(text)
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", str(cfg), "--reps", "2",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--p", "0.1,x", "--p: 'x' is not a valid float"),
+    ("--p", "0.1, 3 x", "--p: '3 x' is not a valid float"),
+    ("--dw", "1,x", "--dw: 'x' is not a valid int"),
+    ("--methods", ",", "--methods: no methods given"),
+])
+def test_cli_simulate_names_bad_list_flag(no_replication, tmp_path, capsys,
+                                          flag, value, message):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--family", "wide-tree", "--reps", "2", flag,
+                 value, "--out", str(out)]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_rejects_non_integer_dw_depth(chain_files):
     with pytest.raises(ValueError, match="dw depth 1.5 is not an integer"):
         analyze(AnalysisRequest(dag_file=chain_files[0],

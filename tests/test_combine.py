@@ -243,15 +243,17 @@ SMOOTHERS = [Combiner("fisher"), Combiner("stouffer"), Combiner("simes"),
 
 
 def smooth_oracle(dag, block, comb):
-    """Node-by-node smoothing over mask-derived descendant sets; returns
-    (smoothed block, None), or (None, v) for the first node v whose
-    combination raises."""
+    """Node-by-node smoothing of each row alone over mask-derived
+    descendant sets; returns (smoothed block, None), or (None, v) for the
+    first node v whose combination raises in some row."""
     out = block.copy()
     for v in range(dag.m):
         desc = sorted(descendants(dag, v))
         if desc:
             try:
-                out[:, v] = combine_rows(comb, block[:, [v] + desc])
+                for i in range(block.shape[0]):
+                    out[i, v] = combine_rows(comb,
+                                             block[i:i + 1, [v] + desc])[0]
             except DomainError:
                 return None, v
     return out, None
@@ -300,6 +302,7 @@ def test_block_smoothing_matches_each_row_alone(name, family, gather):
     comb = Combiner.from_name(name)
     with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
         got = smooth_all_descendants(dag, block, comb)
+        assert np.array_equal(smooth_rows(dag, block, comb), got)
         for row, p in zip(got, block):
             assert np.array_equal(row, smooth_all_descendants(dag, p, comb))
 

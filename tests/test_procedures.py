@@ -12,10 +12,11 @@ from focusfdr.filters import FilterSpec, interval_count_curve
 from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
                                  LevelOutOfRangeError, NonpositiveWeightError,
                                  NotATreeError, QOutOfRangeError, ReshapingFn,
-                                 StructurePlan, _scan, bh, brute_force_tstar,
-                                 by_procedure, fbh, run_procedure, run_rows,
-                                 storey_bh, unity_weights,
-                                 weighted_reshaped_fbh, wfbh, yekutieli_tree)
+                                 StructurePlan, _scan, _step_up, bh,
+                                 brute_force_tstar, by_procedure, fbh,
+                                 run_procedure, run_rows, storey_bh,
+                                 unity_weights, weighted_reshaped_fbh, wfbh,
+                                 yekutieli_tree)
 from focusfdr.weights import WeightConfig, storey_pi0
 
 DS = FilterSpec("ds")
@@ -275,6 +276,13 @@ def test_step_up_matches_textbook_with_ties(seed, m, levels, q):
     p = rng.integers(0, levels, size=m) / levels
     assert bh(p, q) == textbook_step_up(p, q)
     assert storey_bh(p, q, 0.5) == textbook_step_up(p, q, storey_pi0(p, 0.5))
+    # an (R, m) block with signed zeros and one pi0 per row
+    block = rng.integers(0, levels, size=(6, m)) / levels
+    block[rng.uniform(size=block.shape) < 0.2] = -0.0
+    pi0 = rng.uniform(0.2, 1.5, size=(6, 1))
+    for row, w, hits in zip(block, pi0[:, 0], _step_up(block, q, pi0)):
+        assert frozenset(np.flatnonzero(hits).tolist()) == textbook_step_up(
+            row, q, w)
 
 
 @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1, 4]),

@@ -70,15 +70,15 @@ def test_auto_dw_reproduces_family_choices():
                 "deep-tree": {1, 2, 3}, "bipartite2": {1, 2}}
     for family, depths_set in expected.items():
         dag = generate_graph(family, 5)
-        depths, groups = _indexes(dag)
-        assert auto_dw(groups, depths, 0.5, 1) == depths_set
+        _, groups = _indexes(dag)
+        assert auto_dw(groups, 0.5, 1) == depths_set
 
 
 def test_auto_dw_includes_small_group_depths():
     # every group at or below the size threshold: ratio weights, still gated
     dag = build_dag(3, [(0, 1), (1, 2)])
-    depths, groups = _indexes(dag)
-    assert auto_dw(groups, depths, 0.5, 1) == {1, 2, 3}
+    _, groups = _indexes(dag)
+    assert auto_dw(groups, 0.5, 1) == {1, 2, 3}
 
 
 def per_depth_rule(dag, depths, lam, c):
@@ -118,7 +118,7 @@ def test_auto_dw_and_min_possible_weight_match_per_depth_loop(seed, shape,
     dag = RULE_GRAPHS[shape](np.random.default_rng(seed), max_m)
     depths, groups = _indexes(dag)
     rule = per_depth_rule(dag, depths, lam, c)
-    got = auto_dw(groups, depths, lam, c)
+    got = auto_dw(groups, lam, c)
     assert got == {d for d, (gated, _) in rule.items() if gated}
     assert all(type(d) is int for d in got)
     for d, (_, floor) in rule.items():
@@ -160,11 +160,11 @@ def test_check_dw_depths_accepts_integral_numbers():
 
 def test_resolve_dw_modes():
     dag = generate_graph("wide-tree")
-    depths, groups = _indexes(dag)
-    assert resolve_dw(WeightConfig(dw="none"), groups, depths) == frozenset()
-    assert resolve_dw(WeightConfig(dw=(2,)), groups, depths) == {2}
+    _, groups = _indexes(dag)
+    assert resolve_dw(WeightConfig(dw="none"), groups) == frozenset()
+    assert resolve_dw(WeightConfig(dw=(2,)), groups) == {2}
     with pytest.raises(ValueError):
-        resolve_dw(WeightConfig(dw="sometimes"), groups, depths)
+        resolve_dw(WeightConfig(dw="sometimes"), groups)
 
 
 def test_wide_tree_leaf_weights_match_group_storey():
@@ -275,7 +275,7 @@ def test_leave_self_zero_matches_explicit_substitution():
         dag = build_dag(m, edges)
         depths, groups = _indexes(dag)
         cfg = WeightConfig(lam=0.5, c=1, dw="auto")
-        dw = resolve_dw(cfg, groups, depths)
+        dw = resolve_dw(cfg, groups)
         ws = WeightWorkspace(groups, depths, dw, cfg.c)
         p = rng.uniform(size=m)
         fast = ws.leave_self_zero_weights(p, cfg.lam)
@@ -290,7 +290,7 @@ def test_workspace_matches_dag_weights():
     dag = generate_graph("bipartite2", 9)
     depths, groups = _indexes(dag)
     cfg = WeightConfig(lam=0.3, c=2, dw="auto")
-    dw = resolve_dw(cfg, groups, depths)
+    dw = resolve_dw(cfg, groups)
     ws = WeightWorkspace(groups, depths, dw, cfg.c)
     p = np.random.default_rng(7).uniform(size=dag.m)
     assert np.allclose(ws.node_weights(p, cfg.lam),
