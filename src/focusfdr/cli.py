@@ -12,7 +12,6 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import fields
 
 from . import io as fio
 from .checks import SUITES, UnknownSuiteError
@@ -55,19 +54,11 @@ def _parse_dw(text):
 
 
 def _parse_methods(text):
-    specs = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" in tok:
-            proc, filt = tok.split(":", 1)
-        else:
-            proc, filt = tok, "trivial"
-        specs.append(MethodSpec(proc, filt))
+    specs = tuple(MethodSpec(*tok.strip().split(":", 1))
+                  for tok in text.split(",") if tok.strip())
     if not specs:
         raise ValueError("--methods: no methods given")
-    return tuple(specs)
+    return specs
 
 
 def build_parser():
@@ -164,27 +155,70 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
-def _cmd_simulate(args):
-    merged = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+def _is_method(value):
+    """{"procedure"[, "filter"]} or [procedure[, filter]], of strings."""
+    if isinstance(value, dict) and set(value) in ({"procedure"},
+                                                 {"procedure", "filter"}):
+        value = list(value.values())
+    return (isinstance(value, list) and 1 <= len(value) <= 2
+            and all(isinstance(v, str) for v in value))
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+# each SimConfig field's JSON type and its test (json gives exact types, so
+# true is no int); the sweep checks values, dw depths and booleans included
+_STR = ("a string", lambda v: type(v) is str)
+_INT = ("an integer", lambda v: type(v) is int)
+_NUM = ("a number", lambda v: type(v) in (int, float))
+_CONFIG_TYPES = {
+    "family": _STR, "setup": _STR,
+    "p_nonnull": ("a list of numbers", _list_of(_NUM[1])),
+    "rho": _NUM, "q": _NUM, "lambda_policy": _STR, "c": _INT,
+    "dw": ('"auto", "none" or a list of depths', lambda v: _STR[1](v)
+           or _list_of(lambda d: isinstance(d, (int, float)))(v)),
+    "n_reps": _INT, "seed": _INT,
+    "smoothing": ("a string or null", lambda v: v is None or _STR[1](v)),
+    "methods": ('a list of {"procedure", "filter"} objects or '
+                "[procedure, filter] lists", _list_of(_is_method)),
+    "yk_divisor": _NUM,
+}
+
+
+def _read_sim_config(path):
+    """The SimConfig fields set by the JSON object in file ``path``, each
+    checked for its type; a ValueError names the file and the field."""
+    with open(path, encoding="utf-8") as fh:
+        try:
             merged = json.load(fh)
-        if not isinstance(merged, dict):
-            raise ValueError(f"{args.config}: expected a JSON object of "
-                             f"simulation fields, got {type(merged).__name__}")
-        known = [f.name for f in fields(SimConfig)]
-        unknown = [name for name in merged if name not in known]
-        if unknown:
-            raise ValueError(f"{args.config}: unknown field {unknown[0]!r}; "
-                             "choose from " + ", ".join(known))
-        if "methods" in merged:
-            merged["methods"] = tuple(MethodSpec(**m) if isinstance(m, dict)
-                                      else MethodSpec(*m)
-                                      for m in merged["methods"])
-        if "p_nonnull" in merged:
-            merged["p_nonnull"] = tuple(merged["p_nonnull"])
-        if "dw" in merged and not isinstance(merged["dw"], str):
-            merged["dw"] = frozenset(merged["dw"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(merged, dict):
+        raise ValueError(f"{path}: expected a JSON object of simulation "
+                         f"fields, got {type(merged).__name__}")
+    for name, value in merged.items():
+        if name not in _CONFIG_TYPES:
+            raise ValueError(f"{path}: unknown field {name!r}; choose from "
+                             + ", ".join(_CONFIG_TYPES))
+        what, valid = _CONFIG_TYPES[name]
+        if not valid(value):
+            raise ValueError(f"{path}: field {name!r} must be {what}, got "
+                             f"{json.dumps(value)}")
+    if "methods" in merged:
+        merged["methods"] = tuple(MethodSpec(**m) if isinstance(m, dict)
+                                  else MethodSpec(*m)
+                                  for m in merged["methods"])
+    if "p_nonnull" in merged:
+        merged["p_nonnull"] = tuple(merged["p_nonnull"])
+    if "dw" in merged and not isinstance(merged["dw"], str):
+        merged["dw"] = frozenset(merged["dw"])
+    return merged
+
+
+def _cmd_simulate(args):
+    merged = _read_sim_config(args.config) if args.config else {}
     flags = {
         "family": args.family, "setup": args.setup,
         "p_nonnull": (None if args.p is None

@@ -8,7 +8,7 @@ Smoothing and intersection p-values both combine over column segments (a
 node with its descendants, or a node's annotated items) through one
 size-grouped kernel, ``combine_segments``, which transforms each entry for
 Fisher (log p) and Stouffer (normal quantile) once, not once per segment
-holding it.
+holding it, and calibrates both sums after the pass over the segments.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def combine_rows(combiner, block):
         if np.any(zeros & ones):
             raise DomainError("Stouffer is undefined when a block has both a"
                               " zero and a one")
-        return np.atleast_1d(_stouffer(np.sum(_terms(kind, block), axis=1),
-                                       n, zeros, ones))
+        z = np.sum(_terms(kind, block), axis=1) / math.sqrt(n)
+        return normal_cdf(np.where(zeros, -np.inf, np.where(ones, np.inf, z)))
 
     if kind == "simes":
         srt = np.sort(block, axis=1)
@@ -158,14 +158,6 @@ def _terms(kind, block):
     return normal_quantile(np.clip(block, _ABOVE_ZERO, _BELOW_ONE))
 
 
-def _stouffer(zsum, n, zeros, ones):
-    """Stouffer's p from the z-sums of blocks of n values, with the blocks
-    holding a 0 (``zeros``) or a 1 (``ones``) set to that limit."""
-    out = normal_cdf(zsum / math.sqrt(n))
-    out = np.where(zeros, 0.0, out)
-    return np.where(ones, 1.0, out)
-
-
 def combine(combiner, pvalues):
     """Combine a nonempty sequence of p-values into one p-value.
 
@@ -194,18 +186,15 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
 
     Fisher and Stouffer first apply their per-entry term (``_terms``) to
     every entry of the block once, a bounded number of rows at a time,
-    and their segments then gather and sum terms; Stouffer gathers the raw
-    block for its zero/one limits only if the block holds a 0 or a 1.  The
-    other combiners gather raw p-values.  Nodes are grouped by segment size
-    n, largest first, and each group is gathered into (g, n) column
+    and their segments then gather and sum terms (Stouffer's are -inf at a
+    0 and +inf at a 1); the other combiners gather raw p-values.  Nodes are
+    grouped by segment size n, largest first, and each group is gathered
+    row-major (each row's segments contiguous, as at r = 1: numpy sums a
+    contiguous row pairwise but a strided one left to right) into (g, n)
     matrices of at most ``_GATHER_ENTRIES`` entries (never less than one
-    node).  Fisher's statistics are calibrated afterwards by
-    ``chisq_survival`` with one df per node, so its series runs once over
-    all sizes.  The combiner sets the gather's layout: numpy sums a
-    contiguous row pairwise but a strided one left to right, so Fisher and
-    Stouffer gather row-major, each row's segments contiguous as at r = 1;
-    sorts and minima are exact in any layout, and on more than one row the
-    others gather node-major, which is faster on tall blocks.
+    node).  The sums wait in the output and are calibrated after the pass:
+    Fisher's by ``chisq_survival`` with one df per node, so its series runs
+    once over all sizes, and Stouffer's by ``normal_cdf``.
 
     Raises:
         UndefinedSegmentError: naming the smallest node whose Stouffer
@@ -216,10 +205,8 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
     order = np.argsort(-sizes, kind="stable")
     starts = np.flatnonzero(np.diff(sizes[order], prepend=-1))
     if kind in ("fisher", "stouffer"):
-        terms, bounded = _block_terms(kind, block)
-    row_major = r == 1 or kind in ("fisher", "stouffer")
-    gather = _gather_rows if row_major else _gather_nodes
-    out, undefined = np.empty((r, nodes.size)), []
+        terms = _block_terms(kind, block)
+    out = np.empty((r, nodes.size))
     for group, n in zip(np.split(order, starts[1:]),
                         sizes[order][starts].tolist()):
         width = np.arange(n - lead)
@@ -228,61 +215,46 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
             cols = indices[indptr[at][:, None] + width]
             if lead:
                 cols = np.column_stack((at, cols))
-            if kind == "fisher":
-                res = -2.0 * np.sum(gather(terms, cols), axis=1)
-            elif kind == "stouffer":
-                zeros = ones = False
-                if bounded:
-                    vals = gather(block, cols)
-                    zeros = np.any(vals == 0.0, axis=1)
-                    ones = np.any(vals == 1.0, axis=1)
-                    both = (zeros & ones).reshape(r, -1).any(axis=0)
-                    undefined.extend(at[both].tolist())
-                res = _stouffer(np.sum(gather(terms, cols), axis=1), n,
-                                zeros, ones)
+            if kind in ("fisher", "stouffer"):
+                with np.errstate(invalid="ignore"):     # -inf + inf is NaN
+                    res = np.sum(_gather_rows(terms, cols), axis=1)
             else:
-                res = combine_rows(combiner, gather(block, cols))
-            out[:, chunk] = (res.reshape(r, chunk.size) if row_major
-                             else res.reshape(chunk.size, r).T)
-    if undefined:
-        raise UndefinedSegmentError(min(undefined))
-    if kind == "fisher":
-        # the statistics wait in ``out``; the terms are no longer needed
+                res = combine_rows(combiner, _gather_rows(block, cols))
+            out[:, chunk] = res.reshape(r, chunk.size)
+    if kind in ("fisher", "stouffer"):
+        # the sums wait in ``out``; the terms are no longer needed
         del terms
+        if kind == "stouffer" and np.isnan(out).any():
+            undefined = nodes[np.isnan(out).any(axis=0)]
+            raise UndefinedSegmentError(int(undefined.min()))
         step = max(1, _GATHER_ENTRIES // max(r, 1))
         for a in range(0, nodes.size, step):
-            out[:, a:a + step] = chisq_survival(
-                np.ascontiguousarray(out[:, a:a + step].T),
-                2 * sizes[a:a + step]).T
+            sums, n = out[:, a:a + step], sizes[a:a + step]
+            out[:, a:a + step] = (
+                chisq_survival(np.ascontiguousarray(-2.0 * sums.T), 2 * n).T
+                if kind == "fisher" else normal_cdf(sums / np.sqrt(n)))
     return out
 
 
 def _block_terms(kind, block):
-    """``_terms`` of every entry of ``block``, computed into one buffer at
-    most ``_GATHER_ENTRIES`` entries (never less than one row) at a time;
-    for Stouffer, also whether the block holds a 0 or a 1."""
+    """``_terms`` of every entry of ``block`` into one buffer, at most
+    ``_GATHER_ENTRIES`` entries (never less than one row) at a time; for
+    Stouffer, -inf at a 0 and +inf at a 1 (so a sum over both is NaN)."""
     terms = np.empty(block.shape)
     step = max(1, _GATHER_ENTRIES // max(block.shape[1], 1))
-    bounded = False
     for a in range(0, block.shape[0], step):
         rows = np.ascontiguousarray(block[a:a + step])
-        terms[a:a + step] = _terms(kind, rows)
-        if kind == "stouffer" and not bounded:
-            bounded = bool(np.any((rows == 0.0) | (rows == 1.0)))
-    return terms, bounded
+        t = _terms(kind, rows)
+        if kind == "stouffer":
+            t[rows == 0.0], t[rows == 1.0] = -np.inf, np.inf
+        terms[a:a + step] = t
+    return terms
 
 
 def _gather_rows(block, cols):
     """The rows ``block[i, cols[j]]`` for every row i and node j, stacked
     row-major into a C-ordered (r * g, n) matrix."""
     return np.take(block, cols, axis=1).reshape(-1, cols.shape[1])
-
-
-def _gather_nodes(block, cols):
-    """The same rows stacked node-major, j before i, into a column-major
-    (g * r, n) matrix."""
-    g, n = cols.shape
-    return block.T[cols.T].reshape(n, g * block.shape[0]).T
 
 
 def smooth_rows(dag, block, combiner):

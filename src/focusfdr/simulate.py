@@ -251,11 +251,15 @@ def _resolve_methods(config):
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
         raise ValueError(f"unknown signal setup {config.setup!r}")
+    if not config.p_nonnull:
+        raise ValueError("p_nonnull: need at least one non-null proportion")
     for p_nonnull in config.p_nonnull:
         _check_p_nonnull(p_nonnull)
     _check_rho(config.rho)
     check_dw_depths(config.dw, GRAPH_FAMILIES[config.family],
                     f"graph family {config.family!r}")
+    if not config.methods:
+        raise ValueError("methods: need at least one method")
     for spec in config.methods:
         check_procedure(spec.procedure, config.q, yk_divisor=config.yk_divisor)
     weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,
@@ -392,11 +396,12 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     nulls = np.array([v for v in range(dag.m) if v not in truth], dtype=np.intp)
     mu = signal_means(depths, truth, setup)
     totals = np.empty(n_mc)
-    for r in range(n_mc):
-        x = mu + rng.standard_normal(dag.m)
-        p = normal_cdf(-x)
-        w0 = ws.leave_self_zero_weights(p, lam)
-        totals[r] = np.sum(1.0 / w0[nulls])
+    rows = max(1, _BLOCK_ENTRIES // dag.m)
+    for a in range(0, n_mc, rows):
+        # the rows draw in turn, and a C-ordered take sums each as alone
+        x = mu + rng.standard_normal((min(rows, n_mc - a), dag.m))
+        w0 = ws.leave_self_zero_weights(normal_cdf(-x), lam)
+        totals[a:a + rows] = np.sum(1.0 / np.take(w0, nulls, axis=1), axis=1)
     est = float(totals.mean())
     se = float(totals.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return Condition1Result(estimate=est, se=se, n_nulls=int(nulls.size),

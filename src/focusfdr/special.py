@@ -4,7 +4,8 @@ Hand-translated rational approximations (no SciPy dependency): Cody's
 Chebyshev fits for erf/erfc and Wichura's PPND16 for the normal quantile,
 plus exact series for the chi-square survival function with even degrees
 of freedom and the beta CDF with integer parameters.  All functions accept
-scalars or numpy arrays and target absolute error below 1e-12.
+scalars or numpy arrays and target absolute error below 1e-12.  At +-inf
+erfc is exactly 0 and 2 (so normal_cdf is 1 and 0); NaN maps to NaN.
 """
 
 from __future__ import annotations
@@ -44,36 +45,37 @@ _ERFC_Q = (2.56852019228982242e0, 1.87295284992346047e0,
            2.33520497626869185e-3)
 
 
+def _cody(a, b, t):
+    """Cody's rational form in t, by Horner's rule in place (see ``_poly``):
+    the numerator ``(..(a[-1] t + a[0]) t + ..) t + a[k]`` and the
+    denominator ``(..(t + b[0]) t + ..) t + b[k]``, k = len(b) - 1."""
+    num, den = a[-1] * t, t + b[0]
+    for i in range(len(b) - 1):
+        num += a[i]
+        num *= t
+        den *= t
+        den += b[i + 1]
+    num += a[len(b) - 1]
+    return num, den
+
+
 def _erf_small(z):
     # |x| <= 0.46875, z = x^2; returns erf(x)/x
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return (num + _ERF_A[3]) / (den + _ERF_B[3])
+    num, den = _cody(_ERF_A, _ERF_B, z)
+    return num / den
 
 
 def _erfc_mid(y):
     # 0.46875 <= y <= 4; returns erfc(y) * exp(y^2)
-    num = _ERFC_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERFC_C[i]) * y
-        den = (den + _ERFC_D[i]) * y
-    return (num + _ERFC_C[7]) / (den + _ERFC_D[7])
+    num, den = _cody(_ERFC_C, _ERFC_D, y)
+    return num / den
 
 
 def _erfc_tail(y):
     # y > 4; returns erfc(y) * exp(y^2)
     z = 1.0 / (y * y)
-    num = _ERFC_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERFC_P[i]) * z
-        den = (den + _ERFC_Q[i]) * z
-    r = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-    return (_INV_SQRTPI - r) / y
+    num, den = _cody(_ERFC_P, _ERFC_Q, z)
+    return (_INV_SQRTPI - z * num / den) / y
 
 
 def _exp_msq(y):
@@ -81,29 +83,20 @@ def _exp_msq(y):
     # squaring error in the far tail (hi = y rounded to 1/16).
     hi = np.floor(y * 16.0) / 16.0
     rest = (y - hi) * (y + hi)
-    with np.errstate(under="ignore"):
-        return np.exp(-hi * hi) * np.exp(-rest)
+    return np.exp(-hi * hi) * np.exp(-rest)
 
 
 def _erfc_array(x):
+    # every branch runs on the whole array; the tail is exactly 0 from
+    # y = 27.3125 on, so it runs at min(y, 28), finite at y = inf
     x = np.asarray(x, dtype=float)
     y = np.abs(x)
-    out = np.empty_like(y)
-
-    small = y <= 0.46875
-    if small.any():
-        out[small] = 1.0 - x[small] * _erf_small(x[small] * x[small])
-    mid = (~small) & (y <= 4.0)
-    if mid.any():
-        out[mid] = _erfc_mid(y[mid]) * _exp_msq(y[mid])
-    tail = y > 4.0
-    if tail.any():
-        yt = y[tail]
-        with np.errstate(under="ignore"):
-            out[tail] = _erfc_tail(yt) * _exp_msq(yt)
-    neg = (x < 0) & ~small
-    out[neg] = 2.0 - out[neg]
-    return out
+    with np.errstate(all="ignore"):
+        small = 1.0 - x * _erf_small(x * x)
+        yc = np.minimum(y, 28.0)
+        big = (np.where(yc <= 4.0, _erfc_mid(yc), _erfc_tail(yc))
+               * _exp_msq(yc))
+    return np.where(y <= 0.46875, small, np.where(x < 0, 2.0 - big, big))
 
 
 def erfc(x):
@@ -115,13 +108,9 @@ def erfc(x):
 def erf(x):
     """Error function (vectorized)."""
     x_arr = np.asarray(x, dtype=float)
-    out = np.empty_like(x_arr)
-    small = np.abs(x_arr) <= 0.46875
-    if small.any():
-        xs = x_arr[small]
-        out[small] = xs * _erf_small(xs * xs)
-    if (~small).any():
-        out[~small] = 1.0 - _erfc_array(x_arr[~small])
+    with np.errstate(all="ignore"):
+        small = x_arr * _erf_small(x_arr * x_arr)
+    out = np.where(np.abs(x_arr) <= 0.46875, small, 1.0 - _erfc_array(x_arr))
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -193,10 +182,9 @@ def normal_quantile(p):
         qt = q[tail]
         pt = p_arr[tail]
         r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        val[near] = _poly(_PPND_C, r[near] - 1.6) / _poly(_PPND_D, r[near] - 1.6)
-        val[~near] = _poly(_PPND_E, r[~near] - 5.0) / _poly(_PPND_F, r[~near] - 5.0)
+        val = np.where(r <= 5.0,
+                       _poly(_PPND_C, r - 1.6) / _poly(_PPND_D, r - 1.6),
+                       _poly(_PPND_E, r - 5.0) / _poly(_PPND_F, r - 5.0))
         out[tail] = np.where(qt < 0.0, -val, val)
     return float(out) if np.ndim(p) == 0 else out
 

@@ -3,9 +3,11 @@
 import csv
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
+import focusfdr.cli as cli_module
 from focusfdr.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 from focusfdr.checks import SUITES
 from focusfdr.dag import Dag, build_dag
@@ -362,6 +364,49 @@ def test_cli_simulate_rejects_bad_config_file(no_replication, tmp_path,
     assert not out.exists()
 
 
+METHODS_TYPE = ('must be a list of {"procedure", "filter"} objects or '
+                "[procedure, filter] lists")
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ('{"methods": [{"proc": "bh"}]}', [],
+     "{cfg}: field 'methods' " + METHODS_TYPE + ', got [{"proc": "bh"}]'),
+    ('{"methods": [["bh", "ds", "x"]]}', [],
+     "{cfg}: field 'methods' " + METHODS_TYPE + ', got [["bh", "ds", "x"]]'),
+    ('{"methods": ["bh"]}', [],
+     "{cfg}: field 'methods' " + METHODS_TYPE + ', got ["bh"]'),
+    ('{"p_nonnull": 0.3}', [],
+     "{cfg}: field 'p_nonnull' must be a list of numbers, got 0.3"),
+    ('{"dw": 2}', [],
+     """{cfg}: field 'dw' must be "auto", "none" or a list of depths, got 2"""),
+    ('{"seed": 1.5}', [], "{cfg}: field 'seed' must be an integer, got 1.5"),
+    ('{"rho": "0.1"}', [],
+     '{cfg}: field \'rho\' must be a number, got "0.1"'),
+    ('{"family": ', [], "{cfg}: Expecting value: line 1 column 12"),
+    ('{"p_nonnull": []}', [],
+     "p_nonnull: need at least one non-null proportion"),
+    ("{}", ["--p", ","], "p_nonnull: need at least one non-null proportion"),
+    ('{"methods": []}', [], "methods: need at least one method"),
+], ids=["method-key", "method-length", "method-string", "p-scalar",
+        "dw-scalar", "seed-float", "rho-string", "json-syntax", "p-empty",
+        "p-flag-empty", "methods-empty"])
+def test_cli_simulate_rejects_bad_config_value(no_replication, tmp_path,
+                                               capsys, text, flags, message):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(text)
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", str(cfg), "--reps", "2",
+                 "--out", str(out), *flags]) == EXIT_INPUT
+    assert ("error: " + message.replace("{cfg}", str(cfg))
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_config_types_cover_every_simulation_field():
+    assert list(cli_module._CONFIG_TYPES) == [f.name for f in
+                                              fields(SimConfig)]
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--p", "0.1,x", "--p: 'x' is not a valid float"),
     ("--p", "0.1, 3 x", "--p: '3 x' is not a valid float"),
@@ -461,9 +506,11 @@ BAD_SWEEPS = [
     ({"p_nonnull": (0.0,)}, r"p_nonnull must be in \(0, 1\), got 0.0"),
     ({"rho": 1.0}, r"rho must be in \[0, 1\), got 1.0"),
     ({"rho": -0.1}, r"rho must be in \[0, 1\), got -0.1"),
+    ({"p_nonnull": ()}, "p_nonnull: need at least one non-null proportion"),
+    ({"methods": ()}, "methods: need at least one method"),
 ]
 BAD_SWEEP_IDS = ["family", "setup", "p-above-one", "p-zero", "rho-one",
-                 "rho-negative"]
+                 "rho-negative", "p-empty", "methods-empty"]
 
 
 @pytest.mark.parametrize("fields, message", BAD_SWEEPS, ids=BAD_SWEEP_IDS)

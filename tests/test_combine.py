@@ -72,6 +72,18 @@ def test_stouffer_boundary_limits():
         combine(Combiner("stouffer"), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("ps, expected", [
+    ([0.0], 0.0), ([1.0], 1.0), ([0.0, 1e-300, 0.9, 0.9999], 0.0),
+    ([1.0, 0.5, 1e-12, 0.3], 1.0), ([0.0, 0.0, 0.7], 0.0),
+    ([1.0, 1.0, 0.2], 1.0)])
+def test_stouffer_limits_are_exact(ps, expected):
+    # the z-score is -inf or +inf, and normal_cdf maps it to exactly 0 or 1
+    got = combine(Combiner("stouffer"), ps)
+    assert got == expected and not np.signbit(got)
+    assert combine_rows(Combiner("stouffer"),
+                        np.array([ps, ps]))[1] == expected
+
+
 def test_simes_reference():
     assert combine(Combiner("simes"), [0.02, 0.04]) == pytest.approx(0.04, abs=1e-15)
     assert combine(Combiner("simes"), [0.9, 0.02, 0.04]) == pytest.approx(0.06, abs=1e-15)
@@ -341,6 +353,25 @@ def test_stouffer_smoothing_names_smallest_undefined_node():
     # valid results are unchanged: a lone 0 or 1 still propagates as a limit
     sm = smooth_rows(dag, block[:, [0, 0, 2, 3, 4, 5]], Combiner("stouffer"))
     assert sm[1, 2] == 0.0 and sm[1, 3] == 0.0
+
+
+@pytest.mark.parametrize("r", [1, 40])
+def test_stouffer_smoothing_limits_are_exact(r):
+    # node 2's segment holds a 0 in row 0 and a 1 in row 1, node 3's also
+    # the 0.5 of node 4; both combine to exactly 0.0 and 1.0 in every row
+    dag = build_dag(6, [(2, 0), (2, 1), (3, 2), (3, 4)])
+    base = np.array([[0.0, 0.3, 0.5, 0.5, 0.5, 0.5],
+                     [0.7, 1.0, 0.5, 0.5, 0.5, 0.5]])
+    block = np.tile(base, (r // 2 + 1, 1))[:r]
+    sm = smooth_rows(dag, block, Combiner("stouffer"))
+    limit = np.where(block[:, 0] == 0.0, 0.0, 1.0)
+    assert np.array_equal(sm[:, 2], limit) and np.array_equal(sm[:, 3], limit)
+    assert not np.signbit(sm).any()
+    # a 0 and a 1 in one row's segment name the smallest such node
+    block[-1, 0], block[-1, 1] = 0.0, 1.0
+    with pytest.raises(UndefinedSegmentError) as info:
+        smooth_rows(dag, block, Combiner("stouffer"))
+    assert info.value.node == 2
 
 
 def nested_annotations(rng, dag, n_items):

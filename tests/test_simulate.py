@@ -16,7 +16,7 @@ from focusfdr.combine import Combiner, smooth_all_descendants
 from focusfdr.dag import (build_dag, check_heredity, compute_depths,
                           group_index, is_tree)
 from focusfdr.filters import FilterSpec
-from focusfdr.procedures import run_procedure
+from focusfdr.procedures import StructurePlan, run_procedure
 from focusfdr.simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec,
                                RhoOutOfRangeError, SimConfig,
                                UnknownFamilyError, assign_truth,
@@ -406,6 +406,34 @@ def test_condition1_unity_weights_exact():
                            n_mc=50, seed=0)
     assert res.estimate == pytest.approx(550.0)
     assert res.se == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("family", ["wide-tree", "deep-tree", "bipartite1"])
+@pytest.mark.parametrize("p_nonnull", [None, 0.3])
+@pytest.mark.parametrize("n_mc", [1, 2, 100])
+def test_condition1_blocks_match_per_replication_loop(family, p_nonnull,
+                                                      n_mc):
+    # a (k, m) draw is k consecutive draws of m, and each block row is
+    # weighted and summed as the row alone
+    dag = generate_graph(family, 3)
+    truth = frozenset() if p_nonnull is None else assign_truth(dag, p_nonnull,
+                                                               1)
+    config = WeightConfig(lam=0.5, c=1, dw="auto")
+    with mock.patch.object(simulate_module, "_BLOCK_ENTRIES", 7 * dag.m):
+        res = condition1_check(dag, config, truth, n_mc, seed=4,
+                               setup="decremental")
+    rng = np.random.default_rng(4)
+    plan = StructurePlan(dag, config)
+    ws = plan.workspace
+    mu = signal_means(plan.depths, truth, "decremental")
+    nulls = np.array(sorted(set(range(dag.m)) - truth), dtype=np.intp)
+    totals = np.empty(n_mc)
+    for r in range(n_mc):
+        p = normal_cdf(-(mu + rng.standard_normal(dag.m)))
+        totals[r] = np.sum(1.0 / ws.leave_self_zero_weights(p, 0.5)[nulls])
+    assert res.estimate == totals.mean()
+    se = totals.std(ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0
+    assert res.se == se
 
 
 def test_condition1_flat_group_bound():

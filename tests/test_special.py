@@ -31,6 +31,28 @@ def test_erf_matches_libm_on_grid():
     assert np.max(np.abs(erf(xs) - ref)) < 1e-14
 
 
+@pytest.mark.parametrize("fn, at_inf, at_minus_inf", [
+    (erfc, 0.0, 2.0), (erf, 1.0, -1.0), (normal_cdf, 1.0, 0.0)])
+def test_limits_at_infinity_and_nan(fn, at_inf, at_minus_inf):
+    x = np.array([np.inf, -np.inf, np.nan])
+    got = fn(x)
+    assert got[0] == at_inf and got[1] == at_minus_inf and np.isnan(got[2])
+    assert fn(np.inf) == at_inf and fn(-np.inf) == at_minus_inf
+    assert math.isnan(fn(np.nan))
+
+
+@pytest.mark.parametrize("fn", [erfc, erf, normal_cdf])
+def test_huge_arguments_take_the_limits_without_warnings(fn):
+    # every branch is evaluated on every entry, so the branches that do not
+    # apply overflow or divide by zero; none of that may leak as a warning
+    # (underflow stays ignored, as numpy has it by default)
+    x = np.array([1e300, -1e300, 1.7e308, -1.7e308, 0.0, -0.0, 5e-324])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        fn(x)
+    expected = {erfc: [0.0, 2.0], erf: [1.0, -1.0], normal_cdf: [1.0, 0.0]}
+    assert fn(x)[:4].tolist() == expected[fn] * 2
+
+
 @pytest.mark.parametrize("x,expected", [
     (-8.0, 6.220960574271784e-16),
     (-3.5, 0.00023262907903552504),
