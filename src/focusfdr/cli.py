@@ -248,13 +248,15 @@ def _cmd_check(args):
                                 f"choose from {sorted(SUITES)}")
     accepted = inspect.signature(suite).parameters
     kwargs = {}
-    for flag, name, value in (("--reps", "n_mc", args.reps),
-                              ("--trials", "trials", args.trials),
-                              ("--seed", "seed", args.seed)):
+    for flag, name, value, least in (("--reps", "n_mc", args.reps, 1),
+                                     ("--trials", "trials", args.trials, 1),
+                                     ("--seed", "seed", args.seed, 0)):
         if value is None:
             continue
         if name not in accepted:
             raise ValueError(f"{flag} does not apply to suite {args.suite!r}")
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
         kwargs[name] = value
     ok, lines = suite(**kwargs)
     status = "PASS" if ok else "FAIL"

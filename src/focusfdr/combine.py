@@ -8,7 +8,7 @@ Smoothing and intersection p-values both combine over column segments (a
 node with its descendants, or a node's annotated items) through one
 size-grouped kernel, ``combine_segments``, which transforms each entry for
 Fisher (log p) and Stouffer (normal quantile) once, not once per segment
-holding it, and calibrates both sums after the pass over the segments.
+holding it, and calibrates both sums one row slab at a time.
 """
 
 from __future__ import annotations
@@ -120,13 +120,12 @@ def combine_rows(combiner, block):
                               2 * n)
 
     if kind == "stouffer":
-        zeros = np.any(block == 0.0, axis=1)
-        ones = np.any(block == 1.0, axis=1)
-        if np.any(zeros & ones):
+        with np.errstate(invalid="ignore"):     # -inf + inf is NaN
+            z = np.sum(_terms(kind, block), axis=1)
+        if np.isnan(z).any():
             raise DomainError("Stouffer is undefined when a block has both a"
                               " zero and a one")
-        z = np.sum(_terms(kind, block), axis=1) / math.sqrt(n)
-        return normal_cdf(np.where(zeros, -np.inf, np.where(ones, np.inf, z)))
+        return normal_cdf(z / math.sqrt(n))
 
     if kind == "simes":
         srt = np.sort(block, axis=1)
@@ -149,13 +148,15 @@ def combine_rows(combiner, block):
 
 def _terms(kind, block):
     """The per-entry terms whose row sums Fisher and Stouffer calibrate:
-    log p, or the normal quantile of p clipped into the open unit interval.
-    Applied element by element, so an entry's term never depends on the
-    array it sits in."""
+    log p, or the normal quantile of p, which is -inf at a 0 and +inf at a
+    1 (so a sum over both is NaN).  Applied element by element, so an
+    entry's term never depends on the array it sits in."""
     if kind == "fisher":
         with np.errstate(divide="ignore"):
             return np.log(block)
-    return normal_quantile(np.clip(block, _ABOVE_ZERO, _BELOW_ONE))
+    terms = normal_quantile(np.clip(block, _ABOVE_ZERO, _BELOW_ONE))
+    terms[block == 0.0], terms[block == 1.0] = -np.inf, np.inf
+    return terms
 
 
 def combine(combiner, pvalues):
@@ -184,17 +185,16 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
     entry (i, j) combines ``block[i, segment]`` for v = ``nodes[j]``, bit
     for bit as ``combine_rows`` does on that one row and segment.
 
-    Fisher and Stouffer first apply their per-entry term (``_terms``) to
-    every entry of the block once, a bounded number of rows at a time,
-    and their segments then gather and sum terms (Stouffer's are -inf at a
-    0 and +inf at a 1); the other combiners gather raw p-values.  Nodes are
-    grouped by segment size n, largest first, and each group is gathered
-    row-major (each row's segments contiguous, as at r = 1: numpy sums a
-    contiguous row pairwise but a strided one left to right) into (g, n)
-    matrices of at most ``_GATHER_ENTRIES`` entries (never less than one
-    node).  The sums wait in the output and are calibrated after the pass:
-    Fisher's by ``chisq_survival`` with one df per node, so its series runs
-    once over all sizes, and Stouffer's by ``normal_cdf``.
+    The block is combined one slab of at most ``_GATHER_ENTRIES`` entries
+    (never less than one row) at a time.  Fisher's and Stouffer's segments
+    gather and sum the slab's ``_terms``; the other combiners gather raw
+    p-values.  Nodes are grouped by segment size n, largest first, and
+    each group is gathered row-major (each row's segments contiguous, as
+    at r = 1: numpy sums a contiguous row pairwise but a strided one left
+    to right) into (g, n) matrices of at most ``_GATHER_ENTRIES`` entries
+    (never less than one node).  The slab's sums are calibrated before the
+    next slab: Fisher's by ``chisq_survival`` with one df per node, so its
+    series runs once over all sizes, and Stouffer's by ``normal_cdf``.
 
     Raises:
         UndefinedSegmentError: naming the smallest node whose Stouffer
@@ -204,51 +204,37 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
     sizes = indptr[nodes + 1] - indptr[nodes] + lead
     order = np.argsort(-sizes, kind="stable")
     starts = np.flatnonzero(np.diff(sizes[order], prepend=-1))
-    if kind in ("fisher", "stouffer"):
-        terms = _block_terms(kind, block)
+    groups = list(zip(np.split(order, starts[1:]),
+                      sizes[order][starts].tolist()))
     out = np.empty((r, nodes.size))
-    for group, n in zip(np.split(order, starts[1:]),
-                        sizes[order][starts].tolist()):
-        width = np.arange(n - lead)
-        for chunk in _chunks(group, max(1, _GATHER_ENTRIES // max(r * n, 1))):
-            at = nodes[chunk]
-            cols = indices[indptr[at][:, None] + width]
-            if lead:
-                cols = np.column_stack((at, cols))
-            if kind in ("fisher", "stouffer"):
-                with np.errstate(invalid="ignore"):     # -inf + inf is NaN
-                    res = np.sum(_gather_rows(terms, cols), axis=1)
-            else:
-                res = combine_rows(combiner, _gather_rows(block, cols))
-            out[:, chunk] = res.reshape(r, chunk.size)
-    if kind in ("fisher", "stouffer"):
-        # the sums wait in ``out``; the terms are no longer needed
-        del terms
-        if kind == "stouffer" and np.isnan(out).any():
-            undefined = nodes[np.isnan(out).any(axis=0)]
-            raise UndefinedSegmentError(int(undefined.min()))
-        step = max(1, _GATHER_ENTRIES // max(r, 1))
-        for a in range(0, nodes.size, step):
-            sums, n = out[:, a:a + step], sizes[a:a + step]
-            out[:, a:a + step] = (
-                chisq_survival(np.ascontiguousarray(-2.0 * sums.T), 2 * n).T
-                if kind == "fisher" else normal_cdf(sums / np.sqrt(n)))
-    return out
-
-
-def _block_terms(kind, block):
-    """``_terms`` of every entry of ``block`` into one buffer, at most
-    ``_GATHER_ENTRIES`` entries (never less than one row) at a time; for
-    Stouffer, -inf at a 0 and +inf at a 1 (so a sum over both is NaN)."""
-    terms = np.empty(block.shape)
+    undefined = np.zeros(nodes.size, dtype=bool)
     step = max(1, _GATHER_ENTRIES // max(block.shape[1], 1))
-    for a in range(0, block.shape[0], step):
-        rows = np.ascontiguousarray(block[a:a + step])
-        t = _terms(kind, rows)
-        if kind == "stouffer":
-            t[rows == 0.0], t[rows == 1.0] = -np.inf, np.inf
-        terms[a:a + step] = t
-    return terms
+    for a in range(0, r, step):
+        slab, slab_out = block[a:a + step], out[a:a + step]
+        k = slab.shape[0]
+        if kind in ("fisher", "stouffer"):
+            slab = _terms(kind, slab)
+        for group, n in groups:
+            width = np.arange(n - lead)
+            for chunk in _chunks(group, max(1, _GATHER_ENTRIES // (k * n))):
+                at = nodes[chunk]
+                cols = indices[indptr[at][:, None] + width]
+                if lead:
+                    cols = np.column_stack((at, cols))
+                if kind in ("fisher", "stouffer"):
+                    with np.errstate(invalid="ignore"):  # -inf + inf is NaN
+                        res = np.sum(_gather_rows(slab, cols), axis=1)
+                else:
+                    res = combine_rows(combiner, _gather_rows(slab, cols))
+                slab_out[:, chunk] = res.reshape(k, chunk.size)
+        if kind == "fisher":
+            slab_out[:] = chisq_survival(-2.0 * slab_out.T, 2 * sizes).T
+        elif kind == "stouffer":
+            undefined |= np.isnan(slab_out).any(axis=0)
+            slab_out[:] = normal_cdf(slab_out / np.sqrt(sizes))
+    if undefined.any():
+        raise UndefinedSegmentError(int(nodes[undefined].min()))
+    return out
 
 
 def _gather_rows(block, cols):
@@ -265,9 +251,8 @@ def smooth_rows(dag, block, combiner):
     ``[v, *descendants ascending]`` (``dag.descendant_closure``); leaves keep
     their own.  ``combine_segments`` combines the inner nodes into a
     compact (r, #inner) array, which is scattered once into a copy of the
-    block (after Fisher's and Stouffer's term buffer has been released).
-    Each row of the result is bit-identical to smoothing that row alone,
-    node by node.
+    block.  Each row of the result is bit-identical to smoothing that row
+    alone, node by node.
 
     Raises:
         UndefinedSegmentError: for Stouffer, naming the smallest node whose

@@ -30,7 +30,8 @@ from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
 from .filters import FilterSpec, is_monotonic
 from .procedures import FOCUSED, check_procedure, run_procedure
 from .special import DomainError
-from .weights import WeightConfig, check_dw_depths, parse_lambda_policy
+from .weights import (WeightConfig, check_dw_depths,
+                      check_group_size_threshold, parse_lambda_policy)
 
 
 class ParseError(ValueError):
@@ -286,6 +287,7 @@ def analyze(request):
     reshaped = request.reshaping == "by"
     check_procedure(request.method, request.q, reshaped, request.yk_divisor)
     lam = request.resolved_lambda()
+    check_group_size_threshold(request.c)
     fspec = FilterSpec.from_name(request.filter)
     smoothing = request.combiner
     if request.items_file is not None:

@@ -24,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .dag import build_dag, hereditary, level_sweep
 from .filters import FilterSpec
 from .procedures import StructurePlan, check_procedure, run_rows
 from .special import normal_cdf
-from .weights import WeightConfig, check_dw_depths, parse_lambda_policy
+from .weights import (WeightConfig, check_dw_depths,
+                      check_group_size_threshold, parse_lambda_policy)
 
 SIGNAL_SETUPS = ("global", "decremental", "incremental")
 
@@ -243,9 +245,9 @@ class SimSummary:
 
 
 def _resolve_methods(config):
-    """Check the whole sweep (family, setup, every p_nonnull, rho, the dw
-    depths, every method at level q, lambda and the smoothing) and parse
-    it once, before any replication; returns (weight config, the methods as
+    """Check the whole sweep (family, setup, every p_nonnull, rho, c, seed,
+    dw depths, every method at level q, lambda and smoothing) and parse it
+    once, before any replication; returns (weight config, the methods as
     ``run_rows`` takes them, Combiner or None) for the replications."""
     if config.family not in GRAPH_FAMILIES:
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
@@ -256,6 +258,11 @@ def _resolve_methods(config):
     for p_nonnull in config.p_nonnull:
         _check_p_nonnull(p_nonnull)
     _check_rho(config.rho)
+    check_group_size_threshold(config.c)
+    if (isinstance(config.seed, bool) or not isinstance(config.seed, Integral)
+            or config.seed < 0):
+        raise ValueError(f"seed: must be a nonnegative integer, got "
+                         f"{config.seed!r}")
     check_dw_depths(config.dw, GRAPH_FAMILIES[config.family],
                     f"graph family {config.family!r}")
     if not config.methods:
@@ -389,6 +396,8 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     of inverse weights over the nulls.  FDR control needs the expectation of
     this sum to stay at or below the number of hypotheses.
     """
+    if n_mc < 1:
+        raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
     rng = np.random.default_rng(seed)
     plan = StructurePlan(dag, weight_config)
     depths, ws, lam = plan.depths, plan.workspace, weight_config.lam
@@ -428,6 +437,8 @@ def superuniformity_check(dag, combiner, n_mc, seed=0,
     to Monte Carlo noise; ``se`` is the binomial standard error of the
     empirical CDF at each threshold.
     """
+    if n_mc < 1:
+        raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
     rng = np.random.default_rng(seed)
     block = rng.uniform(size=(n_mc, dag.m))
     smoothed = smooth_rows(dag, block, combiner)

@@ -197,33 +197,28 @@ def chisq_survival(x, df):
     log-transformed p-values requires.
 
     ``df`` is a scalar, or a 1-D array giving one df per entry of x's first
-    axis.  The series runs once over the rows sorted by decreasing df, each
-    row dropping out once its terms run out, so every element gets the
-    same floating-point operations whichever form it is evaluated in.
+    axis; a scalar df is one row holding every entry of x.  The series runs
+    once over the rows sorted by decreasing df, each row dropping out once
+    its terms run out, so every element gets the same floating-point
+    operations whichever form it is evaluated in.
     """
     x_arr = np.asarray(x, dtype=float)
-    scalar_df = np.ndim(df) == 0
-    if scalar_df:
-        bad_df = df <= 0 or df % 2 != 0
+    if np.ndim(df) == 0:
+        rows, df = x_arr.reshape(1, -1), np.asarray([df])
     else:
-        df = np.asarray(df)
+        rows, df = x_arr, np.asarray(df)
         if df.ndim != 1 or x_arr.ndim == 0 or x_arr.shape[0] != df.size:
             raise ValueError("array df needs one entry per row of x")
-        bad_df = np.any(~((df > 0) & (df % 2 == 0)))
-    if bad_df:
+    if np.any(~((df > 0) & (df % 2 == 0))):
         raise DomainError("chisq_survival requires a positive even df")
     if np.any(x_arr < 0):
         raise DomainError("chisq_survival requires x >= 0")
     # spans: (a, n) = rows [0, a) take the series terms k < n
-    if scalar_df:
-        order, rows = None, x_arr.reshape(-1)
-        spans = [(rows.shape[0], int(df) // 2)]
-    else:
-        order = np.argsort(-df, kind="stable")
-        rows = x_arr[order]
-        terms = (df[order] // 2).astype(np.intp).tolist()
-        spans = [(a, terms[a - 1]) for a in range(len(terms), 0, -1)
-                 if a == len(terms) or terms[a - 1] > terms[a]]
+    order = np.argsort(-df, kind="stable")
+    rows = rows[order]
+    terms = (df[order] // 2).astype(np.intp).tolist()
+    spans = [(a, terms[a - 1]) for a in range(len(terms), 0, -1)
+             if a == len(terms) or terms[a - 1] > terms[a]]
     # +inf statistic (a zero p-value in Fisher's method) yields survival 0
     inf = np.isposinf(rows)
     half = np.where(inf, 0.0, rows / 2.0)
@@ -239,10 +234,8 @@ def chisq_survival(x, df):
             term[:a], total[:a] = t, tot
             start = stop
     res = np.clip(np.where(inf, 0.0, total), 0.0, 1.0)
-    if order is None:
-        res = res.reshape(x_arr.shape)
-    else:
-        res[order] = res.copy()
+    res[order] = res.copy()
+    res = res.reshape(x_arr.shape)
     return float(res) if np.ndim(x) == 0 else res
 
 

@@ -47,6 +47,12 @@ def _check_lambda(lam):
         raise LambdaOutOfRangeError(f"lambda must be in (0, 1), got {lam}")
 
 
+def check_group_size_threshold(c):
+    """Reject a group-size threshold c below 0."""
+    if not c >= 0:
+        raise ValueError(f"c: the group-size threshold must be >= 0, got {c}")
+
+
 def parse_lambda_policy(policy, q):
     """Storey's lambda under a policy string: "q" (lambda = q) or
     "fixed:<value>" with the value in (0, 1)."""

@@ -508,9 +508,12 @@ BAD_SWEEPS = [
     ({"rho": -0.1}, r"rho must be in \[0, 1\), got -0.1"),
     ({"p_nonnull": ()}, "p_nonnull: need at least one non-null proportion"),
     ({"methods": ()}, "methods: need at least one method"),
+    ({"c": -3}, "c: the group-size threshold must be >= 0, got -3"),
+    ({"seed": -1}, "seed: must be a nonnegative integer, got -1"),
 ]
 BAD_SWEEP_IDS = ["family", "setup", "p-above-one", "p-zero", "rho-one",
-                 "rho-negative", "p-empty", "methods-empty"]
+                 "rho-negative", "p-empty", "methods-empty", "c-negative",
+                 "seed-negative"]
 
 
 @pytest.mark.parametrize("fields, message", BAD_SWEEPS, ids=BAD_SWEEP_IDS)
@@ -545,6 +548,26 @@ def test_cli_simulate_rejects_bad_sweep(monkeypatch, tmp_path, capsys,
                  "--out", str(out)]) == EXIT_INPUT
     assert re.search("error: " + message, capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--dag", "missing.csv", "--pvalues", "missing.csv",
+      "--c", "-3"], "c: the group-size threshold must be >= 0, got -3"),
+    (["simulate", "--c", "-3"],
+     "c: the group-size threshold must be >= 0, got -3"),
+    (["simulate", "--seed", "-1"],
+     "seed: must be a nonnegative integer, got -1"),
+], ids=["analyze-c", "simulate-c", "simulate-seed"])
+def test_cli_rejects_negative_c_and_seed_flags(no_replication, tmp_path,
+                                               monkeypatch, capsys, argv,
+                                               message):
+    # analyze checks c before it reads any file; simulate before any
+    # replication
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
@@ -753,6 +776,19 @@ def test_cli_check_rejects_flags_the_suite_does_not_take(capsys, suite, flag):
     assert main(["check", suite, flag, "5"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert f"error: {flag} does not apply to suite {suite!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    ("condition1", "--reps", "0"), ("superuniformity", "--reps", "0"),
+    ("condition1", "--reps", "-5"), ("monotonicity", "--trials", "-2"),
+    ("oracle-tstar", "--trials", "0"), ("oracle-tstar", "--seed", "-1"),
+    ("condition1", "--seed", "-1")])
+def test_cli_check_rejects_out_of_range_counts(capsys, suite, flag, value):
+    assert main(["check", suite, flag, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    least = 0 if flag == "--seed" else 1
+    assert f"error: {flag} must be >= {least}, got {value}" in captured.err
     assert captured.out == ""
 
 

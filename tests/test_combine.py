@@ -18,6 +18,7 @@ from focusfdr.checks import random_dag, random_tree
 from focusfdr.combine import (AnnotationNotNestedError, Combiner,
                               EmptyAnnotationError, EmptyInputError,
                               UndefinedSegmentError, combine, combine_rows,
+                              combine_segments,
                               intersection_dag_pvalues, smooth_rows,
                               smooth_all_descendants, LengthMismatchError)
 from focusfdr.dag import build_dag, descendants
@@ -322,9 +323,8 @@ def test_block_smoothing_matches_each_row_alone(name, family, gather):
 @pytest.mark.parametrize("name", ["fisher", "stouffer", "simes", "tippett",
                                   "bonferroni"])
 def test_smooth_rows_peak_memory_is_bounded(name):
-    # Fisher's and Stouffer's terms share one block-sized buffer, released
-    # before the block is copied for the output; the combined inner nodes
-    # are a compact (r, #inner) array
+    # the block is combined one bounded row slab at a time, into a compact
+    # (r, #inner) array, and then copied once for the output
     dag = generate_graph("deep-tree")
     dag.descendant_closure
     block = np.random.default_rng(3).uniform(size=(2000, dag.m))
@@ -337,6 +337,55 @@ def test_smooth_rows_peak_memory_is_bounded(name):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block.nbytes
+
+
+@pytest.mark.parametrize("name, bound", [("fisher", 0.25),
+                                         ("stouffer", 0.5)])
+def test_combine_segments_keeps_no_block_sized_buffer(name, bound):
+    # only the (r, #inner) output (10% of this block) and one slab's
+    # temporaries are live: a slab is 6% of the block, and Stouffer's
+    # normal quantile holds about five slab-sized arrays at once
+    dag = generate_graph("deep-tree")
+    indptr, indices = dag.descendant_closure
+    inner = np.flatnonzero(np.diff(indptr))
+    block = np.random.default_rng(3).uniform(size=(2000, dag.m))
+    comb = Combiner.from_name(name)
+    combine_segments(comb, block[:2], inner, indptr, indices, lead=True)
+    tracemalloc.start()
+    try:
+        combine_segments(comb, block, inner, indptr, indices, lead=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * block.nbytes
+
+
+@pytest.mark.parametrize("comb", ALL_COMBINERS, ids=lambda c: c.name)
+@pytest.mark.parametrize("r", [2, 3, 4, 11])
+def test_block_smoothing_rows_straddling_slabs(comb, r):
+    # slabs of s = 3 rows; r just under, at and over one slab, and 3s + 2
+    # with a partial last slab
+    dag = generate_graph("bipartite2", 4)
+    s = 3
+    block = np.random.default_rng(r).uniform(size=(r, dag.m))
+    with mock.patch.object(combine_module, "_GATHER_ENTRIES", s * dag.m):
+        got = smooth_rows(dag, block, comb)
+        for row, p in zip(got, block):
+            assert np.array_equal(row, smooth_rows(dag, p[None, :], comb)[0])
+
+
+@pytest.mark.parametrize("gather", [6, 12])
+def test_stouffer_names_smallest_undefined_node_across_slabs(gather):
+    # slabs of one or two rows: node 3 is undefined from row 1 on, node 2
+    # only in row 2, a later slab; node 2 is still the one named
+    dag = build_dag(6, [(2, 0), (2, 1), (3, 2), (3, 4)])
+    block = np.array([[0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+                      [1.0, 0.5, 0.5, 0.5, 0.0, 0.5],
+                      [0.0, 1.0, 0.5, 0.5, 0.5, 0.5]])
+    with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
+        with pytest.raises(UndefinedSegmentError) as info:
+            smooth_rows(dag, block, Combiner("stouffer"))
+    assert info.value.node == 2
 
 
 def test_stouffer_smoothing_names_smallest_undefined_node():

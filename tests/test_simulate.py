@@ -495,3 +495,13 @@ def test_superuniformity_chain_root_fisher_and_simes():
         res = superuniformity_check(dag, Combiner.from_name(name),
                                     n_mc=30_000, seed=4)
         assert res.max_excess_z() <= 3.5
+
+
+@pytest.mark.parametrize("n_mc", [0, -3])
+def test_monte_carlo_checks_reject_no_replications(n_mc):
+    dag = generate_graph("deep-tree")
+    with pytest.raises(ValueError, match=f"n_mc: need at least one "
+                                         f"replication, got {n_mc}"):
+        condition1_check(dag, WeightConfig(), frozenset(), n_mc)
+    with pytest.raises(ValueError, match="n_mc: need at least one"):
+        superuniformity_check(dag, Combiner("simes"), n_mc)
