@@ -243,23 +243,32 @@ def _gather_rows(block, cols):
     return np.take(block, cols, axis=1).reshape(-1, cols.shape[1])
 
 
+def inner_segments(dag):
+    """The nodes with descendants, ascending, and the descendant closure
+    ``(indptr, indices)`` that ``combine_segments(..., lead=True)`` reads
+    their smoothing segments from.  Every other node is a leaf, whose
+    smoothed value is its own."""
+    indptr, indices = dag.descendant_closure
+    return np.flatnonzero(np.diff(indptr)), indptr, indices
+
+
 def smooth_rows(dag, block, combiner):
     """All-descendant smoothing of each row of an (r, m) block of p-values,
     which are not checked.
 
     Node v's value becomes the combination of its row entries at
     ``[v, *descendants ascending]`` (``dag.descendant_closure``); leaves keep
-    their own.  ``combine_segments`` combines the inner nodes into a
+    their own.  ``combine_segments`` combines the ``inner_segments`` into a
     compact (r, #inner) array, which is scattered once into a copy of the
     block.  Each row of the result is bit-identical to smoothing that row
-    alone, node by node.
+    alone, node by node.  ``simulate.superuniformity_check`` takes the
+    inner nodes' values the same way but never builds the smoothed copy.
 
     Raises:
         UndefinedSegmentError: for Stouffer, naming the smallest node whose
             block holds both a zero and a one in some row.
     """
-    indptr, indices = dag.descendant_closure
-    inner = np.flatnonzero(np.diff(indptr))
+    inner, indptr, indices = inner_segments(dag)
     res = combine_segments(combiner, block, inner, indptr, indices, lead=True)
     out = block.copy()
     out[:, inner] = res

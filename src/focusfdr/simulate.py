@@ -24,11 +24,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .combine import Combiner, smooth_all_descendants, smooth_rows
+from .combine import (Combiner, combine_segments, inner_segments,
+                      smooth_all_descendants)
 from .dag import build_dag, hereditary, level_sweep
 from .filters import FilterSpec
 from .procedures import StructurePlan, check_procedure, run_rows
@@ -429,20 +430,46 @@ class SuperuniformityResult:
         return float(((self.cdf - ts) / self.se).max())
 
 
-def superuniformity_check(dag, combiner, n_mc, seed=0,
+def superuniformity_check(dag, combiners, n_mc, seed=0,
                           thresholds=(0.01, 0.05, 0.1, 0.25, 0.5)):
-    """Empirical CDF of each node's smoothed p-value under the full null.
+    """Empirical CDF of each node's smoothed p-value under the full null,
+    one ``SuperuniformityResult`` per combiner, in order.
 
     Valid smoothing keeps every node's CDF at or below the uniform line up
     to Monte Carlo noise; ``se`` is the binomial standard error of the
-    empirical CDF at each threshold.
+    empirical CDF at each threshold, which must be numbers in (0, 1).
+
+    Every combiner sees the same (n_mc, m) uniform block, drawn once from
+    ``seed``.  A leaf's smoothed p-value is its raw one, so the raw block's
+    per-node CDF is taken once and each combiner overwrites only the rows
+    of its inner nodes (``combine.inner_segments``), from the values
+    ``combine_segments`` gives them as ``smooth_rows`` would.  A CDF entry
+    is an exact count over n_mc, so this matches smoothing the whole block
+    bit for bit, without a smoothed copy of it.
     """
     if n_mc < 1:
         raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
-    rng = np.random.default_rng(seed)
-    block = rng.uniform(size=(n_mc, dag.m))
-    smoothed = smooth_rows(dag, block, combiner)
+    if len(thresholds) == 0:
+        raise ValueError("thresholds: need at least one threshold")
+    for t in thresholds:
+        if not (isinstance(t, Real) and 0.0 < t < 1.0):
+            raise ValueError(f"thresholds: {t!r} is not a number in (0, 1)")
+    block = np.random.default_rng(seed).uniform(size=(n_mc, dag.m))
     ts = np.asarray(thresholds, dtype=float)
-    cdf = np.stack([(smoothed <= t).mean(axis=0) for t in ts], axis=1)
     se = np.sqrt(ts * (1.0 - ts) / n_mc)
-    return SuperuniformityResult(thresholds=tuple(thresholds), cdf=cdf, se=se)
+    raw = _column_cdf(block, ts)
+    inner, indptr, indices = inner_segments(dag)
+    results = []
+    for combiner in combiners:
+        cdf = raw.copy()
+        cdf[inner] = _column_cdf(combine_segments(
+            combiner, block, inner, indptr, indices, lead=True), ts)
+        results.append(SuperuniformityResult(thresholds=tuple(thresholds),
+                                              cdf=cdf, se=se))
+    return results
+
+
+def _column_cdf(x, ts):
+    """The share of each column of x at or below each threshold: shape
+    (columns, thresholds).  Each entry is an exact count over the rows."""
+    return np.stack([(x <= t).mean(axis=0) for t in ts], axis=1)

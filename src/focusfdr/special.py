@@ -147,10 +147,13 @@ _PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
            2.04426310338993978564e-15)
 
 
-def _poly(coeffs, r):
-    """Horner's rule in place.  ``acc *= r; acc += c`` rounds exactly as
+def _poly(coeffs, r, acc=None):
+    """Horner's rule in place, in ``acc`` if given (a spent buffer of r's
+    shape) or else a new array.  ``acc *= r; acc += c`` rounds exactly as
     ``acc * r + c``: numpy never fuses the two into one multiply-add."""
-    acc = np.full_like(r, coeffs[7])
+    if acc is None:
+        acc = np.empty_like(r)
+    acc.fill(coeffs[7])
     for c in reversed(coeffs[:7]):
         acc *= r
         acc += c
@@ -160,9 +163,11 @@ def _poly(coeffs, r):
 def normal_quantile(p):
     """Standard normal quantile Phi^{-1}(p) for p in the open unit interval.
 
-    The central rational (|p - 0.5| <= 0.425, most of a uniform sample) is
-    evaluated on the whole array; only the tail entries are indexed out
-    and overwritten.
+    The tail entries (|p - 0.5| > 0.425) are indexed out first.  The
+    central rational, which covers most of a uniform sample, is then
+    evaluated in place on the whole array, in three buffers of p's size,
+    and the tail entries are overwritten.  Of those, only the ones with
+    r > 5 (p or 1 - p below e^-25) take the far-tail rational.
 
     Raises:
         DomainError: if any p lies outside (0, 1).
@@ -170,21 +175,24 @@ def normal_quantile(p):
     p_arr = np.asarray(p, dtype=float)
     if np.any(~((p_arr > 0.0) & (p_arr < 1.0))):
         raise DomainError("normal_quantile requires p in (0, 1)")
-    q = p_arr - 0.5
+    # out= keeps q and r arrays even for a 0-d p, so both work in place
+    q = np.subtract(p_arr, 0.5, out=np.empty_like(p_arr))
+    tail = np.abs(q) > 0.425
+    qt, pt = q[tail], p_arr[tail]
     # on the tails r lies in [-0.069375, 0), where both polynomials stay
     # positive, so the values computed there (overwritten below) are finite
-    r = 0.180625 - q * q
-    out = np.multiply(q, _poly(_PPND_A, r), out=np.empty_like(p_arr))
-    out /= _poly(_PPND_B, r)
-
-    tail = np.abs(q) > 0.425
-    if tail.any():
-        qt = q[tail]
-        pt = p_arr[tail]
+    r = np.multiply(q, q, out=np.empty_like(p_arr))
+    np.subtract(0.180625, r, out=r)
+    out = _poly(_PPND_A, r)
+    out *= q                                  # rounds as q * out
+    out /= _poly(_PPND_B, r, acc=q)           # q is spent
+    del q, r                                  # the tail needs only out
+    if qt.size:
         r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
-        val = np.where(r <= 5.0,
-                       _poly(_PPND_C, r - 1.6) / _poly(_PPND_D, r - 1.6),
-                       _poly(_PPND_E, r - 5.0) / _poly(_PPND_F, r - 5.0))
+        val = _poly(_PPND_C, r - 1.6) / _poly(_PPND_D, r - 1.6)
+        far = r > 5.0
+        rf = r[far] - 5.0
+        val[far] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
         out[tail] = np.where(qt < 0.0, -val, val)
     return float(out) if np.ndim(p) == 0 else out
 

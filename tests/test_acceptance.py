@@ -157,9 +157,11 @@ def test_criterion_07_smoothed_p_validity():
     leaf_ids = set(dag.leaves)
     total, violations = 0, []
     max_z = -np.inf
-    for name in ("simes", "fisher", "stouffer", "bonferroni"):
-        res = superuniformity_check(dag, Combiner.from_name(name),
-                                    n_mc=10_000, seed=SEED)
+    names = ("simes", "fisher", "stouffer", "bonferroni")
+    results = superuniformity_check(
+        dag, [Combiner.from_name(name) for name in names], n_mc=10_000,
+        seed=SEED)
+    for name, res in zip(names, results):
         z = (res.cdf - np.asarray(res.thresholds)) / res.se
         max_z = max(max_z, float(z.max()))
         total += z.size

@@ -1,6 +1,7 @@
 """Tests for the graph generators, data generation, and the Monte Carlo
 replication harness."""
 
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -12,7 +13,8 @@ from scipy import stats
 import focusfdr.dag as dag_module
 import focusfdr.procedures as procedures_module
 import focusfdr.simulate as simulate_module
-from focusfdr.combine import Combiner, smooth_all_descendants
+from focusfdr.checks import check_superuniformity, random_dag, random_tree
+from focusfdr.combine import Combiner, smooth_all_descendants, smooth_rows
 from focusfdr.dag import (build_dag, check_heredity, compute_depths,
                           group_index, is_tree)
 from focusfdr.filters import FilterSpec
@@ -482,7 +484,8 @@ def test_resolve_workers_env(monkeypatch):
 
 def test_superuniformity_leaves_exact():
     dag = build_dag(3, [(0, 1), (1, 2)])
-    res = superuniformity_check(dag, Combiner("fisher"), n_mc=30_000, seed=3)
+    [res] = superuniformity_check(dag, (Combiner("fisher"),), n_mc=30_000,
+                                 seed=3)
     # the leaf keeps its own uniform p-value: F(t) = t within noise both ways
     leaf_cdf = res.cdf[2]
     for j, t in enumerate(res.thresholds):
@@ -492,8 +495,8 @@ def test_superuniformity_leaves_exact():
 def test_superuniformity_chain_root_fisher_and_simes():
     dag = build_dag(3, [(0, 1), (1, 2)])
     for name in ("fisher", "simes"):
-        res = superuniformity_check(dag, Combiner.from_name(name),
-                                    n_mc=30_000, seed=4)
+        [res] = superuniformity_check(dag, (Combiner.from_name(name),),
+                                      n_mc=30_000, seed=4)
         assert res.max_excess_z() <= 3.5
 
 
@@ -504,4 +507,102 @@ def test_monte_carlo_checks_reject_no_replications(n_mc):
                                          f"replication, got {n_mc}"):
         condition1_check(dag, WeightConfig(), frozenset(), n_mc)
     with pytest.raises(ValueError, match="n_mc: need at least one"):
-        superuniformity_check(dag, Combiner("simes"), n_mc)
+        superuniformity_check(dag, (Combiner("simes"),), n_mc)
+
+
+SIX_COMBINERS = [Combiner.from_name(name) for name in
+                 ("fisher", "stouffer", "simes", "tippett", "orderstat:2",
+                  "bonferroni")]
+
+
+def superuniformity_oracle(dag, combiner, n_mc, seed, thresholds):
+    """One combiner's check as a draw, a whole smoothed block and its
+    per-column CDF."""
+    block = np.random.default_rng(seed).uniform(size=(n_mc, dag.m))
+    smoothed = smooth_rows(dag, block, combiner)
+    ts = np.asarray(thresholds, dtype=float)
+    cdf = np.stack([(smoothed <= t).mean(axis=0) for t in ts], axis=1)
+    return cdf, np.sqrt(ts * (1.0 - ts) / n_mc)
+
+
+@given(graph_seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["dag", "tree", "edgeless"]),
+       order=st.permutations(SIX_COMBINERS),
+       again=st.sampled_from(SIX_COMBINERS),
+       n_mc=st.sampled_from([1, 2, 37]), seed=st.integers(0, 2**32 - 1),
+       thresholds=st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                     exclude_max=True),
+                           min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_superuniformity_matches_whole_block_oracle(graph_seed, shape, order,
+                                                    again, n_mc, seed,
+                                                    thresholds):
+    rng = np.random.default_rng(graph_seed)
+    if shape == "edgeless":
+        dag = build_dag(int(rng.integers(1, 13)), [])
+    else:
+        dag = (random_tree if shape == "tree" else random_dag)(rng, 12)
+    combiners = [*order, again]
+    results = superuniformity_check(dag, combiners, n_mc, seed, thresholds)
+    assert len(results) == len(combiners)
+    for combiner, res in zip(combiners, results):
+        cdf, se = superuniformity_oracle(dag, combiner, n_mc, seed,
+                                         thresholds)
+        assert res.thresholds == tuple(thresholds)
+        assert np.array_equal(res.cdf, cdf) and np.array_equal(res.se, se)
+
+
+@pytest.fixture
+def uniform_draws(monkeypatch):
+    """The size of every ``Generator.uniform`` call made on a generator
+    from ``np.random.default_rng``."""
+    sizes, default_rng = [], np.random.default_rng
+
+    class Counting:
+        def __init__(self, *args, **kwargs):
+            self._gen = default_rng(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+        def uniform(self, *args, **kwargs):
+            sizes.append(kwargs.get("size"))
+            return self._gen.uniform(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return sizes
+
+
+@pytest.mark.parametrize("thresholds, named", [
+    ((0.0, 0.5), "0.0"), ((1.0,), "1.0"), ((0.5, 1.5), "1.5"),
+    ((), "need at least one threshold"), ((float("nan"),), "nan")])
+def test_superuniformity_rejects_bad_thresholds(uniform_draws, thresholds,
+                                                named):
+    dag = build_dag(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=f"thresholds: .*{named}"):
+        superuniformity_check(dag, (Combiner("simes"),), 10,
+                              thresholds=thresholds)
+    assert uniform_draws == []
+
+
+def test_check_superuniformity_draws_its_null_block_once(uniform_draws):
+    names = ("simes", "fisher", "stouffer", "bonferroni", "tippett")
+    ok, lines = check_superuniformity(n_mc=50, seed=1, combiners=names)
+    assert uniform_draws == [(50, generate_graph("deep-tree").m)]
+    assert [line.split(":")[0] for line in lines] == list(names)
+
+
+def test_check_superuniformity_keeps_no_smoothed_block():
+    # live at once: the null block, one combiner's (n_mc, #inner) values
+    # (10% of the block) and one slab's temporaries; a smoothed copy of the
+    # block would take the peak past twice the block
+    n_mc = 2000
+    nbytes = n_mc * generate_graph("deep-tree").m * 8
+    check_superuniformity(n_mc=2, seed=3)
+    tracemalloc.start()
+    try:
+        check_superuniformity(n_mc=n_mc, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * nbytes
