@@ -78,6 +78,8 @@ def check_superuniformity(n_mc=10_000, seed=0,
     Every combiner name is parsed first; then one ``superuniformity_check``
     call draws the null block once for all of them.
     """
+    if not combiners:
+        raise ValueError("combiners: need at least one combiner name")
     parsed = [Combiner.from_name(name) for name in combiners]
     dag = generate_graph("deep-tree")
     ok = True

@@ -12,6 +12,8 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import MISSING, fields
+from functools import partial
 
 from . import io as fio
 from .checks import SUITES, UnknownSuiteError
@@ -25,14 +27,33 @@ EXIT_INPUT = 2
 EXIT_CHECK = 3
 
 
-def _add_analysis_knobs(sp):
-    sp.add_argument("--q", type=float, default=0.05, help="target FDR level")
-    sp.add_argument("--lambda-policy", default="fixed:0.5",
-                    help='"fixed:<v>" or "q" (sets lambda = q)')
-    sp.add_argument("--c", type=int, default=1,
-                    help="group-size threshold for within-group estimation")
-    sp.add_argument("--dw", default="auto",
-                    help='"auto", "none", or comma list of depths')
+def _spell(value):
+    """A default as it would be given on the command line."""
+    if isinstance(value, tuple):
+        return ",".join(map(_spell, value))
+    if isinstance(value, MethodSpec):
+        return f"{value.procedure}:{value.filter}"
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _add_field(sp, cls, flag, text, dest=None, **kwargs):
+    """Add to ``sp`` a flag that sets field ``dest`` (by default the one
+    named as the flag) of dataclass ``cls``, with its default in the help.
+    Under ``argparse.SUPPRESS`` an absent flag leaves the field unset."""
+    dest = dest or flag[2:].replace("-", "_")
+    default = next(f.default for f in fields(cls) if f.name == dest)
+    if default not in (None, MISSING):
+        text += f" (default {_spell(default)})"
+    sp.add_argument(flag, dest=dest, help=text, **kwargs)
+
+
+def _add_run_params(add):
+    """The run parameters that ``analyze`` and ``simulate`` both take."""
+    add("--q", "target FDR level", type=float)
+    add("--lambda-policy", '"fixed:<v>" or "q" (sets lambda = q)')
+    add("--c", "group-size threshold for within-group estimation", type=int)
+    add("--dw", '"auto", "none", or comma list of depths')
+    add("--yk-divisor", "yekutieli-tree runs at level q / divisor", type=float)
 
 
 def _parse_list(flag, text, kind):
@@ -61,6 +82,25 @@ def _parse_methods(text):
     return specs
 
 
+# the comma-list fields, parsed in this order, so the first bad one is named
+_LIST_FIELDS = (
+    ("p_nonnull", lambda text: tuple(_parse_list("--p", text, float))),
+    ("dw", _parse_dw),
+    ("methods", _parse_methods),
+)
+# what a command's namespace holds besides the fields of its request type
+_NOT_FIELDS = ("command", "json_out", "csv_out", "config", "out")
+
+
+def _fields(args):
+    """The request fields set on the command line, comma lists parsed."""
+    given = {k: v for k, v in vars(args).items() if k not in _NOT_FIELDS}
+    for name, parse in _LIST_FIELDS:
+        if name in given:
+            given[name] = parse(given[name])
+    return given
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="focusfdr",
@@ -70,53 +110,36 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="run one procedure on an edge list "
-                                       "and a p-value file")
-    a.add_argument("--dag", required=True, help="edge CSV (parent,child)")
-    a.add_argument("--pvalues", required=True,
-                   help="node,p CSV (item,p in intersection mode)")
-    a.add_argument("--method", default="wfbh", choices=PROCEDURES)
-    a.add_argument("--filter", default="ds",
-                   help='"trivial" | "ds" | "outer" | "screen:<s>"')
-    _add_analysis_knobs(a)
-    a.add_argument("--smoothing", default=None,
-                   help="combiner name for all-descendant smoothing "
-                        "(fisher|stouffer|simes|tippett|orderstat:i|bonferroni)")
-    a.add_argument("--reshaping", default=None, choices=["by"],
-                   help="harmonic-sum reshaping (fbh, wfbh, wrfbh only)")
-    a.add_argument("--items", default=None,
-                   help="node,item annotation CSV (intersection-DAG mode)")
-    a.add_argument("--yk-divisor", type=float, default=2.88,
-                   help="yekutieli-tree runs at level q / divisor")
+                                       "and a p-value file",
+                       argument_default=argparse.SUPPRESS)
+    add = partial(_add_field, a, fio.AnalysisRequest)
+    add("--dag", "edge CSV (parent,child)", "dag_file", required=True)
+    add("--pvalues", "node,p CSV (item,p in intersection mode)",
+        "pvalues_file", required=True)
+    add("--method", "procedure", choices=PROCEDURES)
+    add("--filter", '"trivial" | "ds" | "outer" | "screen:<s>"')
+    _add_run_params(add)
+    add("--smoothing", "combiner name for all-descendant smoothing "
+        "(fisher|stouffer|simes|tippett|orderstat:i|bonferroni)", "combiner")
+    add("--reshaping", "harmonic-sum reshaping (fbh, wfbh, wrfbh only)",
+        choices=["by"])
+    add("--items", "node,item annotation CSV (intersection-DAG mode)",
+        "items_file")
     a.add_argument("--json-out", default=None, help="report path (default stdout)")
     a.add_argument("--csv-out", default=None, help="discoveries CSV path")
 
-    s = sub.add_parser("simulate", help="Monte Carlo FDR/power sweep")
-    s.add_argument("--family", default=None, choices=GRAPH_FAMILIES,
-                   help="graph family (default wide-tree)")
-    s.add_argument("--setup", default=None, choices=SIGNAL_SETUPS,
-                   help="signal setup (default global)")
-    s.add_argument("--p", default=None,
-                   help="comma list of non-null leaf proportions "
-                        "(default 0.1,0.3,0.5)")
-    s.add_argument("--rho", type=float, default=None,
-                   help="equicorrelation of the test statistics (default 0)")
-    s.add_argument("--q", type=float, default=None,
-                   help="target FDR level (default 0.05)")
-    s.add_argument("--lambda-policy", default=None,
-                   help='"fixed:<v>" or "q" (default fixed:0.5)')
-    s.add_argument("--c", type=int, default=None,
-                   help="group-size threshold (default 1)")
-    s.add_argument("--dw", default=None,
-                   help='"auto", "none", or comma list of depths')
-    s.add_argument("--reps", type=int, default=None,
-                   help="replications per cell (default 200)")
-    s.add_argument("--seed", type=int, default=None, help="default 0")
-    s.add_argument("--smoothing", default=None, help="combiner name")
-    s.add_argument("--methods", default=None,
-                   help='comma list of procedure[:filter] entries '
-                        "(default wfbh:ds,fbh:ds)")
-    s.add_argument("--yk-divisor", type=float, default=None,
-                   help="yekutieli-tree level divisor (default 2.88)")
+    s = sub.add_parser("simulate", help="Monte Carlo FDR/power sweep",
+                       argument_default=argparse.SUPPRESS)
+    add = partial(_add_field, s, SimConfig)
+    add("--family", "graph family", choices=GRAPH_FAMILIES)
+    add("--setup", "signal setup", choices=SIGNAL_SETUPS)
+    add("--p", "comma list of non-null leaf proportions", "p_nonnull")
+    add("--rho", "equicorrelation of the test statistics", type=float)
+    _add_run_params(add)
+    add("--reps", "replications per cell", "n_reps", type=int)
+    add("--seed", "random seed", type=int)
+    add("--smoothing", "combiner name")
+    add("--methods", "comma list of procedure[:filter] entries")
     s.add_argument("--config", default=None,
                    help="JSON file of simulation fields (flags override)")
     s.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -137,13 +160,7 @@ def build_parser():
 
 
 def _cmd_analyze(args):
-    request = fio.AnalysisRequest(
-        dag_file=args.dag, pvalues_file=args.pvalues, method=args.method,
-        filter=args.filter, q=args.q, lambda_policy=args.lambda_policy,
-        c=args.c, dw=_parse_dw(args.dw), combiner=args.smoothing,
-        reshaping=args.reshaping, items_file=args.items,
-        yk_divisor=args.yk_divisor)
-    report = fio.analyze(request)
+    report = fio.analyze(fio.AnalysisRequest(**_fields(args)))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fio.write_report_json(report, fh)
@@ -219,20 +236,8 @@ def _read_sim_config(path):
 
 def _cmd_simulate(args):
     merged = _read_sim_config(args.config) if args.config else {}
-    flags = {
-        "family": args.family, "setup": args.setup,
-        "p_nonnull": (None if args.p is None
-                      else tuple(_parse_list("--p", args.p, float))),
-        "rho": args.rho, "q": args.q, "lambda_policy": args.lambda_policy,
-        "c": args.c, "dw": None if args.dw is None else _parse_dw(args.dw),
-        "n_reps": args.reps, "seed": args.seed, "smoothing": args.smoothing,
-        "methods": (None if args.methods is None
-                    else _parse_methods(args.methods)),
-        "yk_divisor": args.yk_divisor,
-    }
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    config = SimConfig(**merged)
-    summary = run_simulation(config)
+    merged.update(_fields(args))
+    summary = run_simulation(SimConfig(**merged))
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             fio.write_simulation_csv(summary, fh)

@@ -99,11 +99,14 @@ class Combiner:
         return self.kind
 
 
-def validate_pvalues(values):
-    """Return a float array after checking entries lie in [0, 1] (no NaN)."""
+def validate_pvalues(values, m=None):
+    """Return a float array after checking entries lie in [0, 1] (no NaN),
+    then, if ``m`` is given, that there are m of them."""
     arr = np.asarray(values, dtype=float)
     if np.any(~((arr >= 0.0) & (arr <= 1.0))):
         raise DomainError("p-values must lie in [0, 1] and not be NaN")
+    if m is not None and arr.size != m:
+        raise ValueError(f"expected {m} p-values, got {arr.size}")
     return arr
 
 

@@ -28,7 +28,7 @@ from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
                   build_dag, check_edges, compute_depths,
                   disjoint_descendant_depths, group_index, is_tree, repeats)
 from .filters import FilterSpec, is_monotonic
-from .procedures import FOCUSED, check_procedure, run_procedure
+from .procedures import FOCUSED, YK_DIVISOR, check_procedure, run_procedure
 from .special import DomainError
 from .weights import (WeightConfig, check_dw_depths,
                       check_group_size_threshold, parse_lambda_policy)
@@ -76,7 +76,7 @@ def read_edge_csv(path):
     """Parse a parent,child edge list; returns (names, name_to_id, edges).
 
     Names map to dense ids in order of first appearance, and ``edges`` is
-    an (E, 2) intp array of (parent, child) ids in file order.  A row whose
+    an (E, 2) intp array of (parent, child) ids in sorted order.  A row whose
     child cell is empty declares its parent node without an edge.  Faults
     are reported for the first faulty line: a wrong column count or an
     empty parent ends the pass, but a self-loop or duplicate edge on an
@@ -100,7 +100,7 @@ def read_edge_csv(path):
     is_edge = pairs[:, 1] >= 0
     edges = pairs if is_edge.all() else pairs[is_edge]
     try:
-        check_edges(len(ids), edges[:, 0], edges[:, 1])
+        order = check_edges(len(ids), edges[:, 0], edges[:, 1])
     except (SelfLoopError, DuplicateEdgeError) as exc:
         lineno = _line_of(path, header, np.flatnonzero(is_edge)[exc.index])
         names = list(ids)
@@ -114,7 +114,7 @@ def read_edge_csv(path):
         raise row_error
     if not ids:
         raise ParseError(f"{path}: no edges found")
-    return list(ids), ids, edges
+    return list(ids), ids, edges[order]
 
 
 def read_dag(path):
@@ -274,7 +274,7 @@ class AnalysisRequest:
     combiner: str = None        # smoothing; item combination in items mode
     reshaping: str = None       # "by" for the reshaped variant
     items_file: str = None
-    yk_divisor: float = 2.88
+    yk_divisor: float = YK_DIVISOR
 
     def resolved_lambda(self):
         return parse_lambda_policy(self.lambda_policy, self.q)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .combine import validate_pvalues
 from .dag import compute_depths, group_index, is_tree
-from .filters import TRIVIAL, apply_filter, keep_intervals
+from .filters import apply_filter, keep_intervals
 from .weights import (WeightVector, WeightWorkspace, _check_lambda,
                       resolve_dw, storey_pi0, storey_pi0_rows)
 
@@ -54,15 +54,16 @@ def _check_q(q):
         raise QOutOfRangeError(f"target FDR level must be in (0, 1), got {q}")
 
 
-def _step_up(p, q, pi0=1.0):
+def _step_up(p, q, pi0=1.0, beta=None):
     """Rejection mask of each row of an (R, m) block: the row's k smallest
-    p-values, k maximal with p_(k) m pi0 <= k q (``pi0`` a scalar or one
-    value per row, shaped (R, 1)).  A maximal k never splits a run of ties,
-    since p_(k+1) = p_(k) makes k + 1 feasible too, so the mask is
-    p <= p_(k), the largest feasible sorted value."""
+    p-values, k maximal with p_(k) m pi0 <= k q, or q beta(k) if given
+    (``pi0`` a scalar or one value per row, shaped (R, 1)).  A maximal k
+    never splits a run of ties, since p_(k+1) = p_(k) makes k + 1 feasible
+    too, so the mask is p <= p_(k), the largest feasible sorted value."""
     m = p.shape[1]
     srt = np.sort(p, axis=1)
-    feasible = srt * m * pi0 <= np.arange(1, m + 1) * q
+    ks = np.arange(1, m + 1)
+    feasible = srt * m * pi0 <= (ks * q if beta is None else q * beta(ks))
     cut = np.max(np.where(feasible, srt, -np.inf), axis=1, initial=-np.inf)
     return p <= cut[:, None]
 
@@ -243,9 +244,7 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     intervals: the discoveries are {v: enter_v <= t* < leave_v}.
     """
     _check_q(q)
-    p = validate_pvalues(pvalues)
-    if p.size != dag.m:
-        raise ValueError(f"expected {dag.m} p-values, got {p.size}")
+    p = validate_pvalues(pvalues, dag.m)
     w = _weights_array(weights, dag.m)
     beta = reshaping if reshaping is not None else ReshapingFn.identity()
     wp, t_star, found = _focused_rows(dag, p.reshape(1, -1), w.reshape(1, -1),
@@ -266,18 +265,12 @@ def fbh(dag, pvalues, filter_spec, q):
     return wfbh(dag, pvalues, unity_weights(dag.m), filter_spec, q)
 
 
-def _by_rows(p, q):
-    """BY's rejection mask of each row: the BY-reshaped focused scan with
-    unity weights and the trivial filter, whose keep intervals are
-    [p_v, inf), so no graph is read."""
-    return _focused_rows(None, p, 1.0, TRIVIAL, q,
-                         ReshapingFn.by(p.shape[1]))[2]
-
-
 def by_procedure(pvalues, q):
     """Benjamini-Yekutieli: step-up with the harmonic-sum correction."""
     _check_q(q)
-    return _row_set(_by_rows(validate_pvalues(pvalues).reshape(1, -1), q)[0])
+    p = validate_pvalues(pvalues)
+    return _row_set(_step_up(p.reshape(1, -1), q,
+                             beta=ReshapingFn.by(p.size))[0])
 
 
 def yekutieli_tree(dag, pvalues, level):
@@ -291,9 +284,7 @@ def yekutieli_tree(dag, pvalues, level):
         raise NotATreeError("the top-down baseline requires a tree")
     if not (0.0 < level < 1.0):
         raise LevelOutOfRangeError(f"level must be in (0, 1), got {level}")
-    p = validate_pvalues(pvalues)
-    if p.size != dag.m:
-        raise ValueError(f"expected {dag.m} p-values, got {p.size}")
+    p = validate_pvalues(pvalues, dag.m)
 
     ptr, kids = dag.child_indptr, dag.child_indices
     rejected = set()
@@ -313,9 +304,11 @@ def yekutieli_tree(dag, pvalues, level):
 PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
 # the procedures with a filtered count that a reshaping function can act on
 FOCUSED = ("fbh", "wfbh", "wrfbh")
+# the default divisor of q that gives the top-down baseline its level
+YK_DIVISOR = 2.88
 
 
-def check_procedure(name, q, reshaped=False, yk_divisor=2.88):
+def check_procedure(name, q, reshaped=False, yk_divisor=YK_DIVISOR):
     """Reject what ``run_procedure`` cannot run: an unknown name, reshaping
     asked of a procedure without a filtered count, or a target level q
     outside (0, 1); the top-down baseline runs at level q / yk_divisor
@@ -357,7 +350,7 @@ class StructurePlan:
                                resolve_dw(cfg, self.groups), cfg.c)
 
 
-def run_rows(plan, p, methods, q, yk_divisor=2.88):
+def run_rows(plan, p, methods, q, yk_divisor=YK_DIVISOR):
     """Run each (name, filter, reshaped) of ``methods`` on every row of an
     (R, m) block of p-values over ``plan``'s graph; returns one (found,
     weights, scan) per method: the (R, m) discovery mask and weights, and
@@ -387,7 +380,7 @@ def run_rows(plan, p, methods, q, yk_divisor=2.88):
         elif name == "storey-bh":
             w, found = ones, _step_up(p, q, storey_pi0_rows(p, lam)[:, None])
         elif name == "by":
-            w, found = ones, _by_rows(p, q)
+            w, found = ones, _step_up(p, q, beta=ReshapingFn.by(plan.dag.m))
         else:
             w, found = ones, np.zeros(p.shape, dtype=bool)
             for row, hits in zip(p, found):
@@ -397,16 +390,14 @@ def run_rows(plan, p, methods, q, yk_divisor=2.88):
 
 
 def run_procedure(name, dag, depths, groups, p, fspec, q, weight_config,
-                  reshaped=False, yk_divisor=2.88):
+                  reshaped=False, yk_divisor=YK_DIVISOR):
     """Run the named procedure on p; returns (discoveries, weights, result).
 
     This is ``run_rows`` on one row, after checking its arguments; result
     is the focused methods' ProcedureResult, else None.
     """
     check_procedure(name, q, reshaped, yk_divisor)
-    p = validate_pvalues(p)
-    if p.size != dag.m:
-        raise ValueError(f"expected {dag.m} p-values, got {p.size}")
+    p = validate_pvalues(p, dag.m)
     if name == "storey-bh":
         _check_lambda(weight_config.lam)
     plan = StructurePlan(dag, weight_config, depths, groups)

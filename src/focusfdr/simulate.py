@@ -32,7 +32,7 @@ from .combine import (Combiner, combine_segments, inner_segments,
                       smooth_all_descendants)
 from .dag import build_dag, hereditary, level_sweep
 from .filters import FilterSpec
-from .procedures import StructurePlan, check_procedure, run_rows
+from .procedures import YK_DIVISOR, StructurePlan, check_procedure, run_rows
 from .special import normal_cdf
 from .weights import (WeightConfig, check_dw_depths,
                       check_group_size_threshold, parse_lambda_policy)
@@ -213,7 +213,7 @@ class SimConfig:
     seed: int = 0
     smoothing: str = None
     methods: tuple = (MethodSpec("wfbh", "ds"), MethodSpec("fbh", "ds"))
-    yk_divisor: float = 2.88
+    yk_divisor: float = YK_DIVISOR
 
     def resolved_lambda(self):
         return parse_lambda_policy(self.lambda_policy, self.q)
@@ -449,6 +449,10 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     """
     if n_mc < 1:
         raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
+    if not (isinstance(combiners, (list, tuple)) and combiners
+            and all(isinstance(c, Combiner) for c in combiners)):
+        raise ValueError("combiners: need a non-empty list or tuple of "
+                         f"Combiner, got {combiners!r}")
     if len(thresholds) == 0:
         raise ValueError("thresholds: need at least one threshold")
     for t in thresholds:

@@ -46,17 +46,11 @@ _ERFC_Q = (2.56852019228982242e0, 1.87295284992346047e0,
 
 
 def _cody(a, b, t):
-    """Cody's rational form in t, by Horner's rule in place (see ``_poly``):
-    the numerator ``(..(a[-1] t + a[0]) t + ..) t + a[k]`` and the
-    denominator ``(..(t + b[0]) t + ..) t + b[k]``, k = len(b) - 1."""
-    num, den = a[-1] * t, t + b[0]
-    for i in range(len(b) - 1):
-        num += a[i]
-        num *= t
-        den *= t
-        den += b[i + 1]
-    num += a[len(b) - 1]
-    return num, den
+    """Numerator and denominator of Cody's rational in t, by ``_poly``:
+    a[-1], a[0], .., a[k] and 1, b[0], .., b[k] from the top power down,
+    k = len(b) - 1."""
+    k = len(b) - 1
+    return _poly(a[k::-1] + (a[-1],), t), _poly(b[::-1] + (1.0,), t)
 
 
 def _erf_small(z):
@@ -148,13 +142,14 @@ _PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 
 def _poly(coeffs, r, acc=None):
-    """Horner's rule in place, in ``acc`` if given (a spent buffer of r's
-    shape) or else a new array.  ``acc *= r; acc += c`` rounds exactly as
-    ``acc * r + c``: numpy never fuses the two into one multiply-add."""
+    """Horner's rule in place, coefficients lowest power first, in ``acc``
+    if given (a spent buffer of r's shape) or else a new array.
+    ``acc *= r; acc += c`` rounds exactly as ``acc * r + c``: numpy never
+    fuses the two into one multiply-add."""
     if acc is None:
         acc = np.empty_like(r)
-    acc.fill(coeffs[7])
-    for c in reversed(coeffs[:7]):
+    acc.fill(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         acc *= r
         acc += c
     return acc

@@ -147,7 +147,7 @@ def auto_dw(groups, lam, c=1):
 
 
 def resolve_dw(config, groups):
-    """Resolve a WeightConfig.dw specification to a concrete depth set."""
+    """Resolve a WeightConfig.dw specification to a checked depth set."""
     dw = config.dw
     if isinstance(dw, str):
         if dw == "auto":
@@ -155,6 +155,7 @@ def resolve_dw(config, groups):
         if dw == "none":
             return frozenset()
         raise ValueError(f"unknown dw mode {dw!r}")
+    check_dw_depths(dw, groups.n_d.size - 1, "the graph")
     return frozenset(int(d) for d in dw)
 
 
@@ -230,9 +231,7 @@ class WeightWorkspace:
 
 def dag_weights(dag, depths, groups, pvalues, config):
     """Data-adaptive weights per node under the given configuration."""
-    arr = validate_pvalues(pvalues)
-    if arr.size != dag.m:
-        raise ValueError(f"expected {dag.m} p-values, got {arr.size}")
+    arr = validate_pvalues(pvalues, dag.m)
     dw = resolve_dw(config, groups)
     ws = WeightWorkspace(groups, depths, dw, config.c)
     return WeightVector(values=ws.node_weights(arr, config.lam), resolved_dw=dw)

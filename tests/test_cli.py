@@ -3,7 +3,7 @@
 import csv
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,8 +15,8 @@ from focusfdr.filters import FilterSpec, apply_filter
 from focusfdr.io import (AnalysisRequest, MissingPvalueError, ParseError,
                          UnknownNodeInPvaluesError, analyze, export_edge_csv,
                          read_edge_csv, read_pvalue_csv)
-from focusfdr.simulate import (MethodSpec, SimConfig, generate_graph,
-                               run_simulation)
+from focusfdr.simulate import (MethodSpec, SimConfig, SimSummary,
+                               generate_graph, run_simulation)
 
 
 def write(path, text):
@@ -737,6 +737,106 @@ def test_cli_simulate_config_file_with_flag_override(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["n_reps"] == "2"       # flag overrides file
     assert rows[0]["setup"] == "global"
+
+
+def test_cli_analyze_runs_request_defaults(chain_files, capsys):
+    # given only its files, analyze reports AnalysisRequest's defaults
+    dag, pv = chain_files
+    assert main(["analyze", "--dag", dag, "--pvalues", pv]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    request = AnalysisRequest(dag_file=dag, pvalues_file=pv)
+    assert report["parameters"] == {
+        "dag_file": dag, "pvalues_file": pv, "items_file": None,
+        "method": request.method, "filter": request.filter, "q": request.q,
+        "lambda": request.resolved_lambda(),
+        "lambda_policy": request.lambda_policy, "c": request.c,
+        "dw": request.dw, "combiner": None, "reshaping": None}
+    assert report == analyze(request)
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """The SimConfig of each simulation the CLI runs (none is run)."""
+    configs = []
+
+    def run(config):
+        configs.append(config)
+        return SimSummary(config=config, cells=(), histories={})
+
+    monkeypatch.setattr(cli_module, "run_simulation", run)
+    return configs
+
+
+@pytest.mark.parametrize("flag", ["--family", "--setup", "--p", "--rho",
+                                  "--q", "--lambda-policy", "--c", "--dw",
+                                  "--reps", "--seed", "--methods",
+                                  "--yk-divisor"])
+def test_cli_simulate_help_shows_config_defaults(simulated, tmp_path, capsys,
+                                                 flag):
+    # the default each help text shows, given as the flag, is SimConfig's
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    shown = re.search(rf"{flag} \S+ (?:(?!--).)*?\(default ([^)]*)\)", text)
+    assert shown, flag
+    assert main(["simulate", flag, shown.group(1),
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert simulated == [SimConfig()]
+
+
+FILE_CONFIG = SimConfig(
+    family="deep-tree", setup="decremental", p_nonnull=(0.2,), rho=0.1,
+    q=0.1, lambda_policy="q", c=2, dw=frozenset({1}), n_reps=5, seed=3,
+    smoothing="fisher", methods=(MethodSpec("bh"),), yk_divisor=3.0)
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    ([], None, None),
+    (["--family", "bipartite1"], "family", "bipartite1"),
+    (["--setup", "incremental"], "setup", "incremental"),
+    (["--p", "0.4,0.6"], "p_nonnull", (0.4, 0.6)),
+    (["--rho", "0.2"], "rho", 0.2),
+    (["--q", "0.2"], "q", 0.2),
+    (["--lambda-policy", "fixed:0.3"], "lambda_policy", "fixed:0.3"),
+    (["--c", "3"], "c", 3),
+    (["--dw", "1,2"], "dw", frozenset({1, 2})),
+    (["--reps", "7"], "n_reps", 7),
+    (["--seed", "4"], "seed", 4),
+    (["--smoothing", "simes"], "smoothing", "simes"),
+    (["--methods", "storey-bh,by:ds"], "methods",
+     (MethodSpec("storey-bh"), MethodSpec("by", "ds"))),
+    (["--yk-divisor", "4.5"], "yk_divisor", 4.5),
+], ids=lambda v: v[0] if isinstance(v, list) and v else None)
+def test_cli_simulate_flag_overrides_only_its_config_field(
+        simulated, tmp_path, argv, field, value):
+    # the file sets every field away from its default
+    assert all(getattr(FILE_CONFIG, f.name) != f.default
+               for f in fields(SimConfig))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": "deep-tree", "setup": "decremental", "p_nonnull": [0.2],
+        "rho": 0.1, "q": 0.1, "lambda_policy": "q", "c": 2, "dw": [1],
+        "n_reps": 5, "seed": 3, "smoothing": "fisher", "methods": [["bh"]],
+        "yk_divisor": 3.0}))
+    assert main(["simulate", "--config", str(cfg), *argv,
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    want = FILE_CONFIG if field is None else replace(FILE_CONFIG,
+                                                     **{field: value})
+    assert simulated == [want]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--methods", ",", "--dw", "1,x", "--p", "0.1,x"],
+     "--p: 'x' is not a valid float"),
+    (["--methods", ",", "--dw", "1,x"], "--dw: 'x' is not a valid int"),
+])
+def test_cli_simulate_names_first_bad_list_in_field_order(
+        no_replication, tmp_path, capsys, argv, message):
+    # --p, then --dw, then --methods, whatever their order on the line
+    out = tmp_path / "s.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_check_counterexample(capsys):

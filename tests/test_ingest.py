@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from focusfdr.checks import random_dag
 from focusfdr.cli import EXIT_INPUT, main
 from focusfdr.dag import (CycleDetectedError, DagError, DuplicateEdgeError,
                           NodeIdOutOfRangeError, SelfLoopError, build_dag)
 from focusfdr.io import (AnalysisRequest, MissingPvalueError, ParseError,
                          UnknownNodeInPvaluesError, analyze, export_edge_csv,
-                         read_edge_csv, read_item_pvalue_csv, read_pvalue_csv,
-                         write_report_json)
+                         read_dag, read_edge_csv, read_item_pvalue_csv,
+                         read_pvalue_csv, write_report_json)
 
 
 def write(path, text):
@@ -333,6 +334,29 @@ def test_export_then_read_round_trips_isolated_nodes(tmp_path):
     assert sorted(back_names) == names
     assert {(back_names[a], back_names[b]) for a, b in edges.tolist()} == \
         {(names[a], names[b]) for a, b in dag.edges}
+
+
+DAG_ARRAYS = ("child_indptr", "child_indices", "depth", "edge_parent",
+              "edge_child", "topo_order", "node_ptr", "level_ptr",
+              "parent_start", "in_degree", "roots", "leaves")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_read_dag_of_shuffled_file_matches_file_order_build(tmp_path, seed):
+    # the reader returns its edges sorted by (parent, child), and the Dag
+    # built from them is the one the edges in file order build
+    rng = np.random.default_rng(seed)
+    dag = random_dag(rng, max_m=40)
+    rows = ([f"n{a},n{b}" for a, b in dag.edges]
+            + [f"n{v}," for v in range(dag.m)])
+    rng.shuffle(rows)
+    path = write(tmp_path / "e.csv", "\n".join(["parent,child", *rows, ""]))
+    names, ids, edges = read_edge_csv(path)
+    in_file = [(ids[a], ids[b]) for a, b in (r.split(",") for r in rows) if b]
+    assert edges.tolist() == sorted(map(list, in_file))
+    got, want = read_dag(path)[2], build_dag(len(names), in_file)
+    for name in DAG_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_flat_family_is_one_root_group(tmp_path, capsys):

@@ -12,11 +12,11 @@ from focusfdr.filters import FilterSpec, interval_count_curve
 from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
                                  LevelOutOfRangeError, NonpositiveWeightError,
                                  NotATreeError, QOutOfRangeError, ReshapingFn,
-                                 StructurePlan, _scan, _step_up, bh,
-                                 brute_force_tstar, by_procedure, fbh,
-                                 run_procedure, run_rows, storey_bh,
-                                 unity_weights, weighted_reshaped_fbh, wfbh,
-                                 yekutieli_tree)
+                                 StructurePlan, _focused_rows, _scan,
+                                 _step_up, bh, brute_force_tstar,
+                                 by_procedure, fbh, run_procedure, run_rows,
+                                 storey_bh, unity_weights,
+                                 weighted_reshaped_fbh, wfbh, yekutieli_tree)
 from focusfdr.weights import WeightConfig, storey_pi0
 
 DS = FilterSpec("ds")
@@ -283,6 +283,23 @@ def test_step_up_matches_textbook_with_ties(seed, m, levels, q):
     for row, w, hits in zip(block, pi0[:, 0], _step_up(block, q, pi0)):
         assert frozenset(np.flatnonzero(hits).tolist()) == textbook_step_up(
             row, q, w)
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1, 4]),
+       m=st.integers(1, 40), levels=st.sampled_from([3, 10, 1000]),
+       q=st.sampled_from([0.01, 0.1, 0.4]))
+@settings(max_examples=200, deadline=None)
+def test_by_step_up_matches_trivial_filter_scan(seed, r, m, levels, q):
+    # BY on the step-up kernel against its former route: the BY-reshaped
+    # focused scan with unity weights and the trivial filter
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, levels, size=(r, m)) / levels
+    block[rng.uniform(size=block.shape) < 0.2] = -0.0
+    beta = ReshapingFn.by(m)
+    want = _focused_rows(None, block, 1.0, TRIVIAL, q, beta)[2]
+    assert np.array_equal(_step_up(block, q, beta=beta), want)
+    for row, hits in zip(block, want):
+        assert by_procedure(row, q) == frozenset(np.flatnonzero(hits).tolist())
 
 
 @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1, 4]),

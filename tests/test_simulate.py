@@ -585,6 +585,27 @@ def test_superuniformity_rejects_bad_thresholds(uniform_draws, thresholds,
     assert uniform_draws == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda dag: superuniformity_check(dag, Combiner("simes"), 10),
+    lambda dag: superuniformity_check(dag, ["simes"], 10),
+    lambda dag: superuniformity_check(dag, [], 10),
+    lambda dag: check_superuniformity(n_mc=10, combiners=()),
+], ids=["one-combiner", "names", "empty", "check-empty"])
+def test_superuniformity_rejects_bad_combiners_before_drawing(
+        uniform_draws, monkeypatch, call):
+    # unchecked, these fail only after the draw (a TypeError, an
+    # AttributeError), return [], or divide by a zero cell count
+    dag = generate_graph("deep-tree")
+
+    def no_graph(family):
+        raise AssertionError("built the graph")
+
+    monkeypatch.setattr("focusfdr.checks.generate_graph", no_graph)
+    with pytest.raises(ValueError, match="^combiners: need "):
+        call(dag)
+    assert uniform_draws == []
+
+
 def test_check_superuniformity_draws_its_null_block_once(uniform_draws):
     names = ("simes", "fisher", "stouffer", "bonferroni", "tippett")
     ok, lines = check_superuniformity(n_mc=50, seed=1, combiners=names)

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from focusfdr.checks import random_dag, random_near_tree, random_tree
 from focusfdr.combine import EmptyInputError
 from focusfdr.dag import build_dag, compute_depths, group_index
-from focusfdr.simulate import generate_graph
+from focusfdr.filters import FilterSpec
+from focusfdr.procedures import run_procedure
+from focusfdr.simulate import condition1_check, generate_graph
 from focusfdr.weights import (LambdaOutOfRangeError, NoEligibleGroupError,
                               WeightConfig, WeightWorkspace, auto_dw,
                               check_dw_depths, dag_weights,
@@ -156,6 +158,31 @@ def test_check_dw_depths_accepts_integral_numbers():
     check_dw_depths("auto", 2, "graph g")
     with pytest.raises(ValueError, match=r"dw depth 3.0 is outside \[1, 2\]"):
         check_dw_depths([3.0], 2, "graph g")
+
+
+@pytest.mark.parametrize("dw, message", [
+    ({1.5}, r"dw depth 1.5 is not an integer: the graph has depths 1 to 2"),
+    ({True}, r"dw depth True is not an integer: the graph has depths 1 to 2"),
+    ({0}, r"dw depth 0 is outside \[1, 2\]: the graph has max depth 2"),
+    ({9}, r"dw depth 9 is outside \[1, 2\]: the graph has max depth 2"),
+], ids=["fraction", "bool", "zero", "above-max"])
+@pytest.mark.parametrize("entry", ["dag_weights", "run_procedure",
+                                   "condition1_check"])
+def test_library_rejects_bad_dw_depths(dw, message, entry):
+    # unchecked, int() would read 1.5 and True as depth 1, and 0 or 9
+    # would give every node weight 1
+    dag = generate_graph("wide-tree")
+    depths, groups = _indexes(dag)
+    config = WeightConfig(dw=dw)
+    p = np.full(dag.m, 0.3)
+    with pytest.raises(ValueError, match=message):
+        if entry == "dag_weights":
+            dag_weights(dag, depths, groups, p, config)
+        elif entry == "run_procedure":
+            run_procedure("wfbh", dag, depths, groups, p, FilterSpec("ds"),
+                          0.1, config)
+        else:
+            condition1_check(dag, config, frozenset(), n_mc=10)
 
 
 def test_resolve_dw_modes():
