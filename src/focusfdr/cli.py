@@ -191,16 +191,16 @@ _STR = ("a string", lambda v: type(v) is str)
 _INT = ("an integer", lambda v: type(v) is int)
 _NUM = ("a number", lambda v: type(v) in (int, float))
 _CONFIG_TYPES = {
-    "family": _STR, "setup": _STR,
-    "p_nonnull": ("a list of numbers", _list_of(_NUM[1])),
-    "rho": _NUM, "q": _NUM, "lambda_policy": _STR, "c": _INT,
+    "q": _NUM, "lambda_policy": _STR, "c": _INT,
     "dw": ('"auto", "none" or a list of depths', lambda v: _STR[1](v)
            or _list_of(lambda d: isinstance(d, (int, float)))(v)),
-    "n_reps": _INT, "seed": _INT,
+    "yk_divisor": _NUM,
+    "family": _STR, "setup": _STR,
+    "p_nonnull": ("a list of numbers", _list_of(_NUM[1])),
+    "rho": _NUM, "n_reps": _INT, "seed": _INT,
     "smoothing": ("a string or null", lambda v: v is None or _STR[1](v)),
     "methods": ('a list of {"procedure", "filter"} objects or '
                 "[procedure, filter] lists", _list_of(_is_method)),
-    "yk_divisor": _NUM,
 }
 
 

@@ -21,17 +21,16 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .combine import (AnnotationNotNestedError, Combiner,
-                      EmptyAnnotationError, UndefinedSegmentError,
-                      intersection_dag_pvalues, smooth_all_descendants)
+from .combine import (AnnotationNotNestedError, EmptyAnnotationError,
+                      UndefinedSegmentError, intersection_dag_pvalues,
+                      smooth_all_descendants)
 from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
                   build_dag, check_edges, compute_depths,
                   disjoint_descendant_depths, group_index, is_tree, repeats)
-from .filters import FilterSpec, is_monotonic
-from .procedures import FOCUSED, YK_DIVISOR, check_procedure, run_procedure
+from .filters import is_monotonic
+from .procedures import FOCUSED, RunParams, run_procedure
 from .special import DomainError
-from .weights import (WeightConfig, check_dw_depths,
-                      check_group_size_threshold, parse_lambda_policy)
+from .weights import check_dw_depths
 
 
 class ParseError(ValueError):
@@ -260,39 +259,29 @@ def structure_summary(dag, depths, groups):
 
 
 @dataclass(frozen=True)
-class AnalysisRequest:
-    """Everything one analysis run needs; mirrors the CLI flags."""
+class AnalysisRequest(RunParams):
+    """Everything one analysis run needs; mirrors the CLI flags.  The
+    keyword-only q, lambda_policy, c, dw and yk_divisor are ``RunParams``'."""
 
     dag_file: str
     pvalues_file: str
     method: str = "wfbh"
     filter: str = "ds"
-    q: float = 0.05
-    lambda_policy: str = "fixed:0.5"
-    c: int = 1
-    dw: object = "auto"
     combiner: str = None        # smoothing; item combination in items mode
     reshaping: str = None       # "by" for the reshaped variant
     items_file: str = None
-    yk_divisor: float = YK_DIVISOR
-
-    def resolved_lambda(self):
-        return parse_lambda_policy(self.lambda_policy, self.q)
 
 
 def analyze(request):
     """Run one analysis end to end; returns the report as a plain dict."""
     if request.reshaping not in (None, "by"):
         raise ValueError(f"unknown reshaping {request.reshaping!r}")
-    reshaped = request.reshaping == "by"
-    check_procedure(request.method, request.q, reshaped, request.yk_divisor)
-    lam = request.resolved_lambda()
-    check_group_size_threshold(request.c)
-    fspec = FilterSpec.from_name(request.filter)
     smoothing = request.combiner
     if request.items_file is not None:
         smoothing = smoothing or "simes"
-    comb = None if smoothing is None else Combiner.from_name(smoothing)
+    weight_config, [(_, fspec, reshaped)], comb = request.resolve(
+        [(request.method, request.filter, request.reshaping == "by")],
+        smoothing)
     names, name_to_id, dag = read_dag(request.dag_file)
     depths = compute_depths(dag)
     check_dw_depths(request.dw, depths.max_depth, request.dag_file)
@@ -329,8 +318,7 @@ def analyze(request):
     filtered = request.method in FOCUSED
     discoveries, weights_arr, result = run_procedure(
         request.method, dag, depths, groups, p_used, fspec, request.q,
-        WeightConfig(lam=lam, c=request.c, dw=request.dw), reshaped,
-        request.yk_divisor)
+        weight_config, reshaped, request.yk_divisor)
 
     rows = []
     for v in sorted(discoveries,
@@ -353,7 +341,7 @@ def analyze(request):
             "method": request.method,
             "filter": fspec.name if filtered else None,
             "q": request.q,
-            "lambda": lam,
+            "lambda": weight_config.lam,
             "lambda_policy": request.lambda_policy,
             "c": request.c,
             "dw": (request.dw if isinstance(request.dw, str)

@@ -22,11 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .combine import validate_pvalues
+from .combine import Combiner, validate_pvalues
 from .dag import compute_depths, group_index, is_tree
-from .filters import apply_filter, keep_intervals
-from .weights import (WeightVector, WeightWorkspace, _check_lambda,
-                      resolve_dw, storey_pi0, storey_pi0_rows)
+from .filters import FilterSpec, apply_filter, keep_intervals
+from .weights import (WeightConfig, WeightVector, WeightWorkspace,
+                      _check_lambda, parse_lambda_policy, resolve_dw,
+                      storey_pi0, storey_pi0_rows)
 
 
 class QOutOfRangeError(ValueError):
@@ -327,6 +328,37 @@ def check_procedure(name, q, reshaped=False, yk_divisor=YK_DIVISOR):
     elif not 0.0 < q / yk_divisor < 1.0:
         raise LevelOutOfRangeError("yekutieli-tree level q / yk-divisor must "
                                    f"be in (0, 1), got {q / yk_divisor}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunParams:
+    """The run parameters of analyses and simulations alike, with their
+    defaults: see ``check_procedure`` for q and yk_divisor, and
+    ``parse_lambda_policy`` and ``WeightConfig`` for the rest."""
+
+    q: float = 0.05
+    lambda_policy: str = "fixed:0.5"
+    c: int = 1
+    dw: object = "auto"
+    yk_divisor: float = YK_DIVISOR
+
+    def resolved_lambda(self):
+        return parse_lambda_policy(self.lambda_policy, self.q)
+
+    def resolve(self, methods, smoothing):
+        """Check each (procedure, filter name, reshaped) of ``methods`` at
+        level q, then lambda, c, each filter and the ``smoothing`` combiner;
+        returns (WeightConfig, methods for ``run_rows``, Combiner or None)."""
+        for name, _, reshaped in methods:
+            check_procedure(name, self.q, reshaped, self.yk_divisor)
+        lam = self.resolved_lambda()
+        if not self.c >= 0:
+            raise ValueError("c: the group-size threshold must be >= 0, got "
+                             f"{self.c}")
+        resolved = tuple((name, FilterSpec.from_name(filter_name), reshaped)
+                         for name, filter_name, reshaped in methods)
+        combiner = None if smoothing is None else Combiner.from_name(smoothing)
+        return WeightConfig(lam=lam, c=self.c, dw=self.dw), resolved, combiner
 
 
 class StructurePlan:

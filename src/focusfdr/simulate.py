@@ -31,11 +31,9 @@ import numpy as np
 from .combine import (Combiner, combine_segments, inner_segments,
                       smooth_all_descendants)
 from .dag import build_dag, hereditary, level_sweep
-from .filters import FilterSpec
-from .procedures import YK_DIVISOR, StructurePlan, check_procedure, run_rows
+from .procedures import RunParams, StructurePlan, run_rows
 from .special import normal_cdf
-from .weights import (WeightConfig, check_dw_depths,
-                      check_group_size_threshold, parse_lambda_policy)
+from .weights import check_dw_depths
 
 SIGNAL_SETUPS = ("global", "decremental", "incremental")
 
@@ -200,23 +198,18 @@ class MethodSpec:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(RunParams):
+    """One Monte Carlo sweep; the keyword-only q, lambda_policy, c, dw and
+    yk_divisor are ``RunParams``'."""
+
     family: str = "wide-tree"
     setup: str = "global"
     p_nonnull: tuple = (0.1, 0.3, 0.5)
     rho: float = 0.0
-    q: float = 0.05
-    lambda_policy: str = "fixed:0.5"
-    c: int = 1
-    dw: object = "auto"
     n_reps: int = 200
     seed: int = 0
     smoothing: str = None
     methods: tuple = (MethodSpec("wfbh", "ds"), MethodSpec("fbh", "ds"))
-    yk_divisor: float = YK_DIVISOR
-
-    def resolved_lambda(self):
-        return parse_lambda_policy(self.lambda_policy, self.q)
 
 
 @dataclass(frozen=True)
@@ -246,10 +239,9 @@ class SimSummary:
 
 
 def _resolve_methods(config):
-    """Check the whole sweep (family, setup, every p_nonnull, rho, c, seed,
-    dw depths, every method at level q, lambda and smoothing) and parse it
-    once, before any replication; returns (weight config, the methods as
-    ``run_rows`` takes them, Combiner or None) for the replications."""
+    """Check the whole sweep (family, setup, every p_nonnull, rho, seed and
+    dw depths, then ``RunParams.resolve``) and parse it once, before any
+    replication; returns what ``RunParams.resolve`` returns."""
     if config.family not in GRAPH_FAMILIES:
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
@@ -259,7 +251,6 @@ def _resolve_methods(config):
     for p_nonnull in config.p_nonnull:
         _check_p_nonnull(p_nonnull)
     _check_rho(config.rho)
-    check_group_size_threshold(config.c)
     if (isinstance(config.seed, bool) or not isinstance(config.seed, Integral)
             or config.seed < 0):
         raise ValueError(f"seed: must be a nonnegative integer, got "
@@ -268,15 +259,8 @@ def _resolve_methods(config):
                     f"graph family {config.family!r}")
     if not config.methods:
         raise ValueError("methods: need at least one method")
-    for spec in config.methods:
-        check_procedure(spec.procedure, config.q, yk_divisor=config.yk_divisor)
-    weight_config = WeightConfig(lam=config.resolved_lambda(), c=config.c,
-                                 dw=config.dw)
-    resolved = tuple((spec.procedure, FilterSpec.from_name(spec.filter),
-                      False) for spec in config.methods)
-    combiner = (None if config.smoothing is None
-                else Combiner.from_name(config.smoothing))
-    return weight_config, resolved, combiner
+    return config.resolve([(spec.procedure, spec.filter, False)
+                           for spec in config.methods], config.smoothing)
 
 
 # Entries (replications x nodes) per block of the fixed trees: enough rows

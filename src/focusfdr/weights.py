@@ -47,16 +47,11 @@ def _check_lambda(lam):
         raise LambdaOutOfRangeError(f"lambda must be in (0, 1), got {lam}")
 
 
-def check_group_size_threshold(c):
-    """Reject a group-size threshold c below 0."""
-    if not c >= 0:
-        raise ValueError(f"c: the group-size threshold must be >= 0, got {c}")
-
-
 def parse_lambda_policy(policy, q):
     """Storey's lambda under a policy string: "q" (lambda = q) or
-    "fixed:<value>" with the value in (0, 1)."""
+    "fixed:<value>", either way in (0, 1)."""
     if policy == "q":
+        _check_lambda(q)
         return q
     if policy.startswith("fixed:"):
         text = policy.split(":", 1)[1]
@@ -81,10 +76,12 @@ def _is_integer(value):
 
 
 def check_dw_depths(dw, max_depth, graph):
-    """Reject explicit dw depths that are not integers (booleans and
-    non-integral numbers included) or lie outside [1, max_depth] of
-    ``graph``."""
+    """Reject a dw mode other than "auto" or "none", and explicit dw depths
+    that are not integers (booleans and non-integral numbers included) or
+    lie outside [1, max_depth] of ``graph``."""
     if isinstance(dw, str):
+        if dw not in ("auto", "none"):
+            raise ValueError(f"unknown dw mode {dw!r}")
         return
     for d in dw:
         if not _is_integer(d):
@@ -149,14 +146,12 @@ def auto_dw(groups, lam, c=1):
 def resolve_dw(config, groups):
     """Resolve a WeightConfig.dw specification to a checked depth set."""
     dw = config.dw
-    if isinstance(dw, str):
-        if dw == "auto":
-            return auto_dw(groups, config.lam, config.c)
-        if dw == "none":
-            return frozenset()
-        raise ValueError(f"unknown dw mode {dw!r}")
     check_dw_depths(dw, groups.n_d.size - 1, "the graph")
-    return frozenset(int(d) for d in dw)
+    if not isinstance(dw, str):
+        return frozenset(int(d) for d in dw)
+    if dw == "none":
+        return frozenset()
+    return auto_dw(groups, config.lam, config.c)
 
 
 @dataclass(frozen=True)

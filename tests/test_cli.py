@@ -15,6 +15,7 @@ from focusfdr.filters import FilterSpec, apply_filter
 from focusfdr.io import (AnalysisRequest, MissingPvalueError, ParseError,
                          UnknownNodeInPvaluesError, analyze, export_edge_csv,
                          read_edge_csv, read_pvalue_csv)
+from focusfdr.procedures import RunParams
 from focusfdr.simulate import (MethodSpec, SimConfig, SimSummary,
                                generate_graph, run_simulation)
 
@@ -837,6 +838,86 @@ def test_cli_simulate_names_first_bad_list_in_field_order(
     assert main(["simulate", *argv, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cls", [AnalysisRequest, SimConfig])
+@pytest.mark.parametrize("name", [f.name for f in fields(RunParams)])
+def test_run_params_fields_are_declared_once(cls, name):
+    # both request types hold RunParams' own keyword-only Field
+    shared = {f.name: f for f in fields(RunParams)}[name]
+    assert {f.name: f for f in fields(cls)}[name] is shared and shared.kw_only
+    made = cls("dag.csv", "p.csv") if cls is AnalysisRequest else cls()
+    assert getattr(made, name) == shared.default
+
+
+@pytest.mark.parametrize("argv, method, message", [
+    (["--q", "1.5"], "bh", "target FDR level must be in (0, 1), got 1.5"),
+    (["--lambda-policy", "fixed:7"], "bh",
+     "lambda must be in (0, 1), got 7.0"),
+    (["--c", "-3"], "bh", "c: the group-size threshold must be >= 0, got -3"),
+    (["--yk-divisor", "0"], "yekutieli-tree",
+     "yk-divisor must be finite and > 0, got 0.0"),
+    (["--c", "-3", "--q", "1.5"], "bh",
+     "target FDR level must be in (0, 1), got 1.5"),
+], ids=["q", "lambda", "c", "yk-divisor", "q-before-c"])
+def test_cli_commands_reject_shared_parameters_alike(
+        no_replication, tmp_path, monkeypatch, capsys, argv, method, message):
+    # analyze on missing files: checked before any file is read; simulate
+    # with no replication: checked before any replication
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--dag", "missing.csv", "--pvalues",
+                 "missing_p.csv", "--method", method, *argv]) == EXIT_INPUT
+    analyze_err = capsys.readouterr().err
+    assert main(["simulate", "--methods", method, "--reps", "2", *argv,
+                 "--out", "s.csv"]) == EXIT_INPUT
+    assert analyze_err == capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["analyze"],
+                                     ["simulate", "--dw", "none"],
+                                     ["simulate", "--dw", "auto"]],
+                         ids=["analyze", "simulate-dw-none",
+                              "simulate-dw-auto"])
+def test_cli_checks_lambda_taken_from_q(no_replication, chain_files,
+                                        tmp_path, capsys, command):
+    # yekutieli-tree runs at q / yk-divisor and so takes q = 2; lambda = q
+    # must still lie in (0, 1)
+    out = tmp_path / "out"
+    if command[0] == "analyze":
+        argv = ["--method", "yekutieli-tree", "--dag", chain_files[0],
+                "--pvalues", chain_files[1], "--json-out", str(out)]
+    else:
+        argv = ["--methods", "yekutieli-tree", "--reps", "2",
+                "--out", str(out)]
+    assert main([*command, *argv, "--q", "2",
+                 "--lambda-policy", "q"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: lambda must be in (0, 1), got 2.0\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("methods", [[["bh"]], [["wfbh", "ds"]]],
+                         ids=["bh", "wfbh-ds"])
+def test_cli_simulate_rejects_unknown_dw_mode(no_replication, tmp_path,
+                                              capsys, methods):
+    # rejected before any replication, whether or not a method weighs
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"family": "bipartite2", "dw": "bogus",
+                               "methods": methods}))
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", str(cfg), "--reps", "2",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: unknown dw mode 'bogus'\n"
+    assert not out.exists()
+
+
+def test_analyze_rejects_unknown_dw_mode(chain_files):
+    # bh builds no weights, yet the mode is checked
+    with pytest.raises(ValueError, match="unknown dw mode 'bogus'"):
+        analyze(AnalysisRequest(dag_file=chain_files[0],
+                                pvalues_file=chain_files[1], method="bh",
+                                dw="bogus"))
 
 
 def test_cli_check_counterexample(capsys):

@@ -142,6 +142,21 @@ def test_parse_lambda_policy_rejects_fixed_outside_unit_interval(text):
         parse_lambda_policy(f"fixed:{text}", 0.05)
 
 
+@pytest.mark.parametrize("q", [2.0, 1.0, 0.0])
+def test_parse_lambda_policy_checks_lambda_taken_from_q(q):
+    # yekutieli-tree accepts q >= 1, so lambda = q is checked on its own
+    with pytest.raises(LambdaOutOfRangeError,
+                       match=rf"lambda must be in \(0, 1\), got {q}"):
+        parse_lambda_policy("q", q)
+
+
+def test_check_dw_depths_rejects_unknown_mode():
+    check_dw_depths("auto", 2, "graph g")
+    check_dw_depths("none", 2, "graph g")
+    with pytest.raises(ValueError, match="unknown dw mode 'bogus'"):
+        check_dw_depths("bogus", 2, "graph g")
+
+
 @pytest.mark.parametrize("depth", [1.5, True, False, np.bool_(True), "1",
                                    float("nan"), float("inf")])
 def test_check_dw_depths_rejects_non_integer_depths(depth):
