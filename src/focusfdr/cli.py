@@ -159,13 +159,18 @@ def build_parser():
     return parser
 
 
-def _cmd_analyze(args):
-    report = fio.analyze(fio.AnalysisRequest(**_fields(args)))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+def _write_json(report, path):
+    """Write ``report`` by ``io.write_report_json`` to ``path`` or stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fio.write_report_json(report, fh)
     else:
         fio.write_report_json(report, sys.stdout)
+
+
+def _cmd_analyze(args):
+    report = fio.analyze(fio.AnalysisRequest(**_fields(args)))
+    _write_json(report, args.json_out)
     if args.csv_out:
         with open(args.csv_out, "w", newline="", encoding="utf-8") as fh:
             fio.write_discoveries_csv(report, fh)
@@ -275,13 +280,7 @@ def _cmd_graph_info(args):
     _, _, dag = fio.read_dag(args.dag)
     depths = compute_depths(dag)
     groups = group_index(dag, depths)
-    info = fio.structure_summary(dag, depths, groups)
-    text = json.dumps(info, indent=2) + "\n"
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(fio.structure_summary(dag, depths, groups), args.json_out)
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -72,10 +73,20 @@ class Combiner:
     ``order`` selects the order statistic for "orderstat" (1 = Tippett's
     minimum rule).  When a block has fewer than ``order`` values the order is
     clamped to the block size, so singleton blocks always pass through.
+    An unknown kind, or an order that is not an int >= 1, raises ValueError.
     """
 
     kind: str
     order: int = 1
+
+    def __post_init__(self):
+        if self.kind not in ("fisher", "stouffer", "simes", "orderstat",
+                             "bonferroni"):
+            raise ValueError(f"unknown combiner kind {self.kind!r}")
+        if (isinstance(self.order, bool)
+                or not isinstance(self.order, Integral) or self.order < 1):
+            raise ValueError("combiner order must be an integer >= 1, got "
+                             f"{self.order!r}")
 
     @classmethod
     def from_name(cls, name):
@@ -143,10 +154,7 @@ def combine_rows(combiner, block):
             stat = np.sort(block, axis=1)[:, i - 1]
         return np.atleast_1d(beta_cdf(stat, i, n - i + 1))
 
-    if kind == "bonferroni":
-        return np.minimum(1.0, n * np.min(block, axis=1))
-
-    raise ValueError(f"unknown combiner kind {combiner.kind!r}")
+    return np.minimum(1.0, n * np.min(block, axis=1))      # bonferroni
 
 
 def _terms(kind, block):
@@ -180,13 +188,13 @@ def _chunks(nodes, size):
     return (nodes[i:i + size] for i in range(0, nodes.size, size))
 
 
-def combine_segments(combiner, block, nodes, indptr, indices, lead):
+def combine_segments(combiner, block, nodes, indptr, indices):
     """Combine each row of ``block`` over one column segment per node.
 
-    Node v's segment is ``indices[indptr[v]:indptr[v + 1]]``, preceded by v
-    itself when ``lead`` is true.  Returns an (r, len(nodes)) array whose
-    entry (i, j) combines ``block[i, segment]`` for v = ``nodes[j]``, bit
-    for bit as ``combine_rows`` does on that one row and segment.
+    Node v's segment is its CSR row ``indices[indptr[v]:indptr[v + 1]]``,
+    combined as given.  Returns an (r, len(nodes)) array whose entry (i, j)
+    combines ``block[i, segment]`` for v = ``nodes[j]``, bit for bit as
+    ``combine_rows`` does on that one row and segment.
 
     The block is combined one slab of at most ``_GATHER_ENTRIES`` entries
     (never less than one row) at a time.  Fisher's and Stouffer's segments
@@ -203,8 +211,8 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
         UndefinedSegmentError: naming the smallest node whose Stouffer
             segment holds both a zero and a one in some row.
     """
-    r, lead, kind = block.shape[0], int(lead), combiner.kind
-    sizes = indptr[nodes + 1] - indptr[nodes] + lead
+    r, kind = block.shape[0], combiner.kind
+    sizes = indptr[nodes + 1] - indptr[nodes]
     order = np.argsort(-sizes, kind="stable")
     starts = np.flatnonzero(np.diff(sizes[order], prepend=-1))
     groups = list(zip(np.split(order, starts[1:]),
@@ -218,12 +226,9 @@ def combine_segments(combiner, block, nodes, indptr, indices, lead):
         if kind in ("fisher", "stouffer"):
             slab = _terms(kind, slab)
         for group, n in groups:
-            width = np.arange(n - lead)
+            width = np.arange(n)
             for chunk in _chunks(group, max(1, _GATHER_ENTRIES // (k * n))):
-                at = nodes[chunk]
-                cols = indices[indptr[at][:, None] + width]
-                if lead:
-                    cols = np.column_stack((at, cols))
+                cols = indices[indptr[nodes[chunk]][:, None] + width]
                 if kind in ("fisher", "stouffer"):
                     with np.errstate(invalid="ignore"):  # -inf + inf is NaN
                         res = np.sum(_gather_rows(slab, cols), axis=1)
@@ -247,12 +252,12 @@ def _gather_rows(block, cols):
 
 
 def inner_segments(dag):
-    """The nodes with descendants, ascending, and the descendant closure
-    ``(indptr, indices)`` that ``combine_segments(..., lead=True)`` reads
-    their smoothing segments from.  Every other node is a leaf, whose
-    smoothed value is its own."""
+    """The nodes with descendants, ascending (those whose closure row is
+    longer than one), and the closure ``(indptr, indices)`` whose rows are
+    their smoothing segments.  Every other node is a leaf, whose smoothed
+    value is its own."""
     indptr, indices = dag.descendant_closure
-    return np.flatnonzero(np.diff(indptr)), indptr, indices
+    return np.flatnonzero(np.diff(indptr) > 1), indptr, indices
 
 
 def smooth_rows(dag, block, combiner):
@@ -260,11 +265,11 @@ def smooth_rows(dag, block, combiner):
     which are not checked.
 
     Node v's value becomes the combination of its row entries at
-    ``[v, *descendants ascending]`` (``dag.descendant_closure``); leaves keep
-    their own.  ``combine_segments`` combines the ``inner_segments`` into a
-    compact (r, #inner) array, which is scattered once into a copy of the
-    block.  Each row of the result is bit-identical to smoothing that row
-    alone, node by node.  ``simulate.superuniformity_check`` takes the
+    ``[v, *descendants ascending]``, v's row of ``dag.descendant_closure``;
+    leaves keep their own.  ``combine_segments`` combines the
+    ``inner_segments`` into a compact (r, #inner) array, which is scattered
+    once into a copy of the block.  Each row of the result is bit-identical
+    to smoothing that row alone, node by node.  ``simulate.superuniformity_check`` takes the
     inner nodes' values the same way but never builds the smoothed copy.
 
     Raises:
@@ -272,7 +277,7 @@ def smooth_rows(dag, block, combiner):
             block holds both a zero and a one in some row.
     """
     inner, indptr, indices = inner_segments(dag)
-    res = combine_segments(combiner, block, inner, indptr, indices, lead=True)
+    res = combine_segments(combiner, block, inner, indptr, indices)
     out = block.copy()
     out[:, inner] = res
     return out
@@ -324,5 +329,5 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
     indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
                           count=int(indptr[-1]))
     return combine_segments(combiner, items[None, :],
-                            np.arange(dag.m, dtype=np.intp), indptr, indices,
-                            lead=False)[0]
+                            np.arange(dag.m, dtype=np.intp), indptr,
+                            indices)[0]

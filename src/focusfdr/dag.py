@@ -16,11 +16,11 @@ checks are O(m + E)-class passes over these arrays.
 built on first use for tests, oracles and tracing; no production path
 reads them.  Closures are computed lazily and cached on the Dag:
 
-- ``descendant_closure``: the strict descendants of every node as a CSR
-  pair of integer arrays, each row sorted.  It is built a depth level at a
-  time, deepest first, with one sort of ``owner * m + node`` keys per level
-  (``np.unique`` would hash the integer keys, which is slower).  Smoothing
-  gathers its segments from it.
+- ``descendant_closure``: every node followed by its strict descendants,
+  ascending, as a CSR pair of integer arrays.  It is built a depth level at
+  a time, deepest first, with one sort of ``owner * m + node`` keys per
+  level (``np.unique`` would hash the integer keys, which is slower).
+  Smoothing combines its rows as they stand.
 - ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node,
   O(m^2) bits in all.  They are oracle-only: ``apply_filter`` and the
   checks and tests built on it use them as the independent reference, and
@@ -203,22 +203,24 @@ class Dag:
 
     @cached_property
     def descendant_closure(self):
-        """Strict descendants in CSR form: ``(indptr, indices)``.
+        """Each node and its strict descendants in CSR form: ``(indptr,
+        indices)``.  Row v, ``indices[indptr[v]:indptr[v + 1]]``, is v, then
+        its strict descendants ascending: the segment smoothing combines.
 
-        Row v, ``indices[indptr[v]:indptr[v + 1]]``, holds v's strict
-        descendants in ascending order.  Built a depth level at a time,
-        deepest first: every child of a depth-d node is deeper, so its row
-        is ready when level d is built.  A level's rows are its nodes'
-        children and those children's rows (one gather per deeper level
-        they lie in), keyed ``owner * m + node`` and put in order, without
-        repeats, by one sort.  Each level's rows stay one block until the
-        end, when the blocks are scattered into node order one at a time
-        and released.  Both arrays are read-only.
+        The descendants are built a depth level at a time, deepest first:
+        every child of a depth-d node is deeper, so its descendants are
+        ready when level d is built.  A level's descendants are its nodes'
+        children and the children's descendants (one gather per deeper
+        level they lie in), keyed ``owner * m + node`` and put in order,
+        without repeats, by one sort.  They stay one block per level until
+        the end, when the blocks are scattered into node order, each row
+        after its node, one at a time and released.  Both arrays are
+        read-only.
         """
         m, ptr, depth = self.m, self.child_indptr, self.depth
         n_kids = np.diff(ptr)
         # level d holds the nodes of depth d + 1 that have children; v's
-        # row is blocks[depth[v] - 1][start[v]:start[v] + count[v]]
+        # descendants are blocks[depth[v] - 1][start[v]:start[v] + count[v]]
         start = np.zeros(m, dtype=np.intp)
         count = np.zeros(m, dtype=np.intp)
         topo, bounds = self.topo_order, self.node_ptr
@@ -253,19 +255,20 @@ class Dag:
             count[level] = sizes
             start[level] = np.cumsum(sizes) - sizes
         indptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(count, out=indptr[1:])
+        np.cumsum(count + 1, out=indptr[1:])
         indices = np.empty(indptr[-1], dtype=np.intp)
+        indices[indptr[:-1]] = np.arange(m)
         for d, level in enumerate(levels):
-            indices[_segments(indptr[level], count[level])] = blocks[d]
+            indices[_segments(indptr[level] + 1, count[level])] = blocks[d]
             blocks[d] = None
         return _read_only(indptr), _read_only(indices)
 
     def descendant_indices(self, node):
         """Sorted strict descendants of ``node``: a view of its row of
-        ``descendant_closure``."""
+        ``descendant_closure`` after the node itself."""
         self._check_node(node)
         indptr, indices = self.descendant_closure
-        return indices[indptr[node]:indptr[node + 1]]
+        return indices[indptr[node] + 1:indptr[node + 1]]
 
     def __repr__(self):
         return f"Dag(m={self.m}, edges={self.edge_parent.size})"

@@ -26,8 +26,8 @@ from .combine import Combiner, validate_pvalues
 from .dag import compute_depths, group_index, is_tree
 from .filters import FilterSpec, apply_filter, keep_intervals
 from .weights import (WeightConfig, WeightVector, WeightWorkspace,
-                      _check_lambda, parse_lambda_policy, resolve_dw,
-                      storey_pi0, storey_pi0_rows)
+                      _check_lambda, check_dw_mode, parse_lambda_policy,
+                      resolve_dw, storey_pi0, storey_pi0_rows)
 
 
 class QOutOfRangeError(ValueError):
@@ -166,27 +166,12 @@ def unity_weights(m):
 
 def _counts_at(ends, cands):
     """#{v: ends[i, v] <= cands[i, j]} for every row i and column j of
-    (R, m) blocks whose ``cands`` rows ascend, i.e. a per-row
-    ``searchsorted(sort(ends[i]), cands[i], side="right")``.
-
-    All values are >= 0 (+inf allowed), so once -0.0 is made +0.0 their
-    bit patterns order as they do.  One sort per row of the merged bit
-    patterns, shifted up one place with the low bit set on candidates,
-    does the search: an end equal to a candidate sorts before it, and the
-    j-th candidate of a row sits at position count + j.
-    """
-    r, n = cands.shape
-    keys = np.concatenate((ends, cands), axis=1)
-    keys += 0.0
-    keys = keys.view(np.uint64)
-    keys <<= np.uint64(1)
-    keys[:, ends.shape[1]:] |= np.uint64(1)
-    keys.sort(axis=1)
-    keys &= np.uint64(1)
-    at = np.flatnonzero(keys).reshape(r, n)
-    at -= (np.arange(r) * keys.shape[1])[:, None]
-    at -= np.arange(n)
-    return at
+    (R, m) blocks: one sorted search of each row's ``cands`` in its sorted
+    ``ends``, where an end equal to a candidate counts."""
+    counts = np.empty(cands.shape, dtype=np.intp)
+    for row, c, out in zip(np.sort(ends, axis=1), cands, counts):
+        out[:] = np.searchsorted(row, c, side="right")
+    return counts
 
 
 def _scan(wp, enter, leave, q, beta):
@@ -347,14 +332,16 @@ class RunParams:
 
     def resolve(self, methods, smoothing):
         """Check each (procedure, filter name, reshaped) of ``methods`` at
-        level q, then lambda, c, each filter and the ``smoothing`` combiner;
-        returns (WeightConfig, methods for ``run_rows``, Combiner or None)."""
+        level q, then lambda, c, the dw mode (its depths need the graph),
+        each filter and the ``smoothing`` combiner; returns (WeightConfig,
+        methods for ``run_rows``, Combiner or None)."""
         for name, _, reshaped in methods:
             check_procedure(name, self.q, reshaped, self.yk_divisor)
         lam = self.resolved_lambda()
         if not self.c >= 0:
             raise ValueError("c: the group-size threshold must be >= 0, got "
                              f"{self.c}")
+        check_dw_mode(self.dw)
         resolved = tuple((name, FilterSpec.from_name(filter_name), reshaped)
                          for name, filter_name, reshaped in methods)
         combiner = None if smoothing is None else Combiner.from_name(smoothing)

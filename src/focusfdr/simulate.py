@@ -427,9 +427,9 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     ``seed``.  A leaf's smoothed p-value is its raw one, so the raw block's
     per-node CDF is taken once and each combiner overwrites only the rows
     of its inner nodes (``combine.inner_segments``), from the values
-    ``combine_segments`` gives them as ``smooth_rows`` would.  A CDF entry
-    is an exact count over n_mc, so this matches smoothing the whole block
-    bit for bit, without a smoothed copy of it.
+    ``combine_segments`` gives their closure rows, as in ``smooth_rows``.
+    A CDF entry is an exact count over n_mc, so this matches smoothing the
+    whole block bit for bit, without a smoothed copy of it.
     """
     if n_mc < 1:
         raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
@@ -450,8 +450,8 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     results = []
     for combiner in combiners:
         cdf = raw.copy()
-        cdf[inner] = _column_cdf(combine_segments(
-            combiner, block, inner, indptr, indices, lead=True), ts)
+        cdf[inner] = _column_cdf(
+            combine_segments(combiner, block, inner, indptr, indices), ts)
         results.append(SuperuniformityResult(thresholds=tuple(thresholds),
                                               cdf=cdf, se=se))
     return results

@@ -75,13 +75,18 @@ def _is_integer(value):
     return isinstance(value, Real) and float(value).is_integer()
 
 
+def check_dw_mode(dw):
+    """Reject a dw mode other than "auto" or "none"; needs no graph."""
+    if isinstance(dw, str) and dw not in ("auto", "none"):
+        raise ValueError(f"unknown dw mode {dw!r}")
+
+
 def check_dw_depths(dw, max_depth, graph):
     """Reject a dw mode other than "auto" or "none", and explicit dw depths
     that are not integers (booleans and non-integral numbers included) or
     lie outside [1, max_depth] of ``graph``."""
+    check_dw_mode(dw)
     if isinstance(dw, str):
-        if dw not in ("auto", "none"):
-            raise ValueError(f"unknown dw mode {dw!r}")
         return
     for d in dw:
         if not _is_integer(d):

@@ -4,17 +4,19 @@ import csv
 import json
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 import focusfdr.cli as cli_module
 from focusfdr.cli import EXIT_CHECK, EXIT_INPUT, EXIT_OK, main
 from focusfdr.checks import SUITES
-from focusfdr.dag import Dag, build_dag
+from focusfdr.dag import Dag, build_dag, compute_depths, group_index
 from focusfdr.filters import FilterSpec, apply_filter
 from focusfdr.io import (AnalysisRequest, MissingPvalueError, ParseError,
                          UnknownNodeInPvaluesError, analyze, export_edge_csv,
-                         read_edge_csv, read_pvalue_csv)
+                         read_dag, read_edge_csv, read_pvalue_csv,
+                         structure_summary)
 from focusfdr.procedures import RunParams
 from focusfdr.simulate import (MethodSpec, SimConfig, SimSummary,
                                generate_graph, run_simulation)
@@ -689,6 +691,22 @@ def test_cli_graph_info_diamond(tmp_path, capsys):
     assert info["disjoint_descendant_depths"] == [2, 3]
 
 
+def test_cli_graph_info_writes_json_dump_bytes(tmp_path, capsys):
+    # graph-info writes through the report writer, whose bytes are
+    # json.dump's with indent 2, then a newline
+    dag_file = Path(__file__).resolve().parent / "data" / "golden_dag.csv"
+    _, _, dag = read_dag(dag_file)
+    depths = compute_depths(dag)
+    info = structure_summary(dag, depths, group_index(dag, depths))
+    expected = json.dumps(info, indent=2) + "\n"
+    out = tmp_path / "info.json"
+    assert main(["graph-info", "--dag", str(dag_file)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert main(["graph-info", "--dag", str(dag_file),
+                 "--json-out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == expected.encode()
+
+
 def _simulate_args(out):
     return ["simulate", "--family", "wide-tree", "--setup", "decremental",
             "--p", "0.1,0.3", "--reps", "4", "--seed", "7",
@@ -917,6 +935,14 @@ def test_analyze_rejects_unknown_dw_mode(chain_files):
     with pytest.raises(ValueError, match="unknown dw mode 'bogus'"):
         analyze(AnalysisRequest(dag_file=chain_files[0],
                                 pvalues_file=chain_files[1], method="bh",
+                                dw="bogus"))
+
+
+def test_analyze_rejects_unknown_dw_mode_before_reading_files(tmp_path):
+    # the mode needs no graph, so neither missing file is opened
+    with pytest.raises(ValueError, match="unknown dw mode 'bogus'"):
+        analyze(AnalysisRequest(dag_file=tmp_path / "missing.csv",
+                                pvalues_file=tmp_path / "missing-p.csv",
                                 dw="bogus"))
 
 

@@ -4,6 +4,7 @@ Expected values for the named combiners were frozen from scipy 1.15
 (combine_pvalues, beta.cdf) and hand enumeration of order statistics.
 """
 
+import re
 import tracemalloc
 import types
 from unittest import mock
@@ -44,6 +45,21 @@ def test_from_name():
     assert Combiner.from_name("simes").name == "simes"
     with pytest.raises(ValueError):
         Combiner.from_name("cauchy")
+
+
+@pytest.mark.parametrize("kind, order, message", [
+    ("bogus", 1, "unknown combiner kind 'bogus'"),
+    ("orderstat", 0, "combiner order must be an integer >= 1, got 0"),
+    ("orderstat", -2, "combiner order must be an integer >= 1, got -2"),
+    ("orderstat", 2.5, "combiner order must be an integer >= 1, got 2.5"),
+    ("orderstat", 2.0, "combiner order must be an integer >= 1, got 2.0"),
+    ("orderstat", True, "combiner order must be an integer >= 1, got True"),
+    ("fisher", "1", "combiner order must be an integer >= 1, got '1'"),
+])
+def test_combiner_checks_itself_at_construction(kind, order, message):
+    # rejected when built, not when first combining
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Combiner(kind, order)
 
 
 @pytest.mark.parametrize("ps,expected", [
@@ -348,13 +364,13 @@ def test_combine_segments_keeps_no_block_sized_buffer(name, bound):
     # normal quantile's three buffers)
     dag = generate_graph("deep-tree")
     indptr, indices = dag.descendant_closure
-    inner = np.flatnonzero(np.diff(indptr))
+    inner = np.flatnonzero(np.diff(indptr) > 1)
     block = np.random.default_rng(3).uniform(size=(2000, dag.m))
     comb = Combiner.from_name(name)
-    combine_segments(comb, block[:2], inner, indptr, indices, lead=True)
+    combine_segments(comb, block[:2], inner, indptr, indices)
     tracemalloc.start()
     try:
-        combine_segments(comb, block, inner, indptr, indices, lead=True)
+        combine_segments(comb, block, inner, indptr, indices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

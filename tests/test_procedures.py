@@ -12,7 +12,8 @@ from focusfdr.filters import FilterSpec, interval_count_curve
 from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
                                  LevelOutOfRangeError, NonpositiveWeightError,
                                  NotATreeError, QOutOfRangeError, ReshapingFn,
-                                 StructurePlan, _focused_rows, _scan,
+                                 StructurePlan, _counts_at, _focused_rows,
+                                 _scan,
                                  _step_up, bh, brute_force_tstar,
                                  by_procedure, fbh, run_procedure, run_rows,
                                  storey_bh, unity_weights,
@@ -322,6 +323,28 @@ def test_block_scan_matches_interval_curve(seed, r, m, outer, beta):
     assert got.shape == (r, 1)
     for i in range(r):
         assert got[i, 0] == interval_scan(wp[i], enter[i], leave[i], 0.3, beta)
+
+
+COUNT_ENDS = [0.0, -0.0, 0.01, 0.02, 0.5, 1.2, np.inf]
+
+
+@given(data=st.data(), r=st.sampled_from([1, 4, 10]),
+       n_ends=st.integers(0, 40), n_cands=st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_counts_at_matches_pairwise_comparison(data, r, n_ends, n_cands):
+    # an oracle that shares no search with production: compare every end
+    # with every candidate; ties, signed zeros and +inf ends included
+    ends = np.array(data.draw(st.lists(
+        st.sampled_from(COUNT_ENDS), min_size=r * n_ends,
+        max_size=r * n_ends))).reshape(r, n_ends)
+    cands = np.sort(np.array(data.draw(st.lists(
+        st.sampled_from(COUNT_ENDS[:-1]), min_size=r * n_cands,
+        max_size=r * n_cands))).reshape(r, n_cands), axis=1)
+    got = _counts_at(ends, cands)
+    assert got.shape == (r, n_cands)
+    assert np.issubdtype(got.dtype, np.integer)
+    assert np.array_equal(got, np.count_nonzero(
+        ends[:, None, :] <= cands[:, :, None], axis=2))
 
 
 @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
