@@ -16,6 +16,13 @@ built once per process, and get one ``StructurePlan`` (depths, groups,
 weight workspace) per ``run_simulation`` and blocks of up to
 ``_BLOCK_ENTRIES`` entries.  The bipartite families draw a new graph, and
 so a new plan, every replication, and run in blocks of one.
+
+Bipartite graph 1 is drawn from raw words: each try's 200
+``choice(350, size=10, replace=False)`` calls are taken from one
+``random_raw`` block, with their Floyd and Fisher-Yates steps run on all
+200 rows at once (``_raw_picks``).  That consumes the stream as the calls
+do and gives the same picks; where it cannot (a buffered 32-bit half, or
+a word that numpy's bounded draw would reject), the try runs the calls.
 """
 
 from __future__ import annotations
@@ -66,12 +73,58 @@ GRAPH_FAMILIES = {"wide-tree": _FIXED_GRAPHS["wide-tree"].node_ptr.size - 1,
                   "bipartite2": 2}
 
 
+# ``Generator.choice(350, size=10, replace=False)`` takes 19 bounded draws:
+# 10 for Floyd's sample (the kth in [0, 340 + k]), then 9 for its
+# Fisher-Yates shuffle (in [0, 9], ..., [0, 1]).  Each maps one 32-bit word
+# w into [0, n) as (w * n) >> 32 (Lemire), and draws a new word when the
+# product's low half is below (2^32 - n) mod n.  The n of each draw, and
+# that redraw threshold:
+_CHOICE_BOUNDS = np.array([*range(341, 351), *range(10, 1, -1)],
+                          dtype=np.uint64)
+_CHOICE_REDRAW = (2**32 - _CHOICE_BOUNDS) % _CHOICE_BOUNDS
+
+
+def _raw_picks(bit_generator):
+    """The (200, 10) leaf picks of 200 ``choice(350, size=10,
+    replace=False)`` calls on a Generator of ``bit_generator``, from one
+    ``random_raw(1900)`` block that leaves the stream where those calls
+    leave it: they take 3,800 32-bit words, the low and then the high half
+    of each 64-bit output.  Returns None, with the state restored, where
+    that does not hold: the generator holds a buffered half, or buffers
+    none (MT19937), or some word is one Lemire's method redraws."""
+    state = bit_generator.state
+    if state.get("has_uint32") != 0:
+        return None
+    words = bit_generator.random_raw(1900).astype("<u8", copy=False)
+    prod = words.view("<u4").reshape(200, 19).astype(np.uint64)
+    prod *= _CHOICE_BOUNDS
+    if ((prod & 0xFFFFFFFF) < _CHOICE_REDRAW).any():
+        bit_generator.state = state
+        return None
+    draws = (prod >> 32).astype(np.int64)
+    picks = draws[:, :10]
+    for k in range(1, 10):      # Floyd: a value already picked gives way
+        taken = (picks[:, :k] == picks[:, k, None]).any(axis=1)
+        picks[taken, k] = 340 + k
+    rows = np.arange(200)
+    for i in range(9, 0, -1):   # Fisher-Yates: swap slot i with slot j
+        j = draws[:, 19 - i]
+        swapped = picks[rows, j]
+        picks[rows, j] = picks[:, i]
+        picks[:, i] = swapped
+    return picks
+
+
 def _bipartite1(rng, max_tries=1000):
     # 200 roots each pick 10 distinct leaf children; resample until every
-    # leaf is covered so the generated graph keeps its two-level shape
+    # leaf is covered so the generated graph keeps its two-level shape.
+    # A try is drawn from raw words where that consumes the stream as the
+    # choice loop does, and by the loop where it does not.
     for _ in range(max_tries):
-        picks = np.stack([rng.choice(350, size=10, replace=False)
-                          for _ in range(200)])
+        picks = _raw_picks(rng.bit_generator)
+        if picks is None:
+            picks = np.stack([rng.choice(350, size=10, replace=False)
+                              for _ in range(200)])
         if np.count_nonzero(np.bincount(picks.ravel(), minlength=350)) == 350:
             return build_dag(550, _stars(np.arange(200), 200 + picks))
     raise RuntimeError("failed to cover every leaf of bipartite graph 1")
@@ -299,20 +352,25 @@ def _run_block(config, resolved, plan, p_idx, reps):
 
 
 def resolve_workers(n_workers=None):
-    """Worker count: explicit argument, else FOCUSFDR_THREADS (a
-    nonnegative integer, 0 = all cores), else serial."""
+    """Worker count: the explicit argument, else FOCUSFDR_THREADS, else
+    serial.  Either is a nonnegative integer, 0 meaning all cores."""
     if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get("FOCUSFDR_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        n = int(env)
-        if n < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError("FOCUSFDR_THREADS must be a nonnegative integer "
-                         f"(0 = all cores), got {env!r}") from None
+        if (isinstance(n_workers, bool) or not isinstance(n_workers, Integral)
+                or n_workers < 0):
+            raise ValueError("n_workers: must be a nonnegative integer "
+                             f"(0 = all cores), got {n_workers!r}")
+        n = int(n_workers)
+    else:
+        env = os.environ.get("FOCUSFDR_THREADS", "").strip()
+        if not env:
+            return 1
+        try:
+            n = int(env)
+            if n < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError("FOCUSFDR_THREADS must be a nonnegative integer "
+                             f"(0 = all cores), got {env!r}") from None
     return (os.cpu_count() or 1) if n == 0 else n
 
 

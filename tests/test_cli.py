@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -705,6 +708,25 @@ def test_cli_graph_info_writes_json_dump_bytes(tmp_path, capsys):
     assert main(["graph-info", "--dag", str(dag_file),
                  "--json-out", str(out)]) == EXIT_OK
     assert out.read_bytes() == expected.encode()
+
+
+def test_python_dash_m_focusfdr_runs_the_cli(capsys):
+    # a checkout on PYTHONPATH, not installed, has the CLI as a module
+    root = Path(__file__).resolve().parents[1]
+    dag_file = root / "tests" / "data" / "golden_dag.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "focusfdr", "graph-info", "--dag",
+         str(dag_file)], capture_output=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr.decode()
+    assert main(["graph-info", "--dag", str(dag_file)]) == EXIT_OK
+    assert done.stdout.decode() == capsys.readouterr().out
+    bad = subprocess.run([sys.executable, "-m", "focusfdr", "graph-info",
+                          "--dag", str(root / "no-such.csv")],
+                         capture_output=True, env=env, timeout=120)
+    assert bad.returncode == EXIT_INPUT
 
 
 def _simulate_args(out):

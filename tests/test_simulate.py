@@ -1,6 +1,7 @@
 """Tests for the graph generators, data generation, and the Monte Carlo
 replication harness."""
 
+import os
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -112,6 +113,102 @@ def test_bipartite2_matches_per_hand_generator(seed):
     assert generate_graph("bipartite2", new_rng).edges == want.edges
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
     assert generate_graph("bipartite2", seed).edges == want.edges
+
+
+def _choice_picks(rng):
+    """One bipartite-1 try as 200 calls of numpy's own ``choice``."""
+    return np.stack([rng.choice(350, size=10, replace=False)
+                     for _ in range(200)])
+
+
+def _bipartite1_by_choice(rng, max_tries=1000):
+    """The bipartite-1 generator with every try drawn by the choice loop."""
+    for _ in range(max_tries):
+        picks = _choice_picks(rng)
+        if np.unique(picks).size == 350:
+            return build_dag(550, [(r, 200 + int(c)) for r in range(200)
+                                   for c in picks[r]])
+    raise RuntimeError("no leaf cover drawn")
+
+
+def _assert_same_stream(rng, oracle):
+    """Equal bit-generator states (``uinteger`` only where ``has_uint32``
+    says it is read), and equal next draws: an odd number of 32-bit words,
+    which reads the buffered half, then doubles."""
+    state, want = rng.bit_generator.state, oracle.bit_generator.state
+    if not want.get("has_uint32", True):
+        state, want = ({k: v for k, v in s.items() if k != "uinteger"}
+                       for s in (state, want))
+    np.testing.assert_equal(state, want)
+    for draw in (lambda g: g.integers(2**32, size=3, dtype=np.uint32),
+                 lambda g: g.random(2)):
+        np.testing.assert_array_equal(draw(rng), draw(oracle))
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.SFC64, np.random.MT19937)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_words=st.integers(0, 5),
+       n_doubles=st.integers(0, 3), bit_generator=st.sampled_from(
+           BIT_GENERATORS))
+def test_raw_picks_match_numpy_choice(seed, n_words, n_doubles,
+                                      bit_generator):
+    # the oracle is numpy's own choice, so a numpy whose choice draws
+    # differently fails here; a prefix with an odd number of 32-bit words
+    # leaves a buffered half, which the raw block must decline
+    rng, oracle = (np.random.Generator(bit_generator(seed)) for _ in "ab")
+    for g in (rng, oracle):
+        g.random(n_doubles)
+        g.integers(2**32, size=n_words, dtype=np.uint32)
+    before = rng.bit_generator.state
+    want = _choice_picks(oracle)
+    picks = simulate_module._raw_picks(rng.bit_generator)
+    if picks is None:
+        # declined: the stream is untouched, and the try runs the calls
+        np.testing.assert_equal(rng.bit_generator.state, before)
+        picks = _choice_picks(rng)
+    else:
+        assert before["has_uint32"] == 0
+    np.testing.assert_array_equal(picks, want)
+    _assert_same_stream(rng, oracle)
+
+
+def test_raw_picks_take_fresh_pcg64_streams():
+    # none of these streams' first tries holds a word Lemire redraws
+    for seed in range(10):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = simulate_module._raw_picks(rng.bit_generator)
+        assert picks is not None
+        np.testing.assert_array_equal(picks, _choice_picks(oracle))
+        _assert_same_stream(rng, oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bipartite1_matches_choice_loop(seed):
+    # same graph, and the same stream after the coverage loop
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _bipartite1_by_choice(oracle)
+    assert generate_graph("bipartite1", rng).edges == want.edges
+    _assert_same_stream(rng, oracle)
+    assert generate_graph("bipartite1", seed).edges == want.edges
+
+
+@pytest.mark.parametrize("seed", [5020, 24939, 45861])
+def test_bipartite1_falls_back_where_lemire_redraws(seed):
+    # each of these streams' first try holds a word that numpy's bounded
+    # draw rejects, so the raw block declines it and the try runs the calls
+    bit_generator = np.random.default_rng(seed).bit_generator
+    before = bit_generator.state
+    assert simulate_module._raw_picks(bit_generator) is None
+    assert bit_generator.state == before
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _bipartite1_by_choice(oracle)
+    assert generate_graph("bipartite1", rng).edges == want.edges
+    _assert_same_stream(rng, oracle)
+    assert generate_graph("bipartite1", seed).edges == want.edges
 
 
 def test_generate_graph_deterministic_in_seed():
@@ -480,6 +577,23 @@ def test_resolve_workers_env(monkeypatch):
         with pytest.raises(ValueError, match=f"FOCUSFDR_THREADS .* {bad!r}"):
             resolve_workers()
         assert resolve_workers(2) == 2
+
+
+def test_resolve_workers_explicit_argument_follows_env_contract(monkeypatch):
+    # an explicit count means what FOCUSFDR_THREADS means: a nonnegative
+    # integer, 0 for all cores; anything else is refused, not clamped
+    from focusfdr.simulate import resolve_workers
+
+    monkeypatch.setenv("FOCUSFDR_THREADS", "3")
+    assert resolve_workers(0) == (os.cpu_count() or 1)
+    monkeypatch.setenv("FOCUSFDR_THREADS", "0")
+    assert resolve_workers(1) == 1
+    assert resolve_workers(np.int64(2)) == 2
+    for bad in (-3, True, False, 2.7, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"n_workers: .* {bad!r}"):
+            resolve_workers(bad)
+    with pytest.raises(ValueError, match="n_workers"):
+        run_simulation(SimConfig(n_reps=1), n_workers=-1)
 
 
 def test_superuniformity_leaves_exact():
