@@ -6,9 +6,10 @@ is monotone in each input.  The matrix forms (`*_rows`) combine each row of
 an (r, n) array at once, which is what the Monte Carlo validity checks need.
 Smoothing and intersection p-values both combine over column segments (a
 node with its descendants, or a node's annotated items) through one
-size-grouped kernel, ``combine_segments``, which transforms each entry for
-Fisher (log p) and Stouffer (normal quantile) once, not once per segment
-holding it, and calibrates both sums one row slab at a time.
+kernel, ``combine_segments``, which transforms each entry for Fisher
+(log p) and Stouffer (normal quantile) once, not once per segment holding
+it, takes every node's raw statistic (a sum, a minimum or an order
+statistic), and calibrates them one row slab at a time.
 """
 
 from __future__ import annotations
@@ -177,9 +178,16 @@ def combine(combiner, pvalues):
     exactly 0 (the limit of the chi-square statistic); Stouffer maps an
     all-finite block through the z-sum and propagates hard zeros/ones as
     limits, raising DomainError only for the genuinely undefined mixed case.
+
+    Raises:
+        EmptyInputError: for an empty sequence.
+        ValueError: naming the shape, for input that is not 1-D.
     """
     arr = validate_pvalues(pvalues)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1:
+        raise ValueError("need a 1-D sequence of p-values, got an array of "
+                         f"shape {arr.shape}")
+    if arr.size == 0:
         raise EmptyInputError("need at least one p-value")
     return float(combine_rows(combiner, arr[None, :])[0])
 
@@ -188,61 +196,142 @@ def _chunks(nodes, size):
     return (nodes[i:i + size] for i in range(0, nodes.size, size))
 
 
+def _runs(starts, ends, budget):
+    """Bounds ``[0, b_1, .., len(starts)]`` cutting segments sorted by their
+    start into runs that span at most ``budget`` entries; a longer segment
+    is a run of its own."""
+    bounds = [0]
+    while bounds[-1] < starts.size:
+        s = bounds[-1]
+        t = int(np.searchsorted(ends, starts[s] + budget, "right"))
+        bounds.append(max(s + 1, t))
+    return bounds
+
+
+def _segment_minima(slab, out, nodes, indptr, indices):
+    """Write each node's segment minimum in every row of ``slab`` to
+    ``out``.  The distinct segments are taken in CSR order, in runs whose
+    gathered spans hold at most ``_GATHER_ENTRIES`` entries over the slab's
+    rows (a longer segment alone): each run's span ``indices[lo:hi]`` is
+    gathered once and reduced by one ``np.minimum.reduceat`` cut at every
+    segment's start and end, and the minima of the gaps between segments
+    (other nodes' rows) are dropped."""
+    rank = np.argsort(indptr[nodes], kind="stable")
+    starts = indptr[nodes[rank]]
+    first = np.diff(starts, prepend=-1) != 0        # repeated nodes once
+    starts, ends = starts[first], indptr[nodes[rank[first]] + 1]
+    minima = np.empty((slab.shape[0], starts.size))
+    bounds = _runs(starts, ends, max(1, _GATHER_ENTRIES // slab.shape[0]))
+    for s, t in zip(bounds, bounds[1:]):
+        lo, hi = int(starts[s]), int(ends[t - 1])
+        cuts = np.empty(2 * (t - s) - 1, dtype=np.intp)
+        cuts[0::2], cuts[1::2] = starts[s:t] - lo, ends[s:t - 1] - lo
+        # indexing, not np.take, which copies a read-only index array
+        minima[:, s:t] = np.minimum.reduceat(slab[:, indices[lo:hi]], cuts,
+                                             axis=1)[:, ::2]
+    out[:, rank] = minima[:, np.cumsum(first) - 1]
+
+
 def combine_segments(combiner, block, nodes, indptr, indices):
     """Combine each row of ``block`` over one column segment per node.
 
     Node v's segment is its CSR row ``indices[indptr[v]:indptr[v + 1]]``,
     combined as given.  Returns an (r, len(nodes)) array whose entry (i, j)
     combines ``block[i, segment]`` for v = ``nodes[j]``, bit for bit as
-    ``combine_rows`` does on that one row and segment.
+    ``combine_rows`` does on that one row and segment, but for the sign of
+    a zero Bonferroni value: that is always +0.0 here, while ``np.min``
+    may return either of 0.0 and -0.0, depending on where they sit.
 
     The block is combined one slab of at most ``_GATHER_ENTRIES`` entries
-    (never less than one row) at a time.  Fisher's and Stouffer's segments
-    gather and sum the slab's ``_terms``; the other combiners gather raw
-    p-values.  Nodes are grouped by segment size n, largest first, and
-    each group is gathered row-major (each row's segments contiguous, as
-    at r = 1: numpy sums a contiguous row pairwise but a strided one left
-    to right) into (g, n) matrices of at most ``_GATHER_ENTRIES`` entries
-    (never less than one node).  The slab's sums are calibrated before the
-    next slab: Fisher's by ``chisq_survival`` with one df per node, so its
-    series runs once over all sizes, and Stouffer's by ``normal_cdf``.
+    (never less than one row) at a time, in two steps: a raw statistic per
+    row and node, then one calibration of the whole slab with each node's
+    segment size n.
+
+    - Fisher and Stouffer: the sum of the slab's ``_terms`` over the
+      segment, calibrated by ``chisq_survival`` with one df per node (so its
+      series runs once over all sizes) and by ``normal_cdf``.
+    - Bonferroni and Tippett: the segment's minimum, taken by
+      ``_segment_minima`` with no size groups, calibrated as
+      ``min(1, n * stat)`` and by ``beta_cdf(stat, 1, n)``.
+    - Order statistic i: the min(i, n)-th smallest entry, calibrated by
+      ``beta_cdf`` with per-node shapes.
+    - Simes: combined outright by ``combine_rows``, once per size group.
+
+    Sums, order statistics and Simes take size groups: nodes are grouped by
+    segment size n, largest first, and each group is gathered row-major
+    (each row's segments contiguous, as at r = 1: numpy sums a contiguous
+    row pairwise but a strided one left to right) into (g, n) matrices of
+    at most ``_GATHER_ENTRIES`` entries (never less than one node).
+    Minima gather runs of whole nodes of at most ``_GATHER_ENTRIES``
+    entries across the slab (a larger segment alone); a minimum does not
+    depend on the order of its entries.
 
     Raises:
+        EmptyInputError: if some node's segment is empty.
         UndefinedSegmentError: naming the smallest node whose Stouffer
             segment holds both a zero and a one in some row.
     """
     r, kind = block.shape[0], combiner.kind
     sizes = indptr[nodes + 1] - indptr[nodes]
-    order = np.argsort(-sizes, kind="stable")
-    starts = np.flatnonzero(np.diff(sizes[order], prepend=-1))
-    groups = list(zip(np.split(order, starts[1:]),
-                      sizes[order][starts].tolist()))
+    if (sizes < 1).any():
+        raise EmptyInputError("every node needs a nonempty segment")
     out = np.empty((r, nodes.size))
     undefined = np.zeros(nodes.size, dtype=bool)
     step = max(1, _GATHER_ENTRIES // max(block.shape[1], 1))
+    minimum = kind == "bonferroni" or combiner.name == "tippett"
+    if not minimum:
+        rank = np.argsort(-sizes, kind="stable")
+        starts = np.flatnonzero(np.diff(sizes[rank], prepend=-1))
+        groups = list(zip(np.split(rank, starts[1:]),
+                          sizes[rank][starts].tolist()))
     for a in range(0, r, step):
         slab, slab_out = block[a:a + step], out[a:a + step]
-        k = slab.shape[0]
         if kind in ("fisher", "stouffer"):
             slab = _terms(kind, slab)
-        for group, n in groups:
-            width = np.arange(n)
-            for chunk in _chunks(group, max(1, _GATHER_ENTRIES // (k * n))):
-                cols = indices[indptr[nodes[chunk]][:, None] + width]
-                if kind in ("fisher", "stouffer"):
-                    with np.errstate(invalid="ignore"):  # -inf + inf is NaN
-                        res = np.sum(_gather_rows(slab, cols), axis=1)
-                else:
-                    res = combine_rows(combiner, _gather_rows(slab, cols))
-                slab_out[:, chunk] = res.reshape(k, chunk.size)
+        if minimum:
+            _segment_minima(slab, slab_out, nodes, indptr, indices)
+        else:
+            _grouped_stats(combiner, slab, slab_out, nodes, indptr, indices,
+                           groups)
         if kind == "fisher":
             slab_out[:] = chisq_survival(-2.0 * slab_out.T, 2 * sizes).T
         elif kind == "stouffer":
             undefined |= np.isnan(slab_out).any(axis=0)
             slab_out[:] = normal_cdf(slab_out / np.sqrt(sizes))
+        elif kind == "bonferroni":
+            np.minimum(1.0, sizes * slab_out, out=slab_out)
+            slab_out += 0.0             # a zero minimum as +0.0, see above
+        elif kind == "orderstat":
+            i = np.minimum(combiner.order, sizes)
+            slab_out[:] = beta_cdf(slab_out, i, sizes - i + 1)
     if undefined.any():
         raise UndefinedSegmentError(int(nodes[undefined].min()))
     return out
+
+
+def _grouped_stats(combiner, slab, out, nodes, indptr, indices, groups):
+    """Write ``_group_stat`` of every row of ``slab`` and node to ``out``,
+    one size group at a time, gathered in chunks of whole nodes."""
+    k = slab.shape[0]
+    for group, n in groups:
+        width = np.arange(n)
+        for chunk in _chunks(group, max(1, _GATHER_ENTRIES // (k * n))):
+            cols = indices[indptr[nodes[chunk]][:, None] + width]
+            res = _group_stat(combiner, _gather_rows(slab, cols))
+            out[:, chunk] = res.reshape(k, chunk.size)
+
+
+def _group_stat(combiner, rows):
+    """Each gathered row's raw statistic: the sum of its terms for Fisher
+    and Stouffer, its min(order, n)-th smallest entry for an order
+    statistic; Simes combines the rows outright."""
+    kind, n = combiner.kind, rows.shape[1]
+    if kind in ("fisher", "stouffer"):
+        with np.errstate(invalid="ignore"):     # -inf + inf is NaN
+            return np.sum(rows, axis=1)
+    if kind == "orderstat":
+        return np.sort(rows, axis=1)[:, min(combiner.order, n) - 1]
+    return combine_rows(combiner, rows)
 
 
 def _gather_rows(block, cols):

@@ -272,6 +272,23 @@ class AnalysisRequest(RunParams):
     items_file: str = None
 
 
+def _discovery_rows(discoveries, names, depth, p_original, p_used, weights):
+    """The report's discovery rows, by weighted p with ties to the smaller
+    id, built from one ``tolist`` per column.  The ids are the set's own
+    int objects (gathered through an object array), not new copies."""
+    found = np.fromiter(discoveries, dtype=object, count=len(discoveries))
+    ids = found.astype(np.intp)
+    wp = weights[ids] * p_used[ids]
+    rank = np.lexsort((ids, wp))
+    ids, wp = ids[rank], wp[rank]
+    return [{"node": names[v], "id": v, "depth": d, "p": p, "p_used": pu,
+             "weight": w, "weighted_p": x}
+            for v, d, p, pu, w, x in zip(
+                found[rank].tolist(), depth[ids].tolist(),
+                p_original[ids].tolist(), p_used[ids].tolist(),
+                weights[ids].tolist(), wp.tolist())]
+
+
 def analyze(request):
     """Run one analysis end to end; returns the report as a plain dict."""
     if request.reshaping not in (None, "by"):
@@ -320,18 +337,8 @@ def analyze(request):
         request.method, dag, depths, groups, p_used, fspec, request.q,
         weight_config, reshaped, request.yk_divisor)
 
-    rows = []
-    for v in sorted(discoveries,
-                    key=lambda i: (weights_arr[i] * p_used[i], i)):
-        rows.append({
-            "node": names[v],
-            "id": int(v),
-            "depth": int(depths.depth[v]),
-            "p": float(p_original[v]),
-            "p_used": float(p_used[v]),
-            "weight": float(weights_arr[v]),
-            "weighted_p": float(weights_arr[v] * p_used[v]),
-        })
+    rows = _discovery_rows(discoveries, names, depths.depth, p_original,
+                           p_used, weights_arr)
 
     report = {
         "parameters": {
@@ -351,7 +358,7 @@ def analyze(request):
         },
         "structure": structure_summary(dag, depths, groups),
         "filter_monotonic": is_monotonic(fspec, dag) if filtered else None,
-        "node_ids": {name: idx for name, idx in name_to_id.items()},
+        "node_ids": dict(name_to_id),
         "t_star": None if result is None else result.t_star,
         "fdp_hat_at_t_star": None if result is None else result.fdp_hat_at_tstar,
         "counts": {

@@ -203,7 +203,12 @@ def chisq_survival(x, df):
     axis; a scalar df is one row holding every entry of x.  The series runs
     once over the rows sorted by decreasing df, each row dropping out once
     its terms run out, so every element gets the same floating-point
-    operations whichever form it is evaluated in.
+    operations whichever form it is evaluated in.  A row whose every
+    leading term ``exp(-x/2)`` underflows to 0 keeps the total 0 through
+    every round, so it is sorted as if it had one term: the series stops
+    at the largest df among the live rows.  An +inf statistic (a zero
+    p-value in Fisher's method) has leading term 1, stays live, and yields
+    survival 0.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.ndim(df) == 0:
@@ -216,17 +221,20 @@ def chisq_survival(x, df):
         raise DomainError("chisq_survival requires a positive even df")
     if np.any(x_arr < 0):
         raise DomainError("chisq_survival requires x >= 0")
-    # spans: (a, n) = rows [0, a) take the series terms k < n
-    order = np.argsort(-df, kind="stable")
-    rows = rows[order]
-    terms = (df[order] // 2).astype(np.intp).tolist()
-    spans = [(a, terms[a - 1]) for a in range(len(terms), 0, -1)
-             if a == len(terms) or terms[a - 1] > terms[a]]
-    # +inf statistic (a zero p-value in Fisher's method) yields survival 0
     inf = np.isposinf(rows)
     half = np.where(inf, 0.0, rows / 2.0)
     with np.errstate(under="ignore"):
         term = np.exp(-half)
+    live = term.any(axis=tuple(range(1, rows.ndim)))
+    n_terms = np.where(live, df // 2, 1).astype(np.intp)
+    # spans: (a, n) = rows [0, a) take the series terms k < n
+    order = np.argsort(-n_terms, kind="stable")
+    term = term[order]
+    half = half[order]
+    terms = n_terms[order].tolist()
+    spans = [(a, terms[a - 1]) for a in range(len(terms), 0, -1)
+             if a == len(terms) or terms[a - 1] > terms[a]]
+    with np.errstate(under="ignore"):
         total = term.copy()
         start = 1
         for a, stop in spans:
@@ -236,9 +244,8 @@ def chisq_survival(x, df):
                 tot = tot + t
             term[:a], total[:a] = t, tot
             start = stop
-    res = np.clip(np.where(inf, 0.0, total), 0.0, 1.0)
-    res[order] = res.copy()
-    res = res.reshape(x_arr.shape)
+    total[order] = total.copy()
+    res = np.clip(np.where(inf, 0.0, total), 0.0, 1.0).reshape(x_arr.shape)
     return float(res) if np.ndim(x) == 0 else res
 
 
@@ -248,24 +255,47 @@ def beta_cdf(x, a, b):
     Evaluates I_x(a, b) = P(Binomial(a+b-1, x) >= a) through the lower
     binomial tail accumulated in log space, exact for the order-statistic
     distributions used by the combining functions.
+
+    ``a`` and ``b`` are integers or integer arrays broadcasting against x,
+    and every entry gets the floating-point operations of the scalar call
+    with its own (a, b): the binomial log-coefficients are Python floats
+    from ``math.lgamma``, computed once per distinct (a, n = a + b - 1)
+    for j < a, and the lower tail accumulates the terms j < a.  An entry
+    with a smaller a than the largest one has log-coefficient -inf in the
+    later rounds, whose terms are exactly 0, so its tail does not change.
     """
-    if a < 1 or b < 1 or a != int(a) or b != int(b):
+    a_arr, b_arr = np.asarray(a), np.asarray(b)
+    if any(np.any(v < 1) or np.any(np.mod(v, 1) != 0)
+           for v in (a_arr, b_arr)):
         raise DomainError("beta_cdf requires integer a >= 1, b >= 1")
-    a, b = int(a), int(b)
     x_arr = np.asarray(x, dtype=float)
     if np.any((x_arr < 0) | (x_arr > 1)):
         raise DomainError("beta_cdf requires x in [0, 1]")
-    n = a + b - 1
+    a_arr = a_arr.astype(np.intp)
+    n_arr = a_arr + b_arr.astype(np.intp) - 1
+    # one row of log-coefficients per distinct (a, n), keyed as n * span + a
+    # (found by a sort: np.unique would map in more of numpy's code)
+    span = int(a_arr.max(initial=0)) + 1
+    pair = n_arr * span + a_arr
+    order = np.argsort(pair, axis=None, kind="stable")
+    first = np.diff(pair.ravel()[order], prepend=-1) != 0
+    inverse = np.empty(pair.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    log_c = np.full((np.count_nonzero(first), span - 1), -np.inf)
+    for row, key in zip(log_c, pair.ravel()[order[first]].tolist()):
+        n, a_key = divmod(key, span)
+        row[:a_key] = [math.lgamma(n + 1) - math.lgamma(j + 1)
+                       - math.lgamma(n - j + 1) for j in range(a_key)]
+    log_c = log_c[inverse.reshape(pair.shape)]
     inner = np.clip(x_arr, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     log_x = np.log(inner)
     log_1mx = np.log1p(-inner)
-    lower = np.zeros_like(x_arr)
+    lower = np.zeros(np.broadcast_shapes(x_arr.shape, n_arr.shape))
     with np.errstate(under="ignore"):
-        for j in range(a):
-            log_c = (math.lgamma(n + 1) - math.lgamma(j + 1)
-                     - math.lgamma(n - j + 1))
-            lower = lower + np.exp(log_c + j * log_x + (n - j) * log_1mx)
+        for j in range(span - 1):
+            lower = lower + np.exp(log_c[..., j] + j * log_x
+                                   + (n_arr - j) * log_1mx)
     res = np.clip(1.0 - lower, 0.0, 1.0)
     res = np.where(x_arr == 1.0, 1.0, res)
     res = np.where(x_arr == 0.0, 0.0, res)
-    return float(res) if np.ndim(x) == 0 else res
+    return float(res) if res.ndim == 0 else res

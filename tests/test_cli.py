@@ -1035,3 +1035,20 @@ def test_report_json_round_trip(chain_files, tmp_path):
     first = json.loads(json_out.read_text())
     (tmp_path / "r2.json").write_text(json.dumps(first))
     assert json.loads((tmp_path / "r2.json").read_text()) == first
+
+
+def test_analyze_orders_tied_discoveries_by_id(tmp_path):
+    # unit weights under BH, so weighted p-values tie; a tie falls to the
+    # smaller id, and ids number the names in order of first appearance
+    dag = write(tmp_path / "dag.csv", "parent,child\nz,y\nz,x\ny,w\nx,v\n")
+    pv = write(tmp_path / "p.csv",
+               "node,p\nv,0.01\nw,0.002\nx,0.01\ny,0.01\nz,0.002\n")
+    rep = analyze(AnalysisRequest(dag_file=dag, pvalues_file=pv,
+                                  method="bh", q=0.5))
+    rows = rep["discoveries"]
+    assert rep["node_ids"] == {"z": 0, "y": 1, "x": 2, "w": 3, "v": 4}
+    assert [row["node"] for row in rows] == ["z", "w", "y", "x", "v"]
+    assert [row["id"] for row in rows] == [0, 3, 1, 2, 4]
+    for row in rows:
+        assert [type(row[k]) for k in ("id", "depth", "p", "weighted_p")] \
+            == [int, int, float, float]

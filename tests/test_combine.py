@@ -474,3 +474,142 @@ def test_intersection_matches_per_node_loop(seed, tree, share, comb, gather):
             with pytest.raises(UndefinedSegmentError) as info:
                 intersection_dag_pvalues(dag, sets, items, comb)
             assert info.value.node == bad
+
+
+def test_combine_names_the_shape_of_non_1d_input():
+    # a block or a bare number is not an empty sequence
+    for bad, shape in (([[0.1, 0.2]], "(1, 2)"), (0.3, "()")):
+        with pytest.raises(ValueError, match=re.escape(shape)) as info:
+            combine(Combiner("simes"), bad)
+        assert not isinstance(info.value, EmptyInputError)
+    with pytest.raises(EmptyInputError):
+        combine(Combiner("simes"), [])
+
+
+def signed_block(rng, shape, share):
+    """Uniform p-values with about ``share`` of them set to 0.0, -0.0 or
+    1.0, a third each."""
+    p = rng.uniform(size=shape)
+    u = rng.uniform(size=shape)
+    p[u < share / 3] = 0.0
+    p[(u >= share / 3) & (u < 2 * share / 3)] = -0.0
+    p[(u >= 2 * share / 3) & (u < share)] = 1.0
+    return p
+
+
+def segment_oracle(comb, block, nodes, indptr, indices):
+    """``combine_rows`` on each row and node's segment alone; returns
+    (combined, None), or (None, v) for the smallest node v whose
+    combination raises in some row."""
+    out, bad = np.empty((block.shape[0], nodes.size)), []
+    for j, v in enumerate(nodes.tolist()):
+        seg = indices[indptr[v]:indptr[v + 1]]
+        try:
+            for i in range(block.shape[0]):
+                out[i, j] = combine_rows(comb, block[i:i + 1, seg])[0]
+        except DomainError:
+            bad.append(v)
+    return (None, min(bad)) if bad else (out, None)
+
+
+def item_segments(rng, dag, n_items):
+    """The intersection-mode CSR: node i's sorted annotation items."""
+    rows = [sorted(a) for a in nested_annotations(rng, dag, n_items)]
+    indptr = np.zeros(dag.m + 1, dtype=np.intp)
+    np.cumsum([len(a) for a in rows], out=indptr[1:])
+    return indptr, np.concatenate(rows).astype(np.intp)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["tree", "dag", "items"]),
+       r=st.sampled_from([1, 2, 5]), share=st.sampled_from([0.0, 0.2, 0.6]),
+       comb=st.sampled_from(ALL_COMBINERS + [Combiner("orderstat", 5)]),
+       gather=st.sampled_from([1, 3, 13, 40, 1 << 16]),
+       pick=st.sampled_from(["all", "inner", "shuffled"]))
+@settings(max_examples=300, deadline=None)
+def test_combine_segments_matches_combine_rows(seed, shape, r, share, comb,
+                                               gather, pick):
+    # every combiner against the per-node oracle, bit for bit: blocks
+    # holding 0.0, -0.0 and 1.0; slabs and minimum runs cut mid-closure by
+    # a small _GATHER_ENTRIES; order statistics above the segment size;
+    # descendant closures and intersection item segments; the nodes in CSR
+    # order, or shuffled with repeats.  Signs match too, but a zero
+    # Bonferroni value is pinned to +0.0 (np.min picks either zero)
+    rng = np.random.default_rng(seed)
+    dag = random_tree(rng, 25) if shape == "tree" else random_dag(rng, 25)
+    if shape == "items":
+        indptr, indices = item_segments(rng, dag, 30)
+        width = 30
+    else:
+        indptr, indices = dag.descendant_closure
+        width = dag.m
+    block = signed_block(rng, (r, width), share)
+    nodes = np.arange(dag.m)
+    if pick == "inner":
+        nodes = np.flatnonzero(np.diff(indptr) > 1)
+    elif pick == "shuffled":
+        nodes = rng.choice(dag.m, size=int(rng.integers(1, 2 * dag.m)))
+    expected, bad = segment_oracle(comb, block, nodes, indptr, indices)
+    with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
+        if bad is None:
+            got = combine_segments(comb, block, nodes, indptr, indices)
+            assert np.array_equal(got, expected)
+            if comb.kind == "bonferroni":
+                assert not np.signbit(got).any()
+            else:
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+        else:
+            with pytest.raises(UndefinedSegmentError) as info:
+                combine_segments(comb, block, nodes, indptr, indices)
+            assert info.value.node == bad
+
+
+def test_combine_segments_rejects_an_empty_segment():
+    indptr, indices = np.array([0, 2, 2, 3]), np.array([0, 1, 2])
+    for comb in ALL_COMBINERS:
+        with pytest.raises(EmptyInputError):
+            combine_segments(comb, np.full((1, 3), 0.5), np.arange(3),
+                             indptr, indices)
+
+
+@pytest.mark.parametrize("name, bound", [("bonferroni", 0.2),
+                                         ("tippett", 0.2)])
+def test_segment_minima_keep_no_block_sized_buffer(name, bound):
+    # the (r, #inner) output (10% of this block), one slab's gathered run
+    # of at most _GATHER_ENTRIES entries (6%) and the slab's calibration
+    dag = generate_graph("deep-tree")
+    indptr, indices = dag.descendant_closure
+    inner = np.flatnonzero(np.diff(indptr) > 1)
+    block = np.random.default_rng(3).uniform(size=(2000, dag.m))
+    comb = Combiner.from_name(name)
+    combine_segments(comb, block[:2], inner, indptr, indices)
+    tracemalloc.start()
+    try:
+        combine_segments(comb, block, inner, indptr, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * block.nbytes
+
+
+@pytest.mark.parametrize("comb", ALL_COMBINERS, ids=lambda c: c.name)
+def test_single_row_smoothing_gathers_a_bounded_span(comb):
+    # a path of 300 nodes above a fan of 3,000 leaves: every path node has
+    # every leaf below it, so the closure holds ~945k entries (7.6 MB),
+    # while one row is gathered at most _GATHER_ENTRIES entries at a time
+    spine, fan = 300, 3000
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(spine - 1, spine + k) for k in range(fan)]
+    dag = build_dag(spine + fan, edges)
+    indptr, indices = dag.descendant_closure
+    p = np.random.default_rng(4).uniform(size=dag.m)
+    smooth_rows(dag, p[None, :], comb)
+    tracemalloc.start()
+    try:
+        got = smooth_rows(dag, p[None, :], comb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * indices.nbytes
+    top = combine_rows(comb, p[None, indices[indptr[0]:indptr[1]]])
+    assert got[0, 0] == top[0]
