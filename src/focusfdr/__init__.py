@@ -8,10 +8,10 @@ from .dag import (Dag, DepthIndex, GroupIndex, ancestors, build_dag,
                   check_heredity, compute_depths, descendants,
                   disjoint_descendant_depths, group_index, is_tree)
 from .filters import FilterSpec, apply_filter, is_monotonic
-from .procedures import (PROCEDURES, ProcedureResult, ReshapingFn, bh,
-                         by_procedure, fbh, run_procedure, storey_bh,
-                         unity_weights, weighted_reshaped_fbh, wfbh,
-                         yekutieli_tree)
+from .procedures import (PROCEDURES, ProcedureResult, ReshapingFn, RunParams,
+                         StructurePlan, bh, by_procedure, fbh, run_procedure,
+                         storey_bh, unity_weights, weighted_reshaped_fbh,
+                         wfbh, yekutieli_tree)
 from .simulate import (MethodSpec, SimConfig, SimSummary, assign_truth,
                        condition1_check, generate_graph, run_simulation,
                        sample_pvalues, superuniformity_check)
@@ -26,8 +26,9 @@ __all__ = [
     "check_heredity", "compute_depths", "descendants",
     "disjoint_descendant_depths", "group_index", "is_tree",
     "FilterSpec", "apply_filter", "is_monotonic",
-    "PROCEDURES", "ProcedureResult", "ReshapingFn", "bh", "by_procedure",
-    "fbh", "run_procedure", "storey_bh", "unity_weights",
+    "PROCEDURES", "ProcedureResult", "ReshapingFn", "RunParams",
+    "StructurePlan", "bh", "by_procedure", "fbh", "run_procedure",
+    "storey_bh", "unity_weights",
     "weighted_reshaped_fbh", "wfbh", "yekutieli_tree",
     "MethodSpec", "SimConfig", "SimSummary", "assign_truth",
     "condition1_check", "generate_graph", "run_simulation", "sample_pvalues",

@@ -25,10 +25,10 @@ from .combine import (AnnotationNotNestedError, EmptyAnnotationError,
                       UndefinedSegmentError, intersection_dag_pvalues,
                       smooth_all_descendants)
 from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
-                  build_dag, check_edges, compute_depths,
-                  disjoint_descendant_depths, group_index, is_tree, repeats)
+                  build_dag, check_edges, disjoint_descendant_depths, is_tree,
+                  repeats)
 from .filters import is_monotonic
-from .procedures import FOCUSED, RunParams, run_procedure
+from .procedures import FOCUSED, RunParams, StructurePlan, run_procedure
 from .special import DomainError
 from .weights import check_dw_depths
 
@@ -272,19 +272,18 @@ class AnalysisRequest(RunParams):
     items_file: str = None
 
 
-def _discovery_rows(discoveries, names, depth, p_original, p_used, weights):
+def _discovery_rows(result, names, depth, p_original, p_used):
     """The report's discovery rows, by weighted p with ties to the smaller
-    id, built from one ``tolist`` per column.  The ids are the set's own
-    int objects (gathered through an object array), not new copies."""
-    found = np.fromiter(discoveries, dtype=object, count=len(discoveries))
-    ids = found.astype(np.intp)
+    id, built from one ``tolist`` per column."""
+    weights = result.weights_used
+    ids = np.flatnonzero(result.found)
     wp = weights[ids] * p_used[ids]
     rank = np.lexsort((ids, wp))
     ids, wp = ids[rank], wp[rank]
     return [{"node": names[v], "id": v, "depth": d, "p": p, "p_used": pu,
              "weight": w, "weighted_p": x}
             for v, d, p, pu, w, x in zip(
-                found[rank].tolist(), depth[ids].tolist(),
+                ids.tolist(), depth[ids].tolist(),
                 p_original[ids].tolist(), p_used[ids].tolist(),
                 weights[ids].tolist(), wp.tolist())]
 
@@ -300,9 +299,9 @@ def analyze(request):
         [(request.method, request.filter, request.reshaping == "by")],
         smoothing)
     names, name_to_id, dag = read_dag(request.dag_file)
-    depths = compute_depths(dag)
+    plan = StructurePlan(dag, weight_config)
+    depths, groups = plan.depths, plan.groups
     check_dw_depths(request.dw, depths.max_depth, request.dag_file)
-    groups = group_index(dag, depths)
 
     try:
         if request.items_file is not None:
@@ -333,12 +332,9 @@ def analyze(request):
             parent=exc.parent, child=exc.child) from None
 
     filtered = request.method in FOCUSED
-    discoveries, weights_arr, result = run_procedure(
-        request.method, dag, depths, groups, p_used, fspec, request.q,
-        weight_config, reshaped, request.yk_divisor)
-
-    rows = _discovery_rows(discoveries, names, depths.depth, p_original,
-                           p_used, weights_arr)
+    result = run_procedure(plan, p_used, request.method, fspec, request.q,
+                           reshaped, request.yk_divisor)
+    rows = _discovery_rows(result, names, depths.depth, p_original, p_used)
 
     report = {
         "parameters": {
@@ -359,13 +355,9 @@ def analyze(request):
         "structure": structure_summary(dag, depths, groups),
         "filter_monotonic": is_monotonic(fspec, dag) if filtered else None,
         "node_ids": dict(name_to_id),
-        "t_star": None if result is None else result.t_star,
-        "fdp_hat_at_t_star": None if result is None else result.fdp_hat_at_tstar,
-        "counts": {
-            "base": (len(discoveries) if result is None
-                     else len(result.base_set)),
-            "discoveries": len(discoveries),
-        },
+        "t_star": result.t_star,
+        "fdp_hat_at_t_star": result.fdp_hat_at_tstar,
+        "counts": {"base": len(result.base_set), "discoveries": len(rows)},
         "discoveries": rows,
     }
     return report

@@ -150,14 +150,43 @@ def _weights_array(weights, m):
 
 @dataclass(frozen=True)
 class ProcedureResult:
-    """Threshold, base and filtered rejection sets, plus provenance."""
+    """One run of a procedure on one p-value vector: the discovery mask
+    ``found``, the weights used and, for the focused methods, the weighted
+    p-values, t* and the estimated FDP at t*.  For the other methods those
+    three are None and the base set is the discovery set."""
 
-    t_star: float
-    base_set: frozenset
-    discovery_set: frozenset
+    found: np.ndarray
     weights_used: np.ndarray
-    fdp_hat_at_tstar: float
-    candidate_count: int
+    weighted_p: np.ndarray = None
+    t_star: float = None
+    fdp_hat_at_tstar: float = None
+
+    @classmethod
+    def of_row(cls, found, w, scan):
+        """The record of row 0 of one method's (found, weights, scan) from
+        ``run_rows``."""
+        if scan is None:
+            return cls(found[0], w[0])
+        wp, t_star, beta = scan
+        t_star = float(t_star[0, 0])
+        n_disc = np.count_nonzero(found[0])
+        fdp_hat = (float(wp.shape[1] * t_star / beta(float(n_disc))) if n_disc
+                   else 0.0 if t_star == 0.0 else float("inf"))
+        return cls(found[0], w[0], wp[0], t_star, fdp_hat)
+
+    @cached_property
+    def discovery_set(self):
+        return _row_set(self.found)
+
+    @cached_property
+    def base_set(self):
+        return (self.discovery_set if self.weighted_p is None
+                else _row_set(self.weighted_p <= self.t_star))
+
+    @cached_property
+    def candidate_count(self):
+        return (None if self.weighted_p is None else
+                int(np.unique(np.concatenate(([0.0], self.weighted_p))).size))
 
 
 def unity_weights(m):
@@ -203,20 +232,6 @@ def _focused_rows(dag, p, w, filter_spec, q, beta):
     return wp, t_star, (enter <= t_star) & (t_star < leave)
 
 
-def _result(m, w, wp, t_star, found, beta):
-    """The ProcedureResult of one row of a focused scan."""
-    discoveries = _row_set(found)
-    n_disc = len(discoveries)
-    if t_star == 0.0 and n_disc == 0:
-        fdp_hat = 0.0
-    else:
-        fdp_hat = float(m * t_star / beta(float(n_disc))) if n_disc else float("inf")
-    return ProcedureResult(
-        t_star=t_star, base_set=_row_set(wp <= t_star),
-        discovery_set=discoveries, weights_used=w, fdp_hat_at_tstar=fdp_hat,
-        candidate_count=int(np.unique(np.concatenate(([0.0], wp))).size))
-
-
 def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     """Weighted focused step-up procedure.
 
@@ -231,11 +246,11 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     """
     _check_q(q)
     p = validate_pvalues(pvalues, dag.m)
-    w = _weights_array(weights, dag.m)
+    w = _weights_array(weights, dag.m).reshape(1, -1)
     beta = reshaping if reshaping is not None else ReshapingFn.identity()
-    wp, t_star, found = _focused_rows(dag, p.reshape(1, -1), w.reshape(1, -1),
-                                      filter_spec, q, beta)
-    return _result(dag.m, w, wp[0], float(t_star[0, 0]), found[0], beta)
+    wp, t_star, found = _focused_rows(dag, p.reshape(1, -1), w, filter_spec,
+                                      q, beta)
+    return ProcedureResult.of_row(found, w, (wp, t_star, beta))
 
 
 def weighted_reshaped_fbh(dag, pvalues, weights, filter_spec, q, beta):
@@ -355,12 +370,11 @@ class StructurePlan:
     plan serves every procedure and every row of p-values run on the
     graph."""
 
-    def __init__(self, dag, weight_config, depths=None, groups=None):
+    def __init__(self, dag, weight_config):
         self.dag = dag
         self.weight_config = weight_config
-        self.depths = compute_depths(dag) if depths is None else depths
-        self.groups = (group_index(dag, self.depths) if groups is None
-                       else groups)
+        self.depths = compute_depths(dag)
+        self.groups = group_index(dag, self.depths)
 
     @cached_property
     def workspace(self):
@@ -408,25 +422,18 @@ def run_rows(plan, p, methods, q, yk_divisor=YK_DIVISOR):
     return out
 
 
-def run_procedure(name, dag, depths, groups, p, fspec, q, weight_config,
-                  reshaped=False, yk_divisor=YK_DIVISOR):
-    """Run the named procedure on p; returns (discoveries, weights, result).
-
-    This is ``run_rows`` on one row, after checking its arguments; result
-    is the focused methods' ProcedureResult, else None.
-    """
+def run_procedure(plan, p, name, fspec, q, reshaped=False,
+                  yk_divisor=YK_DIVISOR):
+    """Run the named procedure on p over ``plan``'s graph; returns its
+    ProcedureResult.  This is ``run_rows`` on one row, after checking its
+    arguments."""
     check_procedure(name, q, reshaped, yk_divisor)
-    p = validate_pvalues(p, dag.m)
+    p = validate_pvalues(p, plan.dag.m)
     if name == "storey-bh":
-        _check_lambda(weight_config.lam)
-    plan = StructurePlan(dag, weight_config, depths, groups)
+        _check_lambda(plan.weight_config.lam)
     [(found, w, scan)] = run_rows(plan, p.reshape(1, -1),
                                   [(name, fspec, reshaped)], q, yk_divisor)
-    if scan is None:
-        return _row_set(found[0]), w[0], None
-    wp, t_star, beta = scan
-    result = _result(dag.m, w[0], wp[0], float(t_star[0, 0]), found[0], beta)
-    return result.discovery_set, result.weights_used, result
+    return ProcedureResult.of_row(found, w, scan)
 
 
 def brute_force_tstar(dag, pvalues, weights, filter_spec, q, reshaping=None):

@@ -219,7 +219,7 @@ def chisq_survival(x, df):
             raise ValueError("array df needs one entry per row of x")
     if np.any(~((df > 0) & (df % 2 == 0))):
         raise DomainError("chisq_survival requires a positive even df")
-    if np.any(x_arr < 0):
+    if np.any(~(x_arr >= 0)):
         raise DomainError("chisq_survival requires x >= 0")
     inf = np.isposinf(rows)
     half = np.where(inf, 0.0, rows / 2.0)
@@ -269,7 +269,7 @@ def beta_cdf(x, a, b):
            for v in (a_arr, b_arr)):
         raise DomainError("beta_cdf requires integer a >= 1, b >= 1")
     x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0) | (x_arr > 1)):
+    if np.any(~((x_arr >= 0) & (x_arr <= 1))):
         raise DomainError("beta_cdf requires x in [0, 1]")
     a_arr = a_arr.astype(np.intp)
     n_arr = a_arr + b_arr.astype(np.intp) - 1

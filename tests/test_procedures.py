@@ -12,13 +12,13 @@ from focusfdr.filters import FilterSpec, interval_count_curve
 from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
                                  LevelOutOfRangeError, NonpositiveWeightError,
                                  NotATreeError, QOutOfRangeError, ReshapingFn,
-                                 StructurePlan, _counts_at, _focused_rows,
-                                 _scan,
+                                 StructurePlan, YK_DIVISOR, _counts_at,
+                                 _focused_rows, _scan,
                                  _step_up, bh, brute_force_tstar,
                                  by_procedure, fbh, run_procedure, run_rows,
                                  storey_bh, unity_weights,
                                  weighted_reshaped_fbh, wfbh, yekutieli_tree)
-from focusfdr.weights import WeightConfig, storey_pi0
+from focusfdr.weights import WeightConfig, dag_weights, storey_pi0
 
 DS = FilterSpec("ds")
 TRIVIAL = FilterSpec("trivial")
@@ -369,8 +369,70 @@ def test_run_rows_matches_one_row_runs(seed, tree, r, discrete, dw):
     runs = run_rows(plan, block, methods, 0.3)
     for (name, fspec, reshaped), (found, w, _) in zip(methods, runs):
         for i in range(r):
-            disc, weights, _ = run_procedure(
-                name, dag, plan.depths, plan.groups, block[i], fspec, 0.3,
-                config, reshaped)
+            result = run_procedure(plan, block[i], name, fspec, 0.3,
+                                   reshaped)
+            disc, weights = result.discovery_set, result.weights_used
             assert frozenset(np.flatnonzero(found[i]).tolist()) == disc
             assert np.array_equal(w[i], weights)
+
+
+def _reference_run(plan, p, name, fspec, q, reshaped):
+    """What the public one-procedure call of ``name`` gives on p: a
+    ProcedureResult for the focused methods, else the discovery set."""
+    dag = plan.dag
+    if name == "bh":
+        return bh(p, q)
+    if name == "storey-bh":
+        return storey_bh(p, q, plan.weight_config.lam)
+    if name == "by":
+        return by_procedure(p, q)
+    if name == "yekutieli-tree":
+        return yekutieli_tree(dag, p, q / YK_DIVISOR)
+    if name == "fbh" and not reshaped:
+        return fbh(dag, p, fspec, q)
+    weights = (unity_weights(dag.m) if name == "fbh" else dag_weights(
+        dag, plan.depths, plan.groups, p, plan.weight_config))
+    if reshaped or name == "wrfbh":
+        return weighted_reshaped_fbh(dag, p, weights, fspec, q,
+                                     ReshapingFn.by(dag.m))
+    return wfbh(dag, p, weights, fspec, q)
+
+
+@given(seed=st.integers(0, 2**32 - 1), tree=st.booleans(),
+       discrete=st.booleans(), dw=st.sampled_from(["auto", "none", (1,)]))
+@settings(max_examples=40, deadline=None)
+def test_run_procedure_record_matches_public_procedures(seed, tree, discrete,
+                                                         dw):
+    # run_procedure's one record agrees field by field with wfbh, fbh, bh,
+    # storey_bh, by_procedure and yekutieli_tree run on their own
+    rng = np.random.default_rng(seed)
+    dag = random_tree(rng, 25) if tree else random_dag(rng, 25)
+    p = rng.uniform(size=dag.m)
+    if discrete:
+        p = np.round(p * 8) / 8
+    plan = StructurePlan(dag, WeightConfig(lam=0.5, dw=dw))
+    q = 0.3
+    for name in PROCEDURES:
+        if name == "yekutieli-tree" and not tree:
+            continue
+        for f in ("trivial", "ds", "outer", "screen:0.4"):
+            fspec = FilterSpec.from_name(f)
+            for reshaped in (False, True) if name in FOCUSED else (False,):
+                got = run_procedure(plan, p, name, fspec, q, reshaped)
+                want = _reference_run(plan, p, name, fspec, q, reshaped)
+                assert got.found.shape == (dag.m,)
+                if name not in FOCUSED:
+                    assert got.discovery_set == want
+                    assert got.base_set == got.discovery_set
+                    assert np.array_equal(got.weights_used, np.ones(dag.m))
+                    assert got.t_star is None
+                    assert got.fdp_hat_at_tstar is None
+                    assert got.weighted_p is None
+                    assert got.candidate_count is None
+                    continue
+                assert np.array_equal(got.found, want.found)
+                assert np.array_equal(got.weights_used, want.weights_used)
+                assert np.array_equal(got.weighted_p, want.weighted_p)
+                for field in ("t_star", "fdp_hat_at_tstar", "base_set",
+                              "discovery_set", "candidate_count"):
+                    assert getattr(got, field) == getattr(want, field), field

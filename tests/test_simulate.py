@@ -389,8 +389,8 @@ def replicate_oracle(config, p_idx, rep):
                                  dw=config.dw)
     rng = np.random.default_rng([config.seed, p_idx, rep])
     dag = generate_graph(config.family, rng)
-    depths = compute_depths(dag)
-    groups = group_index(dag, depths)
+    plan = StructurePlan(dag, weight_config)
+    depths = plan.depths
     truth = assign_truth(dag, config.p_nonnull[p_idx], rng)
     pv = sample_pvalues(dag, depths, truth, config.setup, config.rho, rng)
     if config.smoothing is not None:
@@ -398,10 +398,9 @@ def replicate_oracle(config, p_idx, rep):
                                     Combiner.from_name(config.smoothing))
     out = []
     for spec in config.methods:
-        disc, _, _ = run_procedure(spec.procedure, dag, depths, groups, pv,
-                                   FilterSpec.from_name(spec.filter),
-                                   config.q, weight_config,
-                                   yk_divisor=config.yk_divisor)
+        disc = run_procedure(plan, pv, spec.procedure,
+                             FilterSpec.from_name(spec.filter), config.q,
+                             yk_divisor=config.yk_divisor).discovery_set
         n_disc = len(disc)
         false_disc = len(disc - truth)
         out.append((false_disc / max(n_disc, 1),

@@ -252,6 +252,18 @@ def test_beta_cdf_edges_and_domain():
         beta_cdf(0.5, 1.5, 2)
 
 
+@pytest.mark.parametrize("x", [np.nan, np.array([0.2, np.nan, 0.5])],
+                         ids=["scalar", "array"])
+@pytest.mark.parametrize("fn,args,message", [
+    (beta_cdf, (1, 2), r"x in \[0, 1\]"),
+    (chisq_survival, (4,), "x >= 0"),
+], ids=["beta_cdf", "chisq_survival"])
+def test_nan_fails_the_domain_check(fn, args, message, x):
+    # NaN compares false both ways, so a check written as x < 0 let it by
+    with pytest.raises(DomainError, match=message):
+        fn(x, *args)
+
+
 def chisq_survival_loop(x, df):
     """The chi-square survival series as it ran before rows whose every
     leading term underflows were cut short: every row takes all df/2

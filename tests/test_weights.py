@@ -10,7 +10,7 @@ from focusfdr.checks import random_dag, random_near_tree, random_tree
 from focusfdr.combine import EmptyInputError
 from focusfdr.dag import build_dag, compute_depths, group_index
 from focusfdr.filters import FilterSpec
-from focusfdr.procedures import run_procedure
+from focusfdr.procedures import StructurePlan, run_procedure
 from focusfdr.simulate import condition1_check, generate_graph
 from focusfdr.weights import (LambdaOutOfRangeError, NoEligibleGroupError,
                               WeightConfig, WeightWorkspace, auto_dw,
@@ -194,8 +194,8 @@ def test_library_rejects_bad_dw_depths(dw, message, entry):
         if entry == "dag_weights":
             dag_weights(dag, depths, groups, p, config)
         elif entry == "run_procedure":
-            run_procedure("wfbh", dag, depths, groups, p, FilterSpec("ds"),
-                          0.1, config)
+            run_procedure(StructurePlan(dag, config), p, "wfbh",
+                          FilterSpec("ds"), 0.1)
         else:
             condition1_check(dag, config, frozenset(), n_mc=10)
 
