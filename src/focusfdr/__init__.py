@@ -15,7 +15,7 @@ from .procedures import (PROCEDURES, ProcedureResult, ReshapingFn, RunParams,
 from .simulate import (MethodSpec, SimConfig, SimSummary, assign_truth,
                        condition1_check, generate_graph, run_simulation,
                        sample_pvalues, superuniformity_check)
-from .weights import (WeightConfig, WeightVector, auto_dw, dag_weights,
+from .weights import (WeightConfig, auto_dw, dag_weights,
                       min_possible_weight, storey_pi0)
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "MethodSpec", "SimConfig", "SimSummary", "assign_truth",
     "condition1_check", "generate_graph", "run_simulation", "sample_pvalues",
     "superuniformity_check",
-    "WeightConfig", "WeightVector", "auto_dw", "dag_weights",
+    "WeightConfig", "auto_dw", "dag_weights",
     "min_possible_weight", "storey_pi0",
     "__version__",
 ]

@@ -8,8 +8,8 @@ Smoothing and intersection p-values both combine over column segments (a
 node with its descendants, or a node's annotated items) through one
 kernel, ``combine_segments``, which transforms each entry for Fisher
 (log p) and Stouffer (normal quantile) once, not once per segment holding
-it, takes every node's raw statistic (a sum, a minimum or an order
-statistic), and calibrates them one row slab at a time.
+it, takes every node's raw statistic (a sum, a minimum, an order
+statistic or Simes' minimum), and calibrates them one row slab at a time.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def combine_segments(combiner, block, nodes, indptr, indices):
       ``min(1, n * stat)`` and by ``beta_cdf(stat, 1, n)``.
     - Order statistic i: the min(i, n)-th smallest entry, calibrated by
       ``beta_cdf`` with per-node shapes.
-    - Simes: combined outright by ``combine_rows``, once per size group.
+    - Simes: min_k p_(k) n / k over the sorted segment, clipped to [0, 1].
 
     Sums, order statistics and Simes take size groups: nodes are grouped by
     segment size n, largest first, and each group is gathered row-major
@@ -304,6 +304,8 @@ def combine_segments(combiner, block, nodes, indptr, indices):
         elif kind == "orderstat":
             i = np.minimum(combiner.order, sizes)
             slab_out[:] = beta_cdf(slab_out, i, sizes - i + 1)
+        else:                                               # simes
+            np.clip(slab_out, 0.0, 1.0, out=slab_out)
     if undefined.any():
         raise UndefinedSegmentError(int(nodes[undefined].min()))
     return out
@@ -324,14 +326,15 @@ def _grouped_stats(combiner, slab, out, nodes, indptr, indices, groups):
 def _group_stat(combiner, rows):
     """Each gathered row's raw statistic: the sum of its terms for Fisher
     and Stouffer, its min(order, n)-th smallest entry for an order
-    statistic; Simes combines the rows outright."""
+    statistic, and min_k p_(k) n / k for Simes."""
     kind, n = combiner.kind, rows.shape[1]
     if kind in ("fisher", "stouffer"):
         with np.errstate(invalid="ignore"):     # -inf + inf is NaN
             return np.sum(rows, axis=1)
+    srt = np.sort(rows, axis=1)
     if kind == "orderstat":
-        return np.sort(rows, axis=1)[:, min(combiner.order, n) - 1]
-    return combine_rows(combiner, rows)
+        return srt[:, min(combiner.order, n) - 1]
+    return np.min(srt * (n / np.arange(1, n + 1, dtype=float)), axis=1)
 
 
 def _gather_rows(block, cols):

@@ -1,14 +1,15 @@
 """File formats and the end-to-end analysis pipeline behind the CLI.
 
-Edge lists are UTF-8 CSV with a ``parent,child`` header and string node
-names; a row with an empty child cell declares a node without an edge.
-P-value files are ``node,p``.  Intersection mode replaces the node p-value
-file with an item-level ``item,p`` file plus a ``node,item`` annotation
-file.  Node names map to dense internal ids in order of first appearance,
-and reports echo that mapping.  Each reader makes one pass over its file
-into Python lists, then runs its checks as array operations; an error
-names the first faulty line in file order, with the message a check of
-each line in turn would give.
+Input files are UTF-8 CSV, a leading byte-order mark skipped.  Edge lists
+have a ``parent,child`` header and string node names; a row with an empty
+child cell declares a node without an edge.  P-value files are
+``node,p``.  Intersection mode replaces the node p-value file with an
+item-level ``item,p`` file plus a ``node,item`` annotation file.  Node
+names map to dense internal ids in order of first appearance, and reports
+echo that mapping.  Each reader makes one pass over its file into Python
+lists, then runs its checks as array operations; an error names the first
+faulty line in file order, with the message a check of each line in turn
+would give.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
                   build_dag, check_edges, disjoint_descendant_depths, is_tree,
                   repeats)
 from .filters import is_monotonic
-from .procedures import FOCUSED, RunParams, StructurePlan, run_procedure
+from .procedures import (FOCUSED, NotATreeError, RunParams, StructurePlan,
+                         run_procedure)
 from .special import DomainError
 from .weights import check_dw_depths
 
@@ -49,7 +51,7 @@ def _rows(path, header):
     """(line number, first cell, second cell) of each data row of a
     two-column CSV file with the given header, cells stripped.  Blank rows
     are skipped; a row of another width raises."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -299,6 +301,11 @@ def analyze(request):
         [(request.method, request.filter, request.reshaping == "by")],
         smoothing)
     names, name_to_id, dag = read_dag(request.dag_file)
+    if request.method == "yekutieli-tree" and not is_tree(dag):
+        v = int(np.argmax(dag.in_degree > 1))
+        raise NotATreeError(
+            f"{request.dag_file}: the top-down baseline requires a tree, but "
+            f"node {names[v]!r} has {dag.in_degree[v]} parents")
     plan = StructurePlan(dag, weight_config)
     depths, groups = plan.depths, plan.groups
     check_dw_depths(request.dw, depths.max_depth, request.dag_file)

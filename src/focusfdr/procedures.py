@@ -8,11 +8,11 @@ keep the largest feasible threshold.  Feasibility is tested in the
 cross-multiplied form m*t <= q*count so the unity-weight/trivial-filter case
 agrees bit-for-bit with the textbook step-up rule.
 
-The kernels (weights, keep intervals, threshold scan, step-up) work on
-(R, m) blocks, one row per p-value vector, with each row getting the
-floating-point operations it gets alone.  ``run_rows`` runs a procedure by
-name on a block over a ``StructurePlan``; ``run_procedure``, ``wfbh``,
-``bh``, ``storey_bh`` and ``by_procedure`` are their one-row calls.
+The kernels (weights, keep intervals, threshold scan, step-up, top-down)
+work on (R, m) blocks, one row per p-value vector, with each row getting
+the floating-point operations it gets alone.  ``run_rows`` runs a
+procedure by name on a block over a ``StructurePlan``; ``run_procedure``
+and the public procedures are their one-row calls.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .combine import Combiner, validate_pvalues
-from .dag import compute_depths, group_index, is_tree
+from .dag import compute_depths, group_index, is_tree, level_sweep
 from .filters import FilterSpec, apply_filter, keep_intervals
-from .weights import (WeightConfig, WeightVector, WeightWorkspace,
-                      _check_lambda, check_dw_mode, parse_lambda_policy,
-                      resolve_dw, storey_pi0, storey_pi0_rows)
+from .weights import (WeightConfig, WeightWorkspace, _check_lambda,
+                      check_dw_mode, parse_lambda_policy, resolve_dw,
+                      storey_pi0, storey_pi0_rows)
 
 
 class QOutOfRangeError(ValueError):
@@ -137,10 +137,7 @@ class ReshapingFn:
 
 
 def _weights_array(weights, m):
-    if isinstance(weights, WeightVector):
-        w = np.asarray(weights.values, dtype=float)
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
     if np.any(~(w > 0.0)):
@@ -148,7 +145,7 @@ def _weights_array(weights, m):
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # array fields: compared by identity
 class ProcedureResult:
     """One run of a procedure on one p-value vector: the discovery mask
     ``found``, the weights used and, for the focused methods, the weighted
@@ -274,6 +271,31 @@ def by_procedure(pvalues, q):
                              beta=ReshapingFn.by(p.size))[0])
 
 
+def _top_down(dag, p, level):
+    """The top-down baseline on each row of an (R, m) block: BH at
+    ``level`` in every sibling family (the roots form one), by ``_step_up``'s
+    float operations on one lexsort of each row by (family, p), then kept
+    where the parent is kept, by one downward ``level_sweep``."""
+    if not is_tree(dag):
+        raise NotATreeError("the top-down baseline requires a tree")
+    if dag.m == 0:
+        return np.zeros(p.shape, dtype=bool)
+    family = np.zeros(dag.m, dtype=np.intp)         # 0 for the roots
+    family[dag.edge_child] = dag.edge_parent + 1
+    order = np.lexsort((p, np.broadcast_to(family, p.shape)))
+    srt, fam = np.take_along_axis(p, order, axis=1), np.sort(family)
+    size = np.bincount(family)
+    start = np.cumsum(size) - size      # each family's first sorted slot
+    rank = np.arange(1, dag.m + 1) - start[fam]
+    feasible = srt * size[fam] <= rank * level
+    live = np.flatnonzero(size)
+    cut = np.maximum.reduceat(np.where(feasible, srt, -np.inf), start[live],
+                              axis=1)
+    # C order whatever p's layout: level_sweep folds C-ordered blocks
+    hits = np.less_equal(p, cut[:, np.searchsorted(live, family)], order="C")
+    return level_sweep(dag, np.logical_and, hits)
+
+
 def yekutieli_tree(dag, pvalues, level):
     """Simplified top-down tree procedure (non-authoritative baseline).
 
@@ -281,25 +303,10 @@ def yekutieli_tree(dag, pvalues, level):
     family is then tested the same way, recursively.  Callers that target
     full-tree FDR control apply their own level calibration first.
     """
-    if not is_tree(dag):
-        raise NotATreeError("the top-down baseline requires a tree")
     if not (0.0 < level < 1.0):
         raise LevelOutOfRangeError(f"level must be in (0, 1), got {level}")
     p = validate_pvalues(pvalues, dag.m)
-
-    ptr, kids = dag.child_indptr, dag.child_indices
-    rejected = set()
-    frontier = [dag.roots.tolist()]
-    while frontier:
-        family = frontier.pop()
-        if not family:
-            continue
-        family_hits = bh(p[family], level)
-        for local in family_hits:
-            node = family[local]
-            rejected.add(node)
-            frontier.append(kids[ptr[node]:ptr[node + 1]].tolist())
-    return frozenset(rejected)
+    return _row_set(_top_down(dag, p.reshape(1, -1), level)[0])
 
 
 PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
@@ -393,8 +400,8 @@ def run_rows(plan, p, methods, q, yk_divisor=YK_DIVISOR):
     The focused methods scan with unity (fbh) or adaptive weights,
     BY-reshaped for wrfbh or when reshaped; the adaptive weights are
     computed once for all of them.  The others ignore the filter and weigh
-    every node 1; ``yekutieli-tree`` runs at level q / yk_divisor, a row at
-    a time.  Nothing is checked here: see ``run_procedure``.
+    every node 1; ``yekutieli-tree`` runs ``_top_down`` at level
+    q / yk_divisor.  Only its tree is checked here: see ``run_procedure``.
     """
     ones, adaptive, out = np.ones(p.shape), None, []
     lam = plan.weight_config.lam
@@ -415,9 +422,7 @@ def run_rows(plan, p, methods, q, yk_divisor=YK_DIVISOR):
         elif name == "by":
             w, found = ones, _step_up(p, q, beta=ReshapingFn.by(plan.dag.m))
         else:
-            w, found = ones, np.zeros(p.shape, dtype=bool)
-            for row, hits in zip(p, found):
-                hits[list(yekutieli_tree(plan.dag, row, q / yk_divisor))] = True
+            w, found = ones, _top_down(plan.dag, p, q / yk_divisor)
         out.append((found, w, scan))
     return out
 

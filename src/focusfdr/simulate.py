@@ -38,7 +38,7 @@ import numpy as np
 from .combine import (Combiner, combine_segments, inner_segments,
                       smooth_all_descendants)
 from .dag import build_dag, hereditary, level_sweep
-from .procedures import RunParams, StructurePlan, run_rows
+from .procedures import NotATreeError, RunParams, StructurePlan, run_rows
 from .special import normal_cdf
 from .weights import check_dw_depths
 
@@ -293,8 +293,9 @@ class SimSummary:
 
 def _resolve_methods(config):
     """Check the whole sweep (family, setup, every p_nonnull, rho, seed and
-    dw depths, then ``RunParams.resolve``) and parse it once, before any
-    replication; returns what ``RunParams.resolve`` returns."""
+    dw depths, then ``RunParams.resolve``, then that the top-down baseline
+    runs on a tree family) and parse it once, before any replication;
+    returns what ``RunParams.resolve`` returns."""
     if config.family not in GRAPH_FAMILIES:
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
@@ -312,8 +313,14 @@ def _resolve_methods(config):
                     f"graph family {config.family!r}")
     if not config.methods:
         raise ValueError("methods: need at least one method")
-    return config.resolve([(spec.procedure, spec.filter, False)
-                           for spec in config.methods], config.smoothing)
+    resolved = config.resolve([(spec.procedure, spec.filter, False)
+                               for spec in config.methods], config.smoothing)
+    # the fixed families are the trees; the bipartite ones never draw one
+    if (config.family not in _FIXED_GRAPHS and any(
+            spec.procedure == "yekutieli-tree" for spec in config.methods)):
+        raise NotATreeError(f"graph family {config.family!r} draws no trees, "
+                            "and the top-down baseline requires a tree")
+    return resolved
 
 
 # Entries (replications x nodes) per block of the fixed trees: enough rows

@@ -159,14 +159,6 @@ def resolve_dw(config, groups):
     return auto_dw(groups, config.lam, config.c)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-node positive weights plus the depth set actually gated."""
-
-    values: np.ndarray
-    resolved_dw: frozenset
-
-
 class WeightWorkspace:
     """The gated memberships of a GroupIndex for one (depths, groups, dw, c).
 
@@ -230,8 +222,7 @@ class WeightWorkspace:
 
 
 def dag_weights(dag, depths, groups, pvalues, config):
-    """Data-adaptive weights per node under the given configuration."""
+    """Data-adaptive weights per node under ``config``, an (m,) array."""
     arr = validate_pvalues(pvalues, dag.m)
-    dw = resolve_dw(config, groups)
-    ws = WeightWorkspace(groups, depths, dw, config.c)
-    return WeightVector(values=ws.node_weights(arr, config.lam), resolved_dw=dw)
+    ws = WeightWorkspace(groups, depths, resolve_dw(config, groups), config.c)
+    return ws.node_weights(arr, config.lam)

@@ -315,6 +315,31 @@ def test_cli_simulate_rejects_q_outside_unit_interval(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["bipartite1", "bipartite2"])
+def test_cli_simulate_rejects_top_down_on_bipartite_family(
+        no_replication, tmp_path, capsys, family):
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--family", family, "--p", "0.3", "--reps", "2",
+                 "--methods", "bh,yekutieli-tree", "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: graph family {family!r} draws no trees, and the top-down "
+        "baseline requires a tree\n")
+    assert not out.exists()
+
+
+def test_cli_analyze_rejects_top_down_on_non_tree_before_reading_p(
+        tmp_path, capsys):
+    # the p-value file does not exist: the graph is checked first
+    dag = write(tmp_path / "dag.csv", "parent,child\na,c\nb,c\n")
+    code = main(["analyze", "--dag", dag, "--pvalues",
+                 str(tmp_path / "missing.csv"), "--method", "yekutieli-tree"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {dag}: the top-down baseline requires a tree, but node 'c' "
+        "has 2 parents\n")
+
+
 @pytest.mark.parametrize("q, divisor", [("3", "2.88"), ("0.05", "0.01"),
                                         ("0", "2.88"), ("nan", "2.88")])
 def test_cli_simulate_rejects_yekutieli_level_outside_unit_interval(

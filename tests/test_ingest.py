@@ -396,3 +396,70 @@ def test_cli_intersection_errors_name_file_and_nodes(tmp_path, capsys,
                  "--items", items, "--method", "bh"])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {items}: {message}\n"
+
+
+# ------------------------------------ faults no other test reaches, and BOMs
+
+@pytest.mark.parametrize("annotations,message", [
+    ("top,g1\nmid,g1\nghost,g1\nleaf,g1\n", ":4: unknown node 'ghost'"),
+    ("top,g1\nmid,g9\nleaf,g1\n", ":3: unknown item 'g9'"),
+    # within a line the node is checked first
+    ("top,g1\nghost,g9\n", ":3: unknown node 'ghost'"),
+])
+def test_cli_annotation_faults_name_file_and_line(tmp_path, capsys,
+                                                  annotations, message):
+    dag = write(tmp_path / "e.csv", "parent,child\nmid,leaf\ntop,mid\n")
+    items = write(tmp_path / "ann.csv", "node,item\n" + annotations)
+    itemp = write(tmp_path / "ip.csv", "item,p\ng1,0.1\ng2,0.2\n")
+    code = main(["analyze", "--dag", dag, "--pvalues", itemp,
+                 "--items", items, "--method", "bh"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {items}{message}\n"
+
+
+@pytest.mark.parametrize("mode,empty", [
+    ("items", "--dag"), ("items", "--pvalues"), ("items", "--items"),
+    ("node", "--pvalues")])
+def test_cli_empty_file_names_the_file(tmp_path, capsys, mode, empty):
+    flags = {"--dag": write(tmp_path / "e.csv", "parent,child\ntop,leaf\n")}
+    if mode == "node":
+        flags["--pvalues"] = write(tmp_path / "p.csv",
+                                   "node,p\ntop,0.1\nleaf,0.2\n")
+    else:
+        flags["--pvalues"] = write(tmp_path / "ip.csv", "item,p\ng1,0.1\n")
+        flags["--items"] = write(tmp_path / "ann.csv",
+                                 "node,item\ntop,g1\nleaf,g1\n")
+    flags[empty] = write(tmp_path / "empty.csv", "")
+    args = [text for flag, path in flags.items() for text in (flag, path)]
+    assert main(["analyze", *args, "--method", "bh"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {flags[empty]}: empty file\n"
+
+
+BOM_CASES = {
+    "node": {"e.csv": "parent,child\ntop,mid\nmid,leaf\ntop,other\n",
+             "p.csv": "node,p\ntop,0.001\nmid,0.01\nleaf,0.02\nother,0.6\n"},
+    "items": {"e.csv": "parent,child\ntop,mid\nmid,leaf\n",
+              "p.csv": "item,p\ng1,0.001\ng2,0.02\ng3,0.7\n",
+              "ann.csv": "node,item\ntop,g1\ntop,g2\ntop,g3\nmid,g1\n"
+                         "mid,g2\nleaf,g2\n"}}
+
+
+@pytest.mark.parametrize("mode", sorted(BOM_CASES))
+def test_byte_order_mark_is_accepted(tmp_path, mode):
+    # files saved as "CSV UTF-8" by spreadsheet programs start with a BOM
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        folder = tmp_path / encoding
+        folder.mkdir()
+        for name, text in BOM_CASES[mode].items():
+            (folder / name).write_text(text, encoding=encoding)
+        assert (folder / "e.csv").read_bytes().startswith(
+            b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
+        items = str(folder / "ann.csv") if mode == "items" else None
+        report = analyze(AnalysisRequest(
+            dag_file=str(folder / "e.csv"), pvalues_file=str(folder / "p.csv"),
+            items_file=items, method="wfbh", q=0.2))
+        del report["parameters"]        # names the folder
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["counts"]["discoveries"] > 0

@@ -13,8 +13,8 @@ from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
                                  LevelOutOfRangeError, NonpositiveWeightError,
                                  NotATreeError, QOutOfRangeError, ReshapingFn,
                                  StructurePlan, YK_DIVISOR, _counts_at,
-                                 _focused_rows, _scan,
-                                 _step_up, bh, brute_force_tstar,
+                                 _focused_rows, _scan, _step_up, _top_down,
+                                 bh, brute_force_tstar,
                                  by_procedure, fbh, run_procedure, run_rows,
                                  storey_bh, unity_weights,
                                  weighted_reshaped_fbh, wfbh, yekutieli_tree)
@@ -206,6 +206,67 @@ def test_yekutieli_requires_tree_and_level():
     chain = build_dag(2, [(0, 1)])
     with pytest.raises(LevelOutOfRangeError):
         yekutieli_tree(chain, np.array([0.1, 0.1]), 1.5)
+
+
+def test_run_procedure_rejects_top_down_on_non_tree_plan():
+    plan = StructurePlan(build_dag(3, [(0, 2), (1, 2)]), WeightConfig())
+    with pytest.raises(NotATreeError):
+        run_procedure(plan, np.array([0.1, 0.1, 0.1]), "yekutieli-tree",
+                      TRIVIAL, 0.05)
+
+
+def top_down_recursion(dag, p, level):
+    """The top-down baseline as a recursive frontier: the textbook step-up
+    rule on the root family, then on the child family of each rejected
+    node."""
+    ptr, kids = dag.child_indptr, dag.child_indices
+    rejected = set()
+    frontier = [dag.roots.tolist()]
+    while frontier:
+        family = frontier.pop()
+        if not family:
+            continue
+        for local in textbook_step_up(p[family], level):
+            node = family[local]
+            rejected.add(node)
+            frontier.append(kids[ptr[node]:ptr[node + 1]].tolist())
+    return frozenset(rejected)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 30),
+       r=st.integers(1, 4), root_share=st.sampled_from([0.0, 0.2, 0.6]),
+       levels=st.sampled_from([2, 10, 1000]),
+       level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       fortran=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_top_down_block_matches_recursion(seed, m, r, root_share, levels,
+                                          level, fortran):
+    # forests: each node beyond the first hangs on an earlier one or, with
+    # probability root_share, roots a tree of its own (isolated roots
+    # included); shuffled ids, so ids do not follow the tree; p-values on
+    # a grid of ``levels`` steps, with ties and exact zeros and ones, in
+    # either memory order
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(m)
+    dag = build_dag(m, [(int(ids[rng.integers(0, j)]), int(ids[j]))
+                        for j in range(1, m) if rng.random() >= root_share])
+    block = rng.integers(0, levels + 1, size=(r, m)) / levels
+    if fortran:
+        block = np.asfortranarray(block)
+    got = _top_down(dag, block, level)
+    assert got.shape == (r, m) and got.dtype == bool
+    for row, hits in zip(block, got):
+        assert frozenset(np.flatnonzero(hits).tolist()) == top_down_recursion(
+            dag, row, level)
+
+
+def test_procedure_results_compare_and_hash_by_identity():
+    dag = build_dag(3, [(0, 1), (1, 2)])
+    p = np.array([0.01, 0.02, 0.03])
+    a, b = (wfbh(dag, p, unity_weights(3), DS, 0.1) for _ in range(2))
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2
 
 
 def test_tie_handling_is_deterministic():

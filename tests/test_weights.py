@@ -221,11 +221,11 @@ def test_wide_tree_leaf_weights_match_group_storey():
         members = groups.mem_node[groups.mem_group == g]
         expected = storey_pi0(p[members], 0.5)
         for v in members:
-            assert wv.values[v] == pytest.approx(expected)
+            assert wv[v] == pytest.approx(expected)
     assert groups.group_parent[0] == -1
     root_expected = storey_pi0(p[groups.mem_node[groups.mem_group == 0]], 0.5)
     for r in dag.roots:
-        assert wv.values[r] == pytest.approx(root_expected)
+        assert wv[r] == pytest.approx(root_expected)
 
 
 def test_wide_tree_large_c_forces_ratio_weights():
@@ -234,7 +234,7 @@ def test_wide_tree_large_c_forces_ratio_weights():
     p = np.random.default_rng(1).uniform(size=dag.m)
     wv = dag_weights(dag, depths, groups, p, WeightConfig(lam=0.5, c=50, dw=(1,)))
     # single root group of 50 <= c: K = (50/50)*1 = 1 for every root
-    assert np.allclose(wv.values[:50], 1.0)
+    assert np.allclose(wv[:50], 1.0)
 
 
 def test_dw_empty_gives_unity():
@@ -242,7 +242,7 @@ def test_dw_empty_gives_unity():
     depths, groups = _indexes(dag)
     p = np.random.default_rng(2).uniform(size=dag.m)
     wv = dag_weights(dag, depths, groups, p, WeightConfig(dw="none"))
-    assert np.all(wv.values == 1.0)
+    assert np.all(wv == 1.0)
 
 
 def test_unity_outside_gated_depths():
@@ -251,8 +251,8 @@ def test_unity_outside_gated_depths():
     p = np.random.default_rng(3).uniform(size=dag.m)
     wv = dag_weights(dag, depths, groups, p, WeightConfig(dw=(2,)))
     gated = depths.depth == 2
-    assert np.all(wv.values[~gated] == 1.0)
-    assert np.any(wv.values[gated] != 1.0)
+    assert np.all(wv[~gated] == 1.0)
+    assert np.any(wv[gated] != 1.0)
 
 
 def test_two_parent_harmonic_average():
@@ -265,11 +265,11 @@ def test_two_parent_harmonic_average():
     p = np.array([0.5, 0.5, 0.3, 0.2, 0.6])
     wv = dag_weights(dag, depths, groups, p,
                      WeightConfig(lam=0.5, c=1, dw=(1, 2)))
-    assert wv.values[2] == pytest.approx(16 / 9)
-    assert wv.values[3] == pytest.approx(4 / 3)
-    assert wv.values[4] == pytest.approx(8 / 3)
-    assert wv.values[0] == pytest.approx(1.0)
-    assert wv.values[1] == pytest.approx(1.0)
+    assert wv[2] == pytest.approx(16 / 9)
+    assert wv[3] == pytest.approx(4 / 3)
+    assert wv[4] == pytest.approx(8 / 3)
+    assert wv[0] == pytest.approx(1.0)
+    assert wv[1] == pytest.approx(1.0)
 
 
 def test_weights_positive_and_bounded_below():
@@ -281,13 +281,13 @@ def test_weights_positive_and_bounded_below():
         dag = build_dag(m, [(int(rng.integers(0, j)), j) for j in range(1, m)])
         depths, groups = _indexes(dag)
         p = rng.uniform(size=m)
-        wv = dag_weights(dag, depths, groups, p,
-                         WeightConfig(lam=0.5, c=0, dw="auto"))
-        assert np.all(wv.values > 0)
-        for d in wv.resolved_dw:
+        cfg = WeightConfig(lam=0.5, c=0, dw="auto")
+        wv = dag_weights(dag, depths, groups, p, cfg)
+        assert np.all(wv > 0)
+        for d in resolve_dw(cfg, groups):
             lower = groups.n_d[d] / (0.5 * groups.depth_sizes[d])
             for v in depths.levels[d]:
-                assert wv.values[v] >= lower - 1e-12
+                assert wv[v] >= lower - 1e-12
 
 
 def test_weights_monotone_in_each_pvalue():
@@ -300,11 +300,11 @@ def test_weights_monotone_in_each_pvalue():
         depths, groups = _indexes(dag)
         p = rng.uniform(size=m)
         cfg = WeightConfig(lam=0.5, c=1, dw="auto")
-        base = dag_weights(dag, depths, groups, p, cfg).values
+        base = dag_weights(dag, depths, groups, p, cfg)
         i = int(rng.integers(m))
         raised = p.copy()
         raised[i] = min(1.0, raised[i] + rng.uniform())
-        bumped = dag_weights(dag, depths, groups, raised, cfg).values
+        bumped = dag_weights(dag, depths, groups, raised, cfg)
         assert np.all(bumped >= base - 1e-12)
 
 
@@ -324,7 +324,7 @@ def test_leave_self_zero_matches_explicit_substitution():
         for i in range(m):
             p0 = p.copy()
             p0[i] = 0.0
-            ref = dag_weights(dag, depths, groups, p0, cfg).values[i]
+            ref = dag_weights(dag, depths, groups, p0, cfg)[i]
             assert fast[i] == pytest.approx(ref, abs=1e-12)
 
 
@@ -336,7 +336,7 @@ def test_workspace_matches_dag_weights():
     ws = WeightWorkspace(groups, depths, dw, cfg.c)
     p = np.random.default_rng(7).uniform(size=dag.m)
     assert np.allclose(ws.node_weights(p, cfg.lam),
-                       dag_weights(dag, depths, groups, p, cfg).values)
+                       dag_weights(dag, depths, groups, p, cfg))
 
 
 def per_group_loop_weights(groups, depths, p, lam, c, dw):
