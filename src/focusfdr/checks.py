@@ -33,7 +33,8 @@ def random_dag(rng, max_m=12, edge_prob=0.3):
 
 
 def random_tree(rng, max_m=12):
-    """Random rooted tree: each node beyond the first picks an earlier parent."""
+    """Random rooted tree: each node beyond the first picks an earlier
+    parent."""
     m = int(rng.integers(2, max_m + 1))
     edges = [(int(rng.integers(0, j)), j) for j in range(1, m)]
     return build_dag(m, edges)
@@ -76,7 +77,8 @@ def check_superuniformity(n_mc=10_000, seed=0,
     0.1% family-wise budget across all cells instead.
 
     Every combiner name is parsed first; then one ``superuniformity_check``
-    call draws the null block once for all of them.
+    call scores every combiner on each row chunk of the null block, drawn
+    once, one chunk at a time.
     """
     if not combiners:
         raise ValueError("combiners: need at least one combiner name")
@@ -137,10 +139,12 @@ def check_filter_monotonicity(trials=1000, seed=0):
             r2 = {i for i in range(dag.m) if rng.random() < 0.5}
             extra = {i for i in range(dag.m) if rng.random() < 0.3}
             r1 = r2 | extra                             # r1 >= r2
-            if len(apply_filter(spec, dag, r1, p1)) < len(apply_filter(spec, dag, r2, p2)):
+            if (len(apply_filter(spec, dag, r1, p1))
+                    < len(apply_filter(spec, dag, r2, p2))):
                 failures[key] += 1
     ok = all(v == 0 for v in failures.values())
-    lines = [f"{k}: {trials - v}/{trials} monotone pairs" for k, v in failures.items()]
+    lines = [f"{k}: {trials - v}/{trials} monotone pairs"
+             for k, v in failures.items()]
     return ok, lines
 
 

@@ -125,7 +125,8 @@ def build_parser():
         choices=["by"])
     add("--items", "node,item annotation CSV (intersection-DAG mode)",
         "items_file")
-    a.add_argument("--json-out", default=None, help="report path (default stdout)")
+    a.add_argument("--json-out", default=None,
+                   help="report path (default stdout)")
     a.add_argument("--csv-out", default=None, help="discoveries CSV path")
 
     s = sub.add_parser("simulate", help="Monte Carlo FDR/power sweep",

@@ -21,7 +21,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .special import DomainError, beta_cdf, chisq_survival, normal_cdf, normal_quantile
+from .special import (DomainError, beta_cdf, chisq_survival, normal_cdf,
+                      normal_quantile)
 
 
 class EmptyInputError(ValueError):
@@ -361,8 +362,10 @@ def smooth_rows(dag, block, combiner):
     leaves keep their own.  ``combine_segments`` combines the
     ``inner_segments`` into a compact (r, #inner) array, which is scattered
     once into a copy of the block.  Each row of the result is bit-identical
-    to smoothing that row alone, node by node.  ``simulate.superuniformity_check`` takes the
-    inner nodes' values the same way but never builds the smoothed copy.
+    to smoothing that row alone, node by node, so a block may be smoothed
+    in row chunks.  ``simulate.superuniformity_check`` takes the inner
+    nodes' values the same way, one row chunk of its null block at a time,
+    and never builds the smoothed copy.
 
     Raises:
         UndefinedSegmentError: for Stouffer, naming the smallest node whose

@@ -181,7 +181,8 @@ class Dag:
 
     @cached_property
     def ancestor_masks(self):
-        """Per-node bitmask of strict ancestors (bit i set <=> i is an ancestor)."""
+        """Per-node bitmask of strict ancestors (bit i set <=> i is an
+        ancestor)."""
         masks = [0] * self.m
         for v in self.topo_order.tolist():
             acc = 0
@@ -415,7 +416,8 @@ def _reachable(adjacency, start, count, node):
 
 
 def ancestors(dag, node):
-    """Strict ancestors of ``node`` (transitive closure along reversed edges)."""
+    """Strict ancestors of ``node`` (transitive closure along reversed
+    edges)."""
     dag._check_node(node)
     return _reachable(dag.edge_parent, dag.parent_start, dag.in_degree, node)
 

@@ -36,7 +36,8 @@ class FilterSpec:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "screen":
             if self.threshold is None or not (0.0 <= self.threshold <= 1.0):
-                raise ValueError("screening filter needs a threshold in [0, 1]")
+                raise ValueError(
+                    "screening filter needs a threshold in [0, 1]")
 
     @classmethod
     def from_name(cls, name):

@@ -2,11 +2,12 @@
 (weighted, reshaped), a simplified top-down tree baseline, and the name
 dispatch shared by analyses and simulations.
 
-The focused procedures scan the candidate thresholds {0, w_1 p_1, ..., w_m p_m},
-estimate the false discovery proportion of each filtered candidate set, and
-keep the largest feasible threshold.  Feasibility is tested in the
-cross-multiplied form m*t <= q*count so the unity-weight/trivial-filter case
-agrees bit-for-bit with the textbook step-up rule.
+The focused procedures scan the candidate thresholds
+{0, w_1 p_1, ..., w_m p_m}, estimate the false discovery proportion of each
+filtered candidate set, and keep the largest feasible threshold.
+Feasibility is tested in the cross-multiplied form m*t <= q*count so the
+unity-weight/trivial-filter case agrees bit-for-bit with the textbook
+step-up rule.
 
 The kernels (weights, keep intervals, threshold scan, step-up, top-down)
 work on (R, m) blocks, one row per p-value vector, with each row getting
@@ -309,7 +310,8 @@ def yekutieli_tree(dag, pvalues, level):
     return _row_set(_top_down(dag, p.reshape(1, -1), level)[0])
 
 
-PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh", "yekutieli-tree")
+PROCEDURES = ("bh", "storey-bh", "by", "fbh", "wfbh", "wrfbh",
+              "yekutieli-tree")
 # the procedures with a filtered count that a reshaping function can act on
 FOCUSED = ("fbh", "wfbh", "wrfbh")
 # the default divisor of q that gives the top-down baseline its level
@@ -331,7 +333,8 @@ def check_procedure(name, q, reshaped=False, yk_divisor=YK_DIVISOR):
     if name != "yekutieli-tree":
         _check_q(q)
     elif not 0.0 < yk_divisor < np.inf:
-        raise ValueError(f"yk-divisor must be finite and > 0, got {yk_divisor}")
+        raise ValueError(
+            f"yk-divisor must be finite and > 0, got {yk_divisor}")
     elif not 0.0 < q / yk_divisor < 1.0:
         raise LevelOutOfRangeError("yekutieli-tree level q / yk-divisor must "
                                    f"be in (0, 1), got {q / yk_divisor}")

@@ -141,7 +141,8 @@ def _bipartite2(rng, max_tries=10000):
         dealt = np.sort(hands, axis=1)
         if not (dealt[:, 1:] == dealt[:, :-1]).any():
             return build_dag(551, _stars(np.arange(61), 61 + hands))
-    raise RuntimeError("failed to deal distinct children for bipartite graph 2")
+    raise RuntimeError(
+        "failed to deal distinct children for bipartite graph 2")
 
 
 def generate_graph(family, seed=0):
@@ -291,6 +292,21 @@ class SimSummary:
     histories: dict = field(repr=False)
 
 
+def _check_seed(seed):
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed: must be a nonnegative integer, got {seed!r}")
+
+
+def _check_monte_carlo(n_mc, seed):
+    """The replication count and seed of a Monte Carlo check, before any
+    draw: n_mc an integer >= 1, seed a nonnegative integer."""
+    if isinstance(n_mc, bool) or not isinstance(n_mc, Integral):
+        raise ValueError(f"n_mc: must be an integer, got {n_mc!r}")
+    if n_mc < 1:
+        raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
+    _check_seed(seed)
+
+
 def _resolve_methods(config):
     """Check the whole sweep (family, setup, every p_nonnull, rho, seed and
     dw depths, then ``RunParams.resolve``, then that the top-down baseline
@@ -305,10 +321,7 @@ def _resolve_methods(config):
     for p_nonnull in config.p_nonnull:
         _check_p_nonnull(p_nonnull)
     _check_rho(config.rho)
-    if (isinstance(config.seed, bool) or not isinstance(config.seed, Integral)
-            or config.seed < 0):
-        raise ValueError(f"seed: must be a nonnegative integer, got "
-                         f"{config.seed!r}")
+    _check_seed(config.seed)
     check_dw_depths(config.dw, GRAPH_FAMILIES[config.family],
                     f"graph family {config.family!r}")
     if not config.methods:
@@ -424,7 +437,8 @@ def run_simulation(config, n_workers=None):
                 method=spec.procedure, filter=spec.filter,
                 p_nonnull=p_nonnull,
                 fdr_hat=float(fdr_hat), se_fdr=float(sds[0] / np.sqrt(n)),
-                power_hat=float(power_hat), se_power=float(sds[1] / np.sqrt(n)),
+                power_hat=float(power_hat),
+                se_power=float(sds[1] / np.sqrt(n)),
                 n_reps=n))
     return SimSummary(config=config, cells=tuple(cells), histories=histories)
 
@@ -446,13 +460,13 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     of inverse weights over the nulls.  FDR control needs the expectation of
     this sum to stay at or below the number of hypotheses.
     """
-    if n_mc < 1:
-        raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
+    _check_monte_carlo(n_mc, seed)
     rng = np.random.default_rng(seed)
     plan = StructurePlan(dag, weight_config)
     depths, ws, lam = plan.depths, plan.workspace, weight_config.lam
 
-    nulls = np.array([v for v in range(dag.m) if v not in truth], dtype=np.intp)
+    nulls = np.array([v for v in range(dag.m) if v not in truth],
+                     dtype=np.intp)
     mu = signal_means(depths, truth, setup)
     totals = np.empty(n_mc)
     rows = max(1, _BLOCK_ENTRIES // dag.m)
@@ -479,6 +493,15 @@ class SuperuniformityResult:
         return float(((self.cdf - ts) / self.se).max())
 
 
+# Entries per row chunk of the superuniformity check's null block.  Each
+# chunk is drawn, counted and released before the next, so the check's
+# memory does not grow with n_mc.  Set by measurement: after the first
+# chunk, the allocator reuses the memory of chunks this large, while
+# chunks of 2^15-2^19 entries cost tens of thousands of minor page faults
+# per check on some graphs, as freed memory is returned and mapped again.
+_NULL_CHUNK_ENTRIES = 1 << 20
+
+
 def superuniformity_check(dag, combiners, n_mc, seed=0,
                           thresholds=(0.01, 0.05, 0.1, 0.25, 0.5)):
     """Empirical CDF of each node's smoothed p-value under the full null,
@@ -488,16 +511,18 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     to Monte Carlo noise; ``se`` is the binomial standard error of the
     empirical CDF at each threshold, which must be numbers in (0, 1).
 
-    Every combiner sees the same (n_mc, m) uniform block, drawn once from
-    ``seed``.  A leaf's smoothed p-value is its raw one, so the raw block's
-    per-node CDF is taken once and each combiner overwrites only the rows
-    of its inner nodes (``combine.inner_segments``), from the values
-    ``combine_segments`` gives their closure rows, as in ``smooth_rows``.
-    A CDF entry is an exact count over n_mc, so this matches smoothing the
-    whole block bit for bit, without a smoothed copy of it.
+    Every combiner sees the same (n_mc, m) uniform null block from
+    ``default_rng(seed)``, drawn in row chunks of at most
+    ``_NULL_CHUNK_ENTRIES`` entries, in turn (the stream of one whole
+    draw).  A leaf's smoothed p-value is its raw one, so each chunk's raw
+    per-node counts at or below each threshold are added once, and per
+    combiner only the inner nodes' counts (``combine.inner_segments``),
+    from the values ``combine_segments`` gives their closure rows, as in
+    ``smooth_rows``.  Each row is smoothed as it is alone, and each CDF
+    entry is an exact count divided by n_mc once, so this matches
+    smoothing the whole block bit for bit, in memory independent of n_mc.
     """
-    if n_mc < 1:
-        raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
+    _check_monte_carlo(n_mc, seed)
     if not (isinstance(combiners, (list, tuple)) and combiners
             and all(isinstance(c, Combiner) for c in combiners)):
         raise ValueError("combiners: need a non-empty list or tuple of "
@@ -507,22 +532,30 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     for t in thresholds:
         if not (isinstance(t, Real) and 0.0 < t < 1.0):
             raise ValueError(f"thresholds: {t!r} is not a number in (0, 1)")
-    block = np.random.default_rng(seed).uniform(size=(n_mc, dag.m))
+    rng = np.random.default_rng(seed)
     ts = np.asarray(thresholds, dtype=float)
-    se = np.sqrt(ts * (1.0 - ts) / n_mc)
-    raw = _column_cdf(block, ts)
     inner, indptr, indices = inner_segments(dag)
+    raw = np.zeros((dag.m, ts.size), dtype=np.intp)
+    counts = np.zeros((len(combiners), inner.size, ts.size), dtype=np.intp)
+    rows = max(1, _NULL_CHUNK_ENTRIES // dag.m)
+    for a in range(0, n_mc, rows):
+        chunk = rng.uniform(size=(min(rows, n_mc - a), dag.m))
+        raw += _column_counts(chunk, ts)
+        for count, combiner in zip(counts, combiners):
+            count += _column_counts(
+                combine_segments(combiner, chunk, inner, indptr, indices), ts)
+        del chunk                       # released before the next draw
+    se = np.sqrt(ts * (1.0 - ts) / n_mc)
     results = []
-    for combiner in combiners:
-        cdf = raw.copy()
-        cdf[inner] = _column_cdf(
-            combine_segments(combiner, block, inner, indptr, indices), ts)
+    for count in counts:
+        cdf = raw / n_mc
+        cdf[inner] = count / n_mc
         results.append(SuperuniformityResult(thresholds=tuple(thresholds),
                                               cdf=cdf, se=se))
     return results
 
 
-def _column_cdf(x, ts):
-    """The share of each column of x at or below each threshold: shape
-    (columns, thresholds).  Each entry is an exact count over the rows."""
-    return np.stack([(x <= t).mean(axis=0) for t in ts], axis=1)
+def _column_counts(x, ts):
+    """How many entries of each column of x are at or below each
+    threshold: shape (columns, thresholds)."""
+    return np.stack([np.count_nonzero(x <= t, axis=0) for t in ts], axis=1)

@@ -124,7 +124,8 @@ def _depth_rule(groups, lam, c):
 
 
 def min_possible_weight(d, groups, lam, c=1):
-    """Smallest weight any hypothesis at depth d can receive, n_d/((1-lam)|H_d|).
+    """Smallest weight any hypothesis at depth d can receive,
+    n_d/((1-lam)|H_d|).
 
     Only defined when some group at d is large enough (> c) for Storey
     estimation; smaller groups carry data-free ratio weights instead.
@@ -193,7 +194,7 @@ class WeightWorkspace:
         return self._weights(pvalues, lam, leave_self_zero=False)
 
     def leave_self_zero_weights(self, pvalues, lam):
-        """Per-node weights each evaluated with that node's own p-value at 0."""
+        """Per-node weights, each with that node's own p-value at 0."""
         return self._weights(pvalues, lam, leave_self_zero=True)
 
     def _weights(self, pvalues, lam, leave_self_zero):

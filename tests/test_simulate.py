@@ -668,7 +668,8 @@ def test_superuniformity_matches_whole_block_oracle(graph_seed, shape, order,
 @pytest.fixture
 def uniform_draws(monkeypatch):
     """The size of every ``Generator.uniform`` call made on a generator
-    from ``np.random.default_rng``."""
+    from ``np.random.default_rng``, and of every ``standard_normal`` call,
+    the draw of ``condition1_check``."""
     sizes, default_rng = [], np.random.default_rng
 
     class Counting:
@@ -682,8 +683,73 @@ def uniform_draws(monkeypatch):
             sizes.append(kwargs.get("size"))
             return self._gen.uniform(*args, **kwargs)
 
+        def standard_normal(self, *args, **kwargs):
+            sizes.append(args[0] if args else kwargs.get("size"))
+            return self._gen.standard_normal(*args, **kwargs)
+
     monkeypatch.setattr(np.random, "default_rng", Counting)
     return sizes
+
+
+@pytest.mark.parametrize("n_mc, seed, named", [
+    (2.5, 0, "n_mc: must be an integer, got 2.5"),
+    (10.0, 0, "n_mc: must be an integer, got 10.0"),
+    (True, 0, "n_mc: must be an integer, got True"),
+    ("10", 0, "n_mc: must be an integer, got '10'"),
+    (10, -1, "seed: must be a nonnegative integer, got -1"),
+    (10, 1.5, "seed: must be a nonnegative integer, got 1.5"),
+    (10, False, "seed: must be a nonnegative integer, got False"),
+    (10, [1, 2], r"seed: must be a nonnegative integer, got \[1, 2\]")])
+def test_monte_carlo_checks_reject_bad_n_mc_and_seed(uniform_draws, n_mc,
+                                                     seed, named):
+    # unchecked, n_mc=2.5 and seed=-1 fail inside numpy naming no field,
+    # and n_mc=True runs as one replication
+    dag = generate_graph("deep-tree")
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        superuniformity_check(dag, (Combiner("simes"),), n_mc, seed)
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        condition1_check(dag, WeightConfig(), frozenset(), n_mc, seed)
+    assert uniform_draws == []
+
+
+@pytest.mark.parametrize("graph", ["deep-tree", "dag"])
+@pytest.mark.parametrize("n_mc", [3, 9, 10])
+def test_superuniformity_streams_chunks_as_one_block(uniform_draws,
+                                                     monkeypatch, graph,
+                                                     n_mc):
+    # chunks of three rows: n_mc at one chunk, three whole chunks, and
+    # three and a partial last one
+    dag = (generate_graph(graph) if graph == "deep-tree"
+           else random_dag(np.random.default_rng(5), 12))
+    monkeypatch.setattr(simulate_module, "_NULL_CHUNK_ENTRIES", 3 * dag.m)
+    results = superuniformity_check(dag, SIX_COMBINERS, n_mc, seed=7)
+    rows = [size[0] for size in uniform_draws]
+    assert rows == [3] * (n_mc // 3) + [n_mc % 3] * (n_mc % 3 > 0)
+    assert all(size == (k, dag.m) for size, k in zip(uniform_draws, rows))
+    for combiner, res in zip(SIX_COMBINERS, results):
+        cdf, se = superuniformity_oracle(dag, combiner, n_mc, 7,
+                                         res.thresholds)
+        assert np.array_equal(res.cdf, cdf) and np.array_equal(res.se, se)
+
+
+# Phi^{-1}(1 - 0.001 / 30): a 0.1% family-wise budget over the root's five
+# thresholds under each of six combiners
+STAR_Z_BOUND = float(stats.norm.isf(0.001 / 30))
+
+
+@pytest.mark.parametrize("name", [
+    "stouffer", "simes", "tippett", "orderstat:2", "bonferroni",
+    pytest.param("fisher", marks=pytest.mark.xfail(
+        strict=True, reason="Known defect: chisq_survival underflows past "
+        "x/2 ~ 708, so the root's Fisher CDF is 1.0 at every threshold"))])
+def test_superuniformity_star_root_past_fishers_limit(name):
+    # the root's segment holds 2,001 entries, past the 709 at which
+    # Fisher's calibration breaks down
+    dag = build_dag(2001, [(0, leaf) for leaf in range(1, 2001)])
+    [res] = superuniformity_check(dag, (Combiner.from_name(name),),
+                                  n_mc=500, seed=0)
+    z = (res.cdf[0] - np.asarray(res.thresholds)) / res.se
+    assert z.max() <= STAR_Z_BOUND
 
 
 @pytest.mark.parametrize("thresholds, named", [
@@ -724,6 +790,26 @@ def test_check_superuniformity_draws_its_null_block_once(uniform_draws):
     ok, lines = check_superuniformity(n_mc=50, seed=1, combiners=names)
     assert uniform_draws == [(50, generate_graph("deep-tree").m)]
     assert [line.split(":")[0] for line in lines] == list(names)
+
+
+def test_check_superuniformity_memory_does_not_grow_with_n_mc():
+    # one chunk and its temporaries (a threshold's mask, a combiner's slab
+    # arrays) are live at a time, so 16 chunks' worth of rows peaks where 4
+    # chunks' worth does, below 1.8 chunks; a chunk kept alive through the
+    # next draw would take the peak past 2 chunks
+    m = generate_graph("deep-tree").m
+    rows = simulate_module._NULL_CHUNK_ENTRIES // m
+    check_superuniformity(n_mc=2, seed=3)
+    peaks = []
+    for chunks in (4, 16):
+        tracemalloc.start()
+        try:
+            check_superuniformity(n_mc=chunks * rows, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[0] <= 1.8 * rows * m * 8
 
 
 def test_check_superuniformity_keeps_no_smoothed_block():
