@@ -327,20 +327,23 @@ def _grouped_stats(combiner, slab, out, nodes, indptr, indices, groups):
 def _group_stat(combiner, rows):
     """Each gathered row's raw statistic: the sum of its terms for Fisher
     and Stouffer, its min(order, n)-th smallest entry for an order
-    statistic, and min_k p_(k) n / k for Simes."""
+    statistic, and min_k p_(k) n / k for Simes.  ``rows`` is
+    ``_gather_rows``' own copy, so the order statistics and Simes sort
+    it in place, and Simes scales it in place."""
     kind, n = combiner.kind, rows.shape[1]
     if kind in ("fisher", "stouffer"):
         with np.errstate(invalid="ignore"):     # -inf + inf is NaN
             return np.sum(rows, axis=1)
-    srt = np.sort(rows, axis=1)
+    rows.sort(axis=1)
     if kind == "orderstat":
-        return srt[:, min(combiner.order, n) - 1]
-    return np.min(srt * (n / np.arange(1, n + 1, dtype=float)), axis=1)
+        return rows[:, min(combiner.order, n) - 1]
+    rows *= n / np.arange(1, n + 1, dtype=float)
+    return np.min(rows, axis=1)
 
 
 def _gather_rows(block, cols):
     """The rows ``block[i, cols[j]]`` for every row i and node j, stacked
-    row-major into a C-ordered (r * g, n) matrix."""
+    row-major into a new C-ordered (r * g, n) matrix."""
     return np.take(block, cols, axis=1).reshape(-1, cols.shape[1])
 
 

@@ -28,7 +28,6 @@ a word that numpy's bounded draw would reject), the try runs the calls.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from numbers import Integral, Real
@@ -417,6 +416,9 @@ def run_simulation(config, n_workers=None):
             [p_idx for p_idx in range(n_p) for _ in starts],
             [range(a, min(a + rows, n)) for a in starts] * n_p)
     if workers > 1:
+        # imported here: the pool's modules cost every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         # about 8 replications per task sent to a worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(*jobs, chunksize=max(1, 8 // rows)))
@@ -469,7 +471,7 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
                      dtype=np.intp)
     mu = signal_means(depths, truth, setup)
     totals = np.empty(n_mc)
-    rows = max(1, _BLOCK_ENTRIES // dag.m)
+    rows = max(1, _BLOCK_ENTRIES // max(dag.m, 1))
     for a in range(0, n_mc, rows):
         # the rows draw in turn, and a C-ordered take sums each as alone
         x = mu + rng.standard_normal((min(rows, n_mc - a), dag.m))
@@ -521,6 +523,7 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     ``smooth_rows``.  Each row is smoothed as it is alone, and each CDF
     entry is an exact count divided by n_mc once, so this matches
     smoothing the whole block bit for bit, in memory independent of n_mc.
+    An empty graph gives a (0, len(thresholds)) ``cdf`` per combiner.
     """
     _check_monte_carlo(n_mc, seed)
     if not (isinstance(combiners, (list, tuple)) and combiners
@@ -537,7 +540,7 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     inner, indptr, indices = inner_segments(dag)
     raw = np.zeros((dag.m, ts.size), dtype=np.intp)
     counts = np.zeros((len(combiners), inner.size, ts.size), dtype=np.intp)
-    rows = max(1, _NULL_CHUNK_ENTRIES // dag.m)
+    rows = max(1, _NULL_CHUNK_ENTRIES // max(dag.m, 1))
     for a in range(0, n_mc, rows):
         chunk = rng.uniform(size=(min(rows, n_mc - a), dag.m))
         raw += _column_counts(chunk, ts)
@@ -557,5 +560,13 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
 
 def _column_counts(x, ts):
     """How many entries of each column of x are at or below each
-    threshold: shape (columns, thresholds)."""
-    return np.stack([np.count_nonzero(x <= t, axis=0) for t in ts], axis=1)
+    threshold: shape (columns, thresholds).  Every threshold compares
+    into one reused bool buffer, whose bytes are summed down the columns
+    as uint8 into int32 counts."""
+    hits = np.empty(x.shape, dtype=bool)
+    counts = np.empty((ts.size, x.shape[1]), dtype=np.int32)
+    for t, count in zip(ts, counts):
+        np.less_equal(x, t, out=hits)
+        np.add.reduce(hits.view(np.uint8), axis=0, dtype=np.int32,
+                      out=count)
+    return counts.T

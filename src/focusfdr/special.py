@@ -143,26 +143,31 @@ _PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 def _poly(coeffs, r, acc=None):
     """Horner's rule in place, coefficients lowest power first, in ``acc``
-    if given (a spent buffer of r's shape) or else a new array.
-    ``acc *= r; acc += c`` rounds exactly as ``acc * r + c``: numpy never
-    fuses the two into one multiply-add."""
+    if given (a spent buffer of r's shape) or else a new array, which
+    stays an array for a 0-d r.  The first step writes r * c_last
+    straight into ``acc``; ``acc *= r; acc += c`` rounds exactly as
+    ``acc * r + c``: numpy never fuses the two into one multiply-add."""
     if acc is None:
         acc = np.empty_like(r)
-    acc.fill(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc *= r
+    np.multiply(r, coeffs[-1], out=acc)
+    for c in reversed(coeffs[1:-1]):
         acc += c
+        acc *= r
+    acc += coeffs[0]
     return acc
 
 
 def normal_quantile(p):
     """Standard normal quantile Phi^{-1}(p) for p in the open unit interval.
 
-    The tail entries (|p - 0.5| > 0.425) are indexed out first.  The
-    central rational, which covers most of a uniform sample, is then
-    evaluated in place on the whole array, in three buffers of p's size,
-    and the tail entries are overwritten.  Of those, only the ones with
-    r > 5 (p or 1 - p below e^-25) take the far-tail rational.
+    The flat positions of the tail entries (|p - 0.5| > 0.425) are found
+    first, and their q and p gathered by ``np.take``.  The central
+    rational, which covers most of a uniform sample, is then evaluated in
+    place on the whole array, and the tail values are written back by
+    ``np.put``.  Of those, only the ones with r > 5 (p or 1 - p below
+    e^-25) take the far-tail rational, gathered and put back the same way.
+    Flat indices read p in C order whatever its layout (F-ordered,
+    strided or 0-d), and ``np.put`` writes through to such an ``out``.
 
     Raises:
         DomainError: if any p lies outside (0, 1).
@@ -172,8 +177,8 @@ def normal_quantile(p):
         raise DomainError("normal_quantile requires p in (0, 1)")
     # out= keeps q and r arrays even for a 0-d p, so both work in place
     q = np.subtract(p_arr, 0.5, out=np.empty_like(p_arr))
-    tail = np.abs(q) > 0.425
-    qt, pt = q[tail], p_arr[tail]
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    qt, pt = np.take(q, tail), np.take(p_arr, tail)
     # on the tails r lies in [-0.069375, 0), where both polynomials stay
     # positive, so the values computed there (overwritten below) are finite
     r = np.multiply(q, q, out=np.empty_like(p_arr))
@@ -183,12 +188,14 @@ def normal_quantile(p):
     out /= _poly(_PPND_B, r, acc=q)           # q is spent
     del q, r                                  # the tail needs only out
     if qt.size:
-        r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
+        lower = qt < 0.0
+        r = np.sqrt(-np.log(np.where(lower, pt, 1.0 - pt)))
         val = _poly(_PPND_C, r - 1.6) / _poly(_PPND_D, r - 1.6)
-        far = r > 5.0
-        rf = r[far] - 5.0
-        val[far] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
-        out[tail] = np.where(qt < 0.0, -val, val)
+        far = np.flatnonzero(r > 5.0)
+        rf = np.take(r, far) - 5.0
+        np.put(val, far, _poly(_PPND_E, rf) / _poly(_PPND_F, rf))
+        np.negative(val, out=val, where=lower)
+        np.put(out, tail, val)
     return float(out) if np.ndim(p) == 0 else out
 
 
@@ -203,12 +210,14 @@ def chisq_survival(x, df):
     axis; a scalar df is one row holding every entry of x.  The series runs
     once over the rows sorted by decreasing df, each row dropping out once
     its terms run out, so every element gets the same floating-point
-    operations whichever form it is evaluated in.  A row whose every
-    leading term ``exp(-x/2)`` underflows to 0 keeps the total 0 through
-    every round, so it is sorted as if it had one term: the series stops
-    at the largest df among the live rows.  An +inf statistic (a zero
-    p-value in Fisher's method) has leading term 1, stays live, and yields
-    survival 0.
+    operations whichever form it is evaluated in.  It runs in place on the
+    sorted copies: each round multiplies the live rows' terms by x/2,
+    divides them by k and adds them to the totals, leaving x untouched.
+    A row whose every leading term ``exp(-x/2)`` underflows to 0 keeps the
+    total 0 through every round, so it is sorted as if it had one term:
+    the series stops at the largest df among the live rows.  An +inf
+    statistic (a zero p-value in Fisher's method) has leading term 1, stays
+    live, and yields survival 0.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.ndim(df) == 0:
@@ -240,9 +249,9 @@ def chisq_survival(x, df):
         for a, stop in spans:
             t, h, tot = term[:a], half[:a], total[:a]
             for k in range(start, stop):
-                t = t * h / k
-                tot = tot + t
-            term[:a], total[:a] = t, tot
+                t *= h
+                t /= k
+                tot += t
             start = stop
     total[order] = total.copy()
     res = np.clip(np.where(inf, 0.0, total), 0.0, 1.0).reshape(x_arr.shape)

@@ -19,7 +19,7 @@ from focusfdr.checks import random_dag, random_tree
 from focusfdr.combine import (AnnotationNotNestedError, Combiner,
                               EmptyAnnotationError, EmptyInputError,
                               UndefinedSegmentError, combine, combine_rows,
-                              combine_segments,
+                              combine_segments, inner_segments,
                               intersection_dag_pvalues, smooth_rows,
                               smooth_all_descendants, LengthMismatchError)
 from focusfdr.dag import build_dag, descendants
@@ -613,3 +613,30 @@ def test_single_row_smoothing_gathers_a_bounded_span(comb):
     assert peak <= 0.2 * indices.nbytes
     top = combine_rows(comb, p[None, indices[indptr[0]:indptr[1]]])
     assert got[0, 0] == top[0]
+
+
+@pytest.mark.parametrize("comb", ALL_COMBINERS, ids=lambda c: c.name)
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("shape", ["dag", "chain"])
+def test_block_kernels_leave_the_block_untouched(comb, layout, shape):
+    # the order statistics and Simes sort and scale their gathered rows in
+    # place, Fisher's series runs in place: only the kernels' own copies
+    # may change, never the caller's block, whatever its layout.  A chain's
+    # segments are contiguous column ranges, one node per size group
+    rng = np.random.default_rng(17)
+    dag = (random_dag(rng, 40) if shape == "dag"
+           else build_dag(30, [(v, v + 1) for v in range(29)]))
+    wide = rng.uniform(size=(9, 2 * dag.m))
+    u = rng.uniform(size=wide.shape)
+    wide[u < 0.05] = 0.0
+    wide[(u > 0.05) & (u < 0.1)] = 1e-300
+    wide[u > 0.95] = 1.0 - 1e-16
+    block = {"C": wide[:, :dag.m].copy(),
+             "F": np.asfortranarray(wide[:, :dag.m]),
+             "strided": wide[:, ::2]}[layout]
+    before, wide_before = block.copy(), wide.copy()
+    inner, indptr, indices = inner_segments(dag)
+    combine_segments(comb, block, inner, indptr, indices)
+    smooth_rows(dag, block, comb)
+    assert block.tobytes() == before.tobytes()
+    assert wide.tobytes() == wide_before.tobytes()

@@ -15,7 +15,8 @@ import focusfdr.dag as dag_module
 import focusfdr.procedures as procedures_module
 import focusfdr.simulate as simulate_module
 from focusfdr.checks import check_superuniformity, random_dag, random_tree
-from focusfdr.combine import Combiner, smooth_all_descendants, smooth_rows
+from focusfdr.combine import (Combiner, combine_segments, inner_segments,
+                              smooth_all_descendants, smooth_rows)
 from focusfdr.dag import (build_dag, check_heredity, compute_depths,
                           group_index, is_tree)
 from focusfdr.filters import FilterSpec
@@ -826,3 +827,36 @@ def test_check_superuniformity_keeps_no_smoothed_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * nbytes
+
+
+def test_monte_carlo_checks_on_an_empty_graph():
+    # both checks size their row chunks by the node count, which is 0 here
+    dag = build_dag(0, [])
+    results = superuniformity_check(dag, SIX_COMBINERS, n_mc=40, seed=2)
+    assert len(results) == len(SIX_COMBINERS)
+    for res in results:
+        assert res.cdf.shape == (0, len(res.thresholds))
+        assert np.all((res.se > 0) & (res.se < 1))
+    res = condition1_check(dag, WeightConfig(), frozenset(), n_mc=30)
+    assert (res.estimate, res.se, res.n_nulls, res.bound) == (0.0, 0.0, 0,
+                                                              0.0)
+
+
+@pytest.mark.parametrize("rows", [256, 300, 1000])
+def test_column_counts_match_count_nonzero(rows):
+    # more than 255 rows, so a uint8 count would wrap; the thresholds take
+    # ties with the smoothed values, and 1.0 counts every entry
+    rng = np.random.default_rng(rows)
+    dag = random_dag(rng, 30)
+    inner, indptr, indices = inner_segments(dag)
+    block = rng.uniform(size=(rows, dag.m))
+    block[:, :3] = 0.05
+    ts = np.array([0.01, 0.05, 0.5, 1.0])
+    xs = [block, block[:, ::2], np.asfortranarray(block)]
+    xs += [combine_segments(comb, block, inner, indptr, indices)
+           for comb in SIX_COMBINERS]
+    for x in xs:
+        want = np.stack([np.count_nonzero(x <= t, axis=0) for t in ts],
+                        axis=1)
+        assert np.array_equal(simulate_module._column_counts(x, ts), want)
+    assert want[:, -1].tolist() == [rows] * inner.size

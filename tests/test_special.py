@@ -155,11 +155,41 @@ def test_normal_quantile_matches_per_element_formula(ps, fortran):
     want = np.array([ppnd16(p) for p in ps])
     assert np.array_equal(normal_quantile(np.array(ps)), want)
     assert [normal_quantile(p) for p in ps] == want.tolist()
+    # 0-d input: a numpy scalar and a 0-d array, whose tails are written
+    # back through flat indices too
+    assert [normal_quantile(np.float64(p)) for p in ps] == want.tolist()
+    assert [normal_quantile(np.array(p)) for p in ps] == want.tolist()
+    # a strided view: every other entry of an interleaved array
+    woven = np.repeat(np.array(ps), 2)
+    woven[1::2] = 0.5
+    assert np.array_equal(normal_quantile(woven[::2]), want)
     if len(ps) % 2 == 0:
         grid = np.array(ps).reshape(2, -1, order="F" if fortran else "C")
         assert np.array_equal(normal_quantile(grid),
                               want.reshape(grid.shape, order="F"
                                            if fortran else "C"))
+        assert np.array_equal(normal_quantile(grid.T),
+                              want.reshape(grid.shape, order="F"
+                                           if fortran else "C").T)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_kernels_leave_their_input_untouched(layout):
+    # the chi-square series runs in place on its own sorted copies, and the
+    # normal quantile gathers and puts back its tails in its own buffers
+    rng = np.random.default_rng(5)
+    p_wide = rng.uniform(0.0, 1.0, size=(40, 26))
+    p_wide[0, :3] = [5e-324, 1e-300, 1.0 - 1e-16]
+    x_wide = 90.0 * p_wide
+    x_wide[1, :2] = [0.0, np.inf]
+    p, x = ({"C": wide[:, :13].copy(), "F": np.asfortranarray(wide[:, :13]),
+             "strided": wide[:, ::2]}[layout] for wide in (p_wide, x_wide))
+    saved = [a.copy() for a in (p_wide, x_wide, p, x)]
+    normal_quantile(p)
+    chisq_survival(x, 8)
+    chisq_survival(x, 2 * rng.integers(1, 60, size=x.shape[0]))
+    for a, before in zip((p_wide, x_wide, p, x), saved):
+        assert a.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("x,df,expected", [
