@@ -10,6 +10,12 @@ kernel, ``combine_segments``, which transforms each entry for Fisher
 (log p) and Stouffer (normal quantile) once, not once per segment holding
 it, takes every node's raw statistic (a sum, a minimum, an order
 statistic or Simes' minimum), and calibrates them one row slab at a time.
+
+Fisher, Stouffer, Simes, Tippett and Bonferroni map a block holding an
+exact 0 to exactly 0, whatever else it holds: for Stouffer that includes a
+block that also holds a 1, whose z-sum -inf + inf is taken as -inf.  A
+valid p-value is 0 with probability 0 under its null, so the rule keeps
+every combination superuniform.  Order statistics i >= 2 do not follow it.
 """
 
 from __future__ import annotations
@@ -48,16 +54,6 @@ class EmptyAnnotationError(ValueError):
 
     def __init__(self, message, node=None):
         super().__init__(message)
-        self.node = node
-
-
-class UndefinedSegmentError(DomainError):
-    """Stouffer's combination is undefined on a node's segment because it
-    holds both a zero and a one; ``node`` is the node's id."""
-
-    def __init__(self, node):
-        super().__init__(f"Stouffer is undefined at node {node}: its block"
-                         " holds both a zero and a one")
         self.node = node
 
 
@@ -123,6 +119,16 @@ def validate_pvalues(values, m=None):
     return arr
 
 
+def validate_pvector(values):
+    """``validate_pvalues`` for a 1-D sequence: input of any other shape
+    raises ValueError naming it."""
+    arr = validate_pvalues(values)
+    if arr.ndim != 1:
+        raise ValueError("need a 1-D sequence of p-values, got an array of "
+                         f"shape {arr.shape}")
+    return arr
+
+
 def combine_rows(combiner, block):
     """Combine each row of an (r, n) array of p-values; returns shape (r,)."""
     block = np.asarray(block, dtype=float)
@@ -138,9 +144,7 @@ def combine_rows(combiner, block):
     if kind == "stouffer":
         with np.errstate(invalid="ignore"):     # -inf + inf is NaN
             z = np.sum(_terms(kind, block), axis=1)
-        if np.isnan(z).any():
-            raise DomainError("Stouffer is undefined when a block has both a"
-                              " zero and a one")
+        z[np.isnan(z)] = -np.inf                # a 0 wins over a 1
         return normal_cdf(z / math.sqrt(n))
 
     if kind == "simes":
@@ -162,8 +166,9 @@ def combine_rows(combiner, block):
 def _terms(kind, block):
     """The per-entry terms whose row sums Fisher and Stouffer calibrate:
     log p, or the normal quantile of p, which is -inf at a 0 and +inf at a
-    1 (so a sum over both is NaN).  Applied element by element, so an
-    entry's term never depends on the array it sits in."""
+    1.  A Stouffer sum over both is NaN, and its callers set it to -inf, so
+    that a 0 gives exactly 0 as it does for Fisher.  Applied element by
+    element, so an entry's term never depends on the array it sits in."""
     if kind == "fisher":
         with np.errstate(divide="ignore"):
             return np.log(block)
@@ -175,19 +180,17 @@ def _terms(kind, block):
 def combine(combiner, pvalues):
     """Combine a nonempty sequence of p-values into one p-value.
 
-    The conventions for boundary inputs: Fisher returns 0 when any input is
-    exactly 0 (the limit of the chi-square statistic); Stouffer maps an
-    all-finite block through the z-sum and propagates hard zeros/ones as
-    limits, raising DomainError only for the genuinely undefined mixed case.
+    The conventions for boundary inputs: Fisher, Stouffer, Simes, Tippett
+    and Bonferroni return exactly 0 when any input is exactly 0 (for
+    Fisher and Stouffer the limit of their statistic).  Stouffer returns
+    exactly 1 for a block holding a 1 and no 0, and takes a block holding
+    both as 0.
 
     Raises:
         EmptyInputError: for an empty sequence.
         ValueError: naming the shape, for input that is not 1-D.
     """
-    arr = validate_pvalues(pvalues)
-    if arr.ndim != 1:
-        raise ValueError("need a 1-D sequence of p-values, got an array of "
-                         f"shape {arr.shape}")
+    arr = validate_pvector(pvalues)
     if arr.size == 0:
         raise EmptyInputError("need at least one p-value")
     return float(combine_rows(combiner, arr[None, :])[0])
@@ -250,7 +253,8 @@ def combine_segments(combiner, block, nodes, indptr, indices):
 
     - Fisher and Stouffer: the sum of the slab's ``_terms`` over the
       segment, calibrated by ``chisq_survival`` with one df per node (so its
-      series runs once over all sizes) and by ``normal_cdf``.
+      series runs once over all sizes) and by ``normal_cdf``, after a
+      Stouffer sum over a 0 and a 1 (NaN) is set to -inf.
     - Bonferroni and Tippett: the segment's minimum, taken by
       ``_segment_minima`` with no size groups, calibrated as
       ``min(1, n * stat)`` and by ``beta_cdf(stat, 1, n)``.
@@ -269,15 +273,12 @@ def combine_segments(combiner, block, nodes, indptr, indices):
 
     Raises:
         EmptyInputError: if some node's segment is empty.
-        UndefinedSegmentError: naming the smallest node whose Stouffer
-            segment holds both a zero and a one in some row.
     """
     r, kind = block.shape[0], combiner.kind
     sizes = indptr[nodes + 1] - indptr[nodes]
     if (sizes < 1).any():
         raise EmptyInputError("every node needs a nonempty segment")
     out = np.empty((r, nodes.size))
-    undefined = np.zeros(nodes.size, dtype=bool)
     step = max(1, _GATHER_ENTRIES // max(block.shape[1], 1))
     minimum = kind == "bonferroni" or combiner.name == "tippett"
     if not minimum:
@@ -297,7 +298,7 @@ def combine_segments(combiner, block, nodes, indptr, indices):
         if kind == "fisher":
             slab_out[:] = chisq_survival(-2.0 * slab_out.T, 2 * sizes).T
         elif kind == "stouffer":
-            undefined |= np.isnan(slab_out).any(axis=0)
+            slab_out[np.isnan(slab_out)] = -np.inf      # a 0 wins over a 1
             slab_out[:] = normal_cdf(slab_out / np.sqrt(sizes))
         elif kind == "bonferroni":
             np.minimum(1.0, sizes * slab_out, out=slab_out)
@@ -307,8 +308,6 @@ def combine_segments(combiner, block, nodes, indptr, indices):
             slab_out[:] = beta_cdf(slab_out, i, sizes - i + 1)
         else:                                               # simes
             np.clip(slab_out, 0.0, 1.0, out=slab_out)
-    if undefined.any():
-        raise UndefinedSegmentError(int(nodes[undefined].min()))
     return out
 
 
@@ -369,10 +368,6 @@ def smooth_rows(dag, block, combiner):
     in row chunks.  ``simulate.superuniformity_check`` takes the inner
     nodes' values the same way, one row chunk of its null block at a time,
     and never builds the smoothed copy.
-
-    Raises:
-        UndefinedSegmentError: for Stouffer, naming the smallest node whose
-            block holds both a zero and a one in some row.
     """
     inner, indptr, indices = inner_segments(dag)
     res = combine_segments(combiner, block, inner, indptr, indices)
@@ -399,21 +394,22 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
     """Node p-values for an intersection DAG from item-level p-values.
 
     ``annotations[i]`` is the set of item indices node i's hypothesis
-    intersects over; every edge must satisfy the nesting A_child <= A_parent.
-    Edges are checked in the Dag's stored order, so an input with several
-    violations always names the same one.
+    intersects over, each an integer (not a bool); every edge must satisfy
+    the nesting A_child <= A_parent.  Edges are checked in the Dag's stored
+    order, so an input with several violations always names the same one.
     """
     items = validate_pvalues(item_pvalues)
     if len(annotations) != dag.m:
         raise LengthMismatchError(
             f"expected {dag.m} annotation sets, got {len(annotations)}")
-    sets = [frozenset(int(j) for j in a) for a in annotations]
+    sets = [frozenset(a) for a in annotations]
     for i, a in enumerate(sets):
         if not a:
             raise EmptyAnnotationError(
                 f"node {i} has an empty annotation set", node=i)
         for j in a:
-            if not (0 <= j < items.size):
+            if (isinstance(j, bool) or not isinstance(j, Integral)
+                    or not 0 <= j < items.size):
                 raise DomainError(f"node {i} references unknown item {j}")
     for parent, child in zip(dag.edge_parent.tolist(),
                              dag.edge_child.tolist()):

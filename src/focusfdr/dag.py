@@ -33,6 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -535,12 +536,21 @@ def check_heredity(dag, nonnull):
     A set is ancestor-closed iff it is parent-closed, so only the edges
     into non-null nodes are looked at (``hereditary``).
     """
-    nn = frozenset(nonnull)
-    for v in nn:
-        dag._check_node(v)
-    mask = np.zeros(dag.m, dtype=bool)
-    mask[list(nn)] = True
-    return hereditary(dag, mask)
+    return hereditary(dag, node_mask(dag.m, nonnull))
+
+
+def node_mask(m, nodes):
+    """The boolean (m,) mask of a collection of node ids.  Each id must be
+    an integer in [0, m), and not a bool; any other raises
+    NodeIdOutOfRangeError naming it."""
+    mask = np.zeros(m, dtype=bool)
+    for v in nodes:
+        if (isinstance(v, bool) or not isinstance(v, Integral)
+                or not 0 <= v < m):
+            raise NodeIdOutOfRangeError(
+                f"node {v!r} is not an integer id in [0, {m})")
+        mask[v] = True
+    return mask
 
 
 def hereditary(dag, nonnull):

@@ -133,16 +133,18 @@ def keep_intervals(spec, dag, weighted_p, pvalues=None):
     return enter, leave
 
 
-def interval_count_curve(enter, leave):
-    """Function mapping thresholds t to #{v: enter_v <= t < leave_v}, each
-    a difference of two sorted-rank lookups (O(log m) per threshold)."""
-    enter, leave = np.sort(enter), np.sort(leave)
-
-    def counts(ts):
-        ts = np.asarray(ts, dtype=float)
-        return (np.searchsorted(enter, ts, side="right")
-                - np.searchsorted(leave, ts, side="right"))
-
+def interval_counts(enter, leave, ts):
+    """#{v: enter[i, v] <= t < leave[i, v]} for every row i of (R, m)
+    intervals and each t in row i of an (R, k) block ``ts``: one sorted
+    search of each row's thresholds in its sorted enters, less one in its
+    sorted leaves.  The second is skipped when every leave is +inf, as
+    only "outer" closes intervals."""
+    counts = np.empty(ts.shape, dtype=np.intp)
+    for row, t, out in zip(np.sort(enter, axis=1), ts, counts):
+        out[:] = np.searchsorted(row, t, side="right")
+    if not np.isposinf(leave).all():
+        for row, t, out in zip(np.sort(leave, axis=1), ts, counts):
+            out -= np.searchsorted(row, t, side="right")
     return counts
 
 
@@ -150,8 +152,15 @@ def filtered_count_curve(spec, dag, weighted_p, pvalues=None):
     """Threshold curve of filtered-set sizes for base sets {i: wp_i <= t}.
 
     Returns a function mapping a sorted-or-not array of finite thresholds t
-    to |F({i: wp_i <= t}, p)| for each t, in O(log m) per threshold after
-    an O(m log m + edges) setup (``keep_intervals``).
+    to |F({i: wp_i <= t}, p)| for each t: ``interval_counts`` on the
+    ``keep_intervals``, in O(m log m + edges) per call and O(log m) per
+    threshold.
     """
-    return interval_count_curve(*keep_intervals(spec, dag, weighted_p,
-                                                 pvalues))
+    enter, leave = keep_intervals(spec, dag, weighted_p, pvalues)
+
+    def counts(ts):
+        ts = np.asarray(ts, dtype=float)
+        return interval_counts(enter[None, :], leave[None, :],
+                               ts.reshape(1, -1)).reshape(ts.shape)
+
+    return counts

@@ -23,15 +23,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .combine import (AnnotationNotNestedError, EmptyAnnotationError,
-                      UndefinedSegmentError, intersection_dag_pvalues,
-                      smooth_all_descendants)
+                      intersection_dag_pvalues, smooth_all_descendants)
 from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
                   build_dag, check_edges, disjoint_descendant_depths, is_tree,
                   repeats)
 from .filters import is_monotonic
 from .procedures import (FOCUSED, NotATreeError, RunParams, StructurePlan,
                          run_procedure)
-from .special import DomainError
 from .weights import check_dw_depths
 
 
@@ -323,11 +321,6 @@ def analyze(request):
             p_used = p_original
             if comb is not None:
                 p_used = smooth_all_descendants(dag, p_original, comb)
-    except UndefinedSegmentError as exc:
-        raise DomainError(
-            f"{request.pvalues_file}: Stouffer is undefined at node "
-            f"{names[exc.node]!r}: its block holds both a zero and a one"
-        ) from None
     except EmptyAnnotationError as exc:
         raise EmptyAnnotationError(
             f"{request.items_file}: node {names[exc.node]!r} has no items",

@@ -23,9 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .combine import Combiner, validate_pvalues
+from .combine import Combiner, validate_pvalues, validate_pvector
 from .dag import compute_depths, group_index, is_tree, level_sweep
-from .filters import FilterSpec, apply_filter, keep_intervals
+from .filters import (FilterSpec, apply_filter, interval_counts,
+                      keep_intervals)
 from .weights import (WeightConfig, WeightWorkspace, _check_lambda,
                       check_dw_mode, parse_lambda_policy, resolve_dw,
                       storey_pi0, storey_pi0_rows)
@@ -79,13 +80,13 @@ def bh(pvalues, q):
     p_(k) <= k q / m.  Kept deliberately textbook; it doubles as the
     reference oracle for the focused procedures with unity weights."""
     _check_q(q)
-    return _row_set(_step_up(validate_pvalues(pvalues).reshape(1, -1), q)[0])
+    return _row_set(_step_up(validate_pvector(pvalues).reshape(1, -1), q)[0])
 
 
 def storey_bh(pvalues, q, lam):
     """Adaptive step-up with thresholds k q / (m pi0_hat)."""
     _check_q(q)
-    p = validate_pvalues(pvalues)
+    p = validate_pvector(pvalues)
     return _row_set(_step_up(p.reshape(1, -1), q, storey_pi0(p, lam))[0])
 
 
@@ -191,16 +192,6 @@ def unity_weights(m):
     return np.ones(m)
 
 
-def _counts_at(ends, cands):
-    """#{v: ends[i, v] <= cands[i, j]} for every row i and column j of
-    (R, m) blocks: one sorted search of each row's ``cands`` in its sorted
-    ``ends``, where an end equal to a candidate counts."""
-    counts = np.empty(cands.shape, dtype=np.intp)
-    for row, c, out in zip(np.sort(ends, axis=1), cands, counts):
-        out[:] = np.searchsorted(row, c, side="right")
-    return counts
-
-
 def _scan(wp, enter, leave, q, beta):
     """The threshold t* of each row of (R, m) blocks, shaped (R, 1): the
     largest candidate t in {0} union {wp_v} with m*t <= q*beta(count(t)),
@@ -209,10 +200,7 @@ def _scan(wp, enter, leave, q, beta):
     of the distinct candidates."""
     m = wp.shape[1]
     cands = np.sort(wp, axis=1)
-    counts = _counts_at(enter, cands)
-    if not np.isposinf(leave).all():      # only "outer" closes intervals
-        counts -= _counts_at(leave, cands)
-    reshaped = beta(counts.astype(float))
+    reshaped = beta(interval_counts(enter, leave, cands).astype(float))
     # m*t <= q*beta(count), with 0/0 = 0 at t = 0 and +inf otherwise;
     # t = 0 is always feasible, so it is the floor of the maximum
     feasible = (m * cands <= q * reshaped) & (reshaped > 0)
@@ -267,7 +255,7 @@ def fbh(dag, pvalues, filter_spec, q):
 def by_procedure(pvalues, q):
     """Benjamini-Yekutieli: step-up with the harmonic-sum correction."""
     _check_q(q)
-    p = validate_pvalues(pvalues)
+    p = validate_pvector(pvalues)
     return _row_set(_step_up(p.reshape(1, -1), q,
                              beta=ReshapingFn.by(p.size))[0])
 

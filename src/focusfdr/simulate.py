@@ -36,7 +36,7 @@ import numpy as np
 
 from .combine import (Combiner, combine_segments, inner_segments,
                       smooth_all_descendants)
-from .dag import build_dag, hereditary, level_sweep
+from .dag import build_dag, hereditary, level_sweep, node_mask
 from .procedures import NotATreeError, RunParams, StructurePlan, run_rows
 from .special import normal_cdf
 from .weights import check_dw_depths
@@ -204,15 +204,9 @@ def _node_means(depths, setup):
     raise ValueError(f"unknown signal setup {setup!r}")
 
 
-def _truth_mask(m, truth):
-    nonnull = np.zeros((1, m), dtype=bool)
-    nonnull[0, np.fromiter(truth, dtype=np.intp, count=len(truth))] = True
-    return nonnull
-
-
 def signal_means(depths, truth, setup):
     """Per-node normal means: 0 for nulls, setup-dependent for non-nulls."""
-    nonnull = _truth_mask(len(depths.depth), truth)[0]
+    nonnull = node_mask(len(depths.depth), truth)
     return np.where(nonnull, _node_means(depths, setup), 0.0)
 
 
@@ -222,8 +216,8 @@ def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
     The shared draw is consumed even at rho = 0, so the independent model is
     the exact rho = 0 stream."""
     _check_rho(rho)
-    return _pvalue_rows(depths, _truth_mask(dag.m, truth), setup, rho,
-                        [np.random.default_rng(seed)])[0]
+    return _pvalue_rows(depths, node_mask(dag.m, truth)[None, :], setup,
+                        rho, [np.random.default_rng(seed)])[0]
 
 
 def _pvalue_rows(depths, nonnull, setup, rho, streams):
@@ -401,11 +395,14 @@ def run_simulation(config, n_workers=None):
     regardless of the worker count and the block size; replication
     streams never depend on scheduling.
     """
-    if config.n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {config.n_reps}")
+    n = config.n_reps
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"n_reps must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n}")
     resolved = _resolve_methods(config)
     workers = resolve_workers(n_workers)
-    n_p, n = len(config.p_nonnull), config.n_reps
+    n_p = len(config.p_nonnull)
     plan, rows = None, 1
     if config.family in _FIXED_GRAPHS:
         plan = StructurePlan(_FIXED_GRAPHS[config.family], resolved[0])
@@ -463,13 +460,13 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     this sum to stay at or below the number of hypotheses.
     """
     _check_monte_carlo(n_mc, seed)
+    nonnull = node_mask(dag.m, truth)
     rng = np.random.default_rng(seed)
     plan = StructurePlan(dag, weight_config)
     depths, ws, lam = plan.depths, plan.workspace, weight_config.lam
 
-    nulls = np.array([v for v in range(dag.m) if v not in truth],
-                     dtype=np.intp)
-    mu = signal_means(depths, truth, setup)
+    nulls = np.flatnonzero(~nonnull)
+    mu = np.where(nonnull, _node_means(depths, setup), 0.0)
     totals = np.empty(n_mc)
     rows = max(1, _BLOCK_ENTRIES // max(dag.m, 1))
     for a in range(0, n_mc, rows):

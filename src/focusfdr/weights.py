@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .combine import EmptyInputError, validate_pvalues
+from .combine import EmptyInputError, validate_pvalues, validate_pvector
 
 
 class LambdaOutOfRangeError(ValueError):
@@ -101,7 +101,7 @@ def check_dw_depths(dw, max_depth, graph):
 def storey_pi0(pvalues, lam):
     """Storey's null-proportion estimate (1 + #{p > lam}) / (m (1 - lam))."""
     _check_lambda(lam)
-    arr = validate_pvalues(pvalues)
+    arr = validate_pvector(pvalues)
     if arr.size == 0:
         raise EmptyInputError("need at least one p-value")
     return float(storey_pi0_rows(arr.reshape(1, -1), lam)[0])

@@ -157,15 +157,19 @@ def test_cli_analyze_invalid_pvalue_exits_2_with_line(chain_files, tmp_path,
     assert f"{bad}:3:" in err and "not in [0, 1]" in err
 
 
-def test_cli_analyze_stouffer_undefined_names_node(tmp_path, capsys):
+def test_cli_analyze_stouffer_undefined_names_node(tmp_path):
+    # the segments of z and w hold both a 0 and a 1: a 0 wins, as for
+    # Fisher, so both are smoothed to exactly 0.0 and discovered
     dag = write(tmp_path / "dag.csv", "parent,child\nx,y\nz,w\nw,v\n")
     pv = write(tmp_path / "p.csv",
                "node,p\nx,0.5\ny,0.2\nz,0.4\nw,0.0\nv,1.0\n")
+    out = tmp_path / "report.json"
     code = main(["analyze", "--dag", dag, "--pvalues", pv,
-                 "--smoothing", "stouffer"])
-    assert code == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "Stouffer is undefined at node 'z'" in err and pv in err
+                 "--smoothing", "stouffer", "--json-out", str(out)])
+    assert code == EXIT_OK
+    found = {r["node"]: r["p_used"]
+             for r in json.loads(out.read_text())["discoveries"]}
+    assert found == {"z": 0.0, "w": 0.0}
 
 
 @pytest.mark.parametrize("command", ["analyze", "graph-info"])

@@ -18,7 +18,7 @@ import focusfdr.combine as combine_module
 from focusfdr.checks import random_dag, random_tree
 from focusfdr.combine import (AnnotationNotNestedError, Combiner,
                               EmptyAnnotationError, EmptyInputError,
-                              UndefinedSegmentError, combine, combine_rows,
+                              combine, combine_rows,
                               combine_segments, inner_segments,
                               intersection_dag_pvalues, smooth_rows,
                               smooth_all_descendants, LengthMismatchError)
@@ -85,8 +85,9 @@ def test_stouffer_reference(ps, expected):
 def test_stouffer_boundary_limits():
     assert combine(Combiner("stouffer"), [0.0, 0.4]) == 0.0
     assert combine(Combiner("stouffer"), [1.0, 0.4]) == 1.0
-    with pytest.raises(DomainError):
-        combine(Combiner("stouffer"), [0.0, 1.0])
+    # a 0 wins over a 1, as for Fisher, Simes, Tippett and Bonferroni
+    got = combine(Combiner("stouffer"), [0.0, 1.0])
+    assert got == 0.0 and not np.signbit(got)
 
 
 @pytest.mark.parametrize("ps, expected", [
@@ -273,19 +274,14 @@ SMOOTHERS = [Combiner("fisher"), Combiner("stouffer"), Combiner("simes"),
 
 def smooth_oracle(dag, block, comb):
     """Node-by-node smoothing of each row alone over mask-derived
-    descendant sets; returns (smoothed block, None), or (None, v) for the
-    first node v whose combination raises in some row."""
+    descendant sets."""
     out = block.copy()
     for v in range(dag.m):
         desc = sorted(descendants(dag, v))
         if desc:
-            try:
-                for i in range(block.shape[0]):
-                    out[i, v] = combine_rows(comb,
-                                             block[i:i + 1, [v] + desc])[0]
-            except DomainError:
-                return None, v
-    return out, None
+            for i in range(block.shape[0]):
+                out[i, v] = combine_rows(comb, block[i:i + 1, [v] + desc])[0]
+    return out
 
 
 def with_exact_bounds(rng, shape, share):
@@ -308,14 +304,9 @@ def test_smooth_rows_matches_per_node_oracle(seed, tree, max_m, r, share,
     rng = np.random.default_rng(seed)
     dag = random_tree(rng, max_m) if tree else random_dag(rng, max_m)
     block = with_exact_bounds(rng, (r, dag.m), share)
-    expected, bad = smooth_oracle(dag, block, comb)
+    expected = smooth_oracle(dag, block, comb)
     with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
-        if bad is None:
-            assert np.array_equal(smooth_rows(dag, block, comb), expected)
-        else:
-            with pytest.raises(UndefinedSegmentError) as info:
-                smooth_rows(dag, block, comb)
-            assert info.value.node == bad
+        assert np.array_equal(smooth_rows(dag, block, comb), expected)
 
 
 @pytest.mark.parametrize("gather", [7, 1 << 16])
@@ -393,32 +384,37 @@ def test_block_smoothing_rows_straddling_slabs(comb, r):
 
 @pytest.mark.parametrize("gather", [6, 12])
 def test_stouffer_names_smallest_undefined_node_across_slabs(gather):
-    # slabs of one or two rows: node 3 is undefined from row 1 on, node 2
-    # only in row 2, a later slab; node 2 is still the one named
+    # slabs of one or two rows: node 3's segment holds a 0 and a 1 from
+    # row 1 on, node 2's only in row 2, a later slab; each such segment
+    # combines to exactly +0.0, in whichever slab it falls
     dag = build_dag(6, [(2, 0), (2, 1), (3, 2), (3, 4)])
     block = np.array([[0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
                       [1.0, 0.5, 0.5, 0.5, 0.0, 0.5],
                       [0.0, 1.0, 0.5, 0.5, 0.5, 0.5]])
     with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
-        with pytest.raises(UndefinedSegmentError) as info:
-            smooth_rows(dag, block, Combiner("stouffer"))
-    assert info.value.node == 2
+        sm = smooth_rows(dag, block, Combiner("stouffer"))
+    assert np.array_equal(sm[1:, 3], [0.0, 0.0]) and sm[2, 2] == 0.0
+    assert sm[1, 2] == 1.0 and not np.signbit(sm).any()
+    assert np.array_equal(sm, smooth_oracle(dag, block, Combiner("stouffer")))
 
 
 def test_stouffer_smoothing_names_smallest_undefined_node():
-    # nodes 2 and 3 both see the 0 at node 0 and the 1 at node 1; node 3's
-    # larger segment is combined first, yet node 2 is the one named
+    # nodes 2 and 3 both see the 0 at node 0 and the 1 at node 1: both
+    # combine to exactly 0.0, and row 0 and the leaves are untouched
     dag = build_dag(6, [(2, 0), (2, 1), (3, 2), (3, 4)])
     block = np.array([[0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
                       [0.0, 1.0, 0.5, 0.5, 0.5, 0.5]])
-    with pytest.raises(UndefinedSegmentError) as info:
-        smooth_rows(dag, block, Combiner("stouffer"))
-    assert info.value.node == 2
-    assert isinstance(info.value, DomainError)
-    assert "node 2" in str(info.value)
-    # valid results are unchanged: a lone 0 or 1 still propagates as a limit
+    sm = smooth_rows(dag, block, Combiner("stouffer"))
+    assert sm[1, 2] == 0.0 and sm[1, 3] == 0.0
+    assert not np.signbit(sm).any()
+    assert np.array_equal(sm[1, [0, 1, 4, 5]], block[1, [0, 1, 4, 5]])
+    assert np.array_equal(sm[0], smooth_rows(dag, block[:1],
+                                             Combiner("stouffer"))[0])
+    # a lone 0 or 1 still propagates as a limit
     sm = smooth_rows(dag, block[:, [0, 0, 2, 3, 4, 5]], Combiner("stouffer"))
     assert sm[1, 2] == 0.0 and sm[1, 3] == 0.0
+    sm = smooth_rows(dag, block[:, [1, 1, 2, 3, 4, 5]], Combiner("stouffer"))
+    assert sm[1, 2] == 1.0 and sm[1, 3] == 1.0
 
 
 @pytest.mark.parametrize("r", [1, 40])
@@ -433,11 +429,13 @@ def test_stouffer_smoothing_limits_are_exact(r):
     limit = np.where(block[:, 0] == 0.0, 0.0, 1.0)
     assert np.array_equal(sm[:, 2], limit) and np.array_equal(sm[:, 3], limit)
     assert not np.signbit(sm).any()
-    # a 0 and a 1 in one row's segment name the smallest such node
+    # a 0 and a 1 in one row's segment combine to exactly 0.0, and the
+    # other rows keep their limits
     block[-1, 0], block[-1, 1] = 0.0, 1.0
-    with pytest.raises(UndefinedSegmentError) as info:
-        smooth_rows(dag, block, Combiner("stouffer"))
-    assert info.value.node == 2
+    sm = smooth_rows(dag, block, Combiner("stouffer"))
+    limit[-1] = 0.0
+    assert np.array_equal(sm[:, 2], limit) and np.array_equal(sm[:, 3], limit)
+    assert not np.signbit(sm).any()
 
 
 def nested_annotations(rng, dag, n_items):
@@ -459,21 +457,63 @@ def test_intersection_matches_per_node_loop(seed, tree, share, comb, gather):
     dag = random_tree(rng, 20) if tree else random_dag(rng, 20)
     items = with_exact_bounds(rng, 25, share)
     sets = nested_annotations(rng, dag, items.size)
-    expected, bad = np.empty(dag.m), None
-    for i, a in enumerate(sets):
-        try:
-            expected[i] = combine(comb, items[sorted(a)])
-        except DomainError:
-            bad = i
-            break
+    expected = np.array([combine(comb, items[sorted(a)]) for a in sets])
     with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
-        if bad is None:
-            out = intersection_dag_pvalues(dag, sets, items, comb)
-            assert np.array_equal(out, expected)
-        else:
-            with pytest.raises(UndefinedSegmentError) as info:
-                intersection_dag_pvalues(dag, sets, items, comb)
-            assert info.value.node == bad
+        out = intersection_dag_pvalues(dag, sets, items, comb)
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("bad", [1.9, True, np.True_, 1.0, "1"], ids=repr)
+def test_intersection_names_an_item_id_that_is_not_an_integer(bad):
+    # not read as item 1
+    dag = build_dag(2, [(0, 1)])
+    items = np.array([0.5, 0.01, 0.5])
+    message = f"node 1 references unknown item {re.escape(str(bad))}$"
+    with pytest.raises(DomainError, match=message):
+        intersection_dag_pvalues(dag, [{0, 1, 2}, {bad}], items,
+                                 Combiner("simes"))
+    got = intersection_dag_pvalues(dag, [{0, 1, 2}, {np.int64(1)}], items,
+                                   Combiner("simes"))
+    assert got[1] == 0.01
+
+
+RULE_COMBINERS = ["fisher", "stouffer", "simes", "tippett", "bonferroni"]
+
+
+@pytest.mark.parametrize("name", RULE_COMBINERS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_segment_holding_a_zero_combines_to_zero(name, data):
+    # whatever else it holds, a 1 included, a segment with an exact 0
+    # combines to +0.0: through combine, combine_segments and smooth_rows
+    # on a chain whose root segment is the whole row (rows holding the 0
+    # alternate with rows holding 1s in its place, so that small slabs
+    # split them) and intersection mode.  Stouffer on a segment with a 1
+    # and no 0 still gives exactly 1.0
+    comb = Combiner.from_name(name)
+    n = data.draw(st.integers(1, 12))
+    entry = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+    seg = np.array(data.draw(st.lists(entry, min_size=n, max_size=n))) + 0.0
+    seg[data.draw(st.integers(0, n - 1))] = 0.0
+    zeros = np.zeros(3)
+    got = combine(comb, seg)
+    assert got == 0.0 and not np.signbit(got)
+    block = np.array([seg, np.where(seg == 0.0, 1.0, seg)] * 3)
+    dag = build_dag(n, [(v, v + 1) for v in range(n - 1)])
+    indptr, indices = dag.descendant_closure
+    for gather in (1, 7, 1 << 16):
+        with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
+            got = combine_segments(comb, block, np.array([0]), indptr,
+                                   indices)[:, 0]
+            sm = smooth_rows(dag, block, comb)[:, 0]
+        for out in (got, sm):
+            assert np.array_equal(out[::2], zeros)
+            assert not np.signbit(out[::2]).any()
+            if name == "stouffer":
+                assert np.array_equal(out[1::2], zeros + 1.0)
+    got = intersection_dag_pvalues(build_dag(1, []), [set(range(n))], seg,
+                                   comb)
+    assert got[0] == 0.0 and not np.signbit(got[0])
 
 
 def test_combine_names_the_shape_of_non_1d_input():
@@ -498,18 +538,13 @@ def signed_block(rng, shape, share):
 
 
 def segment_oracle(comb, block, nodes, indptr, indices):
-    """``combine_rows`` on each row and node's segment alone; returns
-    (combined, None), or (None, v) for the smallest node v whose
-    combination raises in some row."""
-    out, bad = np.empty((block.shape[0], nodes.size)), []
+    """``combine_rows`` on each row and node's segment alone."""
+    out = np.empty((block.shape[0], nodes.size))
     for j, v in enumerate(nodes.tolist()):
         seg = indices[indptr[v]:indptr[v + 1]]
-        try:
-            for i in range(block.shape[0]):
-                out[i, j] = combine_rows(comb, block[i:i + 1, seg])[0]
-        except DomainError:
-            bad.append(v)
-    return (None, min(bad)) if bad else (out, None)
+        for i in range(block.shape[0]):
+            out[i, j] = combine_rows(comb, block[i:i + 1, seg])[0]
+    return out
 
 
 def item_segments(rng, dag, n_items):
@@ -549,19 +584,14 @@ def test_combine_segments_matches_combine_rows(seed, shape, r, share, comb,
         nodes = np.flatnonzero(np.diff(indptr) > 1)
     elif pick == "shuffled":
         nodes = rng.choice(dag.m, size=int(rng.integers(1, 2 * dag.m)))
-    expected, bad = segment_oracle(comb, block, nodes, indptr, indices)
+    expected = segment_oracle(comb, block, nodes, indptr, indices)
     with mock.patch.object(combine_module, "_GATHER_ENTRIES", gather):
-        if bad is None:
-            got = combine_segments(comb, block, nodes, indptr, indices)
-            assert np.array_equal(got, expected)
-            if comb.kind == "bonferroni":
-                assert not np.signbit(got).any()
-            else:
-                assert np.array_equal(np.signbit(got), np.signbit(expected))
-        else:
-            with pytest.raises(UndefinedSegmentError) as info:
-                combine_segments(comb, block, nodes, indptr, indices)
-            assert info.value.node == bad
+        got = combine_segments(comb, block, nodes, indptr, indices)
+    assert np.array_equal(got, expected)
+    if comb.kind == "bonferroni":
+        assert not np.signbit(got).any()
+    else:
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_combine_segments_rejects_an_empty_segment():

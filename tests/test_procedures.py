@@ -1,6 +1,8 @@
 """Tests for the step-up procedures: hand examples, equivalences, and the
 self-consistency / monotonicity properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from focusfdr.checks import (check_oracle_tstar, check_procedure_monotonicity,
                              random_dag, random_tree)
 from focusfdr.dag import build_dag
-from focusfdr.filters import FilterSpec, interval_count_curve
+from focusfdr.filters import FilterSpec, interval_counts
 from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
                                  LevelOutOfRangeError, NonpositiveWeightError,
                                  NotATreeError, QOutOfRangeError, ReshapingFn,
-                                 StructurePlan, YK_DIVISOR, _counts_at,
+                                 StructurePlan, YK_DIVISOR,
                                  _focused_rows, _scan, _step_up, _top_down,
                                  bh, brute_force_tstar,
                                  by_procedure, fbh, run_procedure, run_rows,
@@ -319,11 +321,26 @@ def textbook_step_up(p, q, pi0=1.0):
     return frozenset(order[:ks[-1] + 1].tolist()) if ks.size else frozenset()
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: bh(p, 0.1), lambda p: storey_bh(p, 0.1, 0.5),
+    lambda p: by_procedure(p, 0.1), lambda p: storey_pi0(p, 0.5)],
+    ids=["bh", "storey_bh", "by_procedure", "storey_pi0"])
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4), ()])
+def test_vector_procedures_reject_other_shapes(call, shape):
+    # a block is not flattened into one vector of p-values
+    p = np.full(shape, 0.01)
+    with pytest.raises(ValueError, match=re.escape(
+            f"need a 1-D sequence of p-values, got an array of shape {shape}")):
+        call(p)
+
+
 def interval_scan(wp, enter, leave, q, beta):
-    """t* from the distinct candidates and the sorted-interval count curve,
-    one row at a time."""
+    """t* from the distinct candidates, each counted by comparing it with
+    every interval, one row at a time."""
     cands = np.unique(np.concatenate(([0.0], wp)))
-    reshaped = beta(interval_count_curve(enter, leave)(cands).astype(float))
+    counts = np.count_nonzero((enter <= cands[:, None])
+                              & (cands[:, None] < leave), axis=1)
+    reshaped = beta(counts.astype(float))
     feasible = (wp.size * cands <= q * reshaped) & (reshaped > 0)
     feasible |= cands == 0.0
     return float(cands[feasible][-1])
@@ -401,7 +418,7 @@ def test_counts_at_matches_pairwise_comparison(data, r, n_ends, n_cands):
     cands = np.sort(np.array(data.draw(st.lists(
         st.sampled_from(COUNT_ENDS[:-1]), min_size=r * n_cands,
         max_size=r * n_cands))).reshape(r, n_cands), axis=1)
-    got = _counts_at(ends, cands)
+    got = interval_counts(ends, np.full(ends.shape, np.inf), cands)
     assert got.shape == (r, n_cands)
     assert np.issubdtype(got.dtype, np.integer)
     assert np.array_equal(got, np.count_nonzero(

@@ -2,6 +2,7 @@
 replication harness."""
 
 import os
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -17,8 +18,8 @@ import focusfdr.simulate as simulate_module
 from focusfdr.checks import check_superuniformity, random_dag, random_tree
 from focusfdr.combine import (Combiner, combine_segments, inner_segments,
                               smooth_all_descendants, smooth_rows)
-from focusfdr.dag import (build_dag, check_heredity, compute_depths,
-                          group_index, is_tree)
+from focusfdr.dag import (NodeIdOutOfRangeError, build_dag, check_heredity,
+                          compute_depths, group_index, is_tree)
 from focusfdr.filters import FilterSpec
 from focusfdr.procedures import StructurePlan, run_procedure
 from focusfdr.simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec,
@@ -356,6 +357,14 @@ def test_run_simulation_rejects_empty_sweep(n_reps):
         run_simulation(_small_config(n_reps=n_reps))
 
 
+@pytest.mark.parametrize("n_reps", [2.5, True, "8", 8.0])
+def test_run_simulation_rejects_a_non_integer_replication_count(n_reps):
+    with mock.patch.object(simulate_module, "_run_block") as run_block:
+        with pytest.raises(ValueError, match="n_reps must be an integer"):
+            run_simulation(_small_config(n_reps=n_reps))
+    run_block.assert_not_called()
+
+
 def test_replication_composition_with_smoothing():
     # pins the per-replication pipeline: draw, smooth, weight the smoothed
     # vector, run the filtered scan, score against the truth
@@ -533,6 +542,28 @@ def test_condition1_blocks_match_per_replication_loop(family, p_nonnull,
     assert res.estimate == totals.mean()
     se = totals.std(ddof=1) / np.sqrt(n_mc) if n_mc > 1 else 0.0
     assert res.se == se
+
+
+BAD_TRUTH_IDS = [-1, 4, 3.7, True, np.True_, "3", None]
+
+
+@pytest.mark.parametrize("bad", BAD_TRUTH_IDS, ids=repr)
+def test_truth_sets_take_only_node_ids(bad):
+    # on the 4-node DAG 0 -> 1, 0 -> 2, 2 -> 3 an id that is not an integer
+    # in [0, 4) is named, before any draw, not read as some other node
+    dag = build_dag(4, [(0, 1), (0, 2), (2, 3)])
+    depths = compute_depths(dag)
+    truth = {0, 2, bad}
+    with mock.patch.object(np.random, "default_rng") as rng:
+        for call in (
+                lambda: sample_pvalues(dag, depths, truth, "global", 0.0),
+                lambda: signal_means(depths, truth, "global"),
+                lambda: condition1_check(dag, WeightConfig(), truth, 10),
+                lambda: check_heredity(dag, truth)):
+            with pytest.raises(NodeIdOutOfRangeError,
+                               match=f"node {re.escape(repr(bad))} "):
+                call()
+    rng.assert_not_called()
 
 
 def test_condition1_flat_group_bound():
