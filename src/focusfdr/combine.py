@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
+from .dag import _is_int
 from .special import (DomainError, beta_cdf, chisq_survival, normal_cdf,
                       normal_quantile)
 
@@ -81,8 +81,7 @@ class Combiner:
         if self.kind not in ("fisher", "stouffer", "simes", "orderstat",
                              "bonferroni"):
             raise ValueError(f"unknown combiner kind {self.kind!r}")
-        if (isinstance(self.order, bool)
-                or not isinstance(self.order, Integral) or self.order < 1):
+        if not _is_int(self.order, 1):
             raise ValueError("combiner order must be an integer >= 1, got "
                              f"{self.order!r}")
 
@@ -108,24 +107,25 @@ class Combiner:
         return self.kind
 
 
-def validate_pvalues(values, m=None):
-    """Return a float array after checking entries lie in [0, 1] (no NaN),
-    then, if ``m`` is given, that there are m of them."""
+def validate_pvalues(values):
+    """A float array of ``values``, of any shape, after checking that its
+    entries lie in [0, 1], NaN excluded (else DomainError)."""
     arr = np.asarray(values, dtype=float)
     if np.any(~((arr >= 0.0) & (arr <= 1.0))):
         raise DomainError("p-values must lie in [0, 1] and not be NaN")
-    if m is not None and arr.size != m:
-        raise ValueError(f"expected {m} p-values, got {arr.size}")
     return arr
 
 
-def validate_pvector(values):
-    """``validate_pvalues`` for a 1-D sequence: input of any other shape
-    raises ValueError naming it."""
+def validate_pvector(values, m=None):
+    """The p-vector contract of every call taking one p-value per node or
+    item: ``validate_pvalues``, 1-D (a block raises ValueError naming its
+    shape, never flattened) and of length m if given (LengthMismatchError)."""
     arr = validate_pvalues(values)
     if arr.ndim != 1:
         raise ValueError("need a 1-D sequence of p-values, got an array of "
                          f"shape {arr.shape}")
+    if m is not None and arr.size != m:
+        raise LengthMismatchError(f"expected {m} p-values, got {arr.size}")
     return arr
 
 
@@ -385,8 +385,8 @@ def smooth_all_descendants(dag, pvalues, combiner):
     """
     arr = validate_pvalues(pvalues)
     if arr.ndim not in (1, 2) or arr.shape[-1] != dag.m:
-        raise LengthMismatchError(f"expected {dag.m} p-values, got "
-                                  f"{arr.shape[-1] if arr.ndim else 1}")
+        raise LengthMismatchError(f"expected ({dag.m},) or (R, {dag.m}) "
+                                  f"p-values, got shape {arr.shape}")
     return smooth_rows(dag, np.atleast_2d(arr), combiner).reshape(arr.shape)
 
 
@@ -398,7 +398,7 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
     the nesting A_child <= A_parent.  Edges are checked in the Dag's stored
     order, so an input with several violations always names the same one.
     """
-    items = validate_pvalues(item_pvalues)
+    items = validate_pvector(item_pvalues)
     if len(annotations) != dag.m:
         raise LengthMismatchError(
             f"expected {dag.m} annotation sets, got {len(annotations)}")
@@ -408,8 +408,7 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
             raise EmptyAnnotationError(
                 f"node {i} has an empty annotation set", node=i)
         for j in a:
-            if (isinstance(j, bool) or not isinstance(j, Integral)
-                    or not 0 <= j < items.size):
+            if not _is_int(j, 0, items.size):
                 raise DomainError(f"node {i} references unknown item {j}")
     for parent, child in zip(dag.edge_parent.tolist(),
                              dag.edge_child.tolist()):

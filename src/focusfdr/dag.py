@@ -30,7 +30,6 @@ reads them.  Closures are computed lazily and cached on the Dag:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -94,13 +93,12 @@ class Dag:
     """
 
     def __init__(self, m, edges):
-        m = operator.index(m)
-        if m < 0:
-            raise DagError("node count must be nonnegative")
+        if not _is_int(m, 0):
+            raise DagError(f"node count must be an integer >= 0, got {m!r}")
+        self.m = m = int(m)
         parent, child = _edge_arrays(edges)
         order = check_edges(m, parent, child)
         parent, child = parent[order], child[order]
-        self.m = m
         n_kids = np.bincount(parent, minlength=m)
         in_degree = np.bincount(child, minlength=m)
         indptr = np.zeros(m + 1, dtype=np.intp)
@@ -156,10 +154,6 @@ class Dag:
             raise CycleDetectedError(
                 f"edge set contains a directed cycle through node {v}", node=v)
         return depth
-
-    def _check_node(self, node):
-        if not (0 <= node < self.m):
-            raise NodeIdOutOfRangeError(f"node {node} outside [0, {self.m})")
 
     @cached_property
     def children(self):
@@ -268,7 +262,7 @@ class Dag:
     def descendant_indices(self, node):
         """Sorted strict descendants of ``node``: a view of its row of
         ``descendant_closure`` after the node itself."""
-        self._check_node(node)
+        _check_node(self.m, node)
         indptr, indices = self.descendant_closure
         return indices[indptr[node] + 1:indptr[node + 1]]
 
@@ -277,14 +271,18 @@ class Dag:
 
 
 def _edge_arrays(edges):
-    """(parent, child) intp arrays from an (E, 2) array or an iterable of
-    pairs."""
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                       dtype=np.intp)
+    """(parent, child) intp arrays from an (E, 2) integer array or an
+    iterable of pairs of ids, each an integer by ``_is_int``."""
+    pairs = (edges if isinstance(edges, np.ndarray)
+             else np.array(list(edges), dtype=object))
     if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise DagError("edges must be (parent, child) pairs")
+        pairs = np.empty((0, 2), dtype=np.intp)
+    # without bounds ``_is_int`` reads only the type: one id per type does
+    ints = pairs.dtype.kind in "iu" or pairs.dtype == object and all(
+        map(_is_int, {type(v): v for v in pairs.flat}.values()))
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not ints:
+        raise DagError("edges must be (parent, child) pairs of integer ids")
+    pairs = pairs.astype(np.intp, copy=False)
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -337,22 +335,14 @@ def _segments(start, count):
     return out
 
 
-def mask_of(nodes):
-    """Integer bitmask for an iterable of node ids."""
-    acc = 0
-    for v in nodes:
-        acc |= 1 << v
-    return acc
-
-
 def _read_only(array):
     array.flags.writeable = False
     return array
 
 
 def build_dag(m, edges):
-    """Validate and build a Dag; rejects ids outside [0, m), self-loops,
-    duplicates and cycles."""
+    """Validate and build a Dag; rejects an m or ids that are not integers,
+    ids outside [0, m), self-loops, duplicates and cycles."""
     return Dag(m, edges)
 
 
@@ -419,13 +409,13 @@ def _reachable(adjacency, start, count, node):
 def ancestors(dag, node):
     """Strict ancestors of ``node`` (transitive closure along reversed
     edges)."""
-    dag._check_node(node)
+    _check_node(dag.m, node)
     return _reachable(dag.edge_parent, dag.parent_start, dag.in_degree, node)
 
 
 def descendants(dag, node):
     """Strict descendants of ``node``."""
-    dag._check_node(node)
+    _check_node(dag.m, node)
     ptr = dag.child_indptr
     return _reachable(dag.child_indices, ptr[:-1], np.diff(ptr), node)
 
@@ -539,17 +529,28 @@ def check_heredity(dag, nonnull):
     return hereditary(dag, node_mask(dag.m, nonnull))
 
 
+def _is_int(value, low=None, high=None):
+    """The integer rule of every id, count and seed: an int or numpy
+    integer, not a bool or float, in [low, high), each bound if given."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and (low is None or value >= low)
+            and (high is None or value < high))
+
+
+def _check_node(m, node):
+    """``int(node)`` if ``_is_int(node, 0, m)``, else NodeIdOutOfRangeError."""
+    if not _is_int(node, 0, m):
+        raise NodeIdOutOfRangeError(
+            f"node {node!r} is not an integer id in [0, {m})")
+    return int(node)
+
+
 def node_mask(m, nodes):
     """The boolean (m,) mask of a collection of node ids.  Each id must be
-    an integer in [0, m), and not a bool; any other raises
-    NodeIdOutOfRangeError naming it."""
+    an int or numpy integer in [0, m), not a bool or float (``_is_int``);
+    any other raises NodeIdOutOfRangeError naming it."""
     mask = np.zeros(m, dtype=bool)
-    for v in nodes:
-        if (isinstance(v, bool) or not isinstance(v, Integral)
-                or not 0 <= v < m):
-            raise NodeIdOutOfRangeError(
-                f"node {v!r} is not an integer id in [0, {m})")
-        mask[v] = True
+    mask[[_check_node(m, v) for v in nodes]] = True
     return mask
 
 

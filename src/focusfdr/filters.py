@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import fold_edges, is_tree, level_sweep, mask_of
+from .combine import validate_pvector
+from .dag import fold_edges, is_tree, level_sweep, node_mask
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,20 @@ def apply_filter(spec, dag, rejected, pvalues=None):
     sub-DAG); "outer" keeps nodes with no rejected descendant (the antichain
     of outermost rejections); "screen" intersects with {p <= threshold}.
     """
-    rejected = frozenset(int(v) for v in rejected)
-    for v in rejected:
-        dag._check_node(v)
+    mask = node_mask(dag.m, rejected)
+    rejected = frozenset(np.flatnonzero(mask).tolist())
+    # bit v set iff v is rejected, as in the Dag's closure masks
+    r_mask = int.from_bytes(np.packbits(mask, bitorder="little"), "little")
     if spec.kind == "trivial":
         return rejected
     if spec.kind == "ds":
-        r_mask = mask_of(rejected)
         anc = dag.ancestor_masks
         return frozenset(v for v in rejected if anc[v] & ~r_mask == 0)
     if spec.kind == "outer":
-        r_mask = mask_of(rejected)
         desc = dag.descendant_masks
         return frozenset(v for v in rejected if desc[v] & r_mask == 0)
     if spec.kind == "screen":
-        p = np.asarray(pvalues, dtype=float)
+        p = validate_pvector(pvalues, dag.m)
         return frozenset(v for v in rejected if p[v] <= spec.threshold)
     raise ValueError(f"unknown filter kind {spec.kind!r}")
 

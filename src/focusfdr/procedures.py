@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .combine import Combiner, validate_pvalues, validate_pvector
-from .dag import compute_depths, group_index, is_tree, level_sweep
+from .combine import Combiner, validate_pvector
+from .dag import _is_int, compute_depths, group_index, is_tree, level_sweep
 from .filters import (FilterSpec, apply_filter, interval_counts,
                       keep_intervals)
 from .weights import (WeightConfig, WeightWorkspace, _check_lambda,
@@ -108,8 +108,8 @@ class ReshapingFn:
 
     @classmethod
     def by(cls, m):
-        if m < 1:
-            raise InvalidReshapingError("BY reshaping needs m >= 1")
+        if not _is_int(m, 1):
+            raise InvalidReshapingError("BY reshaping needs an integer m >= 1")
         return cls("by", scale=1.0 / np.sum(1.0 / np.arange(1, m + 1)))
 
     @classmethod
@@ -189,6 +189,9 @@ class ProcedureResult:
 
 
 def unity_weights(m):
+    """Weight 1 for each of ``m`` nodes, a count: an integer >= 0."""
+    if not _is_int(m, 0):
+        raise ValueError(f"m: must be a nonnegative integer, got {m!r}")
     return np.ones(m)
 
 
@@ -231,7 +234,7 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     intervals: the discoveries are {v: enter_v <= t* < leave_v}.
     """
     _check_q(q)
-    p = validate_pvalues(pvalues, dag.m)
+    p = validate_pvector(pvalues, dag.m)
     w = _weights_array(weights, dag.m).reshape(1, -1)
     beta = reshaping if reshaping is not None else ReshapingFn.identity()
     wp, t_star, found = _focused_rows(dag, p.reshape(1, -1), w, filter_spec,
@@ -294,7 +297,7 @@ def yekutieli_tree(dag, pvalues, level):
     """
     if not (0.0 < level < 1.0):
         raise LevelOutOfRangeError(f"level must be in (0, 1), got {level}")
-    p = validate_pvalues(pvalues, dag.m)
+    p = validate_pvector(pvalues, dag.m)
     return _row_set(_top_down(dag, p.reshape(1, -1), level)[0])
 
 
@@ -424,7 +427,7 @@ def run_procedure(plan, p, name, fspec, q, reshaped=False,
     ProcedureResult.  This is ``run_rows`` on one row, after checking its
     arguments."""
     check_procedure(name, q, reshaped, yk_divisor)
-    p = validate_pvalues(p, plan.dag.m)
+    p = validate_pvector(p, plan.dag.m)
     if name == "storey-bh":
         _check_lambda(plan.weight_config.lam)
     [(found, w, scan)] = run_rows(plan, p.reshape(1, -1),
@@ -437,7 +440,7 @@ def brute_force_tstar(dag, pvalues, weights, filter_spec, q, reshaping=None):
     candidate with a fresh filter application and returns the max feasible
     threshold.  Exists as the oracle for the optimized curve-based scan."""
     _check_q(q)
-    p = validate_pvalues(pvalues)
+    p = validate_pvector(pvalues, dag.m)
     w = _weights_array(weights, dag.m)
     beta = reshaping if reshaping is not None else ReshapingFn.identity()
     wp = w * p

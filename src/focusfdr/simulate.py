@@ -30,13 +30,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .combine import (Combiner, combine_segments, inner_segments,
                       smooth_all_descendants)
-from .dag import build_dag, hereditary, level_sweep, node_mask
+from .dag import _is_int, build_dag, hereditary, level_sweep, node_mask
 from .procedures import NotATreeError, RunParams, StructurePlan, run_rows
 from .special import normal_cdf
 from .weights import check_dw_depths
@@ -146,12 +146,11 @@ def _bipartite2(rng, max_tries=10000):
 
 def generate_graph(family, seed=0):
     """One of the named simulation graphs.  Random families draw from
-    ``np.random.default_rng(seed)`` (a Generator is used as is); the
-    deterministic ones ignore the seed and return one shared, read-only
-    Dag, the same object on every call."""
+    ``_rng(seed)``; the deterministic ones check the seed, ignore it and
+    return one shared, read-only Dag, the same object on every call."""
+    rng = _rng(seed)
     if family in _FIXED_GRAPHS:
         return _FIXED_GRAPHS[family]
-    rng = np.random.default_rng(seed)
     if family == "bipartite1":
         return _bipartite1(rng)
     if family == "bipartite2":
@@ -174,7 +173,7 @@ def assign_truth(dag, p_nonnull, seed=0):
     node non-null iff it has a non-null child.  The result always respects
     the ancestor-heredity assumption."""
     _check_p_nonnull(p_nonnull)
-    nonnull = _truth_rows(dag, p_nonnull, [np.random.default_rng(seed)])
+    nonnull = _truth_rows(dag, p_nonnull, [_rng(seed)])
     return frozenset(np.flatnonzero(nonnull[0]).tolist())
 
 
@@ -217,7 +216,7 @@ def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
     the exact rho = 0 stream."""
     _check_rho(rho)
     return _pvalue_rows(depths, node_mask(dag.m, truth)[None, :], setup,
-                        rho, [np.random.default_rng(seed)])[0]
+                        rho, [_rng(seed)])[0]
 
 
 def _pvalue_rows(depths, nonnull, setup, rho, streams):
@@ -286,25 +285,31 @@ class SimSummary:
 
 
 def _check_seed(seed):
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+    if not _is_int(seed, 0):
         raise ValueError(f"seed: must be a nonnegative integer, got {seed!r}")
 
 
-def _check_monte_carlo(n_mc, seed):
-    """The replication count and seed of a Monte Carlo check, before any
-    draw: n_mc an integer >= 1, seed a nonnegative integer."""
-    if isinstance(n_mc, bool) or not isinstance(n_mc, Integral):
-        raise ValueError(f"n_mc: must be an integer, got {n_mc!r}")
-    if n_mc < 1:
-        raise ValueError(f"n_mc: need at least one replication, got {n_mc}")
-    _check_seed(seed)
+def _rng(seed):
+    """``default_rng`` of a ``_check_seed`` seed, or a Generator as is."""
+    if not isinstance(seed, np.random.Generator):
+        _check_seed(seed)
+    return np.random.default_rng(seed)
+
+
+def _check_n_mc(n_mc):
+    if not _is_int(n_mc, 1):
+        raise ValueError(f"n_mc: must be an integer, at least 1, got {n_mc!r}")
 
 
 def _resolve_methods(config):
-    """Check the whole sweep (family, setup, every p_nonnull, rho, seed and
-    dw depths, then ``RunParams.resolve``, then that the top-down baseline
+    """Check the whole sweep (n_reps, family, setup, every p_nonnull, rho,
+    seed, dw depths, ``RunParams.resolve``, then that the top-down baseline
     runs on a tree family) and parse it once, before any replication;
     returns what ``RunParams.resolve`` returns."""
+    if not _is_int(config.n_reps):
+        raise ValueError(f"n_reps must be an integer, got {config.n_reps!r}")
+    if config.n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {config.n_reps}")
     if config.family not in GRAPH_FAMILIES:
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
@@ -368,8 +373,7 @@ def resolve_workers(n_workers=None):
     """Worker count: the explicit argument, else FOCUSFDR_THREADS, else
     serial.  Either is a nonnegative integer, 0 meaning all cores."""
     if n_workers is not None:
-        if (isinstance(n_workers, bool) or not isinstance(n_workers, Integral)
-                or n_workers < 0):
+        if not _is_int(n_workers, 0):
             raise ValueError("n_workers: must be a nonnegative integer "
                              f"(0 = all cores), got {n_workers!r}")
         n = int(n_workers)
@@ -395,12 +399,8 @@ def run_simulation(config, n_workers=None):
     regardless of the worker count and the block size; replication
     streams never depend on scheduling.
     """
-    n = config.n_reps
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise ValueError(f"n_reps must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n}")
     resolved = _resolve_methods(config)
+    n = config.n_reps
     workers = resolve_workers(n_workers)
     n_p = len(config.p_nonnull)
     plan, rows = None, 1
@@ -459,9 +459,9 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     of inverse weights over the nulls.  FDR control needs the expectation of
     this sum to stay at or below the number of hypotheses.
     """
-    _check_monte_carlo(n_mc, seed)
+    _check_n_mc(n_mc)
     nonnull = node_mask(dag.m, truth)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     plan = StructurePlan(dag, weight_config)
     depths, ws, lam = plan.depths, plan.workspace, weight_config.lam
 
@@ -511,7 +511,7 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     empirical CDF at each threshold, which must be numbers in (0, 1).
 
     Every combiner sees the same (n_mc, m) uniform null block from
-    ``default_rng(seed)``, drawn in row chunks of at most
+    ``_rng(seed)``, drawn in row chunks of at most
     ``_NULL_CHUNK_ENTRIES`` entries, in turn (the stream of one whole
     draw).  A leaf's smoothed p-value is its raw one, so each chunk's raw
     per-node counts at or below each threshold are added once, and per
@@ -522,7 +522,7 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     smoothing the whole block bit for bit, in memory independent of n_mc.
     An empty graph gives a (0, len(thresholds)) ``cdf`` per combiner.
     """
-    _check_monte_carlo(n_mc, seed)
+    _check_n_mc(n_mc)
     if not (isinstance(combiners, (list, tuple)) and combiners
             and all(isinstance(c, Combiner) for c in combiners)):
         raise ValueError("combiners: need a non-empty list or tuple of "
@@ -532,7 +532,7 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     for t in thresholds:
         if not (isinstance(t, Real) and 0.0 < t < 1.0):
             raise ValueError(f"thresholds: {t!r} is not a number in (0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     ts = np.asarray(thresholds, dtype=float)
     inner, indptr, indices = inner_segments(dag)
     raw = np.zeros((dag.m, ts.size), dtype=np.intp)

@@ -17,7 +17,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .combine import EmptyInputError, validate_pvalues, validate_pvector
+from .combine import EmptyInputError, validate_pvector
+from .dag import _is_int
 
 
 class LambdaOutOfRangeError(ValueError):
@@ -66,13 +67,9 @@ def parse_lambda_policy(policy, q):
 
 
 def _is_integer(value):
-    """An int, a numpy integer, or a float with no fractional part; never
-    a bool."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    if isinstance(value, Integral):
-        return True
-    return isinstance(value, Real) and float(value).is_integer()
+    """``_is_int``, or a float with no fractional part (a JSON depth 2.0)."""
+    return _is_int(value) or (isinstance(value, Real) and not isinstance(
+        value, Integral) and float(value).is_integer())
 
 
 def check_dw_mode(dw):
@@ -131,7 +128,7 @@ def min_possible_weight(d, groups, lam, c=1):
     estimation; smaller groups carry data-free ratio weights instead.
     """
     storey, floor = _depth_rule(groups, lam, c)
-    if not (1 <= d <= storey.size and storey[d - 1]):
+    if not (_is_int(d, 1, storey.size + 1) and storey[d - 1]):
         raise NoEligibleGroupError(f"no group at depth {d} larger than c={c}")
     return float(floor[d - 1])
 
@@ -224,6 +221,6 @@ class WeightWorkspace:
 
 def dag_weights(dag, depths, groups, pvalues, config):
     """Data-adaptive weights per node under ``config``, an (m,) array."""
-    arr = validate_pvalues(pvalues, dag.m)
+    arr = validate_pvector(pvalues, dag.m)
     ws = WeightWorkspace(groups, depths, resolve_dw(config, groups), config.c)
     return ws.node_weights(arr, config.lam)

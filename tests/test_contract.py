@@ -1,0 +1,249 @@
+"""The input contract of the public API, walked over ``focusfdr.__all__``.
+
+``TABLE`` holds, for every public callable (and two more public calls that
+take a p-vector or a count: ``ReshapingFn.by`` and ``brute_force_tstar``),
+a call on the chain 0 -> 1 -> 2, its valid arguments, and the kind of each
+argument it checks.  Each kind has its bad values:
+
+- p-vector: a (1, m) and an (m, 1) block, a 0-d array, a NaN, a 1.5 and,
+  where the length is fixed, m + 1 entries;
+- p-block (the (m,) or (R, m) input of smoothing): an (m, 1), a 0-d and a
+  3-D array, a NaN, a 1.5, and (R, m + 1) and (R, m - 1) blocks;
+- id in [low, high): True, 2.5, low - 1, high and "1";
+- count or seed (an integer >= low): True, 2.5, -1, "1" and, for a
+  positive low, low - 1;
+- level: NaN and a value outside its documented interval.
+
+Every bad value, put in place of its argument's valid one, must raise a
+ValueError subclass whose message names the argument.  A bare IndexError,
+TypeError or ZeroDivisionError, or a silent success, fails.  A public
+callable missing from the table fails too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import focusfdr
+from focusfdr import (Combiner, Dag, DepthIndex, FilterSpec, GroupIndex,
+                      MethodSpec, ProcedureResult, ReshapingFn, RunParams,
+                      SimConfig, SimSummary, StructurePlan, WeightConfig,
+                      ancestors, apply_filter, assign_truth, auto_dw, bh,
+                      build_dag, by_procedure, check_heredity,
+                      compute_depths, condition1_check, dag_weights,
+                      descendants, disjoint_descendant_depths, fbh,
+                      generate_graph, group_index, intersection_dag_pvalues,
+                      is_monotonic, is_tree, min_possible_weight,
+                      run_procedure, run_simulation, sample_pvalues,
+                      smooth_all_descendants, storey_bh, storey_pi0,
+                      superuniformity_check, unity_weights,
+                      weighted_reshaped_fbh, wfbh, yekutieli_tree)
+from focusfdr.procedures import brute_force_tstar
+
+M = 3
+DAG = build_dag(M, [(0, 1), (1, 2)])
+DEPTHS = compute_depths(DAG)
+GROUPS = group_index(DAG, DEPTHS)
+P = np.array([0.01, 0.02, 0.03])
+ONES = np.ones(M)
+DS = FilterSpec("ds")
+PLAN = StructurePlan(DAG, WeightConfig())
+NAN = math.nan
+
+
+def pvector(fixed=True):
+    bad = {"(1, m)": np.full((1, M), 0.5), "(m, 1)": np.full((M, 1), 0.5),
+           "0-d": np.array(0.5), "NaN": [NAN, 0.5, 0.5],
+           "1.5": [1.5, 0.5, 0.5]}
+    if fixed:
+        bad["m + 1"] = np.full(M + 1, 0.5)
+    return "p-value", bad
+
+
+def pblock():
+    return "p-value", {
+        "(m, 1)": np.full((M, 1), 0.5), "0-d": np.array(0.5),
+        "3-D": np.full((1, 1, M), 0.5), "NaN": [[NAN, 0.5, 0.5]],
+        "1.5": [[0.5, 1.5, 0.5]], "(R, m + 1)": np.full((2, M + 1), 0.5),
+        "(R, m - 1)": np.full((2, M - 1), 0.5)}
+
+
+def ident(low, high, named):
+    return named, {"True": True, "2.5": 2.5, "low - 1": low - 1,
+                   "high": high, "'1'": "1"}
+
+
+def count(low, named):
+    bad = {"True": True, "2.5": 2.5, "-1": -1, "'1'": "1"}
+    if low > 0:
+        bad["low - 1"] = low - 1
+    return named, bad
+
+
+def level(outside, named):
+    return named, {"NaN": NAN, "outside": outside}
+
+
+FDR_LEVEL = level(1.0, "FDR level")
+LAMBDA = level(1.0, "lambda")
+SEED = count(0, "seed")
+
+
+def _dag(m, child):
+    return build_dag(m, [(0, 1), (1, child)])
+
+
+def _simulate(n_reps, seed, p_nonnull, rho, n_workers):
+    config = SimConfig(family="wide-tree", p_nonnull=(p_nonnull,), rho=rho,
+                       n_reps=n_reps, seed=seed, methods=(MethodSpec("bh"),))
+    return run_simulation(config, n_workers)
+
+
+# name -> (call, valid keyword arguments, {argument: (named, bad values)})
+TABLE = {
+    "Combiner": (lambda order: Combiner("orderstat", order), {"order": 1},
+                 {"order": count(1, "combiner order")}),
+    "intersection_dag_pvalues": (
+        lambda item, items: intersection_dag_pvalues(
+            DAG, [{0, 1, 2}, {1, 2}, {item}], items, Combiner("simes")),
+        {"item": 2, "items": P},
+        {"item": ident(0, M, "item"), "items": pvector(fixed=False)}),
+    "smooth_all_descendants": (
+        lambda p: smooth_all_descendants(DAG, p, Combiner("simes")),
+        {"p": P}, {"p": pblock()}),
+    "Dag": (lambda m, child: Dag(m, [(0, 1), (1, child)]),
+            {"m": M, "child": 2},
+            {"m": count(0, "node count"), "child": ident(0, M, "edge")}),
+    "build_dag": (_dag, {"m": M, "child": 2},
+                  {"m": count(0, "node count"),
+                   "child": ident(0, M, "edge")}),
+    "DepthIndex": (lambda: DepthIndex(DEPTHS.depth, DEPTHS.levels, 3), {},
+                   {}),
+    "GroupIndex": (lambda: GroupIndex(*(getattr(GROUPS, f) for f in (
+        "mem_node", "mem_group", "group_parent", "group_depth",
+        "group_size", "n_d", "depth_sizes"))), {}, {}),
+    "ancestors": (lambda node: ancestors(DAG, node), {"node": 1},
+                  {"node": ident(0, M, "node")}),
+    "descendants": (lambda node: descendants(DAG, node), {"node": 1},
+                    {"node": ident(0, M, "node")}),
+    "check_heredity": (lambda node: check_heredity(DAG, {0, node}),
+                       {"node": 1}, {"node": ident(0, M, "node")}),
+    "compute_depths": (lambda: compute_depths(DAG), {}, {}),
+    "disjoint_descendant_depths": (
+        lambda: disjoint_descendant_depths(DAG, DEPTHS), {}, {}),
+    "group_index": (lambda: group_index(DAG, DEPTHS), {}, {}),
+    "is_tree": (lambda: is_tree(DAG), {}, {}),
+    "FilterSpec": (lambda threshold: FilterSpec("screen", threshold),
+                   {"threshold": 0.5},
+                   {"threshold": level(1.5, "threshold")}),
+    "apply_filter": (lambda node, p: apply_filter(FilterSpec("screen", 0.5),
+                                                  DAG, {0, node}, p),
+                     {"node": 1, "p": P},
+                     {"node": ident(0, M, "node"), "p": pvector()}),
+    "is_monotonic": (lambda: is_monotonic(DS, DAG), {}, {}),
+    "ProcedureResult": (lambda: ProcedureResult(np.zeros(M, bool), ONES),
+                        {}, {}),
+    "ReshapingFn": (lambda: ReshapingFn("identity"), {}, {}),
+    "ReshapingFn.by": (ReshapingFn.by, {"m": M},
+                       {"m": count(1, "integer m")}),
+    "RunParams": (lambda q: RunParams(q=q).resolve([("wfbh", "ds", False)],
+                                                   None),
+                  {"q": 0.1}, {"q": FDR_LEVEL}),
+    "StructurePlan": (lambda lam: StructurePlan(
+        DAG, WeightConfig(lam=lam)).workspace, {"lam": 0.5},
+        {"lam": LAMBDA}),
+    "bh": (bh, {"pvalues": P, "q": 0.1},
+           {"pvalues": pvector(fixed=False), "q": FDR_LEVEL}),
+    "by_procedure": (by_procedure, {"pvalues": P, "q": 0.1},
+                     {"pvalues": pvector(fixed=False), "q": FDR_LEVEL}),
+    "storey_bh": (storey_bh, {"pvalues": P, "q": 0.1, "lam": 0.5},
+                  {"pvalues": pvector(fixed=False), "q": FDR_LEVEL,
+                   "lam": LAMBDA}),
+    "storey_pi0": (storey_pi0, {"pvalues": P, "lam": 0.5},
+                   {"pvalues": pvector(fixed=False), "lam": LAMBDA}),
+    "fbh": (lambda p, q: fbh(DAG, p, DS, q), {"p": P, "q": 0.1},
+            {"p": pvector(), "q": FDR_LEVEL}),
+    "wfbh": (lambda p, q: wfbh(DAG, p, ONES, DS, q), {"p": P, "q": 0.1},
+             {"p": pvector(), "q": FDR_LEVEL}),
+    "weighted_reshaped_fbh": (
+        lambda p, q: weighted_reshaped_fbh(DAG, p, ONES, DS, q,
+                                           ReshapingFn.by(M)),
+        {"p": P, "q": 0.1}, {"p": pvector(), "q": FDR_LEVEL}),
+    "brute_force_tstar": (
+        lambda p, q: brute_force_tstar(DAG, p, ONES, DS, q),
+        {"p": P, "q": 0.1}, {"p": pvector(), "q": FDR_LEVEL}),
+    "run_procedure": (lambda p, q: run_procedure(PLAN, p, "wfbh", DS, q),
+                      {"p": P, "q": 0.1}, {"p": pvector(), "q": FDR_LEVEL}),
+    "yekutieli_tree": (lambda p, level: yekutieli_tree(DAG, p, level),
+                       {"p": P, "level": 0.1},
+                       {"p": pvector(), "level": level(1.0, "level")}),
+    "unity_weights": (unity_weights, {"m": M}, {"m": count(0, r"\bm\b")}),
+    "MethodSpec": (lambda: MethodSpec("bh"), {}, {}),
+    "SimConfig": (lambda: SimConfig(), {}, {}),
+    "SimSummary": (lambda: SimSummary(SimConfig(), (), {}), {}, {}),
+    "generate_graph": (lambda seed: generate_graph("wide-tree", seed),
+                       {"seed": 0}, {"seed": SEED}),
+    "assign_truth": (lambda p_nonnull, seed: assign_truth(DAG, p_nonnull,
+                                                          seed),
+                     {"p_nonnull": 0.5, "seed": 0},
+                     {"p_nonnull": level(1.0, "p_nonnull"), "seed": SEED}),
+    "sample_pvalues": (
+        lambda node, rho, seed: sample_pvalues(DAG, DEPTHS, {0, node},
+                                               "global", rho, seed),
+        {"node": 1, "rho": 0.0, "seed": 0},
+        {"node": ident(0, M, "node"), "rho": level(1.0, "rho"),
+         "seed": SEED}),
+    "condition1_check": (
+        lambda node, n_mc, seed: condition1_check(DAG, WeightConfig(),
+                                                  {0, node}, n_mc, seed),
+        {"node": 1, "n_mc": 2, "seed": 0},
+        {"node": ident(0, M, "node"), "n_mc": count(1, "n_mc"),
+         "seed": SEED}),
+    "superuniformity_check": (
+        lambda n_mc, seed, threshold: superuniformity_check(
+            DAG, [Combiner("simes")], n_mc, seed, (threshold,)),
+        {"n_mc": 2, "seed": 0, "threshold": 0.5},
+        {"n_mc": count(1, "n_mc"), "seed": SEED,
+         "threshold": level(1.0, "threshold")}),
+    "run_simulation": (
+        _simulate,
+        {"n_reps": 1, "seed": 0, "p_nonnull": 0.1, "rho": 0.0,
+         "n_workers": 1},
+        {"n_reps": count(1, "n_reps"), "seed": SEED,
+         "p_nonnull": level(0.0, "p_nonnull"), "rho": level(1.0, "rho"),
+         "n_workers": count(0, "n_workers")}),
+    "WeightConfig": (lambda: WeightConfig(), {}, {}),
+    "auto_dw": (lambda lam: auto_dw(GROUPS, lam), {"lam": 0.5},
+                {"lam": LAMBDA}),
+    "min_possible_weight": (
+        lambda d, lam: min_possible_weight(d, GROUPS, lam, c=0),
+        {"d": 1, "lam": 0.5}, {"d": ident(1, 4, "depth"), "lam": LAMBDA}),
+    "dag_weights": (lambda p: dag_weights(DAG, DEPTHS, GROUPS, p,
+                                          WeightConfig()),
+                    {"p": P}, {"p": pvector()}),
+}
+
+PUBLIC = sorted(name for name in focusfdr.__all__
+                if callable(getattr(focusfdr, name)))
+CASES = [(name, arg, label) for name, (_, _, kinds) in TABLE.items()
+         for arg, (_, bad) in kinds.items() for label in bad]
+
+
+def test_every_public_callable_is_in_the_table():
+    assert [name for name in PUBLIC if name not in TABLE] == []
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_valid_arguments_are_accepted(name):
+    call, valid, _ = TABLE[name]
+    call(**valid)
+
+
+@pytest.mark.parametrize("name, arg, label", CASES,
+                         ids=[f"{n}-{a}-{b}" for n, a, b in CASES])
+def test_a_bad_argument_raises_a_value_error_naming_it(name, arg, label):
+    call, valid, kinds = TABLE[name]
+    named, bad = kinds[arg]
+    with pytest.raises(ValueError, match=named):
+        call(**{**valid, arg: bad[label]})

@@ -1,15 +1,18 @@
 """Structural tests for the hypothesis DAG and its derived indexes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from focusfdr.checks import random_near_tree, random_tree
-from focusfdr.dag import (CycleDetectedError, DuplicateEdgeError,
-                          NodeIdOutOfRangeError, SelfLoopError, ancestors,
-                          build_dag, check_heredity, compute_depths,
-                          descendants, disjoint_descendant_depths,
-                          group_index, is_tree, level_sweep)
+from focusfdr.dag import (CycleDetectedError, Dag, DagError,
+                          DuplicateEdgeError, NodeIdOutOfRangeError,
+                          SelfLoopError, _edge_arrays, ancestors, build_dag,
+                          check_heredity, compute_depths, descendants,
+                          disjoint_descendant_depths, group_index, is_tree,
+                          level_sweep)
 from focusfdr.simulate import assign_truth
 
 
@@ -45,6 +48,46 @@ def test_build_rejects_self_loop_duplicate_out_of_range():
         build_dag(2, [(0, 1), (0, 1)])
     with pytest.raises(NodeIdOutOfRangeError):
         build_dag(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("m, edges", [
+    (3, [(0, 1.5)]), (3, [(False, True)]), (3, [(0, True)]),
+    (3, np.array([[0.0, 1.0]])), (3, [(0, "1")]), (3, np.array([[0, 1]]) > 0)])
+def test_build_rejects_edge_ids_that_are_not_integers(m, edges):
+    # read as intp, (0, 1.5) and (False, True) both built the edge (0, 1)
+    with pytest.raises(DagError, match=re.escape(
+            "edges must be (parent, child) pairs of integer ids")):
+        build_dag(m, edges)
+
+
+@pytest.mark.parametrize("m", [True, 2.5, -1, "3", np.float64(3.0)])
+def test_build_rejects_a_node_count_that_is_not_a_count(m):
+    # True built one node and 2.5 raised a bare TypeError
+    with pytest.raises(DagError, match=re.escape(
+            f"node count must be an integer >= 0, got {m!r}")):
+        build_dag(m, [])
+
+
+def test_build_takes_integer_arrays_and_empty_edge_lists_as_before():
+    edges = np.array([[0, 1], [1, 2]], dtype=np.intp)
+    parent, child = _edge_arrays(edges)
+    assert np.shares_memory(parent, edges) and np.shares_memory(child, edges)
+    assert build_dag(np.int64(3), edges.astype(np.int32)).edges == {
+        (0, 1), (1, 2)}
+    for empty in ([], np.empty((0, 2)), iter(())):
+        dag = build_dag(2, empty)
+        assert dag.m == 2 and dag.edges == frozenset()
+    assert build_dag(3, [(np.int64(0), 1)]).edges == {(0, 1)}
+
+
+@pytest.mark.parametrize("node", [1.5, True, np.True_, -1, 3, "1"])
+def test_node_lookups_take_only_node_ids(node):
+    # descendants(dag, 1.5) raised a bare IndexError, and True was node 1
+    dag = chain3()
+    for call in (descendants, ancestors, Dag.descendant_indices):
+        with pytest.raises(NodeIdOutOfRangeError, match=re.escape(
+                f"node {node!r} is not an integer id in [0, 3)")):
+            call(dag, node)
 
 
 def test_build_diamond_tail():

@@ -1,5 +1,7 @@
 """Tests for the rejection-set filters and their monotonicity properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from focusfdr.checks import (check_filter_monotonicity,
                              find_outer_counterexample, random_dag,
                              random_near_tree, random_tree)
-from focusfdr.dag import ancestors, build_dag, descendants
+from focusfdr.dag import (NodeIdOutOfRangeError, ancestors, build_dag,
+                          descendants)
 from focusfdr.filters import (FilterSpec, apply_filter, filtered_count_curve,
                               is_monotonic, keep_intervals)
 from focusfdr.procedures import ReshapingFn, wfbh
@@ -28,6 +31,17 @@ def test_from_name():
         FilterSpec("screen")
     with pytest.raises(ValueError, match="filter 'screen:abc'.*'abc'"):
         FilterSpec.from_name("screen:abc")
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0), -1, 3, "1"])
+def test_apply_filter_takes_only_node_ids(bad):
+    # int(v) read 1.5 and True as node 1, which the ds filter then dropped
+    # for lack of its parent 0, returning frozenset()
+    for spec in (FilterSpec("ds"), FilterSpec("trivial")):
+        with pytest.raises(NodeIdOutOfRangeError, match=re.escape(
+                f"node {bad!r} is not an integer id in [0, 3)")):
+            apply_filter(spec, chain3(), {bad})
+    assert apply_filter(FilterSpec("ds"), chain3(), {np.int64(0), 1}) == {0, 1}
 
 
 def test_ds_filter_chain():

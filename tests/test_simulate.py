@@ -648,10 +648,10 @@ def test_superuniformity_chain_root_fisher_and_simes():
 @pytest.mark.parametrize("n_mc", [0, -3])
 def test_monte_carlo_checks_reject_no_replications(n_mc):
     dag = generate_graph("deep-tree")
-    with pytest.raises(ValueError, match=f"n_mc: need at least one "
-                                         f"replication, got {n_mc}"):
+    with pytest.raises(ValueError, match=f"n_mc: must be an integer, at "
+                                         f"least 1, got {n_mc}"):
         condition1_check(dag, WeightConfig(), frozenset(), n_mc)
-    with pytest.raises(ValueError, match="n_mc: need at least one"):
+    with pytest.raises(ValueError, match="n_mc: must be an integer, at least"):
         superuniformity_check(dag, (Combiner("simes"),), n_mc)
 
 
@@ -724,10 +724,10 @@ def uniform_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("n_mc, seed, named", [
-    (2.5, 0, "n_mc: must be an integer, got 2.5"),
-    (10.0, 0, "n_mc: must be an integer, got 10.0"),
-    (True, 0, "n_mc: must be an integer, got True"),
-    ("10", 0, "n_mc: must be an integer, got '10'"),
+    (2.5, 0, "n_mc: must be an integer, at least 1, got 2.5"),
+    (10.0, 0, "n_mc: must be an integer, at least 1, got 10.0"),
+    (True, 0, "n_mc: must be an integer, at least 1, got True"),
+    ("10", 0, "n_mc: must be an integer, at least 1, got '10'"),
     (10, -1, "seed: must be a nonnegative integer, got -1"),
     (10, 1.5, "seed: must be a nonnegative integer, got 1.5"),
     (10, False, "seed: must be a nonnegative integer, got False"),
