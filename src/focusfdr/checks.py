@@ -12,10 +12,11 @@ from itertools import combinations
 import numpy as np
 
 from .combine import Combiner
-from .dag import build_dag, compute_depths, group_index
+from .dag import _is_int, build_dag, compute_depths, group_index
 from .filters import FilterSpec, apply_filter, is_monotonic
 from .procedures import ReshapingFn, brute_force_tstar, wfbh
-from .simulate import condition1_check, generate_graph, superuniformity_check
+from .simulate import (_check_seed, condition1_check, generate_graph,
+                       superuniformity_check)
 from .special import normal_quantile
 from .weights import WeightConfig, dag_weights
 
@@ -108,9 +109,19 @@ def _random_instance(rng):
     return dag, p, w, spec, q
 
 
+def _trials_rng(trials, seed):
+    """The generator of a suite's trials, after checking ``trials`` (an
+    integer >= 1) and ``seed`` (an integer >= 0) by the count rule."""
+    if not _is_int(trials, 1):
+        raise ValueError(
+            f"trials: must be an integer, at least 1, got {trials!r}")
+    _check_seed(seed)
+    return np.random.default_rng(seed)
+
+
 def check_oracle_tstar(trials=1000, seed=0):
     """Optimized threshold scan vs the fresh-evaluation brute force."""
-    rng = np.random.default_rng(seed)
+    rng = _trials_rng(trials, seed)
     matches = 0
     for _ in range(trials):
         dag, p, w, spec, q = _random_instance(rng)
@@ -124,7 +135,7 @@ def check_oracle_tstar(trials=1000, seed=0):
 
 def check_filter_monotonicity(trials=1000, seed=0):
     """Empirical monotonicity of the filters on random nested inputs."""
-    rng = np.random.default_rng(seed)
+    rng = _trials_rng(trials, seed)
     failures = {"ds-dag": 0, "outer-tree": 0, "trivial": 0, "screen": 0}
     for _ in range(trials):
         for key, make in (("ds-dag", random_dag), ("outer-tree", random_tree),
@@ -180,7 +191,7 @@ def check_outer_counterexample():
 def check_procedure_monotonicity(trials=300, seed=0):
     """Raising one p-value never grows the discovery count (monotone filter
     plus the adaptive weights)."""
-    rng = np.random.default_rng(seed)
+    rng = _trials_rng(trials, seed)
     bad = 0
     for _ in range(trials):
         dag = random_tree(rng)

@@ -409,7 +409,7 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
                 f"node {i} has an empty annotation set", node=i)
         for j in a:
             if not _is_int(j, 0, items.size):
-                raise DomainError(f"node {i} references unknown item {j}")
+                raise DomainError(f"node {i} references unknown item {j!r}")
     for parent, child in zip(dag.edge_parent.tolist(),
                              dag.edge_child.tolist()):
         if not sets[child] <= sets[parent]:

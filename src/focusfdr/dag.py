@@ -17,10 +17,13 @@ built on first use for tests, oracles and tracing; no production path
 reads them.  Closures are computed lazily and cached on the Dag:
 
 - ``descendant_closure``: every node followed by its strict descendants,
-  ascending, as a CSR pair of integer arrays.  It is built a depth level at
-  a time, deepest first, with one sort of ``owner * m + node`` keys per
-  level (``np.unique`` would hash the integer keys, which is slower).
-  Smoothing combines its rows as they stand.
+  ascending, as a CSR pair: an intp ``indptr`` and int32 ``indices``.  It
+  is built a depth level at a time, deepest first, with one sort of
+  ``owner * m + node`` keys per level (``np.unique`` would hash the integer
+  keys, which is slower).  A level's keys are int32 when they all fit
+  (``level.size * m <= _INT32_KEYS``, 2**31) and int64 otherwise, and each
+  owner's segment is found by a sorted search.  Smoothing combines its rows
+  as they stand.
 - ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node,
   O(m^2) bits in all.  They are oracle-only: ``apply_filter`` and the
   checks and tests built on it use them as the independent reference, and
@@ -35,6 +38,11 @@ from functools import cached_property
 from numbers import Integral
 
 import numpy as np
+
+# A closure level of L owners is keyed in int32 when L * m is at most this
+# bound (its keys ``owner * m + node`` then all lie below 2**31), else in
+# int64.
+_INT32_KEYS = 2 ** 31
 
 
 class DagError(ValueError):
@@ -206,57 +214,61 @@ class Dag:
         The descendants are built a depth level at a time, deepest first:
         every child of a depth-d node is deeper, so its descendants are
         ready when level d is built.  A level's descendants are its nodes'
-        children and the children's descendants (one gather per deeper
-        level they lie in), keyed ``owner * m + node`` and put in order,
-        without repeats, by one sort.  They stay one block per level until
-        the end, when the blocks are scattered into node order, each row
-        after its node, one at a time and released.  Both arrays are
-        read-only.
+        children and the children's descendants (one gather), keyed
+        ``owner * m + node`` and put in order, without repeats, by one
+        sort.  The keys are int32 when they all fit (``level.size * m <=
+        _INT32_KEYS``), int64 otherwise; each owner's segment is found by
+        one sorted search.  The levels' descendants are appended to one
+        int32 buffer, and at the end scattered into node order, each row
+        after its node.
+
+        ``indptr`` is intp and ``indices`` int32 (node ids lie below
+        2**31); both arrays are read-only.
         """
-        m, ptr, depth = self.m, self.child_indptr, self.depth
+        m, ptr = self.m, self.child_indptr
         n_kids = np.diff(ptr)
-        # level d holds the nodes of depth d + 1 that have children; v's
-        # descendants are blocks[depth[v] - 1][start[v]:start[v] + count[v]]
+        # v's descendants are store[start[v]:start[v] + count[v]]
         start = np.zeros(m, dtype=np.intp)
         count = np.zeros(m, dtype=np.intp)
         topo, bounds = self.topo_order, self.node_ptr
         levels = [topo[a:b][n_kids[topo[a:b]] > 0]
                   for a, b in zip(bounds[:-1], bounds[1:])]
-        blocks = [np.empty(0, dtype=np.intp)] * len(levels)
-        for d in reversed(range(len(levels))):
-            level = levels[d]
+        store, end, spans = np.empty(m, dtype=np.int32), 0, []
+        for level in reversed(levels):
             if not level.size:
                 continue
+            width = np.int32 if level.size * m <= _INT32_KEYS else np.int64
             kids = self.child_indices[_segments(ptr[level], n_kids[level])]
-            owner = np.repeat(np.arange(level.size) * m, n_kids[level])
-            # keys of the children's rows, then of the children, formed in
-            # place and released early: the level's temporaries set the
-            # build's peak memory
-            parts = []
-            below = depth[kids] - 1
-            for e in (np.flatnonzero(np.bincount(below - d)) + d).tolist():
-                at = below == e
-                rows = count[kids[at]]
-                part = blocks[e][_segments(start[kids[at]], rows)]
-                part += np.repeat(owner[at], rows)
-                parts.append(part)
-            kids += owner
-            parts.append(kids)
-            del owner, below
-            keys = _sorted_unique(np.concatenate(parts))
-            del parts, kids
-            sizes = np.bincount(keys // m, minlength=level.size)
-            keys %= m
-            blocks[d] = keys
+            rows = count[kids]
+            offset = np.arange(level.size, dtype=width) * m
+            owner = np.repeat(offset, n_kids[level])
+            # the keys of the children's rows, then of the children
+            n = int(rows.sum())
+            keys = np.empty(n + kids.size, dtype=width)
+            keys[:n] = store[_segments(start[kids], rows)]
+            keys[:n] += np.repeat(owner, rows)
+            np.add(owner, kids, out=keys[n:])
+            del kids, rows, owner
+            keys = _sorted_unique(keys)
+            # each owner's keys lie in [owner * m, (owner + 1) * m)
+            sizes = np.diff(np.searchsorted(keys, offset), append=keys.size)
+            if end + keys.size > store.size:
+                grown = np.empty(max(2 * store.size, end + keys.size),
+                                 dtype=np.int32)
+                grown[:end] = store[:end]
+                store = grown
+            np.subtract(keys, np.repeat(offset, sizes),
+                        out=store[end:end + keys.size])
             count[level] = sizes
-            start[level] = np.cumsum(sizes) - sizes
+            start[level] = end + np.cumsum(sizes) - sizes
+            spans.append((level, end, end + keys.size))
+            end += keys.size
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(count + 1, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.intp)
+        indices = np.empty(indptr[-1], dtype=np.int32)
         indices[indptr[:-1]] = np.arange(m)
-        for d, level in enumerate(levels):
-            indices[_segments(indptr[level] + 1, count[level])] = blocks[d]
-            blocks[d] = None
+        for level, a, b in spans:
+            indices[_segments(indptr[level] + 1, count[level])] = store[a:b]
         return _read_only(indptr), _read_only(indices)
 
     def descendant_indices(self, node):
@@ -325,7 +337,7 @@ def _sorted_unique(keys):
     keep = np.empty(keys.size, dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return np.compress(keep, keys)
 
 
 def _segments(start, count):

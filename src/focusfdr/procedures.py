@@ -354,9 +354,9 @@ class RunParams:
         for name, _, reshaped in methods:
             check_procedure(name, self.q, reshaped, self.yk_divisor)
         lam = self.resolved_lambda()
-        if not self.c >= 0:
-            raise ValueError("c: the group-size threshold must be >= 0, got "
-                             f"{self.c}")
+        if not _is_int(self.c, 0):
+            raise ValueError("c: the group-size threshold must be an integer "
+                             f">= 0, got {self.c!r}")
         check_dw_mode(self.dw)
         resolved = tuple((name, FilterSpec.from_name(filter_name), reshaped)
                          for name, filter_name, reshaped in methods)

@@ -129,7 +129,8 @@ def min_possible_weight(d, groups, lam, c=1):
     """
     storey, floor = _depth_rule(groups, lam, c)
     if not (_is_int(d, 1, storey.size + 1) and storey[d - 1]):
-        raise NoEligibleGroupError(f"no group at depth {d} larger than c={c}")
+        raise NoEligibleGroupError(
+            f"no group at depth {d!r} larger than c={c}")
     return float(floor[d - 1])
 
 

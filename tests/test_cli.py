@@ -543,7 +543,8 @@ BAD_SWEEPS = [
     ({"rho": -0.1}, r"rho must be in \[0, 1\), got -0.1"),
     ({"p_nonnull": ()}, "p_nonnull: need at least one non-null proportion"),
     ({"methods": ()}, "methods: need at least one method"),
-    ({"c": -3}, "c: the group-size threshold must be >= 0, got -3"),
+    ({"c": -3},
+     "c: the group-size threshold must be an integer >= 0, got -3"),
     ({"seed": -1}, "seed: must be a nonnegative integer, got -1"),
 ]
 BAD_SWEEP_IDS = ["family", "setup", "p-above-one", "p-zero", "rho-one",
@@ -587,9 +588,10 @@ def test_cli_simulate_rejects_bad_sweep(monkeypatch, tmp_path, capsys,
 
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "--dag", "missing.csv", "--pvalues", "missing.csv",
-      "--c", "-3"], "c: the group-size threshold must be >= 0, got -3"),
+      "--c", "-3"],
+     "c: the group-size threshold must be an integer >= 0, got -3"),
     (["simulate", "--c", "-3"],
-     "c: the group-size threshold must be >= 0, got -3"),
+     "c: the group-size threshold must be an integer >= 0, got -3"),
     (["simulate", "--seed", "-1"],
      "seed: must be a nonnegative integer, got -1"),
 ], ids=["analyze-c", "simulate-c", "simulate-seed"])
@@ -923,7 +925,8 @@ def test_run_params_fields_are_declared_once(cls, name):
     (["--q", "1.5"], "bh", "target FDR level must be in (0, 1), got 1.5"),
     (["--lambda-policy", "fixed:7"], "bh",
      "lambda must be in (0, 1), got 7.0"),
-    (["--c", "-3"], "bh", "c: the group-size threshold must be >= 0, got -3"),
+    (["--c", "-3"], "bh",
+     "c: the group-size threshold must be an integer >= 0, got -3"),
     (["--yk-divisor", "0"], "yekutieli-tree",
      "yk-divisor must be finite and > 0, got 0.0"),
     (["--c", "-3", "--q", "1.5"], "bh",

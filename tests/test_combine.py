@@ -474,7 +474,7 @@ def test_intersection_names_an_item_id_that_is_not_an_integer(bad):
     # not read as item 1
     dag = build_dag(2, [(0, 1)])
     items = np.array([0.5, 0.01, 0.5])
-    message = f"node 1 references unknown item {re.escape(str(bad))}$"
+    message = f"node 1 references unknown item {re.escape(repr(bad))}$"
     with pytest.raises(DomainError, match=message):
         intersection_dag_pvalues(dag, [{0, 1, 2}, {bad}], items,
                                  Combiner("simes"))

@@ -147,9 +147,11 @@ TABLE = {
     "ReshapingFn": (lambda: ReshapingFn("identity"), {}, {}),
     "ReshapingFn.by": (ReshapingFn.by, {"m": M},
                        {"m": count(1, "integer m")}),
-    "RunParams": (lambda q: RunParams(q=q).resolve([("wfbh", "ds", False)],
-                                                   None),
-                  {"q": 0.1}, {"q": FDR_LEVEL}),
+    "RunParams": (lambda q, c: RunParams(q=q, c=c).resolve(
+        [("wfbh", "ds", False)], None),
+        {"q": 0.1, "c": 1},
+        {"q": FDR_LEVEL,
+         "c": (r"\bc\b", {"True": True, "1.5": 1.5, "-1": -1, "'1'": "1"})}),
     "StructurePlan": (lambda lam: StructurePlan(
         DAG, WeightConfig(lam=lam)).workspace, {"lam": 0.5},
         {"lam": LAMBDA}),

@@ -1,11 +1,13 @@
 """Structural tests for the hypothesis DAG and its derived indexes."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import focusfdr.dag as dag_module
 from focusfdr.checks import random_near_tree, random_tree
 from focusfdr.dag import (CycleDetectedError, Dag, DagError,
                           DuplicateEdgeError, NodeIdOutOfRangeError,
@@ -285,13 +287,11 @@ CLOSURE_CASES = ([(shape, max_m) for shape in sorted(GRAPHS)
 CLOSURE_GRAPHS = {**GRAPHS, "path": path, "shared-levels": shared_levels}
 
 
-@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(CLOSURE_CASES))
-@settings(max_examples=150, deadline=None)
-def test_descendant_closure_rows_match_masks(seed, case):
+def check_closure_rows(seed, case):
     shape, max_m = case
     dag = CLOSURE_GRAPHS[shape](np.random.default_rng(seed), max_m)
     indptr, indices = dag.descendant_closure
-    assert indptr.dtype == indices.dtype == np.intp
+    assert indptr.dtype == np.intp and indices.dtype == np.int32
     assert not indptr.flags.writeable and not indices.flags.writeable
     assert indptr.shape == (dag.m + 1,) and indptr[0] == 0
     assert indices.size == indptr[-1]
@@ -306,6 +306,22 @@ def test_descendant_closure_rows_match_masks(seed, case):
     for v in rng.permutation(dag.m)[:40].tolist():
         assert descendants(dag, v) == mask_members(dag.descendant_masks[v])
         assert ancestors(dag, v) == mask_members(dag.ancestor_masks[v])
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(CLOSURE_CASES))
+@settings(max_examples=150, deadline=None)
+def test_descendant_closure_rows_match_masks(seed, case):
+    check_closure_rows(seed, case)
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(CLOSURE_CASES),
+       bound=st.sampled_from([0, 40, 400]))
+@settings(max_examples=150, deadline=None)
+def test_descendant_closure_rows_match_masks_with_int64_keys(seed, case,
+                                                             bound):
+    # a low int32 key bound keys some levels (bound 0: every level) in int64
+    with mock.patch.object(dag_module, "_INT32_KEYS", bound):
+        check_closure_rows(seed, case)
 
 
 def popcount_disjoint_depths(dag, depths):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfdr.checks import (check_oracle_tstar, check_procedure_monotonicity,
-                             random_dag, random_tree)
+from focusfdr.checks import (check_filter_monotonicity, check_oracle_tstar,
+                             check_procedure_monotonicity, random_dag,
+                             random_tree)
 from focusfdr.dag import build_dag
 from focusfdr.filters import FilterSpec, interval_counts
 from focusfdr.procedures import (FOCUSED, PROCEDURES, InvalidReshapingError,
@@ -130,6 +131,19 @@ def test_optimized_tstar_equals_brute_force():
 def test_procedure_monotonicity_trials():
     ok, lines = check_procedure_monotonicity(trials=150, seed=4)
     assert ok, lines
+
+
+@pytest.mark.parametrize("suite", [check_oracle_tstar,
+                                   check_filter_monotonicity,
+                                   check_procedure_monotonicity],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("arg, bad", [
+    ("trials", 2.5), ("trials", True), ("trials", 0), ("trials", "1"),
+    ("seed", True), ("seed", 2.5), ("seed", -1), ("seed", "1")], ids=str)
+def test_check_suites_take_integer_trials_and_seeds(suite, arg, bad):
+    message = f"^{arg}: .*got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        suite(**{"trials": 1, "seed": 0, arg: bad})
 
 
 def test_reshaping_identity_matches_plain():

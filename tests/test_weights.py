@@ -135,6 +135,16 @@ def test_auto_dw_and_min_possible_weight_match_per_depth_loop(seed, shape,
             min_possible_weight(d, groups, lam, c)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=repr)
+def test_min_possible_weight_names_a_depth_that_is_not_an_integer(bad):
+    # the string "1" is not read as the valid depth 1
+    _, groups = _indexes(build_dag(3, [(0, 1), (1, 2)]))
+    message = f"no group at depth {re.escape(repr(bad))} larger"
+    with pytest.raises(NoEligibleGroupError, match=message):
+        min_possible_weight(bad, groups, 0.5, c=0)
+    assert min_possible_weight(1, groups, 0.5, c=0) > 0
+
+
 @pytest.mark.parametrize("text", ["1.5", "1", "0", "-0.2", "7", "nan"])
 def test_parse_lambda_policy_rejects_fixed_outside_unit_interval(text):
     with pytest.raises(LambdaOutOfRangeError,
