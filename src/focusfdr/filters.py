@@ -82,25 +82,19 @@ def apply_filter(spec, dag, rejected, pvalues=None):
     if spec.kind == "outer":
         desc = dag.descendant_masks
         return frozenset(v for v in rejected if desc[v] & r_mask == 0)
-    if spec.kind == "screen":
-        p = validate_pvector(pvalues, dag.m)
-        return frozenset(v for v in rejected if p[v] <= spec.threshold)
-    raise ValueError(f"unknown filter kind {spec.kind!r}")
+    p = validate_pvector(pvalues, dag.m)        # "screen"
+    return frozenset(v for v in rejected if p[v] <= spec.threshold)
 
 
 def is_monotonic(spec, dag):
-    """Monotonicity classification: True, False, or None when unknown.
+    """Whether the filter is monotonic on ``dag``: True or False.
 
     A filter is monotonic when growing the rejection set (and shrinking the
     p-values) never shrinks the filtered count.  The ancestor-closed filter
     is monotonic on any DAG; the outer-nodes filter only on trees; trivial
     and screening filters always.
     """
-    if spec.kind in ("trivial", "screen", "ds"):
-        return True
-    if spec.kind == "outer":
-        return bool(is_tree(dag))
-    return None
+    return spec.kind != "outer" or bool(is_tree(dag))
 
 
 def keep_intervals(spec, dag, weighted_p, pvalues=None):
@@ -125,11 +119,9 @@ def keep_intervals(spec, dag, weighted_p, pvalues=None):
         fold_edges(np.minimum, dmin, dag.edge_parent, low, dag.edge_child)
         enter = wp.copy()
         leave = np.maximum(wp, dmin)
-    elif spec.kind == "screen":
+    else:                                       # "screen"
         p = np.asarray(pvalues, dtype=float)
         enter = np.where(p <= spec.threshold, wp, np.inf)
-    else:
-        raise ValueError(f"unknown filter kind {spec.kind!r}")
     return enter, leave
 
 

@@ -46,9 +46,10 @@ class MissingPvalueError(ValueError):
 
 
 def _rows(path, header):
-    """(line number, first cell, second cell) of each data row of a
-    two-column CSV file with the given header, cells stripped.  Blank rows
-    are skipped; a row of another width raises."""
+    """(record number, first cell, second cell) of each data row of a
+    two-column CSV file with the given header, cells stripped (``_where``
+    names a record's line).  Blank rows are skipped; a row of another width
+    raises."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -57,18 +58,27 @@ def _rows(path, header):
             raise ParseError(f"{path}: empty file") from None
         if [h.strip().lower() for h in first] != list(header):
             raise ParseError(f"{path}:1: expected header {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for record, row in enumerate(reader, start=1):
             if len(row) == 2:
                 a, b = row[0].strip(), row[1].strip()
                 if a or b:
-                    yield lineno, a, b
+                    yield record, a, b
             elif any(c.strip() for c in row):
-                raise ParseError(f"{path}:{lineno}: expected 2 columns")
+                raise ParseError(f"{_where(path, record)}: expected 2 columns")
 
 
-def _line_of(path, header, k):
-    """Line number of the k-th data row (from 0) that ``_rows`` yields."""
-    return next(islice(_rows(path, header), k, None))[0]
+def _where(path, record):
+    """The "path:line" on which data record ``record`` starts, one line past
+    where the record before it ends, since a quoted cell may span lines."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(islice(reader, record - 1, None))      # records 0 .. record - 1
+        return f"{path}:{reader.line_num + 1}"
+
+
+def _where_row(path, header, k):
+    """``_where`` of the k-th data row (from 0) that ``_rows`` yields."""
+    return _where(path, next(islice(_rows(path, header), k, None))[0])
 
 
 def read_edge_csv(path):
@@ -88,9 +98,9 @@ def read_edge_csv(path):
     add = flat.append
     row_error = None
     try:
-        for lineno, parent, child in _rows(path, header):
+        for record, parent, child in _rows(path, header):
             if not parent:
-                raise ParseError(f"{path}:{lineno}: empty node name")
+                raise ParseError(f"{_where(path, record)}: empty node name")
             add(intern(parent, len(ids)))
             add(intern(child, len(ids)) if child else -1)
     except ParseError as exc:
@@ -101,13 +111,12 @@ def read_edge_csv(path):
     try:
         order = check_edges(len(ids), edges[:, 0], edges[:, 1])
     except (SelfLoopError, DuplicateEdgeError) as exc:
-        lineno = _line_of(path, header, np.flatnonzero(is_edge)[exc.index])
+        at = _where_row(path, header, np.flatnonzero(is_edge)[exc.index])
         names = list(ids)
         parent, child = (names[v] for v in edges[exc.index])
         if isinstance(exc, SelfLoopError):
-            raise ParseError(
-                f"{path}:{lineno}: self-loop at node {parent!r}") from None
-        raise ParseError(f"{path}:{lineno}: duplicate edge {parent!r} -> "
+            raise ParseError(f"{at}: self-loop at node {parent!r}") from None
+        raise ParseError(f"{at}: duplicate edge {parent!r} -> "
                          f"{child!r}") from None
     if row_error is not None:
         raise row_error
@@ -178,7 +187,7 @@ def _read_pvalues(path, header, name_to_id, duplicate):
     bad = unknown | repeated | bad_text | ~((values >= 0.0) & (values <= 1.0))
     if bad.any():
         k = int(np.argmax(bad))
-        where = f"{path}:{_line_of(path, header, k)}"
+        where = _where_row(path, header, k)
         if unknown[k]:
             raise UnknownNodeInPvaluesError(
                 f"{where}: node {names[k]!r} not present in the graph")
@@ -219,11 +228,11 @@ def read_item_pvalue_csv(path):
 def read_annotation_csv(path, name_to_id, item_to_id):
     """Parse node,item rows into per-node item index sets."""
     sets = [set() for _ in range(len(name_to_id))]
-    for lineno, node, item in _rows(path, ("node", "item")):
+    for record, node, item in _rows(path, ("node", "item")):
         if node not in name_to_id:
-            raise ParseError(f"{path}:{lineno}: unknown node {node!r}")
+            raise ParseError(f"{_where(path, record)}: unknown node {node!r}")
         if item not in item_to_id:
-            raise ParseError(f"{path}:{lineno}: unknown item {item!r}")
+            raise ParseError(f"{_where(path, record)}: unknown item {item!r}")
         sets[name_to_id[node]].add(item_to_id[item])
     return sets
 

@@ -27,9 +27,8 @@ from .combine import Combiner, validate_pvector
 from .dag import _is_int, compute_depths, group_index, is_tree, level_sweep
 from .filters import (FilterSpec, apply_filter, interval_counts,
                       keep_intervals)
-from .weights import (WeightConfig, WeightWorkspace, _check_lambda,
-                      check_dw_mode, parse_lambda_policy, resolve_dw,
-                      storey_pi0, storey_pi0_rows)
+from .weights import (WeightConfig, WeightWorkspace, parse_lambda_policy,
+                      resolve_dw, storey_pi0, storey_pi0_rows)
 
 
 class QOutOfRangeError(ValueError):
@@ -92,7 +91,9 @@ def storey_bh(pvalues, q, lam):
 
 @dataclass(frozen=True)
 class ReshapingFn:
-    """A reshaping function beta with beta(r) <= r, nondecreasing, beta(0)=0.
+    """A reshaping function beta with beta(r) <= r, nondecreasing, beta(0)=0,
+    checked when built: "identity", "by" (scale r, scale in (0, 1]) or
+    "custom" (table[min(r, len(table) - 1)]); unused fields keep defaults.
 
     The "by" instance beta(r) = r / sum_{i<=m} 1/i buys validity under
     arbitrary dependence at the usual logarithmic cost.
@@ -101,6 +102,25 @@ class ReshapingFn:
     kind: str
     scale: float = 1.0
     table: tuple = None
+
+    def __post_init__(self):
+        kind, table, custom = self.kind, self.table, self.kind == "custom"
+        if kind not in ("identity", "by", "custom"):
+            raise InvalidReshapingError(f"unknown reshaping kind {kind!r}")
+        if (table is None) == custom:
+            raise InvalidReshapingError(f"{kind} reshaping " + (
+                "needs a table" if custom else "takes no table"))
+        if not (0.0 < self.scale <= 1.0 if kind == "by" else self.scale == 1):
+            raise InvalidReshapingError(
+                f"{kind} reshaping: scale must be "
+                f"{'in (0, 1]' if kind == 'by' else '1'}, got {self.scale!r}")
+        if custom and (len(table) == 0 or table[0] != 0.0):
+            raise InvalidReshapingError("table must start with beta(0) = 0")
+        for r in range(1, len(table) if custom else 0):
+            if not table[r - 1] <= table[r]:
+                raise InvalidReshapingError("beta must be nondecreasing")
+            if not table[r] <= r:
+                raise InvalidReshapingError("beta(r) must not exceed r")
 
     @classmethod
     def identity(cls):
@@ -114,27 +134,15 @@ class ReshapingFn:
 
     @classmethod
     def custom(cls, values):
-        vals = tuple(float(v) for v in values)
-        if not vals or vals[0] != 0.0:
-            raise InvalidReshapingError("table must start with beta(0) = 0")
-        for r in range(1, len(vals)):
-            if vals[r] < vals[r - 1]:
-                raise InvalidReshapingError("beta must be nondecreasing")
-            if vals[r] > r:
-                raise InvalidReshapingError("beta(r) must not exceed r")
-        return cls("custom", table=vals)
+        return cls("custom", table=tuple(float(v) for v in values))
 
     def __call__(self, counts):
         counts = np.asarray(counts, dtype=float)
-        if self.kind == "identity":
-            out = counts
-        elif self.kind == "by":
-            out = counts * self.scale
-        elif self.kind == "custom":
+        if self.kind == "custom":
             idx = np.clip(counts.astype(np.intp), 0, len(self.table) - 1)
             out = np.asarray(self.table, dtype=float)[idx]
-        else:
-            raise InvalidReshapingError(f"unknown reshaping {self.kind!r}")
+        else:           # identity's scale 1 multiplies exactly
+            out = counts * self.scale
         return float(out) if counts.ndim == 0 else out
 
 
@@ -339,8 +347,8 @@ class RunParams:
 
     q: float = 0.05
     lambda_policy: str = "fixed:0.5"
-    c: int = 1
-    dw: object = "auto"
+    c: int = WeightConfig.c
+    dw: object = WeightConfig.dw
     yk_divisor: float = YK_DIVISOR
 
     def resolved_lambda(self):
@@ -353,15 +361,11 @@ class RunParams:
         methods for ``run_rows``, Combiner or None)."""
         for name, _, reshaped in methods:
             check_procedure(name, self.q, reshaped, self.yk_divisor)
-        lam = self.resolved_lambda()
-        if not _is_int(self.c, 0):
-            raise ValueError("c: the group-size threshold must be an integer "
-                             f">= 0, got {self.c!r}")
-        check_dw_mode(self.dw)
+        config = WeightConfig(self.resolved_lambda(), self.c, self.dw)
         resolved = tuple((name, FilterSpec.from_name(filter_name), reshaped)
                          for name, filter_name, reshaped in methods)
         combiner = None if smoothing is None else Combiner.from_name(smoothing)
-        return WeightConfig(lam=lam, c=self.c, dw=self.dw), resolved, combiner
+        return config, resolved, combiner
 
 
 class StructurePlan:
@@ -428,8 +432,6 @@ def run_procedure(plan, p, name, fspec, q, reshaped=False,
     arguments."""
     check_procedure(name, q, reshaped, yk_divisor)
     p = validate_pvector(p, plan.dag.m)
-    if name == "storey-bh":
-        _check_lambda(plan.weight_config.lam)
     [(found, w, scan)] = run_rows(plan, p.reshape(1, -1),
                                   [(name, fspec, reshaped)], q, yk_divisor)
     return ProcedureResult.of_row(found, w, scan)

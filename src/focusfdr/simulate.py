@@ -303,9 +303,10 @@ def _check_n_mc(n_mc):
 
 def _resolve_methods(config):
     """Check the whole sweep (n_reps, family, setup, every p_nonnull, rho,
-    seed, dw depths, ``RunParams.resolve``, then that the top-down baseline
-    runs on a tree family) and parse it once, before any replication;
-    returns what ``RunParams.resolve`` returns."""
+    seed, dw depths, that no p_nonnull or method label repeats, so each
+    cell has its own history, ``RunParams.resolve``, then that the top-down
+    baseline runs on a tree family) and parse it once, before any
+    replication; returns what ``RunParams.resolve`` returns."""
     if not _is_int(config.n_reps):
         raise ValueError(f"n_reps must be an integer, got {config.n_reps!r}")
     if config.n_reps < 1:
@@ -324,6 +325,12 @@ def _resolve_methods(config):
                     f"graph family {config.family!r}")
     if not config.methods:
         raise ValueError("methods: need at least one method")
+    labels = [spec.label for spec in config.methods]
+    for field_name, values in (("p_nonnull", config.p_nonnull),
+                               ("methods", labels)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{field_name}: {value!r} is repeated")
     resolved = config.resolve([(spec.procedure, spec.filter, False)
                                for spec in config.methods], config.smoothing)
     # the fixed families are the trees; the bipartite ones never draw one

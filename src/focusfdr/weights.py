@@ -12,6 +12,7 @@ two bincounts over the gated memberships: per group, then per node.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -31,16 +32,24 @@ class NoEligibleGroupError(ValueError):
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Weighting parameters.
+    """Weighting parameters, checked when built: Storey's lambda in (0, 1),
+    the group-size threshold c an integer >= 0, and dw by ``check_dw_mode``.
 
     dw selects the depths with data-adaptive weights: "auto" applies the
     minimum-possible-weight rule, "none" gates no depth (all weights 1), or
-    pass an explicit iterable of depths.
+    pass a collection of depths, which ``resolve_dw`` checks on the graph.
     """
 
     lam: float = 0.5
     c: int = 1
     dw: object = "auto"
+
+    def __post_init__(self):
+        _check_lambda(self.lam)
+        if not _is_int(self.c, 0):
+            raise ValueError("c: the group-size threshold must be an "
+                             f"integer >= 0, got {self.c!r}")
+        check_dw_mode(self.dw)
 
 
 def _check_lambda(lam):
@@ -73,9 +82,12 @@ def _is_integer(value):
 
 
 def check_dw_mode(dw):
-    """Reject a dw mode other than "auto" or "none"; needs no graph."""
+    """Reject a dw that is neither "auto", "none" nor a collection (of
+    depths, which ``check_dw_depths`` checks against a graph)."""
     if isinstance(dw, str) and dw not in ("auto", "none"):
         raise ValueError(f"unknown dw mode {dw!r}")
+    if not isinstance(dw, Collection):
+        raise ValueError(f"dw must be 'auto', 'none' or depths, got {dw!r}")
 
 
 def check_dw_depths(dw, max_depth, graph):
@@ -113,7 +125,7 @@ def storey_pi0_rows(p, lam):
 def _depth_rule(groups, lam, c):
     """Per depth 1..max_depth: is some group there larger than c (Storey
     eligible), and the minimum possible weight n_d / ((1 - lam) |H_d|)."""
-    _check_lambda(lam)
+    WeightConfig(lam, c)            # lam and c checked as in a config
     storey = np.zeros(groups.n_d.size, dtype=bool)
     storey[groups.group_depth[groups.group_size > c]] = True
     n_d, sizes = groups.n_d[1:], groups.depth_sizes[1:]
@@ -196,7 +208,6 @@ class WeightWorkspace:
         return self._weights(pvalues, lam, leave_self_zero=True)
 
     def _weights(self, pvalues, lam, leave_self_zero):
-        _check_lambda(lam)
         p = np.asarray(pvalues, dtype=float)
         exceed = (np.atleast_2d(p) > lam).astype(float)
         r = exceed.shape[0]

@@ -319,6 +319,20 @@ def test_cli_simulate_rejects_q_outside_unit_interval(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "0.1,0.1"], "p_nonnull: 0.1 is repeated"),
+    (["--methods", "bh,bh"], "methods: 'bh+trivial' is repeated"),
+    (["--methods", "bh,bh:trivial"], "methods: 'bh+trivial' is repeated"),
+], ids=["p", "methods", "methods-default-filter"])
+def test_cli_simulate_rejects_repeated_cells(no_replication, tmp_path, capsys,
+                                             flags, message):
+    out = tmp_path / "s.csv"
+    code = main(["simulate", "--reps", "2", *flags, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["bipartite1", "bipartite2"])
 def test_cli_simulate_rejects_top_down_on_bipartite_family(
         no_replication, tmp_path, capsys, family):

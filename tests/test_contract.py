@@ -1,9 +1,10 @@
 """The input contract of the public API, walked over ``focusfdr.__all__``.
 
-``TABLE`` holds, for every public callable (and two more public calls that
-take a p-vector or a count: ``ReshapingFn.by`` and ``brute_force_tstar``),
-a call on the chain 0 -> 1 -> 2, its valid arguments, and the kind of each
-argument it checks.  Each kind has its bad values:
+``TABLE`` holds, for every public callable (and more public calls that
+take a p-vector or a count: ``ReshapingFn.by`` and ``brute_force_tstar``,
+and the "by" and "custom" kinds of ``ReshapingFn``), a call on the chain
+0 -> 1 -> 2, its valid arguments, and the kind of each argument it checks.
+Each kind has its bad values:
 
 - p-vector: a (1, m) and an (m, 1) block, a 0-d array, a NaN, a 1.5 and,
   where the length is fixed, m + 1 entries;
@@ -12,7 +13,9 @@ argument it checks.  Each kind has its bad values:
 - id in [low, high): True, 2.5, low - 1, high and "1";
 - count or seed (an integer >= low): True, 2.5, -1, "1" and, for a
   positive low, low - 1;
-- level: NaN and a value outside its documented interval.
+- level: NaN and a value outside its documented interval;
+- the weight configuration: lambda as a level, c as a count and dw as
+  5, None and "bogus".
 
 Every bad value, put in place of its argument's valid one, must raise a
 ValueError subclass whose message names the argument.  A bare IndexError,
@@ -88,6 +91,11 @@ def level(outside, named):
 FDR_LEVEL = level(1.0, "FDR level")
 LAMBDA = level(1.0, "lambda")
 SEED = count(0, "seed")
+C = count(0, "c: the group-size threshold")
+# a WeightConfig's valid arguments and bad values
+WEIGHTS = {"lam": 0.5, "c": 1, "dw": "auto"}
+WEIGHT_KINDS = {"lam": LAMBDA, "c": C,
+                "dw": ("dw", {"5": 5, "None": None, "'bogus'": "bogus"})}
 
 
 def _dag(m, child):
@@ -144,7 +152,15 @@ TABLE = {
     "is_monotonic": (lambda: is_monotonic(DS, DAG), {}, {}),
     "ProcedureResult": (lambda: ProcedureResult(np.zeros(M, bool), ONES),
                         {}, {}),
-    "ReshapingFn": (lambda: ReshapingFn("identity"), {}, {}),
+    "ReshapingFn": (lambda kind, table: ReshapingFn(kind, table=table),
+                    {"kind": "identity", "table": None},
+                    {"kind": ("reshaping kind", {"'bogus'": "bogus"}),
+                     "table": ("table", {"(0, 1)": (0.0, 1.0)})}),
+    "ReshapingFn('by')": (lambda scale: ReshapingFn("by", scale),
+                          {"scale": 0.5}, {"scale": level(5.0, "scale")}),
+    "ReshapingFn('custom')": (
+        lambda table: ReshapingFn("custom", table=table),
+        {"table": (0.0, 0.5, 1.0)}, {"table": ("table", {"None": None})}),
     "ReshapingFn.by": (ReshapingFn.by, {"m": M},
                        {"m": count(1, "integer m")}),
     "RunParams": (lambda q, c: RunParams(q=q, c=c).resolve(
@@ -152,9 +168,8 @@ TABLE = {
         {"q": 0.1, "c": 1},
         {"q": FDR_LEVEL,
          "c": (r"\bc\b", {"True": True, "1.5": 1.5, "-1": -1, "'1'": "1"})}),
-    "StructurePlan": (lambda lam: StructurePlan(
-        DAG, WeightConfig(lam=lam)).workspace, {"lam": 0.5},
-        {"lam": LAMBDA}),
+    "StructurePlan": (lambda lam, c, dw: StructurePlan(
+        DAG, WeightConfig(lam, c, dw)).workspace, WEIGHTS, WEIGHT_KINDS),
     "bh": (bh, {"pvalues": P, "q": 0.1},
            {"pvalues": pvector(fixed=False), "q": FDR_LEVEL}),
     "by_procedure": (by_procedure, {"pvalues": P, "q": 0.1},
@@ -197,11 +212,11 @@ TABLE = {
         {"node": ident(0, M, "node"), "rho": level(1.0, "rho"),
          "seed": SEED}),
     "condition1_check": (
-        lambda node, n_mc, seed: condition1_check(DAG, WeightConfig(),
-                                                  {0, node}, n_mc, seed),
-        {"node": 1, "n_mc": 2, "seed": 0},
+        lambda node, n_mc, seed, lam, c, dw: condition1_check(
+            DAG, WeightConfig(lam, c, dw), {0, node}, n_mc, seed),
+        {"node": 1, "n_mc": 2, "seed": 0, **WEIGHTS},
         {"node": ident(0, M, "node"), "n_mc": count(1, "n_mc"),
-         "seed": SEED}),
+         "seed": SEED, **WEIGHT_KINDS}),
     "superuniformity_check": (
         lambda n_mc, seed, threshold: superuniformity_check(
             DAG, [Combiner("simes")], n_mc, seed, (threshold,)),
@@ -215,15 +230,16 @@ TABLE = {
         {"n_reps": count(1, "n_reps"), "seed": SEED,
          "p_nonnull": level(0.0, "p_nonnull"), "rho": level(1.0, "rho"),
          "n_workers": count(0, "n_workers")}),
-    "WeightConfig": (lambda: WeightConfig(), {}, {}),
-    "auto_dw": (lambda lam: auto_dw(GROUPS, lam), {"lam": 0.5},
-                {"lam": LAMBDA}),
+    "WeightConfig": (WeightConfig, WEIGHTS, WEIGHT_KINDS),
+    "auto_dw": (lambda lam, c: auto_dw(GROUPS, lam, c), {"lam": 0.5, "c": 1},
+                {"lam": LAMBDA, "c": C}),
     "min_possible_weight": (
-        lambda d, lam: min_possible_weight(d, GROUPS, lam, c=0),
-        {"d": 1, "lam": 0.5}, {"d": ident(1, 4, "depth"), "lam": LAMBDA}),
-    "dag_weights": (lambda p: dag_weights(DAG, DEPTHS, GROUPS, p,
-                                          WeightConfig()),
-                    {"p": P}, {"p": pvector()}),
+        lambda d, lam, c: min_possible_weight(d, GROUPS, lam, c),
+        {"d": 1, "lam": 0.5, "c": 0},
+        {"d": ident(1, 4, "depth"), "lam": LAMBDA, "c": C}),
+    "dag_weights": (lambda p, lam, c, dw: dag_weights(
+        DAG, DEPTHS, GROUPS, p, WeightConfig(lam, c, dw)),
+        {"p": P, **WEIGHTS}, {"p": pvector(), **WEIGHT_KINDS}),
 }
 
 PUBLIC = sorted(name for name in focusfdr.__all__

@@ -16,8 +16,9 @@ from focusfdr.dag import (CycleDetectedError, DagError, DuplicateEdgeError,
                           NodeIdOutOfRangeError, SelfLoopError, build_dag)
 from focusfdr.io import (AnalysisRequest, MissingPvalueError, ParseError,
                          UnknownNodeInPvaluesError, analyze, export_edge_csv,
-                         read_dag, read_edge_csv, read_item_pvalue_csv,
-                         read_pvalue_csv, write_report_json)
+                         read_annotation_csv, read_dag, read_edge_csv,
+                         read_item_pvalue_csv, read_pvalue_csv,
+                         write_report_json)
 
 
 def write(path, text):
@@ -128,6 +129,46 @@ def test_read_item_pvalue_csv_reports_first_faulty_line(tmp_path, rows,
     with pytest.raises(ParseError) as info:
         read_item_pvalue_csv(path)
     assert str(info.value) == path + message
+
+
+# a quoted name spanning lines 2 and 3 puts the next record on line 4
+QUOTED = '"a\nb"'
+READERS = {
+    "edges": ("parent,child", read_edge_csv),
+    "pvalues": ("node,p", lambda path: read_pvalue_csv(path, {"a\nb": 0})),
+    "items": ("item,p", read_item_pvalue_csv),
+    "annotations": ("node,item", lambda path: read_annotation_csv(
+        path, {"a\nb": 0}, {"a\nb": 0, "g": 1})),
+}
+
+
+@pytest.mark.parametrize("reader,rows,message", [
+    ("edges", f"{QUOTED},c\nx,x\n", ":4: self-loop at node 'x'"),
+    ("edges", f"{QUOTED},c\n{QUOTED},c\n", ":4: duplicate edge"),
+    ("edges", f"{QUOTED},c\n,c\n", ":4: empty node name"),
+    ("edges", f"{QUOTED},c\nx,y,z\n", ":4: expected 2 columns"),
+    ("pvalues", f"{QUOTED},0.1\nzz,0.2\n", ":4: node 'zz' not present"),
+    ("items", f"{QUOTED},0.1\ng,x\n", ":4: bad p-value 'x'"),
+    ("items", f"{QUOTED},0.1\n\ng\n", ":5: expected 2 columns"),
+    ("annotations", f"{QUOTED},g\nzz,g\n", ":4: unknown node 'zz'"),
+    ("annotations", f"{QUOTED},g\n{QUOTED},zz\n", ":4: unknown item 'zz'"),
+], ids=["edges-self-loop", "edges-duplicate", "edges-empty-name",
+        "edges-columns", "pvalues-unknown", "items-bad-p", "items-columns",
+        "annotations-node", "annotations-item"])
+def test_readers_name_the_line_a_record_starts_on(tmp_path, reader, rows,
+                                                   message):
+    # records used to be counted as lines, one short after a quoted break
+    header, read = READERS[reader]
+    path = write(tmp_path / "f.csv", f"{header}\n{rows}")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value).startswith(path + message)
+
+
+def test_a_record_spanning_lines_is_numbered_by_its_first(tmp_path):
+    path = write(tmp_path / "e.csv", 'parent,child\n"x\n\ny","x\n\ny"\n')
+    with pytest.raises(ParseError, match=r"e\.csv:2: self-loop"):
+        read_edge_csv(path)
 
 
 @pytest.mark.parametrize("rows,message", EDGE_FILE_FAULTS)

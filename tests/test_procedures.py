@@ -178,6 +178,63 @@ def test_reshaped_never_exceeds_plain_threshold():
         assert reshaped.t_star <= plain.t_star
 
 
+@st.composite
+def reshapings(draw):
+    """Any reshaping the public constructor accepts: BY of some m, a linear
+    scale in [1e-6, 1], or a custom table built upwards from beta(0) = 0,
+    each step a fraction k / 100 of the room left below r (flat steps and
+    beta(r) = r included).  A beta below ~1e-300 would overflow the
+    oracle's m t / beta, which then warns."""
+    kind = draw(st.sampled_from(["by", "linear", "custom"]))
+    if kind == "by":
+        return ReshapingFn.by(draw(st.integers(1, 60)))
+    if kind == "linear":
+        return ReshapingFn("by", draw(st.floats(1e-6, 1.0)))
+    table = [0.0]
+    for r, k in enumerate(draw(st.lists(st.integers(0, 100), max_size=20)),
+                          start=1):
+        table.append(min(float(r), table[-1] + k / 100 * (r - table[-1])))
+    return ReshapingFn.custom(table)
+
+
+@given(seed=st.integers(0, 2**32 - 1), beta=reshapings(),
+       kind=st.sampled_from(["ds", "outer", "trivial", "screen"]))
+@settings(max_examples=300, deadline=None)
+def test_every_valid_reshaping_stays_below_the_plain_threshold(seed, beta,
+                                                               kind):
+    rng = np.random.default_rng(seed)
+    dag = random_dag(rng) if rng.random() < 0.5 else random_tree(rng)
+    p = rng.uniform(size=dag.m)
+    w = np.exp(rng.normal(0, 0.5, size=dag.m))
+    q = float(rng.uniform(0.05, 0.4))
+    spec = FilterSpec("screen", 0.5) if kind == "screen" else FilterSpec(kind)
+    reshaped = wfbh(dag, p, w, spec, q, reshaping=beta).t_star
+    assert reshaped <= wfbh(dag, p, w, spec, q).t_star
+    assert reshaped == brute_force_tstar(dag, p, w, spec, q, reshaping=beta)
+
+
+@pytest.mark.parametrize("kind, scale, table, message", [
+    ("bogus", 1.0, None, "unknown reshaping kind 'bogus'"),
+    ("identity", 1.0, (0.0, 1.0), "identity reshaping takes no table"),
+    ("identity", 0.5, None, r"identity reshaping: scale must be 1, got 0.5"),
+    ("by", 5.0, None, r"by reshaping: scale must be in \(0, 1\], got 5.0"),
+    ("by", 0.0, None, r"by reshaping: scale must be in \(0, 1\], got 0.0"),
+    ("by", 0.5, (0.0, 1.0), "by reshaping takes no table"),
+    ("custom", 1.0, None, "custom reshaping needs a table"),
+    ("custom", 0.5, (0.0, 1.0), "custom reshaping: scale must be 1"),
+    ("custom", 1.0, (), r"table must start with beta\(0\) = 0"),
+    ("custom", 1.0, (0.0, 1.5), r"beta\(r\) must not exceed r"),
+    ("custom", 1.0, (0.0, 1.0, 0.5), "beta must be nondecreasing"),
+    ("custom", 1.0, (0.0, float("nan")), "beta must be nondecreasing"),
+], ids=["kind", "identity-table", "identity-scale", "by-scale-above",
+        "by-scale-zero", "by-table", "custom-no-table", "custom-scale",
+        "custom-empty", "custom-above-r", "custom-decreasing", "custom-nan"])
+def test_reshaping_checks_itself_when_built(kind, scale, table, message):
+    # each of these used to build, and the by scale 5.0 gave beta(r) = 5 r
+    with pytest.raises(InvalidReshapingError, match=message):
+        ReshapingFn(kind, scale, table)
+
+
 def test_by_procedure_matches_classic_step_up():
     rng = np.random.default_rng(7)
     for _ in range(200):

@@ -365,6 +365,31 @@ def test_run_simulation_rejects_a_non_integer_replication_count(n_reps):
     run_block.assert_not_called()
 
 
+@pytest.mark.parametrize("p_nonnull, methods, message", [
+    ((0.1, 0.1), ("bh",), "p_nonnull: 0.1 is repeated"),
+    ((0.1, 0.3, 0.1), ("bh",), "p_nonnull: 0.1 is repeated"),
+    ((0.1,), ("bh", "bh"), "methods: 'bh\\+trivial' is repeated"),
+    ((0.1,), ("wfbh:ds", "bh", "wfbh:ds"), "methods: 'wfbh\\+ds' is repeated"),
+], ids=["p-twice", "p-apart", "method-twice", "method-apart"])
+def test_run_simulation_rejects_repeated_cells(p_nonnull, methods, message):
+    # the histories are keyed by (method label, p_nonnull): a repeat kept
+    # its cell row but lost its history to the other
+    specs = tuple(MethodSpec(*name.split(":")) for name in methods)
+    config = SimConfig(family="wide-tree", p_nonnull=p_nonnull, n_reps=3,
+                       methods=specs)
+    with mock.patch.object(simulate_module, "_run_block") as run_block:
+        with pytest.raises(ValueError, match=message):
+            run_simulation(config)
+    run_block.assert_not_called()
+
+
+def test_run_simulation_keeps_a_history_per_cell():
+    config = SimConfig(family="wide-tree", p_nonnull=(0.1, 0.3), n_reps=3,
+                       methods=(MethodSpec("bh"), MethodSpec("bh", "ds")))
+    summary = run_simulation(config)
+    assert len(summary.cells) == len(summary.histories) == 4
+
+
 def test_replication_composition_with_smoothing():
     # pins the per-replication pipeline: draw, smooth, weight the smoothed
     # vector, run the filtered scan, score against the truth
