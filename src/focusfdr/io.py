@@ -6,10 +6,12 @@ child cell declares a node without an edge.  P-value files are
 ``node,p``.  Intersection mode replaces the node p-value file with an
 item-level ``item,p`` file plus a ``node,item`` annotation file.  Node
 names map to dense internal ids in order of first appearance, and reports
-echo that mapping.  Each reader makes one pass over its file into Python
-lists, then runs its checks as array operations; an error names the first
-faulty line in file order, with the message a check of each line in turn
-would give.
+echo that mapping.  Each reader works through its file a block of lines at
+a time: a block is split at its line breaks and commas while the file holds
+no quote, and read by ``csv.reader`` from the first quote on; its names
+become ids in an intp array, and its checks run as array operations.  An
+error names the first faulty line in file order, with the message a check
+of each line in turn would give.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -45,40 +47,126 @@ class MissingPvalueError(ValueError):
     pass
 
 
-def _rows(path, header):
-    """(record number, first cell, second cell) of each data row of a
-    two-column CSV file with the given header, cells stripped (``_where``
-    names a record's line).  Blank rows are skipped; a row of another width
-    raises."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+# A reader holds one block's cell strings at a time.
+_BLOCK = 1024
+
+
+def _records(fh):
+    """Yield the records of an open CSV file a block of lines at a time, as
+    (cells, widths, error): the block's raw cells in one list, each
+    record's cell count, and the ``csv.Error`` that ends the file after
+    them, if any.  A block whose text holds no quote and no line longer
+    than csv's field limit is split at its line breaks and then at commas;
+    opened with ``newline=""``, the file breaks lines at "\\r\\n", "\\r"
+    and "\\n", as ``csv.reader`` does.  From the first other block on,
+    ``csv.reader`` parses the file; it gives the same records wherever the
+    split does."""
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, _BLOCK)):
+        text = ",".join(lines)
+        if '"' in text or (len(text) > limit
+                           and max(map(len, lines)) > limit):
+            yield from _csv_records(chain(lines, fh))
+            return
+        # each line's break stays on its last cell, which readers strip
+        cells = text.split(",")
+        if len(cells) == 2 * len(lines):
+            # 2 cells a line, and no line break in any first cell: then
+            # every line's break ends a second cell, so each line has two
+            firsts = "".join(cells[::2])
+            if "\n" not in firsts and "\r" not in firsts:
+                yield cells, [2] * len(lines), None
+                continue
+        yield cells, [n + 1 for n in map(str.count, lines,
+                                         repeat(","))], None
+
+
+def _csv_records(lines):
+    """``_records`` of the given lines by ``csv.reader``."""
+    reader, more = csv.reader(lines), True
+    while more:
+        rows, error = [], None
         try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in first] != list(header):
-            raise ParseError(f"{path}:1: expected header {','.join(header)!r}")
-        for record, row in enumerate(reader, start=1):
-            if len(row) == 2:
-                a, b = row[0].strip(), row[1].strip()
-                if a or b:
-                    yield record, a, b
-            elif any(c.strip() for c in row):
-                raise ParseError(f"{_where(path, record)}: expected 2 columns")
+            rows.extend(islice(reader, _BLOCK))     # keeps the rows read
+        except csv.Error as exc:
+            error = exc
+        more = len(rows) == _BLOCK
+        yield list(chain.from_iterable(rows)), list(map(len, rows)), error
+
+
+def _table(path, header, named=False):
+    """Yield the data rows of a two-column CSV file with the given header a
+    block at a time, as (cells, records): the rows' stripped cells, two a
+    row in one list, and their record numbers (``_where`` names a record's
+    line).  Blank rows are skipped.  A row of another width, a row with an
+    empty first cell if ``named``, or a cell over csv's field limit raises
+    once the rows before it are yielded."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        start = 0                   # record number of a block's first record
+        for cells, widths, error in _records(fh):
+            cells = list(map(str.strip, cells))
+            if start == 0 and widths:
+                width = widths.pop(0)
+                if [h.lower() for h in cells[:width]] != list(header):
+                    raise ParseError(f"{path}:1: expected header "
+                                     f"{','.join(header)!r}")
+                del cells[:width]
+                start = 1
+            cells, records, fault = _kept(cells, widths, start, named)
+            yield cells, records
+            if fault is not None:
+                raise ParseError(f"{_where(path, fault[0])}: {fault[1]}")
+            start += len(widths)
+            if error is not None:
+                raise ParseError(f"{_where(path, start)}: {error}")
+        if start == 0:
+            raise ParseError(f"{path}: empty file")
+
+
+def _kept(cells, widths, start, named):
+    """The stripped cells and record numbers of a block's non-blank rows
+    up to its first faulty row, and (record, message) of that row or None.
+    The block's records are numbered from ``start``."""
+    n = len(widths)
+    if widths.count(2) == n and "" not in cells[::2]:
+        return cells, range(start, start + n), None
+    kept, records, at = [], [], 0
+    for record, width in enumerate(widths, start):
+        row = cells[at:at + width]
+        at += width
+        if not any(row):
+            continue
+        if width != 2:
+            return kept, records, (record, "expected 2 columns")
+        if named and not row[0]:
+            return kept, records, (record, "empty node name")
+        kept += row
+        records.append(record)
+    return kept, records, None
 
 
 def _where(path, record):
-    """The "path:line" on which data record ``record`` starts, one line past
-    where the record before it ends, since a quoted cell may span lines."""
+    """The "path:line" on which record ``record`` starts (the header is
+    record 0), one line past where the record before it ends, since a
+    quoted cell may span lines."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        next(islice(reader, record - 1, None))      # records 0 .. record - 1
+        for _ in islice(reader, record):
+            pass
         return f"{path}:{reader.line_num + 1}"
 
 
-def _where_row(path, header, k):
-    """``_where`` of the k-th data row (from 0) that ``_rows`` yields."""
-    return _where(path, next(islice(_rows(path, header), k, None))[0])
+def _intern(names, table, start=None):
+    """The id each of ``names`` has in ``table``, -1 for a name not in it,
+    as an intp array.  With ``start``, the names not in ``table`` join it
+    first, with the ids start, start + 1, ... in order of first
+    appearance."""
+    if start is None:
+        ids = map(table.get, names, repeat(-1))
+    else:
+        intern, shift = table.setdefault, start - len(table)
+        ids = (intern(name, len(table) + shift) for name in names)
+    return np.fromiter(ids, dtype=np.intp, count=len(names))
 
 
 def read_edge_csv(path):
@@ -91,27 +179,23 @@ def read_edge_csv(path):
     empty parent ends the pass, but a self-loop or duplicate edge on an
     earlier line, found afterwards by ``check_edges``, is reported first.
     """
-    header = ("parent", "child")
-    ids = {}
-    intern = ids.setdefault
-    flat = []
-    add = flat.append
-    row_error = None
+    ids = {"": -1}      # an empty child cell: no edge; names count from 0
+    blocks, spans, row_error = [np.empty(0, dtype=np.intp)], [], None
     try:
-        for record, parent, child in _rows(path, header):
-            if not parent:
-                raise ParseError(f"{_where(path, record)}: empty node name")
-            add(intern(parent, len(ids)))
-            add(intern(child, len(ids)) if child else -1)
+        for cells, records in _table(path, ("parent", "child"), named=True):
+            blocks.append(_intern(cells, ids, len(ids) - 1))
+            spans.append(records)
     except ParseError as exc:
         row_error = exc
-    pairs = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    del ids[""]
+    pairs = np.concatenate(blocks).reshape(-1, 2)
     is_edge = pairs[:, 1] >= 0
     edges = pairs if is_edge.all() else pairs[is_edge]
     try:
         order = check_edges(len(ids), edges[:, 0], edges[:, 1])
     except (SelfLoopError, DuplicateEdgeError) as exc:
-        at = _where_row(path, header, np.flatnonzero(is_edge)[exc.index])
+        row = np.flatnonzero(is_edge)[exc.index]
+        at = _where(path, next(islice(chain.from_iterable(spans), row, None)))
         names = list(ids)
         parent, child = (names[v] for v in edges[exc.index])
         if isinstance(exc, SelfLoopError):
@@ -170,35 +254,37 @@ def _read_pvalues(path, header, name_to_id, duplicate):
     A wrong column count ends the pass, but a fault on an earlier line is
     reported first.
     """
-    names, texts, row_error = [], [], None
-    try:
-        for _, name, text in _rows(path, header):
-            names.append(name)
-            texts.append(text)
-    except ParseError as exc:
-        row_error = exc
-    if name_to_id is None:
-        name_to_id = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    ids = np.fromiter(map(name_to_id.get, names, repeat(-1)), dtype=np.intp,
-                      count=len(names))
-    values, bad_text = _parse_floats(texts)
-    unknown = ids < 0
-    repeated, _ = repeats(np.where(unknown, -1 - np.arange(ids.size), ids))
-    bad = unknown | repeated | bad_text | ~((values >= 0.0) & (values <= 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        where = _where_row(path, header, k)
-        if unknown[k]:
-            raise UnknownNodeInPvaluesError(
-                f"{where}: node {names[k]!r} not present in the graph")
-        if repeated[k]:
-            raise ParseError(f"{where}: {duplicate} {names[k]!r}")
-        if bad_text[k]:
-            raise ParseError(f"{where}: bad p-value {texts[k]!r}")
-        raise ParseError(f"{where}: p-value {texts[k]!r} not in [0, 1]")
-    if row_error is not None:
-        raise row_error
-    return name_to_id, ids, values
+    table = {} if name_to_id is None else name_to_id
+    seen = np.zeros(len(table) + 1, dtype=bool)     # by id, then one slot
+    id_blocks, value_blocks = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for cells, records in _table(path, header):
+        names, texts = cells[::2], cells[1::2]
+        ids = _intern(names, table,
+                      len(table) if name_to_id is None else None)
+        values, bad_text = _parse_floats(texts)
+        if seen.size <= len(table):
+            seen = np.concatenate([seen, np.zeros(len(table) + 1 - seen.size,
+                                                  dtype=bool)])
+        unknown = ids < 0
+        # an unknown name reads the last slot, but is reported as unknown
+        repeated = seen[ids] | repeats(ids)[0]
+        bad = (unknown | repeated | bad_text
+               | ~((values >= 0.0) & (values <= 1.0)))
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = _where(path, records[k])
+            if unknown[k]:
+                raise UnknownNodeInPvaluesError(
+                    f"{where}: node {names[k]!r} not present in the graph")
+            if repeated[k]:
+                raise ParseError(f"{where}: {duplicate} {names[k]!r}")
+            if bad_text[k]:
+                raise ParseError(f"{where}: bad p-value {texts[k]!r}")
+            raise ParseError(f"{where}: p-value {texts[k]!r} not in [0, 1]")
+        seen[ids] = True
+        id_blocks.append(ids)
+        value_blocks.append(values)
+    return table, np.concatenate(id_blocks), np.concatenate(value_blocks)
 
 
 def read_pvalue_csv(path, name_to_id):
@@ -228,12 +314,18 @@ def read_item_pvalue_csv(path):
 def read_annotation_csv(path, name_to_id, item_to_id):
     """Parse node,item rows into per-node item index sets."""
     sets = [set() for _ in range(len(name_to_id))]
-    for record, node, item in _rows(path, ("node", "item")):
-        if node not in name_to_id:
-            raise ParseError(f"{_where(path, record)}: unknown node {node!r}")
-        if item not in item_to_id:
-            raise ParseError(f"{_where(path, record)}: unknown item {item!r}")
-        sets[name_to_id[node]].add(item_to_id[item])
+    for cells, records in _table(path, ("node", "item")):
+        nodes = _intern(cells[::2], name_to_id)
+        items = _intern(cells[1::2], item_to_id)
+        bad = (nodes < 0) | (items < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            kind, name = (("node", cells[2 * k]) if nodes[k] < 0
+                          else ("item", cells[2 * k + 1]))
+            raise ParseError(f"{_where(path, records[k])}: unknown {kind} "
+                             f"{name!r}")
+        for node, item in zip(nodes.tolist(), items.tolist()):
+            sets[node].add(item)
     return sets
 
 
@@ -378,18 +470,22 @@ def write_report_json(report, stream):
 
     ``json`` indents only through its pure-Python encoder.  Here every
     non-empty dict or list whose items are all plain scalars, such as the
-    ``node_ids`` map and each discovery row, is encoded in one call of
-    json's C encoder with a line break as the item separator; each break
-    then becomes a comma and the next line's indent.
+    ``node_ids`` map, and every list of such dicts, such as the discovery
+    rows, is encoded in one call of json's C encoder, with a comma, a line
+    break and the items' indent as the item separator.
     """
     stream.write(_json(report, "\n"))
     stream.write("\n")
 
 
-# A line break never appears inside the C encoder's output except as this
-# separator: it escapes line breaks in strings.
-_ITEM_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
 _JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _items_on_lines(indent):
+    """json's C encoder with each item on a line of its own at ``indent``
+    (a line break and spaces).  The encoder escapes line breaks in
+    strings, so that its output holds none but these."""
+    return json.JSONEncoder(separators=("," + indent, ": "))
 
 
 def _json(value, newline):
@@ -400,9 +496,20 @@ def _json(value, newline):
         inner = newline + "  "
         if _JSON_SCALARS.issuperset(map(type, value.values() if kind is dict
                                         else value)):
-            text = _ITEM_PER_LINE.encode(value)
-            return (text[0] + inner + text[1:-1].replace("\n", "," + inner)
-                    + newline + text[-1])
+            text = _items_on_lines(inner).encode(value)
+            return text[0] + inner + text[1:-1] + newline + text[-1]
+        if kind is not dict and all(
+                type(v) is dict and v
+                and _JSON_SCALARS.issuperset(map(type, v.values()))
+                for v in value):
+            # rows of scalars, such as the discovery rows: an item break
+            # followed by "{" starts a row, and gains the row's own lines
+            row = inner + "  "
+            text = _items_on_lines(row).encode(value)
+            return ("[" + inner + "{" + row
+                    + text[2:-2].replace("}," + row + "{",
+                                         inner + "}," + inner + "{" + row)
+                    + inner + "}" + newline + "]")
         if kind is not dict:
             return ("[" + ",".join([inner + _json(v, inner) for v in value])
                     + newline + "]")

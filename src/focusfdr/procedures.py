@@ -244,10 +244,20 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     _check_q(q)
     p = validate_pvector(pvalues, dag.m)
     w = _weights_array(weights, dag.m).reshape(1, -1)
-    beta = reshaping if reshaping is not None else ReshapingFn.identity()
+    beta = _beta(reshaping)
     wp, t_star, found = _focused_rows(dag, p.reshape(1, -1), w, filter_spec,
                                       q, beta)
     return ProcedureResult.of_row(found, w, (wp, t_star, beta))
+
+
+def _beta(reshaping):
+    """The ReshapingFn a scan applies: identity for None."""
+    if reshaping is None:
+        return ReshapingFn.identity()
+    if not isinstance(reshaping, ReshapingFn):
+        raise InvalidReshapingError(
+            f"reshaping must be a ReshapingFn, got {reshaping!r}")
+    return reshaping
 
 
 def weighted_reshaped_fbh(dag, pvalues, weights, filter_spec, q, beta):
@@ -444,17 +454,15 @@ def brute_force_tstar(dag, pvalues, weights, filter_spec, q, reshaping=None):
     _check_q(q)
     p = validate_pvector(pvalues, dag.m)
     w = _weights_array(weights, dag.m)
-    beta = reshaping if reshaping is not None else ReshapingFn.identity()
-    wp = w * p
+    beta = _beta(reshaping)
+    wp = (w * p).tolist()
     best = 0.0
-    for t in sorted(set([0.0] + list(wp))):
+    for t in sorted(set([0.0] + wp)):
         base = [i for i in range(dag.m) if wp[i] <= t]
         size = len(apply_filter(filter_spec, dag, base, p))
+        # feasible as _scan has it, m t <= q beta with beta > 0: the FDP
+        # m t / beta would overflow for a subnormal beta
         denom = beta(float(size))
-        if denom > 0:
-            fdp = dag.m * t / denom
-        else:
-            fdp = 0.0 if t == 0.0 else float("inf")
-        if fdp <= q:
+        if denom > 0 and dag.m * t <= q * denom:
             best = max(best, t)
     return best

@@ -86,7 +86,8 @@ def check_dw_mode(dw):
     depths, which ``check_dw_depths`` checks against a graph)."""
     if isinstance(dw, str) and dw not in ("auto", "none"):
         raise ValueError(f"unknown dw mode {dw!r}")
-    if not isinstance(dw, Collection):
+    # a 0-d array is a Collection, but holds no depths to iterate
+    if not isinstance(dw, Collection) or getattr(dw, "ndim", 1) == 0:
         raise ValueError(f"dw must be 'auto', 'none' or depths, got {dw!r}")
 
 

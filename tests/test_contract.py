@@ -95,7 +95,8 @@ C = count(0, "c: the group-size threshold")
 # a WeightConfig's valid arguments and bad values
 WEIGHTS = {"lam": 0.5, "c": 1, "dw": "auto"}
 WEIGHT_KINDS = {"lam": LAMBDA, "c": C,
-                "dw": ("dw", {"5": 5, "None": None, "'bogus'": "bogus"})}
+                "dw": ("dw", {"5": 5, "None": None, "'bogus'": "bogus",
+                              "array(2)": np.array(2)})}
 
 
 def _dag(m, child):

@@ -2,15 +2,19 @@
 or an edge list holds several, the array Dag against a per-edge reference
 loop, isolated nodes, and the report writer against ``json.dump``."""
 
+import csv
 import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from focusfdr.checks import random_dag
+import focusfdr.io as focusfdr_io
 from focusfdr.cli import EXIT_INPUT, main
 from focusfdr.dag import (CycleDetectedError, DagError, DuplicateEdgeError,
                           NodeIdOutOfRangeError, SelfLoopError, build_dag)
@@ -142,7 +146,7 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("reader,rows,message", [
+LINE_CASES = [
     ("edges", f"{QUOTED},c\nx,x\n", ":4: self-loop at node 'x'"),
     ("edges", f"{QUOTED},c\n{QUOTED},c\n", ":4: duplicate edge"),
     ("edges", f"{QUOTED},c\n,c\n", ":4: empty node name"),
@@ -152,9 +156,13 @@ READERS = {
     ("items", f"{QUOTED},0.1\n\ng\n", ":5: expected 2 columns"),
     ("annotations", f"{QUOTED},g\nzz,g\n", ":4: unknown node 'zz'"),
     ("annotations", f"{QUOTED},g\n{QUOTED},zz\n", ":4: unknown item 'zz'"),
-], ids=["edges-self-loop", "edges-duplicate", "edges-empty-name",
-        "edges-columns", "pvalues-unknown", "items-bad-p", "items-columns",
-        "annotations-node", "annotations-item"])
+]
+LINE_IDS = ["edges-self-loop", "edges-duplicate", "edges-empty-name",
+            "edges-columns", "pvalues-unknown", "items-bad-p",
+            "items-columns", "annotations-node", "annotations-item"]
+
+
+@pytest.mark.parametrize("reader,rows,message", LINE_CASES, ids=LINE_IDS)
 def test_readers_name_the_line_a_record_starts_on(tmp_path, reader, rows,
                                                    message):
     # records used to be counted as lines, one short after a quoted break
@@ -185,6 +193,141 @@ def test_cli_reports_first_faulty_pvalue_line(tmp_path, capsys, rows, error,
     pv = write(tmp_path / "p.csv", "node,p\n" + rows)
     assert main(["analyze", "--dag", dag, "--pvalues", pv]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {pv}{message}\n"
+
+
+# ------------------------------ both ways a file is read: split, csv.reader
+
+def quote_header(text):
+    """``text`` with its header's first name quoted: the header reads the
+    same, but a file that holds a quote is parsed by ``csv.reader``, where
+    a file without one is split at its commas and line breaks."""
+    name, rest = text.split(",", 1)
+    return f'"{name}",{rest}'
+
+
+@pytest.mark.parametrize("rows,message", EDGE_FILE_FAULTS)
+def test_edge_faults_through_csv_reader(tmp_path, capsys, rows, message):
+    path = write(tmp_path / "e.csv", quote_header("parent,child\n" + rows))
+    with pytest.raises(ParseError) as info:
+        read_edge_csv(path)
+    assert str(info.value) == path + message
+    assert main(["graph-info", "--dag", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("rows,error,message", PVALUE_FILE_FAULTS)
+def test_pvalue_faults_through_csv_reader(tmp_path, capsys, rows, error,
+                                          message):
+    dag = write(tmp_path / "e.csv", "parent,child\na,b\nb,c\n")
+    pv = write(tmp_path / "p.csv", quote_header("node,p\n" + rows))
+    with pytest.raises(error) as info:
+        read_pvalue_csv(pv, {"a": 0, "b": 1, "c": 2})
+    assert str(info.value) == pv + message
+    assert main(["analyze", "--dag", dag, "--pvalues", pv]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {pv}{message}\n"
+
+
+@pytest.mark.parametrize("reader,rows,message", LINE_CASES, ids=LINE_IDS)
+def test_line_numbers_through_csv_reader(tmp_path, reader, rows, message):
+    header, read = READERS[reader]
+    path = write(tmp_path / "f.csv", quote_header(f"{header}\n{rows}"))
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value).startswith(path + message)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_blocks_keep_record_numbers_and_first_faults(tmp_path, monkeypatch,
+                                                     block):
+    # faults, blank rows and a quoted cell on either side of block bounds
+    monkeypatch.setattr(focusfdr_io, "_BLOCK", block)
+    edges = "parent,child\na,b\n\nb,c\n,\n" + QUOTED + ",d\n"
+    path = write(tmp_path / "e.csv", edges + "e,f\nb,c\nx\n")
+    with pytest.raises(ParseError, match=r"e\.csv:9: duplicate edge"):
+        read_edge_csv(path)
+    path = write(tmp_path / "e.csv", edges + "e,f\nx\nb,c\n")
+    with pytest.raises(ParseError, match=r"e\.csv:9: expected 2 columns"):
+        read_edge_csv(path)
+    names, ids, got = read_edge_csv(write(tmp_path / "e.csv", edges))
+    assert names == ["a", "b", "c", "a\nb", "d"]
+    assert got.tolist() == [[0, 1], [1, 2], [3, 4]]
+    pv = write(tmp_path / "p.csv", "node,p\nc,0.3\n\na,0.1\nb,0.2\n\n")
+    assert read_pvalue_csv(pv, {"a": 0, "b": 1, "c": 2}).tolist() == [
+        0.1, 0.2, 0.3]
+    pv = write(tmp_path / "p.csv", "node,p\nc,0.3\n\na,0.1\nb,2\nc,0.1\n")
+    with pytest.raises(ParseError, match=r"p\.csv:5: p-value '2'"):
+        read_pvalue_csv(pv, {"a": 0, "b": 1, "c": 2})
+    pv = write(tmp_path / "p.csv", "item,p\ng,0.3\n\nh,0.1\n\ng,0.2\n")
+    with pytest.raises(ParseError, match=r"p\.csv:6: duplicate item 'g'"):
+        read_item_pvalue_csv(pv)
+
+
+LONG = "x" * 200_000
+
+
+@pytest.mark.parametrize("header", ["parent,child", '"parent",child'],
+                         ids=["split", "csv-reader"])
+@pytest.mark.parametrize("rows,line", [
+    (f"a,b\n{LONG},c\n", 3), (f"a,b\nb,{LONG}\nc,c\n", 3),
+    (f"a,b\n\nc,{LONG}", 4), (f"{LONG},a\n", 2)],
+    ids=["parent", "child", "last-line", "first-row"])
+def test_cli_oversized_field_exits_2(tmp_path, capsys, header, rows, line):
+    # csv.reader's own error used to escape as a traceback with exit 1
+    dag = write(tmp_path / "e.csv", f"{header}\n{rows}")
+    assert main(["graph-info", "--dag", dag]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {dag}:{line}: field larger than field limit (131072)\n")
+
+
+def test_a_cell_at_the_limit_is_read(tmp_path):
+    # its line is longer than the limit, which alone is no fault
+    name = "y" * csv.field_size_limit()
+    for header in ("parent,child", '"parent",child'):
+        path = write(tmp_path / "e.csv", f"{header}\n{name},b\r\n")
+        assert read_edge_csv(path)[0] == [name, "b"]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+BLOCK = focusfdr_io._BLOCK
+# each reader, with what it returns in a form == compares
+PATH_READERS = {
+    "parent,child": lambda path: (lambda names, ids, edges: (
+        names, ids, edges.tolist()))(*read_edge_csv(path)),
+    "node,p": lambda path: read_pvalue_csv(path, {"a": 0, "b": 1}).tolist(),
+    "item,p": lambda path: (lambda names, ids, p: (names, ids, p.tolist()))(
+        *read_item_pvalue_csv(path)),
+    "node,item": lambda path: read_annotation_csv(
+        path, {"a": 0, "b": 1}, {"a": 0, "b": 1, "0.5": 2}),
+}
+# line breaks, the separator and what str.strip strips, but no quote
+PIECES = [",", "\n", "\r", "\r\n", " ", "\t", "\x00", "\x0b", "\x0c",
+          "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "a", "b", "0.5"]
+
+
+@given(body=st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+       block=st.sampled_from([1, 2, 3, 1024]))
+@settings(max_examples=300, deadline=None)
+def test_split_and_csv_reader_give_the_same_result(body, block):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "f.csv")
+        for header, read in PATH_READERS.items():
+            got = []
+            for text, size in [(f"{header}\n{body}", block),
+                               (quote_header(f"{header}\n{body}"), 1024)]:
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                focusfdr_io._BLOCK = size
+                try:
+                    got.append(_outcome(read, path))
+                finally:
+                    focusfdr_io._BLOCK = BLOCK
+            assert got[0] == got[1], header
 
 
 # ------------------------------------------------- the array Dag, per edge
@@ -488,15 +631,25 @@ BOM_CASES = {
 @pytest.mark.parametrize("mode", sorted(BOM_CASES))
 def test_byte_order_mark_is_accepted(tmp_path, mode):
     # files saved as "CSV UTF-8" by spreadsheet programs start with a BOM
+    check_byte_order_mark(tmp_path, BOM_CASES[mode])
+
+
+@pytest.mark.parametrize("mode", sorted(BOM_CASES))
+def test_byte_order_mark_through_csv_reader(tmp_path, mode):
+    check_byte_order_mark(tmp_path, {name: quote_header(text) for name, text
+                                     in BOM_CASES[mode].items()})
+
+
+def check_byte_order_mark(tmp_path, files):
     reports = []
     for encoding in ("utf-8", "utf-8-sig"):
         folder = tmp_path / encoding
         folder.mkdir()
-        for name, text in BOM_CASES[mode].items():
+        for name, text in files.items():
             (folder / name).write_text(text, encoding=encoding)
         assert (folder / "e.csv").read_bytes().startswith(
             b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
-        items = str(folder / "ann.csv") if mode == "items" else None
+        items = str(folder / "ann.csv") if "ann.csv" in files else None
         report = analyze(AnalysisRequest(
             dag_file=str(folder / "e.csv"), pvalues_file=str(folder / "p.csv"),
             items_file=items, method="wfbh", q=0.2))

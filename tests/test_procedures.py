@@ -181,15 +181,14 @@ def test_reshaped_never_exceeds_plain_threshold():
 @st.composite
 def reshapings(draw):
     """Any reshaping the public constructor accepts: BY of some m, a linear
-    scale in [1e-6, 1], or a custom table built upwards from beta(0) = 0,
+    scale in [5e-324, 1], or a custom table built upwards from beta(0) = 0,
     each step a fraction k / 100 of the room left below r (flat steps and
-    beta(r) = r included).  A beta below ~1e-300 would overflow the
-    oracle's m t / beta, which then warns."""
+    beta(r) = r included)."""
     kind = draw(st.sampled_from(["by", "linear", "custom"]))
     if kind == "by":
         return ReshapingFn.by(draw(st.integers(1, 60)))
     if kind == "linear":
-        return ReshapingFn("by", draw(st.floats(1e-6, 1.0)))
+        return ReshapingFn("by", draw(st.floats(5e-324, 1.0)))
     table = [0.0]
     for r, k in enumerate(draw(st.lists(st.integers(0, 100), max_size=20)),
                           start=1):
@@ -211,6 +210,29 @@ def test_every_valid_reshaping_stays_below_the_plain_threshold(seed, beta,
     reshaped = wfbh(dag, p, w, spec, q, reshaping=beta).t_star
     assert reshaped <= wfbh(dag, p, w, spec, q).t_star
     assert reshaped == brute_force_tstar(dag, p, w, spec, q, reshaping=beta)
+
+
+@pytest.mark.parametrize("beta", [ReshapingFn("by", 5e-324),
+                                  ReshapingFn.custom([0.0, 5e-324, 1e-310])],
+                         ids=["by-subnormal", "custom-subnormal"])
+def test_oracle_takes_a_subnormal_beta(beta):
+    # m t / beta used to overflow, which warns (an error under pytest here)
+    dag = build_dag(3, [(0, 1), (1, 2)])
+    p = np.array([1e-300, 0.5, 0.9])
+    w = unity_weights(3)
+    want = wfbh(dag, p, w, DS, 0.05, reshaping=beta).t_star
+    assert brute_force_tstar(dag, p, w, DS, 0.05, reshaping=beta) == want
+
+
+@pytest.mark.parametrize("run", [wfbh, brute_force_tstar],
+                         ids=["wfbh", "brute_force_tstar"])
+def test_a_bare_callable_is_no_reshaping(run):
+    # beta(r) = 5 r is no valid reshaping, yet it used to raise t* to 0.06
+    dag = build_dag(3, [(0, 1), (1, 2)])
+    p, w = np.array([0.04, 0.05, 0.06]), unity_weights(3)
+    assert wfbh(dag, p, w, DS, 0.05).t_star == 0.0
+    with pytest.raises(InvalidReshapingError, match="must be a ReshapingFn"):
+        run(dag, p, w, DS, 0.05, reshaping=lambda r: 5 * r)
 
 
 @pytest.mark.parametrize("kind, scale, table, message", [
