@@ -183,7 +183,7 @@ def _is_method(value):
     if isinstance(value, dict) and set(value) in ({"procedure"},
                                                  {"procedure", "filter"}):
         value = list(value.values())
-    return (isinstance(value, list) and 1 <= len(value) <= 2
+    return (isinstance(value, list) and len(value) in (1, 2)
             and all(isinstance(v, str) for v in value))
 
 

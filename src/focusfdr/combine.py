@@ -87,6 +87,8 @@ class Combiner:
 
     @classmethod
     def from_name(cls, name):
+        if not isinstance(name, str):
+            raise ValueError(f"unknown combiner {name!r}")
         name = name.strip().lower()
         if name == "tippett":
             return cls("orderstat", 1)

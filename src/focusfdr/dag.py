@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -547,6 +547,22 @@ def _is_int(value, low=None, high=None):
     return (isinstance(value, Integral) and not isinstance(value, bool)
             and (low is None or value >= low)
             and (high is None or value < high))
+
+
+def _is_real(value):
+    """The type of every level: a real number, not a bool nor an array."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_real(value, what, error=ValueError, interval="(0, 1)"):
+    """Raise ``error`` naming ``what`` unless ``_is_real(value)`` and it lies
+    in ``interval``, written as the message shows it: "(0, 1)", "[0, 1)",
+    "[0, 1]", "(0, 1]" or "(0, inf)".  NaN lies in none."""
+    low, high = map(float, interval[1:-1].split(", "))
+    if not (_is_real(value)
+            and (low <= value if interval[0] == "[" else low < value)
+            and (value <= high if interval[-1] == "]" else value < high)):
+        raise error(f"{what} must be in {interval}, got {value!r}")
 
 
 def _check_node(m, node):

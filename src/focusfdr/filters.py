@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combine import validate_pvector
-from .dag import fold_edges, is_tree, level_sweep, node_mask
+from .dag import _check_real, fold_edges, is_tree, level_sweep, node_mask
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,13 @@ class FilterSpec:
         if self.kind not in ("trivial", "ds", "outer", "screen"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "screen":
-            if self.threshold is None or not (0.0 <= self.threshold <= 1.0):
-                raise ValueError(
-                    "screening filter needs a threshold in [0, 1]")
+            _check_real(self.threshold, "screening filter threshold",
+                        interval="[0, 1]")
 
     @classmethod
     def from_name(cls, name):
+        if not isinstance(name, str):
+            raise ValueError(f"unknown filter kind {name!r}")
         name = name.strip().lower()
         if name.startswith("screen:"):
             text = name.split(":", 1)[1]

@@ -27,8 +27,8 @@ import numpy as np
 from .combine import (AnnotationNotNestedError, EmptyAnnotationError,
                       intersection_dag_pvalues, smooth_all_descendants)
 from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
-                  build_dag, check_edges, disjoint_descendant_depths, is_tree,
-                  repeats)
+                  _is_int, build_dag, check_edges, disjoint_descendant_depths,
+                  is_tree, repeats)
 from .filters import is_monotonic
 from .procedures import (FOCUSED, NotATreeError, RunParams, StructurePlan,
                          run_procedure)
@@ -287,8 +287,23 @@ def _read_pvalues(path, header, name_to_id, duplicate):
     return table, np.concatenate(id_blocks), np.concatenate(value_blocks)
 
 
+def _check_ids(table, what):
+    """Refuse ids other than 0 .. n - 1, one each, by ``_is_int``."""
+    ids = list(table.values())
+    if not (all(map(_is_int, dict(zip(map(type, ids), ids)).values()))
+            and sorted(ids) == list(range(len(ids)))):
+        raise ValueError(f"{what} must map its names onto 0 .. {len(ids) - 1}")
+
+
 def read_pvalue_csv(path, name_to_id):
     """Parse node,p rows into a dense vector; every node exactly once."""
+    _check_ids(name_to_id, "name_to_id")
+    return _pvalue_vector(path, name_to_id)
+
+
+def _pvalue_vector(path, name_to_id):
+    """``read_pvalue_csv`` on a table known to be dense, as ``read_dag``'s
+    is: ``analyze`` skips the check, a pass over every id."""
     _, ids, values = _read_pvalues(path, ("node", "p"), name_to_id,
                                    "duplicate p-value for")
     if ids.size < len(name_to_id):
@@ -313,6 +328,8 @@ def read_item_pvalue_csv(path):
 
 def read_annotation_csv(path, name_to_id, item_to_id):
     """Parse node,item rows into per-node item index sets."""
+    _check_ids(name_to_id, "name_to_id")
+    _check_ids(item_to_id, "item_to_id")
     sets = [set() for _ in range(len(name_to_id))]
     for cells, records in _table(path, ("node", "item")):
         nodes = _intern(cells[::2], name_to_id)
@@ -418,7 +435,7 @@ def analyze(request):
                                                   comb)
             p_used = p_original
         else:
-            p_original = read_pvalue_csv(request.pvalues_file, name_to_id)
+            p_original = _pvalue_vector(request.pvalues_file, name_to_id)
             p_used = p_original
             if comb is not None:
                 p_used = smooth_all_descendants(dag, p_original, comb)

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .combine import Combiner, validate_pvector
-from .dag import _is_int, compute_depths, group_index, is_tree, level_sweep
+from .dag import (_check_real, _is_int, _is_real, compute_depths,
+                  group_index, is_tree, level_sweep)
 from .filters import (FilterSpec, apply_filter, interval_counts,
                       keep_intervals)
 from .weights import (WeightConfig, WeightWorkspace, parse_lambda_policy,
@@ -51,11 +52,6 @@ class LevelOutOfRangeError(ValueError):
     pass
 
 
-def _check_q(q):
-    if not (0.0 < q < 1.0):
-        raise QOutOfRangeError(f"target FDR level must be in (0, 1), got {q}")
-
-
 def _step_up(p, q, pi0=1.0, beta=None):
     """Rejection mask of each row of an (R, m) block: the row's k smallest
     p-values, k maximal with p_(k) m pi0 <= k q, or q beta(k) if given
@@ -78,13 +74,13 @@ def bh(pvalues, q):
     """Classic step-up rule: reject the k smallest p-values, k maximal with
     p_(k) <= k q / m.  Kept deliberately textbook; it doubles as the
     reference oracle for the focused procedures with unity weights."""
-    _check_q(q)
+    _check_real(q, "target FDR level", QOutOfRangeError)
     return _row_set(_step_up(validate_pvector(pvalues).reshape(1, -1), q)[0])
 
 
 def storey_bh(pvalues, q, lam):
     """Adaptive step-up with thresholds k q / (m pi0_hat)."""
-    _check_q(q)
+    _check_real(q, "target FDR level", QOutOfRangeError)
     p = validate_pvector(pvalues)
     return _row_set(_step_up(p.reshape(1, -1), q, storey_pi0(p, lam))[0])
 
@@ -110,10 +106,12 @@ class ReshapingFn:
         if (table is None) == custom:
             raise InvalidReshapingError(f"{kind} reshaping " + (
                 "needs a table" if custom else "takes no table"))
-        if not (0.0 < self.scale <= 1.0 if kind == "by" else self.scale == 1):
+        if kind == "by":
+            _check_real(self.scale, "by reshaping: scale",
+                        InvalidReshapingError, "(0, 1]")
+        elif self.scale != 1:
             raise InvalidReshapingError(
-                f"{kind} reshaping: scale must be "
-                f"{'in (0, 1]' if kind == 'by' else '1'}, got {self.scale!r}")
+                f"{kind} reshaping: scale must be 1, got {self.scale!r}")
         if custom and (len(table) == 0 or table[0] != 0.0):
             raise InvalidReshapingError("table must start with beta(0) = 0")
         for r in range(1, len(table) if custom else 0):
@@ -241,7 +239,7 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     Both the scan and the discoveries come from the filter's keep
     intervals: the discoveries are {v: enter_v <= t* < leave_v}.
     """
-    _check_q(q)
+    _check_real(q, "target FDR level", QOutOfRangeError)
     p = validate_pvector(pvalues, dag.m)
     w = _weights_array(weights, dag.m).reshape(1, -1)
     beta = _beta(reshaping)
@@ -275,7 +273,7 @@ def fbh(dag, pvalues, filter_spec, q):
 
 def by_procedure(pvalues, q):
     """Benjamini-Yekutieli: step-up with the harmonic-sum correction."""
-    _check_q(q)
+    _check_real(q, "target FDR level", QOutOfRangeError)
     p = validate_pvector(pvalues)
     return _row_set(_step_up(p.reshape(1, -1), q,
                              beta=ReshapingFn.by(p.size))[0])
@@ -313,8 +311,7 @@ def yekutieli_tree(dag, pvalues, level):
     family is then tested the same way, recursively.  Callers that target
     full-tree FDR control apply their own level calibration first.
     """
-    if not (0.0 < level < 1.0):
-        raise LevelOutOfRangeError(f"level must be in (0, 1), got {level}")
+    _check_real(level, "level", LevelOutOfRangeError)
     p = validate_pvector(pvalues, dag.m)
     return _row_set(_top_down(dag, p.reshape(1, -1), level)[0])
 
@@ -340,13 +337,12 @@ def check_procedure(name, q, reshaped=False, yk_divisor=YK_DIVISOR):
             f"method {name!r} takes no reshaping; only the focused methods "
             + ", ".join(FOCUSED) + " accept it")
     if name != "yekutieli-tree":
-        _check_q(q)
-    elif not 0.0 < yk_divisor < np.inf:
-        raise ValueError(
-            f"yk-divisor must be finite and > 0, got {yk_divisor}")
-    elif not 0.0 < q / yk_divisor < 1.0:
-        raise LevelOutOfRangeError("yekutieli-tree level q / yk-divisor must "
-                                   f"be in (0, 1), got {q / yk_divisor}")
+        _check_real(q, "target FDR level", QOutOfRangeError)
+        return
+    _check_real(yk_divisor, "yk-divisor", interval="(0, inf)")
+    # the level is q / yk_divisor, not q: q may pass 1, but must be a number
+    _check_real(q / yk_divisor if _is_real(q) else q,
+                "yekutieli-tree level q / yk-divisor", LevelOutOfRangeError)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -451,7 +447,7 @@ def brute_force_tstar(dag, pvalues, weights, filter_spec, q, reshaping=None):
     """Independent threshold scan: evaluates the estimated FDP at every
     candidate with a fresh filter application and returns the max feasible
     threshold.  Exists as the oracle for the optimized curve-based scan."""
-    _check_q(q)
+    _check_real(q, "target FDR level", QOutOfRangeError)
     p = validate_pvector(pvalues, dag.m)
     w = _weights_array(weights, dag.m)
     beta = _beta(reshaping)

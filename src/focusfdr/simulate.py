@@ -30,13 +30,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
-from numbers import Real
 
 import numpy as np
 
 from .combine import (Combiner, combine_segments, inner_segments,
                       smooth_all_descendants)
-from .dag import _is_int, build_dag, hereditary, level_sweep, node_mask
+from .dag import (_check_real, _is_int, build_dag, hereditary, level_sweep,
+                  node_mask)
 from .procedures import NotATreeError, RunParams, StructurePlan, run_rows
 from .special import normal_cdf
 from .weights import check_dw_depths
@@ -149,7 +149,7 @@ def generate_graph(family, seed=0):
     ``_rng(seed)``; the deterministic ones check the seed, ignore it and
     return one shared, read-only Dag, the same object on every call."""
     rng = _rng(seed)
-    if family in _FIXED_GRAPHS:
+    if isinstance(family, str) and family in _FIXED_GRAPHS:
         return _FIXED_GRAPHS[family]
     if family == "bipartite1":
         return _bipartite1(rng)
@@ -158,21 +158,11 @@ def generate_graph(family, seed=0):
     raise UnknownFamilyError(f"unknown graph family {family!r}")
 
 
-def _check_p_nonnull(p_nonnull):
-    if not (0.0 < p_nonnull < 1.0):
-        raise ValueError(f"p_nonnull must be in (0, 1), got {p_nonnull}")
-
-
-def _check_rho(rho):
-    if not (0.0 <= rho < 1.0):
-        raise RhoOutOfRangeError(f"rho must be in [0, 1), got {rho}")
-
-
 def assign_truth(dag, p_nonnull, seed=0):
     """Sample round(p * #leaves) leaves as non-null, then mark every inner
     node non-null iff it has a non-null child.  The result always respects
     the ancestor-heredity assumption."""
-    _check_p_nonnull(p_nonnull)
+    _check_real(p_nonnull, "p_nonnull")
     nonnull = _truth_rows(dag, p_nonnull, [_rng(seed)])
     return frozenset(np.flatnonzero(nonnull[0]).tolist())
 
@@ -214,7 +204,7 @@ def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
     X = mu + (1 - rho) Z + rho Z0 (shared Z0; no variance renormalization).
     The shared draw is consumed even at rho = 0, so the independent model is
     the exact rho = 0 stream."""
-    _check_rho(rho)
+    _check_real(rho, "rho", RhoOutOfRangeError, "[0, 1)")
     return _pvalue_rows(depths, node_mask(dag.m, truth)[None, :], setup,
                         rho, [_rng(seed)])[0]
 
@@ -311,15 +301,18 @@ def _resolve_methods(config):
         raise ValueError(f"n_reps must be an integer, got {config.n_reps!r}")
     if config.n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {config.n_reps}")
-    if config.family not in GRAPH_FAMILIES:
+    if not (isinstance(config.family, str)
+            and config.family in GRAPH_FAMILIES):
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
         raise ValueError(f"unknown signal setup {config.setup!r}")
+    if not isinstance(config.p_nonnull, (list, tuple)):
+        raise ValueError(f"p_nonnull: need a tuple, got {config.p_nonnull!r}")
     if not config.p_nonnull:
         raise ValueError("p_nonnull: need at least one non-null proportion")
     for p_nonnull in config.p_nonnull:
-        _check_p_nonnull(p_nonnull)
-    _check_rho(config.rho)
+        _check_real(p_nonnull, "p_nonnull")
+    _check_real(config.rho, "rho", RhoOutOfRangeError, "[0, 1)")
     _check_seed(config.seed)
     check_dw_depths(config.dw, GRAPH_FAMILIES[config.family],
                     f"graph family {config.family!r}")
@@ -537,8 +530,7 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     if len(thresholds) == 0:
         raise ValueError("thresholds: need at least one threshold")
     for t in thresholds:
-        if not (isinstance(t, Real) and 0.0 < t < 1.0):
-            raise ValueError(f"thresholds: {t!r} is not a number in (0, 1)")
+        _check_real(t, "thresholds: each threshold")
     rng = _rng(seed)
     ts = np.asarray(thresholds, dtype=float)
     inner, indptr, indices = inner_segments(dag)

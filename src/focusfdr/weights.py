@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .combine import EmptyInputError, validate_pvector
-from .dag import _is_int
+from .dag import _check_real, _is_int, _is_real
 
 
 class LambdaOutOfRangeError(ValueError):
@@ -45,40 +44,34 @@ class WeightConfig:
     dw: object = "auto"
 
     def __post_init__(self):
-        _check_lambda(self.lam)
+        _check_real(self.lam, "lambda", LambdaOutOfRangeError)
         if not _is_int(self.c, 0):
             raise ValueError("c: the group-size threshold must be an "
                              f"integer >= 0, got {self.c!r}")
         check_dw_mode(self.dw)
 
 
-def _check_lambda(lam):
-    if not (0.0 < lam < 1.0):
-        raise LambdaOutOfRangeError(f"lambda must be in (0, 1), got {lam}")
-
-
 def parse_lambda_policy(policy, q):
     """Storey's lambda under a policy string: "q" (lambda = q) or
     "fixed:<value>", either way in (0, 1)."""
     if policy == "q":
-        _check_lambda(q)
+        _check_real(q, "lambda", LambdaOutOfRangeError)
         return q
-    if policy.startswith("fixed:"):
+    if isinstance(policy, str) and policy.startswith("fixed:"):
         text = policy.split(":", 1)[1]
         try:
             lam = float(text)
         except ValueError:
             raise ValueError(f"lambda policy {policy!r}: {text!r} is not a "
                              "number") from None
-        _check_lambda(lam)
+        _check_real(lam, "lambda", LambdaOutOfRangeError)
         return lam
     raise ValueError(f"unknown lambda policy {policy!r}")
 
 
 def _is_integer(value):
     """``_is_int``, or a float with no fractional part (a JSON depth 2.0)."""
-    return _is_int(value) or (isinstance(value, Real) and not isinstance(
-        value, Integral) and float(value).is_integer())
+    return _is_int(value) or (_is_real(value) and float(value).is_integer())
 
 
 def check_dw_mode(dw):
@@ -110,7 +103,7 @@ def check_dw_depths(dw, max_depth, graph):
 
 def storey_pi0(pvalues, lam):
     """Storey's null-proportion estimate (1 + #{p > lam}) / (m (1 - lam))."""
-    _check_lambda(lam)
+    _check_real(lam, "lambda", LambdaOutOfRangeError)
     arr = validate_pvector(pvalues)
     if arr.size == 0:
         raise EmptyInputError("need at least one p-value")

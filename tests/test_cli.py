@@ -495,7 +495,7 @@ def test_cli_analyze_rejects_bad_yk_divisor(chain_files, capsys, divisor):
                  "--pvalues", chain_files[1], "--method", "yekutieli-tree",
                  "--yk-divisor", divisor])
     assert code == EXIT_INPUT
-    assert "yk-divisor must be finite and > 0" in capsys.readouterr().err
+    assert "yk-divisor must be in (0, inf)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("divisor", ["0", "-1", "inf", "nan"])
@@ -504,7 +504,7 @@ def test_cli_simulate_rejects_bad_yk_divisor(tmp_path, capsys, divisor):
                  "--reps", "1", "--methods", "bh,yekutieli-tree",
                  "--yk-divisor", divisor, "--out", str(tmp_path / "s.csv")])
     assert code == EXIT_INPUT
-    assert "yk-divisor must be finite and > 0" in capsys.readouterr().err
+    assert "yk-divisor must be in (0, inf)" in capsys.readouterr().err
 
 
 def test_cli_simulate_unknown_procedure_lists_choices(tmp_path, capsys):
@@ -942,7 +942,7 @@ def test_run_params_fields_are_declared_once(cls, name):
     (["--c", "-3"], "bh",
      "c: the group-size threshold must be an integer >= 0, got -3"),
     (["--yk-divisor", "0"], "yekutieli-tree",
-     "yk-divisor must be finite and > 0, got 0.0"),
+     "yk-divisor must be in (0, inf), got 0.0"),
     (["--c", "-3", "--q", "1.5"], "bh",
      "target FDR level must be in (0, 1), got 1.5"),
 ], ids=["q", "lambda", "c", "yk-divisor", "q-before-c"])

@@ -13,7 +13,11 @@ Each kind has its bad values:
 - id in [low, high): True, 2.5, low - 1, high and "1";
 - count or seed (an integer >= low): True, 2.5, -1, "1" and, for a
   positive low, low - 1;
-- level: NaN and a value outside its documented interval;
+- level (a real number in an interval, by ``dag._check_real``): NaN, a
+  value outside its documented interval, True, False, None and "0.5";
+- choice (a string that selects a policy, filter, combiner or graph family):
+  5, None (where None is not itself valid) and a one-name list;
+- p_nonnull grid: each level value in a 1-tuple, and a bare 0.1;
 - the weight configuration: lambda as a level, c as a count and dw as
   5, None and "bogus".
 
@@ -85,7 +89,20 @@ def count(low, named):
 
 
 def level(outside, named):
-    return named, {"NaN": NAN, "outside": outside}
+    return named, {"NaN": NAN, "outside": outside, "True": True,
+                   "False": False, "None": None, "'0.5'": "0.5"}
+
+
+def choice(valid, named, none=True):
+    bad = {"5": 5, "[name]": [valid]}
+    if none:
+        bad["None"] = None
+    return named, bad
+
+
+def grid(named):
+    _, bad = level(0.0, named)
+    return named, {**{k: (v,) for k, v in bad.items()}, "bare 0.1": 0.1}
 
 
 FDR_LEVEL = level(1.0, "FDR level")
@@ -103,8 +120,8 @@ def _dag(m, child):
     return build_dag(m, [(0, 1), (1, child)])
 
 
-def _simulate(n_reps, seed, p_nonnull, rho, n_workers):
-    config = SimConfig(family="wide-tree", p_nonnull=(p_nonnull,), rho=rho,
+def _simulate(n_reps, seed, p_nonnull, rho, n_workers, family):
+    config = SimConfig(family=family, p_nonnull=p_nonnull, rho=rho,
                        n_reps=n_reps, seed=seed, methods=(MethodSpec("bh"),))
     return run_simulation(config, n_workers)
 
@@ -164,11 +181,17 @@ TABLE = {
         {"table": (0.0, 0.5, 1.0)}, {"table": ("table", {"None": None})}),
     "ReshapingFn.by": (ReshapingFn.by, {"m": M},
                        {"m": count(1, "integer m")}),
-    "RunParams": (lambda q, c: RunParams(q=q, c=c).resolve(
-        [("wfbh", "ds", False)], None),
-        {"q": 0.1, "c": 1},
+    "RunParams": (
+        lambda q, c, policy, filter_name, smoothing: RunParams(
+            q=q, c=c, lambda_policy=policy).resolve(
+                [("wfbh", filter_name, False)], smoothing),
+        {"q": 0.1, "c": 1, "policy": "fixed:0.5", "filter_name": "ds",
+         "smoothing": "simes"},
         {"q": FDR_LEVEL,
-         "c": (r"\bc\b", {"True": True, "1.5": 1.5, "-1": -1, "'1'": "1"})}),
+         "c": (r"\bc\b", {"True": True, "1.5": 1.5, "-1": -1, "'1'": "1"}),
+         "policy": choice("fixed:0.5", "lambda policy"),
+         "filter_name": choice("ds", "filter"),
+         "smoothing": choice("simes", "combiner", none=False)}),
     "StructurePlan": (lambda lam, c, dw: StructurePlan(
         DAG, WeightConfig(lam, c, dw)).workspace, WEIGHTS, WEIGHT_KINDS),
     "bh": (bh, {"pvalues": P, "q": 0.1},
@@ -200,8 +223,9 @@ TABLE = {
     "MethodSpec": (lambda: MethodSpec("bh"), {}, {}),
     "SimConfig": (lambda: SimConfig(), {}, {}),
     "SimSummary": (lambda: SimSummary(SimConfig(), (), {}), {}, {}),
-    "generate_graph": (lambda seed: generate_graph("wide-tree", seed),
-                       {"seed": 0}, {"seed": SEED}),
+    "generate_graph": (generate_graph, {"family": "wide-tree", "seed": 0},
+                       {"family": choice("wide-tree", "graph family"),
+                        "seed": SEED}),
     "assign_truth": (lambda p_nonnull, seed: assign_truth(DAG, p_nonnull,
                                                           seed),
                      {"p_nonnull": 0.5, "seed": 0},
@@ -226,11 +250,12 @@ TABLE = {
          "threshold": level(1.0, "threshold")}),
     "run_simulation": (
         _simulate,
-        {"n_reps": 1, "seed": 0, "p_nonnull": 0.1, "rho": 0.0,
-         "n_workers": 1},
+        {"n_reps": 1, "seed": 0, "p_nonnull": (0.1,), "rho": 0.0,
+         "n_workers": 1, "family": "wide-tree"},
         {"n_reps": count(1, "n_reps"), "seed": SEED,
-         "p_nonnull": level(0.0, "p_nonnull"), "rho": level(1.0, "rho"),
-         "n_workers": count(0, "n_workers")}),
+         "p_nonnull": grid("p_nonnull"), "rho": level(1.0, "rho"),
+         "n_workers": count(0, "n_workers"),
+         "family": choice("wide-tree", "graph family")}),
     "WeightConfig": (WeightConfig, WEIGHTS, WEIGHT_KINDS),
     "auto_dw": (lambda lam, c: auto_dw(GROUPS, lam, c), {"lam": 0.5, "c": 1},
                 {"lam": LAMBDA, "c": C}),

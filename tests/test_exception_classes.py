@@ -2,7 +2,8 @@
 ``src/focusfdr`` module defines is raised, or subclassed, somewhere in the
 package.  A class whose last ``raise`` is deleted with the code path that
 reported it would otherwise stay behind, documented and importable, but
-never seen."""
+never seen.  The interval rule ``dag._check_real`` raises the class passed
+as its ``error`` argument, so such an argument counts as raised."""
 
 import ast
 import builtins
@@ -25,9 +26,19 @@ def _name(node):
     return None
 
 
+def _raised_by_rule(call):
+    """The name of the class a ``_check_real(value, what, error)`` call
+    raises, positional or by keyword; None for any other call."""
+    if _name(call.func) != "_check_real":
+        return None
+    error = [k.value for k in call.keywords if k.arg == "error"]
+    return _name((call.args[2:3] or error or [None])[0])
+
+
 def _package():
     """({class name: (module, line, base names)}, raised names) over every
-    class definition and ``raise`` statement of the package."""
+    class definition and ``raise`` statement of the package, and every
+    class the interval rule is given to raise."""
     classes, raised = {}, set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -37,6 +48,8 @@ def _package():
                                       {_name(b) for b in node.bases})
             elif isinstance(node, ast.Raise) and node.exc is not None:
                 raised.add(_name(node.exc))
+            elif isinstance(node, ast.Call):
+                raised.add(_raised_by_rule(node))
     return classes, raised
 
 
@@ -58,6 +71,19 @@ def test_the_guard_sees_the_package_errors():
     assert {"DomainError", "ParseError", "NodeIdOutOfRangeError",
             "EmptyInputError"} <= errors
     assert "Combiner" not in errors and "ValueError" in raised
+    # passed to the interval rule, and raised nowhere else
+    assert {"QOutOfRangeError", "RhoOutOfRangeError"} <= raised
+
+
+def test_the_rule_counts_only_its_error_argument():
+    calls = {'_check_real(q, "q", QOutOfRangeError)': "QOutOfRangeError",
+             '_check_real(r, "rho", error=RhoError, interval="[0, 1)")':
+             "RhoError",
+             '_check_real(t, "threshold")': None,
+             'other(x, "x", UnusedError)': None,
+             '_check_real(x, "x", ValueError, UnusedError)': "ValueError"}
+    for source, expected in calls.items():
+        assert _raised_by_rule(ast.parse(source).body[0].value) == expected
 
 
 def test_every_exception_class_is_raised_or_subclassed():

@@ -120,6 +120,47 @@ def test_read_pvalue_csv_accepts_python_float_grammar(tmp_path):
     assert math.copysign(1.0, p[1]) == -1.0
 
 
+# id tables that are not the integers 0 .. n - 1, one each: out of range,
+# a gap, a repeat, a negative id, and ids that only compare equal to one
+BAD_ID_TABLES = {"out of range": {"a": 5}, "gap": {"a": 0, "b": 2},
+                 "repeat": {"a": 0, "b": 0}, "negative": {"a": -1},
+                 "str": {"a": "0"}, "float": {"a": 0.0},
+                 "bool": {"a": False}, "0-d": {"a": np.array(0)},
+                 "None": {"a": None}, "huge": {"a": 2 ** 70}}
+
+
+@pytest.mark.parametrize("table", BAD_ID_TABLES.values(),
+                         ids=BAD_ID_TABLES.keys())
+def test_read_pvalue_csv_refuses_an_id_table_not_dense(tmp_path, table):
+    path = write(tmp_path / "p.csv", "node,p\na,0.1\n")
+    with pytest.raises(ValueError) as info:
+        read_pvalue_csv(path, table)
+    assert str(info.value) == ("name_to_id must map its names onto "
+                               f"0 .. {len(table) - 1}")
+
+
+@pytest.mark.parametrize("table", BAD_ID_TABLES.values(),
+                         ids=BAD_ID_TABLES.keys())
+@pytest.mark.parametrize("which", ["name_to_id", "item_to_id"])
+def test_read_annotation_csv_refuses_an_id_table_not_dense(tmp_path, table,
+                                                           which):
+    path = write(tmp_path / "a.csv", "node,item\na,x\n")
+    tables = {"name_to_id": {"a": 0}, "item_to_id": {"x": 0}, which: table}
+    with pytest.raises(ValueError, match=f"^{which} must map"):
+        read_annotation_csv(path, tables["name_to_id"],
+                            tables["item_to_id"])
+
+
+def test_any_dense_id_table_is_read(tmp_path):
+    # ids in any order, numpy integers included
+    path = write(tmp_path / "p.csv", "node,p\na,0.1\nb,0.2\nc,0.3\n")
+    table = {"a": 2, "b": np.int64(0), "c": 1}
+    assert read_pvalue_csv(path, table).tolist() == [0.2, 0.3, 0.1]
+    path = write(tmp_path / "a.csv", "node,item\na,x\nb,y\nc,x\n")
+    assert read_annotation_csv(path, table, {"y": 1, "x": 0}) == [
+        {1}, {0}, {0}]
+
+
 @pytest.mark.parametrize("rows,message", [
     ("g1,0.1\ng2,x\ng1,0.3\n", ":3: bad p-value 'x'"),
     ("g1,0.1\ng1,x\n", ":3: duplicate item 'g1'"),

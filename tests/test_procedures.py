@@ -303,6 +303,20 @@ def test_yekutieli_requires_tree_and_level():
         yekutieli_tree(chain, np.array([0.1, 0.1]), 1.5)
 
 
+@pytest.mark.parametrize("q, shown", [(True, "True"), ("0.1", "'0.1'"),
+                                      (None, "None")])
+def test_top_down_q_must_be_a_number_before_it_is_divided(q, shown):
+    # True / 2.88 would pass as the level 0.347
+    plan = StructurePlan(build_dag(2, [(0, 1)]), WeightConfig())
+    with pytest.raises(LevelOutOfRangeError, match=re.escape(
+            f"q / yk-divisor must be in (0, 1), got {shown}")):
+        run_procedure(plan, np.array([0.1, 0.1]), "yekutieli-tree", TRIVIAL,
+                      q)
+    # a q above 1 is fine while q / yk-divisor is in (0, 1)
+    assert run_procedure(plan, np.array([0.1, 0.1]), "yekutieli-tree",
+                         TRIVIAL, 2.0).discovery_set == {0, 1}
+
+
 def test_run_procedure_rejects_top_down_on_non_tree_plan():
     plan = StructurePlan(build_dag(3, [(0, 2), (1, 2)]), WeightConfig())
     with pytest.raises(NotATreeError):

@@ -1,0 +1,135 @@
+"""The one rule for levels, probabilities and scales, ``dag._check_real``,
+checked against a predicate written here for each of its five interval
+forms, and a guard that keeps a hand-rolled interval check, such as
+``0.0 < x < 1.0``, from coming back anywhere else in the package."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from focusfdr.dag import _check_real
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src"
+                  / "focusfdr").glob("*.py"))
+INF = math.inf
+# each form as the rule's messages write it: (low, high, low closed, high
+# closed)
+FORMS = {"(0, 1)": (0.0, 1.0, False, False),
+         "[0, 1)": (0.0, 1.0, True, False),
+         "[0, 1]": (0.0, 1.0, True, True),
+         "(0, 1]": (0.0, 1.0, False, True),
+         "(0, inf)": (0.0, INF, False, False)}
+
+
+class RuleError(ValueError):
+    pass
+
+
+def inside(x, form):
+    """x in the form's interval, NaN never: a bound is in iff it is
+    closed, and everything strictly between the bounds is in."""
+    low, high, low_closed, high_closed = FORMS[form]
+    if math.isnan(x):
+        return False
+    if x == low:
+        return low_closed
+    if x == high:
+        return high_closed
+    return low < x < high
+
+
+def probes(form):
+    """Each bound, its two floating-point neighbours, +-inf, NaN and 0.5."""
+    low, high, _, _ = FORMS[form]
+    values = {-INF, INF, math.nan, 0.5}
+    for bound in (low, high):
+        values |= {bound, float(np.nextafter(bound, -INF)),
+                   float(np.nextafter(bound, INF))}
+    return sorted(values, key=repr)
+
+
+CASES = [(form, x) for form in FORMS for x in probes(form)]
+
+
+@pytest.mark.parametrize("form, x", CASES,
+                         ids=[f"{f}-{x!r}" for f, x in CASES])
+def test_each_bound_and_its_neighbours(form, x):
+    if inside(x, form):
+        _check_real(x, "level", RuleError, form)
+    else:
+        with pytest.raises(RuleError) as err:
+            _check_real(x, "level", RuleError, form)
+        assert str(err.value) == f"level must be in {form}, got {x!r}"
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("make", [np.float32, np.float64, np.int64, float,
+                                  int], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("x", [0, 0.5, 1, 2])
+def test_numpy_and_python_numbers_are_judged_by_value(form, make, x):
+    value = make(x)
+    if inside(float(value), form):
+        _check_real(value, "scale", RuleError, form)
+    else:
+        with pytest.raises(RuleError) as err:
+            _check_real(value, "scale", RuleError, form)
+        assert str(err.value) == f"scale must be in {form}, got {value!r}"
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"), (False, "False"), ("0.5", "'0.5'"), (None, "None"),
+    (np.array(0.5), "array(0.5)"), (np.bool_(True), "np.True_"),
+    (0.5 + 0j, "(0.5+0j)"), ([0.5], "[0.5]")],
+    ids=["True", "False", "str", "None", "0-d", "np.bool", "complex",
+         "list"])
+def test_anything_but_a_real_number_is_refused(form, value, shown):
+    # even where its value would lie inside the interval
+    with pytest.raises(RuleError) as err:
+        _check_real(value, "rho", RuleError, form)
+    assert str(err.value) == f"rho must be in {form}, got {shown}"
+
+
+def test_defaults_are_the_open_unit_interval_and_value_error():
+    _check_real(0.5, "q")
+    with pytest.raises(ValueError, match=r"^q must be in \(0, 1\), got 1$"):
+        _check_real(1, "q")
+
+
+def _is_number(node):
+    """A numeric literal, signed or not, or an ``inf`` constant."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub,
+                                                              ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Attribute):
+        return node.attr == "inf"
+    return (isinstance(node, ast.Constant)
+            and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def literal_intervals(source, filename="<source>"):
+    """The lines of every chained comparison with a number at both ends:
+    an interval written out by hand."""
+    return [f"{filename}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare) and len(node.ops) > 1
+            and _is_number(node.left) and _is_number(node.comparators[-1])]
+
+
+def test_the_guard_sees_a_hand_rolled_interval():
+    assert literal_intervals("ok = 0.0 <= rho < 1.0") == ["<source>:1"]
+    assert literal_intervals("ok = 0 < x < np.inf") == ["<source>:1"]
+    assert literal_intervals("ok = -1 < x <= 1") == ["<source>:1"]
+    assert literal_intervals("ok = 1 <= d <= max_depth") == []
+    assert literal_intervals("ok = 0.0 < x") == []
+
+
+def test_no_interval_is_checked_outside_the_rule():
+    found = [hit for path in SOURCES
+             for hit in literal_intervals(path.read_text(encoding="utf-8"),
+                                          path.name)]
+    assert not found, ("check these with dag._check_real: "
+                       + ", ".join(found))
