@@ -12,11 +12,11 @@ from itertools import combinations
 import numpy as np
 
 from .combine import Combiner
-from .dag import _is_int, build_dag, compute_depths, group_index
+from .dag import (_check_int, _check_items, build_dag, compute_depths,
+                  group_index)
 from .filters import FilterSpec, apply_filter, is_monotonic
 from .procedures import ReshapingFn, brute_force_tstar, wfbh
-from .simulate import (_check_seed, condition1_check, generate_graph,
-                       superuniformity_check)
+from .simulate import condition1_check, generate_graph, superuniformity_check
 from .special import normal_quantile
 from .weights import WeightConfig, dag_weights
 
@@ -81,16 +81,15 @@ def check_superuniformity(n_mc=10_000, seed=0,
     call scores every combiner on each row chunk of the null block, drawn
     once, one chunk at a time.
     """
-    if not combiners:
-        raise ValueError("combiners: need at least one combiner name")
+    _check_items(combiners, "combiners", str)
     parsed = [Combiner.from_name(name) for name in combiners]
     dag = generate_graph("deep-tree")
     ok = True
     lines = []
-    cells = dag.m * 5 * len(combiners)
+    results = superuniformity_check(dag, parsed, n_mc, seed)
+    cells = dag.m * len(results[0].thresholds) * len(results)
     z_bound = float(normal_quantile(1.0 - 0.001 / cells))
-    for name, res in zip(combiners,
-                         superuniformity_check(dag, parsed, n_mc, seed)):
+    for name, res in zip(combiners, results):
         z = res.max_excess_z()
         ok = ok and z <= z_bound
         lines.append(f"{name}: max (F_hat - t)/se over nodes = {z:.3f} "
@@ -112,10 +111,8 @@ def _random_instance(rng):
 def _trials_rng(trials, seed):
     """The generator of a suite's trials, after checking ``trials`` (an
     integer >= 1) and ``seed`` (an integer >= 0) by the count rule."""
-    if not _is_int(trials, 1):
-        raise ValueError(
-            f"trials: must be an integer, at least 1, got {trials!r}")
-    _check_seed(seed)
+    _check_int(trials, "trials", 1)
+    _check_int(seed, "seed", 0)
     return np.random.default_rng(seed)
 
 

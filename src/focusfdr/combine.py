@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dag import _is_int
+from .dag import _check_int, _is_int
 from .special import (DomainError, beta_cdf, chisq_survival, normal_cdf,
                       normal_quantile)
 
@@ -81,9 +81,7 @@ class Combiner:
         if self.kind not in ("fisher", "stouffer", "simes", "orderstat",
                              "bonferroni"):
             raise ValueError(f"unknown combiner kind {self.kind!r}")
-        if not _is_int(self.order, 1):
-            raise ValueError("combiner order must be an integer >= 1, got "
-                             f"{self.order!r}")
+        _check_int(self.order, "combiner order", 1)
 
     @classmethod
     def from_name(cls, name):

@@ -101,8 +101,7 @@ class Dag:
     """
 
     def __init__(self, m, edges):
-        if not _is_int(m, 0):
-            raise DagError(f"node count must be an integer >= 0, got {m!r}")
+        _check_int(m, "node count", 0, DagError)
         self.m = m = int(m)
         parent, child = _edge_arrays(edges)
         order = check_edges(m, parent, child)
@@ -547,6 +546,25 @@ def _is_int(value, low=None, high=None):
     return (isinstance(value, Integral) and not isinstance(value, bool)
             and (low is None or value >= low)
             and (high is None or value < high))
+
+
+def _check_int(value, what, low, error=ValueError):
+    """Raise ``error`` naming ``what`` unless ``_is_int(value, low)``: the
+    one rule of every count and seed."""
+    if not _is_int(value, low):
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _check_items(value, what, kind=None):
+    """Raise ValueError naming ``what`` unless ``value`` is a non-empty list
+    or tuple, and with ``kind``, every item a ``kind``: the one rule of
+    every list argument.  Its items are checked by value where they are
+    used."""
+    if not (isinstance(value, (list, tuple)) and value
+            and (kind is None or all(isinstance(v, kind) for v in value))):
+        of = "" if kind is None else f" of {kind.__name__}"
+        raise ValueError(f"{what}: need a non-empty list or tuple{of}, "
+                         f"got {value!r}")
 
 
 def _is_real(value):

@@ -18,13 +18,14 @@ and the public procedures are their one-row calls.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .combine import Combiner, validate_pvector
-from .dag import (_check_real, _is_int, _is_real, compute_depths,
+from .dag import (_check_int, _check_real, _is_real, compute_depths,
                   group_index, is_tree, level_sweep)
 from .filters import (FilterSpec, apply_filter, interval_counts,
                       keep_intervals)
@@ -109,7 +110,7 @@ class ReshapingFn:
         if kind == "by":
             _check_real(self.scale, "by reshaping: scale",
                         InvalidReshapingError, "(0, 1]")
-        elif self.scale != 1:
+        elif not (_is_real(self.scale) and self.scale == 1):
             raise InvalidReshapingError(
                 f"{kind} reshaping: scale must be 1, got {self.scale!r}")
         if custom and (len(table) == 0 or table[0] != 0.0):
@@ -126,8 +127,7 @@ class ReshapingFn:
 
     @classmethod
     def by(cls, m):
-        if not _is_int(m, 1):
-            raise InvalidReshapingError("BY reshaping needs an integer m >= 1")
+        _check_int(m, "by reshaping: m", 1, InvalidReshapingError)
         return cls("by", scale=1.0 / np.sum(1.0 / np.arange(1, m + 1)))
 
     @classmethod
@@ -196,8 +196,7 @@ class ProcedureResult:
 
 def unity_weights(m):
     """Weight 1 for each of ``m`` nodes, a count: an integer >= 0."""
-    if not _is_int(m, 0):
-        raise ValueError(f"m: must be a nonnegative integer, got {m!r}")
+    _check_int(m, "m", 0)
     return np.ones(m)
 
 
@@ -341,7 +340,9 @@ def check_procedure(name, q, reshaped=False, yk_divisor=YK_DIVISOR):
         return
     _check_real(yk_divisor, "yk-divisor", interval="(0, inf)")
     # the level is q / yk_divisor, not q: q may pass 1, but must be a number
-    _check_real(q / yk_divisor if _is_real(q) else q,
+    # a float can hold, else it is shown as it is
+    _check_real(q / yk_divisor
+                if _is_real(q) and abs(q) <= sys.float_info.max else q,
                 "yekutieli-tree level q / yk-divisor", LevelOutOfRangeError)
 
 

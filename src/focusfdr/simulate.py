@@ -35,8 +35,8 @@ import numpy as np
 
 from .combine import (Combiner, combine_segments, inner_segments,
                       smooth_all_descendants)
-from .dag import (_check_real, _is_int, build_dag, hereditary, level_sweep,
-                  node_mask)
+from .dag import (_check_int, _check_items, _check_real, build_dag,
+                  hereditary, level_sweep, node_mask)
 from .procedures import NotATreeError, RunParams, StructurePlan, run_rows
 from .special import normal_cdf
 from .weights import check_dw_depths
@@ -274,21 +274,11 @@ class SimSummary:
     histories: dict = field(repr=False)
 
 
-def _check_seed(seed):
-    if not _is_int(seed, 0):
-        raise ValueError(f"seed: must be a nonnegative integer, got {seed!r}")
-
-
 def _rng(seed):
-    """``default_rng`` of a ``_check_seed`` seed, or a Generator as is."""
+    """``default_rng`` of a seed, an integer >= 0, or a Generator as is."""
     if not isinstance(seed, np.random.Generator):
-        _check_seed(seed)
+        _check_int(seed, "seed", 0)
     return np.random.default_rng(seed)
-
-
-def _check_n_mc(n_mc):
-    if not _is_int(n_mc, 1):
-        raise ValueError(f"n_mc: must be an integer, at least 1, got {n_mc!r}")
 
 
 def _resolve_methods(config):
@@ -297,27 +287,20 @@ def _resolve_methods(config):
     cell has its own history, ``RunParams.resolve``, then that the top-down
     baseline runs on a tree family) and parse it once, before any
     replication; returns what ``RunParams.resolve`` returns."""
-    if not _is_int(config.n_reps):
-        raise ValueError(f"n_reps must be an integer, got {config.n_reps!r}")
-    if config.n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {config.n_reps}")
+    _check_int(config.n_reps, "n_reps", 1)
     if not (isinstance(config.family, str)
             and config.family in GRAPH_FAMILIES):
         raise UnknownFamilyError(f"unknown graph family {config.family!r}")
     if config.setup not in SIGNAL_SETUPS:
         raise ValueError(f"unknown signal setup {config.setup!r}")
-    if not isinstance(config.p_nonnull, (list, tuple)):
-        raise ValueError(f"p_nonnull: need a tuple, got {config.p_nonnull!r}")
-    if not config.p_nonnull:
-        raise ValueError("p_nonnull: need at least one non-null proportion")
+    _check_items(config.p_nonnull, "p_nonnull")
     for p_nonnull in config.p_nonnull:
         _check_real(p_nonnull, "p_nonnull")
     _check_real(config.rho, "rho", RhoOutOfRangeError, "[0, 1)")
-    _check_seed(config.seed)
+    _check_int(config.seed, "seed", 0)
     check_dw_depths(config.dw, GRAPH_FAMILIES[config.family],
                     f"graph family {config.family!r}")
-    if not config.methods:
-        raise ValueError("methods: need at least one method")
+    _check_items(config.methods, "methods", MethodSpec)
     labels = [spec.label for spec in config.methods]
     for field_name, values in (("p_nonnull", config.p_nonnull),
                                ("methods", labels)):
@@ -373,9 +356,7 @@ def resolve_workers(n_workers=None):
     """Worker count: the explicit argument, else FOCUSFDR_THREADS, else
     serial.  Either is a nonnegative integer, 0 meaning all cores."""
     if n_workers is not None:
-        if not _is_int(n_workers, 0):
-            raise ValueError("n_workers: must be a nonnegative integer "
-                             f"(0 = all cores), got {n_workers!r}")
+        _check_int(n_workers, "n_workers (0 = all cores)", 0)
         n = int(n_workers)
     else:
         env = os.environ.get("FOCUSFDR_THREADS", "").strip()
@@ -459,7 +440,7 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     of inverse weights over the nulls.  FDR control needs the expectation of
     this sum to stay at or below the number of hypotheses.
     """
-    _check_n_mc(n_mc)
+    _check_int(n_mc, "n_mc", 1)
     nonnull = node_mask(dag.m, truth)
     rng = _rng(seed)
     plan = StructurePlan(dag, weight_config)
@@ -522,13 +503,9 @@ def superuniformity_check(dag, combiners, n_mc, seed=0,
     smoothing the whole block bit for bit, in memory independent of n_mc.
     An empty graph gives a (0, len(thresholds)) ``cdf`` per combiner.
     """
-    _check_n_mc(n_mc)
-    if not (isinstance(combiners, (list, tuple)) and combiners
-            and all(isinstance(c, Combiner) for c in combiners)):
-        raise ValueError("combiners: need a non-empty list or tuple of "
-                         f"Combiner, got {combiners!r}")
-    if len(thresholds) == 0:
-        raise ValueError("thresholds: need at least one threshold")
+    _check_int(n_mc, "n_mc", 1)
+    _check_items(combiners, "combiners", Combiner)
+    _check_items(thresholds, "thresholds")
     for t in thresholds:
         _check_real(t, "thresholds: each threshold")
     rng = _rng(seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combine import EmptyInputError, validate_pvector
-from .dag import _check_real, _is_int, _is_real
+from .dag import _check_int, _check_real, _is_int, _is_real
 
 
 class LambdaOutOfRangeError(ValueError):
@@ -45,9 +45,7 @@ class WeightConfig:
 
     def __post_init__(self):
         _check_real(self.lam, "lambda", LambdaOutOfRangeError)
-        if not _is_int(self.c, 0):
-            raise ValueError("c: the group-size threshold must be an "
-                             f"integer >= 0, got {self.c!r}")
+        _check_int(self.c, "c: the group-size threshold", 0)
         check_dw_mode(self.dw)
 
 

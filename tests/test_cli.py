@@ -433,9 +433,10 @@ METHODS_TYPE = ('must be a list of {"procedure", "filter"} objects or '
      '{cfg}: field \'rho\' must be a number, got "0.1"'),
     ('{"family": ', [], "{cfg}: Expecting value: line 1 column 12"),
     ('{"p_nonnull": []}', [],
-     "p_nonnull: need at least one non-null proportion"),
-    ("{}", ["--p", ","], "p_nonnull: need at least one non-null proportion"),
-    ('{"methods": []}', [], "methods: need at least one method"),
+     "p_nonnull: need a non-empty list or tuple, got ()"),
+    ("{}", ["--p", ","], "p_nonnull: need a non-empty list or tuple, got ()"),
+    ('{"methods": []}', [],
+     "methods: need a non-empty list or tuple of MethodSpec, got ()"),
 ], ids=["method-key", "method-length", "method-string", "p-scalar",
         "dw-scalar", "seed-float", "rho-string", "json-syntax", "p-empty",
         "p-flag-empty", "methods-empty"])
@@ -555,11 +556,13 @@ BAD_SWEEPS = [
     ({"p_nonnull": (0.0,)}, r"p_nonnull must be in \(0, 1\), got 0.0"),
     ({"rho": 1.0}, r"rho must be in \[0, 1\), got 1.0"),
     ({"rho": -0.1}, r"rho must be in \[0, 1\), got -0.1"),
-    ({"p_nonnull": ()}, "p_nonnull: need at least one non-null proportion"),
-    ({"methods": ()}, "methods: need at least one method"),
+    ({"p_nonnull": ()},
+     r"p_nonnull: need a non-empty list or tuple, got \(\)"),
+    ({"methods": ()},
+     r"methods: need a non-empty list or tuple of MethodSpec, got \(\)"),
     ({"c": -3},
      "c: the group-size threshold must be an integer >= 0, got -3"),
-    ({"seed": -1}, "seed: must be a nonnegative integer, got -1"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
 ]
 BAD_SWEEP_IDS = ["family", "setup", "p-above-one", "p-zero", "rho-one",
                  "rho-negative", "p-empty", "methods-empty", "c-negative",
@@ -607,7 +610,7 @@ def test_cli_simulate_rejects_bad_sweep(monkeypatch, tmp_path, capsys,
     (["simulate", "--c", "-3"],
      "c: the group-size threshold must be an integer >= 0, got -3"),
     (["simulate", "--seed", "-1"],
-     "seed: must be a nonnegative integer, got -1"),
+     "seed must be an integer >= 0, got -1"),
 ], ids=["analyze-c", "simulate-c", "simulate-seed"])
 def test_cli_rejects_negative_c_and_seed_flags(no_replication, tmp_path,
                                                monkeypatch, capsys, argv,

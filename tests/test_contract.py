@@ -1,23 +1,29 @@
 """The input contract of the public API, walked over ``focusfdr.__all__``.
 
 ``TABLE`` holds, for every public callable (and more public calls that
-take a p-vector or a count: ``ReshapingFn.by`` and ``brute_force_tstar``,
-and the "by" and "custom" kinds of ``ReshapingFn``), a call on the chain
-0 -> 1 -> 2, its valid arguments, and the kind of each argument it checks.
-Each kind has its bad values:
+take a p-vector, a count, a level or a list: ``ReshapingFn.by``,
+``brute_force_tstar``, ``check_procedure`` and ``check_superuniformity``,
+and the "identity", "by" and "custom" kinds of ``ReshapingFn``), a call on
+the chain 0 -> 1 -> 2, its valid arguments, and the kind of each argument
+it checks.  Each kind has its bad values:
 
 - p-vector: a (1, m) and an (m, 1) block, a 0-d array, a NaN, a 1.5 and,
   where the length is fixed, m + 1 entries;
 - p-block (the (m,) or (R, m) input of smoothing): an (m, 1), a 0-d and a
   3-D array, a NaN, a 1.5, and (R, m + 1) and (R, m - 1) blocks;
 - id in [low, high): True, 2.5, low - 1, high and "1";
-- count or seed (an integer >= low): True, 2.5, -1, "1" and, for a
-  positive low, low - 1;
+- count or seed (an integer >= low, by ``dag._check_int``): True, 2.5,
+  -1, "1" and, for a positive low, low - 1;
 - level (a real number in an interval, by ``dag._check_real``): NaN, a
   value outside its documented interval, True, False, None and "0.5";
 - choice (a string that selects a policy, filter, combiner or graph family):
   5, None (where None is not itself valid) and a one-name list;
-- p_nonnull grid: each level value in a 1-tuple, and a bare 0.1;
+- list (a non-empty list or tuple, by ``dag._check_items``): (), [], a
+  string, None, a bare item, a dict and an array of items and, where the
+  items have a type, a 1-tuple of another;
+- p_nonnull grid: each level value in a 1-tuple, and a list's bad values;
+- the scale of a kind of reshaping without one: anything but the number 1,
+  True included;
 - the weight configuration: lambda as a level, c as a count and dw as
   5, None and "bogus".
 
@@ -46,7 +52,8 @@ from focusfdr import (Combiner, Dag, DepthIndex, FilterSpec, GroupIndex,
                       smooth_all_descendants, storey_bh, storey_pi0,
                       superuniformity_check, unity_weights,
                       weighted_reshaped_fbh, wfbh, yekutieli_tree)
-from focusfdr.procedures import brute_force_tstar
+from focusfdr.checks import check_superuniformity
+from focusfdr.procedures import brute_force_tstar, check_procedure
 
 M = 3
 DAG = build_dag(M, [(0, 1), (1, 2)])
@@ -100,15 +107,27 @@ def choice(valid, named, none=True):
     return named, bad
 
 
+def items(item, named, wrong=None):
+    bad = {"()": (), "[]": [], "'x'": "x", "None": None,
+           f"bare {item!r}": item, "dict": {item: 1},
+           "array": np.array([item])}
+    if wrong is not None:
+        bad[f"({wrong!r},)"] = (wrong,)
+    return named, bad
+
+
 def grid(named):
     _, bad = level(0.0, named)
-    return named, {**{k: (v,) for k, v in bad.items()}, "bare 0.1": 0.1}
+    return named, {**{k: (v,) for k, v in bad.items()},
+                   **items(0.1, named)[1]}
 
 
 FDR_LEVEL = level(1.0, "FDR level")
 LAMBDA = level(1.0, "lambda")
 SEED = count(0, "seed")
 C = count(0, "c: the group-size threshold")
+SCALE_ONE = ("scale", {"True": True, "2.0": 2.0, "NaN": NAN, "None": None,
+                       "'1'": "1"})
 # a WeightConfig's valid arguments and bad values
 WEIGHTS = {"lam": 0.5, "c": 1, "dw": "auto"}
 WEIGHT_KINDS = {"lam": LAMBDA, "c": C,
@@ -120,9 +139,9 @@ def _dag(m, child):
     return build_dag(m, [(0, 1), (1, child)])
 
 
-def _simulate(n_reps, seed, p_nonnull, rho, n_workers, family):
+def _simulate(n_reps, seed, p_nonnull, rho, n_workers, family, methods):
     config = SimConfig(family=family, p_nonnull=p_nonnull, rho=rho,
-                       n_reps=n_reps, seed=seed, methods=(MethodSpec("bh"),))
+                       n_reps=n_reps, seed=seed, methods=methods)
     return run_simulation(config, n_workers)
 
 
@@ -174,13 +193,16 @@ TABLE = {
                     {"kind": "identity", "table": None},
                     {"kind": ("reshaping kind", {"'bogus'": "bogus"}),
                      "table": ("table", {"(0, 1)": (0.0, 1.0)})}),
+    "ReshapingFn('identity')": (lambda scale: ReshapingFn("identity", scale),
+                                {"scale": 1.0}, {"scale": SCALE_ONE}),
     "ReshapingFn('by')": (lambda scale: ReshapingFn("by", scale),
                           {"scale": 0.5}, {"scale": level(5.0, "scale")}),
     "ReshapingFn('custom')": (
-        lambda table: ReshapingFn("custom", table=table),
-        {"table": (0.0, 0.5, 1.0)}, {"table": ("table", {"None": None})}),
+        lambda table, scale: ReshapingFn("custom", scale, table=table),
+        {"table": (0.0, 0.5, 1.0), "scale": 1.0},
+        {"table": ("table", {"None": None}), "scale": SCALE_ONE}),
     "ReshapingFn.by": (ReshapingFn.by, {"m": M},
-                       {"m": count(1, "integer m")}),
+                       {"m": count(1, "by reshaping: m")}),
     "RunParams": (
         lambda q, c, policy, filter_name, smoothing: RunParams(
             q=q, c=c, lambda_policy=policy).resolve(
@@ -219,6 +241,10 @@ TABLE = {
     "yekutieli_tree": (lambda p, level: yekutieli_tree(DAG, p, level),
                        {"p": P, "level": 0.1},
                        {"p": pvector(), "level": level(1.0, "level")}),
+    "check_procedure": (
+        lambda q: check_procedure("yekutieli-tree", q), {"q": 0.1},
+        {"q": ("yekutieli-tree level", {
+            **level(3.0, "")[1], "10**400": 10**400, "-10**400": -10**400})}),
     "unity_weights": (unity_weights, {"m": M}, {"m": count(0, r"\bm\b")}),
     "MethodSpec": (lambda: MethodSpec("bh"), {}, {}),
     "SimConfig": (lambda: SimConfig(), {}, {}),
@@ -248,14 +274,26 @@ TABLE = {
         {"n_mc": 2, "seed": 0, "threshold": 0.5},
         {"n_mc": count(1, "n_mc"), "seed": SEED,
          "threshold": level(1.0, "threshold")}),
+    "superuniformity_check(lists)": (
+        lambda combiners, thresholds: superuniformity_check(
+            DAG, combiners, 2, 0, thresholds),
+        {"combiners": [Combiner("simes")], "thresholds": (0.5,)},
+        {"combiners": items(Combiner("simes"), "combiners", "simes"),
+         "thresholds": items(0.5, "thresholds")}),
+    "check_superuniformity": (
+        lambda combiners: check_superuniformity(2, 0, combiners),
+        {"combiners": ("simes",)},
+        {"combiners": items("simes", "combiners", Combiner("simes"))}),
     "run_simulation": (
         _simulate,
         {"n_reps": 1, "seed": 0, "p_nonnull": (0.1,), "rho": 0.0,
-         "n_workers": 1, "family": "wide-tree"},
+         "n_workers": 1, "family": "wide-tree",
+         "methods": (MethodSpec("bh"),)},
         {"n_reps": count(1, "n_reps"), "seed": SEED,
          "p_nonnull": grid("p_nonnull"), "rho": level(1.0, "rho"),
          "n_workers": count(0, "n_workers"),
-         "family": choice("wide-tree", "graph family")}),
+         "family": choice("wide-tree", "graph family"),
+         "methods": items(MethodSpec("bh"), "methods", "bh")}),
     "WeightConfig": (WeightConfig, WEIGHTS, WEIGHT_KINDS),
     "auto_dw": (lambda lam, c: auto_dw(GROUPS, lam, c), {"lam": 0.5, "c": 1},
                 {"lam": LAMBDA, "c": C}),

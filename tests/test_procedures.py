@@ -141,7 +141,9 @@ def test_procedure_monotonicity_trials():
     ("trials", 2.5), ("trials", True), ("trials", 0), ("trials", "1"),
     ("seed", True), ("seed", 2.5), ("seed", -1), ("seed", "1")], ids=str)
 def test_check_suites_take_integer_trials_and_seeds(suite, arg, bad):
-    message = f"^{arg}: .*got {re.escape(repr(bad))}$"
+    low = 1 if arg == "trials" else 0
+    message = (f"^{arg} must be an integer >= {low}, "
+               f"got {re.escape(repr(bad))}$")
     with pytest.raises(ValueError, match=message):
         suite(**{"trials": 1, "seed": 0, arg: bad})
 
@@ -303,10 +305,13 @@ def test_yekutieli_requires_tree_and_level():
         yekutieli_tree(chain, np.array([0.1, 0.1]), 1.5)
 
 
-@pytest.mark.parametrize("q, shown", [(True, "True"), ("0.1", "'0.1'"),
-                                      (None, "None")])
+@pytest.mark.parametrize("q, shown", [
+    (True, "True"), ("0.1", "'0.1'"), (None, "None"),
+    pytest.param(10**400, str(10**400), id="10**400"),
+    pytest.param(-10**400, str(-10**400), id="-10**400")])
 def test_top_down_q_must_be_a_number_before_it_is_divided(q, shown):
-    # True / 2.88 would pass as the level 0.347
+    # True / 2.88 would pass as the level 0.347, and an int past a float's
+    # range would end in a bare OverflowError
     plan = StructurePlan(build_dag(2, [(0, 1)]), WeightConfig())
     with pytest.raises(LevelOutOfRangeError, match=re.escape(
             f"q / yk-divisor must be in (0, 1), got {shown}")):

@@ -353,7 +353,8 @@ def test_run_simulation_worker_count_invariance():
 
 @pytest.mark.parametrize("n_reps", [0, -1])
 def test_run_simulation_rejects_empty_sweep(n_reps):
-    with pytest.raises(ValueError, match="n_reps must be >= 1"):
+    with pytest.raises(ValueError, match="^n_reps must be an integer >= 1, "
+                                         f"got {n_reps}$"):
         run_simulation(_small_config(n_reps=n_reps))
 
 
@@ -362,6 +363,24 @@ def test_run_simulation_rejects_a_non_integer_replication_count(n_reps):
     with mock.patch.object(simulate_module, "_run_block") as run_block:
         with pytest.raises(ValueError, match="n_reps must be an integer"):
             run_simulation(_small_config(n_reps=n_reps))
+    run_block.assert_not_called()
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("methods", ("wfbh",), " of MethodSpec"),
+    ("methods", MethodSpec("bh"), " of MethodSpec"),
+    ("methods", [], " of MethodSpec"),
+    ("p_nonnull", 0.1, ""), ("p_nonnull", "0.1", ""), ("p_nonnull", None, ""),
+    ("p_nonnull", np.array([0.1]), "")],
+    ids=["method-names", "one-method", "no-methods", "p-bare", "p-str",
+         "p-None", "p-array"])
+def test_run_simulation_sweep_lists_are_lists_or_tuples(field, value, kind):
+    # unchecked, a tuple of method names ends in a bare AttributeError
+    with mock.patch.object(simulate_module, "_run_block") as run_block:
+        with pytest.raises(ValueError) as err:
+            run_simulation(_small_config(**{field: value}))
+    assert str(err.value) == (f"{field}: need a non-empty list or tuple"
+                              f"{kind}, got {value!r}")
     run_block.assert_not_called()
 
 
@@ -646,7 +665,9 @@ def test_resolve_workers_explicit_argument_follows_env_contract(monkeypatch):
     assert resolve_workers(1) == 1
     assert resolve_workers(np.int64(2)) == 2
     for bad in (-3, True, False, 2.7, 2.0, "2"):
-        with pytest.raises(ValueError, match=f"n_workers: .* {bad!r}"):
+        with pytest.raises(ValueError, match=re.escape(
+                "n_workers (0 = all cores) must be an integer >= 0, "
+                f"got {bad!r}")):
             resolve_workers(bad)
     with pytest.raises(ValueError, match="n_workers"):
         run_simulation(SimConfig(n_reps=1), n_workers=-1)
@@ -673,10 +694,10 @@ def test_superuniformity_chain_root_fisher_and_simes():
 @pytest.mark.parametrize("n_mc", [0, -3])
 def test_monte_carlo_checks_reject_no_replications(n_mc):
     dag = generate_graph("deep-tree")
-    with pytest.raises(ValueError, match=f"n_mc: must be an integer, at "
-                                         f"least 1, got {n_mc}"):
+    with pytest.raises(ValueError, match=f"n_mc must be an integer >= 1, "
+                                         f"got {n_mc}"):
         condition1_check(dag, WeightConfig(), frozenset(), n_mc)
-    with pytest.raises(ValueError, match="n_mc: must be an integer, at least"):
+    with pytest.raises(ValueError, match="n_mc must be an integer >= 1"):
         superuniformity_check(dag, (Combiner("simes"),), n_mc)
 
 
@@ -749,14 +770,14 @@ def uniform_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("n_mc, seed, named", [
-    (2.5, 0, "n_mc: must be an integer, at least 1, got 2.5"),
-    (10.0, 0, "n_mc: must be an integer, at least 1, got 10.0"),
-    (True, 0, "n_mc: must be an integer, at least 1, got True"),
-    ("10", 0, "n_mc: must be an integer, at least 1, got '10'"),
-    (10, -1, "seed: must be a nonnegative integer, got -1"),
-    (10, 1.5, "seed: must be a nonnegative integer, got 1.5"),
-    (10, False, "seed: must be a nonnegative integer, got False"),
-    (10, [1, 2], r"seed: must be a nonnegative integer, got \[1, 2\]")])
+    (2.5, 0, "n_mc must be an integer >= 1, got 2.5"),
+    (10.0, 0, "n_mc must be an integer >= 1, got 10.0"),
+    (True, 0, "n_mc must be an integer >= 1, got True"),
+    ("10", 0, "n_mc must be an integer >= 1, got '10'"),
+    (10, -1, "seed must be an integer >= 0, got -1"),
+    (10, 1.5, "seed must be an integer >= 0, got 1.5"),
+    (10, False, "seed must be an integer >= 0, got False"),
+    (10, [1, 2], r"seed must be an integer >= 0, got \[1, 2\]")])
 def test_monte_carlo_checks_reject_bad_n_mc_and_seed(uniform_draws, n_mc,
                                                      seed, named):
     # unchecked, n_mc=2.5 and seed=-1 fail inside numpy naming no field,
@@ -811,7 +832,8 @@ def test_superuniformity_star_root_past_fishers_limit(name):
 
 @pytest.mark.parametrize("thresholds, named", [
     ((0.0, 0.5), "0.0"), ((1.0,), "1.0"), ((0.5, 1.5), "1.5"),
-    ((), "need at least one threshold"), ((float("nan"),), "nan")])
+    ((), "need a non-empty list or tuple"),
+    ((float("nan"),), "nan")])
 def test_superuniformity_rejects_bad_thresholds(uniform_draws, thresholds,
                                                 named):
     dag = build_dag(3, [(0, 1), (1, 2)])
@@ -821,16 +843,37 @@ def test_superuniformity_rejects_bad_thresholds(uniform_draws, thresholds,
     assert uniform_draws == []
 
 
+@pytest.mark.parametrize("thresholds", [0.5, None, {0.1: 1}, "0.1",
+                                        np.array([0.1, 0.5])],
+                         ids=["bare", "None", "dict", "str", "array"])
+def test_superuniformity_thresholds_must_be_a_list_or_tuple(uniform_draws,
+                                                            thresholds):
+    # unchecked, a number or None ends in a TypeError from len() and a
+    # dict in one from float()
+    dag = build_dag(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError) as err:
+        superuniformity_check(dag, (Combiner("simes"),), 10,
+                              thresholds=thresholds)
+    assert str(err.value) == ("thresholds: need a non-empty list or tuple, "
+                              f"got {thresholds!r}")
+    assert uniform_draws == []
+
+
 @pytest.mark.parametrize("call", [
     lambda dag: superuniformity_check(dag, Combiner("simes"), 10),
     lambda dag: superuniformity_check(dag, ["simes"], 10),
     lambda dag: superuniformity_check(dag, [], 10),
     lambda dag: check_superuniformity(n_mc=10, combiners=()),
-], ids=["one-combiner", "names", "empty", "check-empty"])
+    lambda dag: check_superuniformity(n_mc=10, combiners="simes"),
+    lambda dag: check_superuniformity(n_mc=10, combiners=5),
+    lambda dag: check_superuniformity(n_mc=10, combiners=[Combiner("simes")]),
+], ids=["one-combiner", "names", "empty", "check-empty", "check-str",
+        "check-number", "check-combiner"])
 def test_superuniformity_rejects_bad_combiners_before_drawing(
         uniform_draws, monkeypatch, call):
     # unchecked, these fail only after the draw (a TypeError, an
-    # AttributeError), return [], or divide by a zero cell count
+    # AttributeError), return [], divide by a zero cell count, or read a
+    # name one character at a time
     dag = generate_graph("deep-tree")
 
     def no_graph(family):
