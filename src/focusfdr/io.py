@@ -10,8 +10,8 @@ echo that mapping.  Each reader works through its file a block of lines at
 a time: a block is split at its line breaks and commas while the file holds
 no quote, and read by ``csv.reader`` from the first quote on; its names
 become ids in an intp array, and its checks run as array operations.  An
-error names the first faulty line in file order, with the message a check
-of each line in turn would give.
+error names the first faulty line in file order, counted as the file is
+read once, with the message a check of each line in turn would give.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -53,21 +53,23 @@ _BLOCK = 1024
 
 def _records(fh):
     """Yield the records of an open CSV file a block of lines at a time, as
-    (cells, widths, error): the block's raw cells in one list, each
-    record's cell count, and the ``csv.Error`` that ends the file after
-    them, if any.  A block whose text holds no quote and no line longer
-    than csv's field limit is split at its line breaks and then at commas;
-    opened with ``newline=""``, the file breaks lines at "\\r\\n", "\\r"
-    and "\\n", as ``csv.reader`` does.  From the first other block on,
-    ``csv.reader`` parses the file; it gives the same records wherever the
-    split does."""
+    (cells, widths, starts, error): the block's raw cells in one list, each
+    record's cell count, the line each starts on and then the line after
+    them, and the ``csv.Error`` that ends the file there, if any.  A block
+    whose text holds no quote and no line longer than csv's field limit is
+    split at its line breaks, a record a line, then at commas; opened with
+    ``newline=""``, the file breaks lines at "\\r\\n", "\\r" and "\\n", as
+    ``csv.reader`` does.  From the first other block on, ``csv.reader``
+    parses the file; it gives the same records wherever the split does, and
+    a record it reads spans a line more than the line breaks in its cells."""
     limit = csv.field_size_limit()
+    line = 1                                # the line a block starts on
     while lines := list(islice(fh, _BLOCK)):
         text = ",".join(lines)
         if '"' in text or (len(text) > limit
                            and max(map(len, lines)) > limit):
-            yield from _csv_records(chain(lines, fh))
-            return
+            break
+        line, starts = line + len(lines), range(line, line + len(lines) + 1)
         # each line's break stays on its last cell, which readers strip
         cells = text.split(",")
         if len(cells) == 2 * len(lines):
@@ -75,85 +77,75 @@ def _records(fh):
             # every line's break ends a second cell, so each line has two
             firsts = "".join(cells[::2])
             if "\n" not in firsts and "\r" not in firsts:
-                yield cells, [2] * len(lines), None
+                yield cells, [2] * len(lines), starts, None
                 continue
         yield cells, [n + 1 for n in map(str.count, lines,
-                                         repeat(","))], None
-
-
-def _csv_records(lines):
-    """``_records`` of the given lines by ``csv.reader``."""
-    reader, more = csv.reader(lines), True
+                                         repeat(","))], starts, None
+    reader, more = csv.reader(chain(lines, fh)), True   # the rest, if any
     while more:
-        rows, error = [], None
+        rows, error, at = [], None, line + reader.line_num
         try:
             rows.extend(islice(reader, _BLOCK))     # keeps the rows read
         except csv.Error as exc:
             error = exc
         more = len(rows) == _BLOCK
-        yield list(chain.from_iterable(rows)), list(map(len, rows)), error
+        cells = list(chain.from_iterable(rows))
+        starts = range(at, at + len(rows) + 1)
+        if error is not None or line + reader.line_num > starts[-1]:
+            # a record spans lines: "\r\n" is one break, as to the file
+            starts = list(accumulate(
+                [1 + t.count("\r") + t.count("\n") - t.count("\r\n")
+                 for t in map(",".join, rows)], initial=at))
+        yield cells, list(map(len, rows)), starts, error
 
 
 def _table(path, header, named=False):
     """Yield the data rows of a two-column CSV file with the given header a
-    block at a time, as (cells, records): the rows' stripped cells, two a
-    row in one list, and their record numbers (``_where`` names a record's
-    line).  Blank rows are skipped.  A row of another width, a row with an
-    empty first cell if ``named``, or a cell over csv's field limit raises
-    once the rows before it are yielded."""
+    block at a time, as (cells, lines): the rows' stripped cells, two a row
+    in one list, and the line each row starts on.  Blank rows are skipped.
+    A row of another width, a row with an empty first cell if ``named``,
+    or a cell over csv's field limit raises once the rows before it are
+    yielded."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        start = 0                   # record number of a block's first record
-        for cells, widths, error in _records(fh):
+        unread = True                               # the header
+        for cells, widths, lines, error in _records(fh):
             cells = list(map(str.strip, cells))
-            if start == 0 and widths:
+            if unread and widths:
                 width = widths.pop(0)
                 if [h.lower() for h in cells[:width]] != list(header):
                     raise ParseError(f"{path}:1: expected header "
                                      f"{','.join(header)!r}")
-                del cells[:width]
-                start = 1
-            cells, records, fault = _kept(cells, widths, start, named)
-            yield cells, records
+                cells, lines, unread = cells[width:], lines[1:], False
+            cells, kept, fault = _kept(cells, widths, lines, named)
+            yield cells, kept
             if fault is not None:
-                raise ParseError(f"{_where(path, fault[0])}: {fault[1]}")
-            start += len(widths)
+                raise ParseError(f"{path}:{fault[0]}: {fault[1]}")
             if error is not None:
-                raise ParseError(f"{_where(path, start)}: {error}")
-        if start == 0:
+                raise ParseError(f"{path}:{lines[-1]}: {error}")
+        if unread:
             raise ParseError(f"{path}: empty file")
 
 
-def _kept(cells, widths, start, named):
-    """The stripped cells and record numbers of a block's non-blank rows
-    up to its first faulty row, and (record, message) of that row or None.
-    The block's records are numbered from ``start``."""
+def _kept(cells, widths, lines, named):
+    """The stripped cells and lines of a block's non-blank rows up to its
+    first faulty row, and (line, message) of that row or None.  ``lines``
+    holds the line each row starts on."""
     n = len(widths)
     if widths.count(2) == n and "" not in cells[::2]:
-        return cells, range(start, start + n), None
-    kept, records, at = [], [], 0
-    for record, width in enumerate(widths, start):
+        return cells, lines[:n], None
+    kept, starts, at = [], [], 0
+    for line, width in zip(lines, widths):
         row = cells[at:at + width]
         at += width
         if not any(row):
             continue
         if width != 2:
-            return kept, records, (record, "expected 2 columns")
+            return kept, starts, (line, "expected 2 columns")
         if named and not row[0]:
-            return kept, records, (record, "empty node name")
+            return kept, starts, (line, "empty node name")
         kept += row
-        records.append(record)
-    return kept, records, None
-
-
-def _where(path, record):
-    """The "path:line" on which record ``record`` starts (the header is
-    record 0), one line past where the record before it ends, since a
-    quoted cell may span lines."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, record):
-            pass
-        return f"{path}:{reader.line_num + 1}"
+        starts.append(line)
+    return kept, starts, None
 
 
 def _intern(names, table, start=None):
@@ -182,9 +174,9 @@ def read_edge_csv(path):
     ids = {"": -1}      # an empty child cell: no edge; names count from 0
     blocks, spans, row_error = [np.empty(0, dtype=np.intp)], [], None
     try:
-        for cells, records in _table(path, ("parent", "child"), named=True):
+        for cells, lines in _table(path, ("parent", "child"), named=True):
             blocks.append(_intern(cells, ids, len(ids) - 1))
-            spans.append(records)
+            spans.append(lines)
     except ParseError as exc:
         row_error = exc
     del ids[""]
@@ -195,7 +187,7 @@ def read_edge_csv(path):
         order = check_edges(len(ids), edges[:, 0], edges[:, 1])
     except (SelfLoopError, DuplicateEdgeError) as exc:
         row = np.flatnonzero(is_edge)[exc.index]
-        at = _where(path, next(islice(chain.from_iterable(spans), row, None)))
+        at = f"{path}:{list(chain.from_iterable(spans))[row]}"
         names = list(ids)
         parent, child = (names[v] for v in edges[exc.index])
         if isinstance(exc, SelfLoopError):
@@ -257,7 +249,7 @@ def _read_pvalues(path, header, name_to_id, duplicate):
     table = {} if name_to_id is None else name_to_id
     seen = np.zeros(len(table) + 1, dtype=bool)     # by id, then one slot
     id_blocks, value_blocks = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for cells, records in _table(path, header):
+    for cells, lines in _table(path, header):
         names, texts = cells[::2], cells[1::2]
         ids = _intern(names, table,
                       len(table) if name_to_id is None else None)
@@ -272,7 +264,7 @@ def _read_pvalues(path, header, name_to_id, duplicate):
                | ~((values >= 0.0) & (values <= 1.0)))
         if bad.any():
             k = int(np.argmax(bad))
-            where = _where(path, records[k])
+            where = f"{path}:{lines[k]}"
             if unknown[k]:
                 raise UnknownNodeInPvaluesError(
                     f"{where}: node {names[k]!r} not present in the graph")
@@ -331,7 +323,7 @@ def read_annotation_csv(path, name_to_id, item_to_id):
     _check_ids(name_to_id, "name_to_id")
     _check_ids(item_to_id, "item_to_id")
     sets = [set() for _ in range(len(name_to_id))]
-    for cells, records in _table(path, ("node", "item")):
+    for cells, lines in _table(path, ("node", "item")):
         nodes = _intern(cells[::2], name_to_id)
         items = _intern(cells[1::2], item_to_id)
         bad = (nodes < 0) | (items < 0)
@@ -339,8 +331,7 @@ def read_annotation_csv(path, name_to_id, item_to_id):
             k = int(np.argmax(bad))
             kind, name = (("node", cells[2 * k]) if nodes[k] < 0
                           else ("item", cells[2 * k + 1]))
-            raise ParseError(f"{_where(path, records[k])}: unknown {kind} "
-                             f"{name!r}")
+            raise ParseError(f"{path}:{lines[k]}: unknown {kind} {name!r}")
         for node, item in zip(nodes.tolist(), items.tolist()):
             sets[node].add(item)
     return sets

@@ -91,6 +91,7 @@ class ReshapingFn:
     """A reshaping function beta with beta(r) <= r, nondecreasing, beta(0)=0,
     checked when built: "identity", "by" (scale r, scale in (0, 1]) or
     "custom" (table[min(r, len(table) - 1)]); unused fields keep defaults.
+    A custom table, a list or tuple of reals, is kept as a tuple of floats.
 
     The "by" instance beta(r) = r / sum_{i<=m} 1/i buys validity under
     arbitrary dependence at the usual logarithmic cost.
@@ -113,9 +114,17 @@ class ReshapingFn:
         elif not (_is_real(self.scale) and self.scale == 1):
             raise InvalidReshapingError(
                 f"{kind} reshaping: scale must be 1, got {self.scale!r}")
-        if custom and (len(table) == 0 or table[0] != 0.0):
+        if not custom:
+            return
+        if not (isinstance(table, (list, tuple))
+                and all(map(_is_real, table))):
+            raise InvalidReshapingError(
+                "custom reshaping: table: need a list or tuple of real "
+                f"numbers, got {table!r}")
+        object.__setattr__(self, "table", table := tuple(map(float, table)))
+        if len(table) == 0 or table[0] != 0.0:
             raise InvalidReshapingError("table must start with beta(0) = 0")
-        for r in range(1, len(table) if custom else 0):
+        for r in range(1, len(table)):
             if not table[r - 1] <= table[r]:
                 raise InvalidReshapingError("beta must be nondecreasing")
             if not table[r] <= r:
@@ -132,7 +141,7 @@ class ReshapingFn:
 
     @classmethod
     def custom(cls, values):
-        return cls("custom", table=tuple(float(v) for v in values))
+        return cls("custom", table=values)
 
     def __call__(self, counts):
         counts = np.asarray(counts, dtype=float)

@@ -181,22 +181,21 @@ def _truth_rows(dag, p_nonnull, streams):
     return nonnull
 
 
-def _node_means(depths, setup):
-    """Each node's normal mean were it non-null, under the signal setup."""
+def _node_means(depths, setup, nonnull):
+    """Each node's normal mean: 0 where ``nonnull`` (a mask or a block of
+    masks) is False, else 2 ("global" setup), 2 + 1.5 (depth - 1)
+    ("decremental") or 2 + 1.5 (max depth - depth) ("incremental")."""
+    if setup not in SIGNAL_SETUPS:
+        raise ValueError(f"unknown signal setup {setup!r}")
     d = depths.depth.astype(float)
-    if setup == "global":
-        return np.full(d.size, 2.0)
-    if setup == "decremental":
-        return 2.0 + 1.5 * (d - 1.0)
-    if setup == "incremental":
-        return 2.0 + 1.5 * (depths.max_depth - d)
-    raise ValueError(f"unknown signal setup {setup!r}")
+    steps = {"global": 0.0, "decremental": d - 1.0,
+             "incremental": depths.max_depth - d}[setup]
+    return np.where(nonnull, 2.0 + 1.5 * steps, 0.0)
 
 
 def signal_means(depths, truth, setup):
     """Per-node normal means: 0 for nulls, setup-dependent for non-nulls."""
-    nonnull = node_mask(len(depths.depth), truth)
-    return np.where(nonnull, _node_means(depths, setup), 0.0)
+    return _node_means(depths, setup, node_mask(len(depths.depth), truth))
 
 
 def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
@@ -212,7 +211,7 @@ def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
 def _pvalue_rows(depths, nonnull, setup, rho, streams):
     """``sample_pvalues`` for each row of the (R, m) non-null mask, each
     row drawing Z0, then Z, from its own stream."""
-    mu = np.where(nonnull, _node_means(depths, setup), 0.0)
+    mu = _node_means(depths, setup, nonnull)
     z0 = np.empty((len(streams), 1))
     z = np.empty(nonnull.shape)
     for i, rng in enumerate(streams):
@@ -447,7 +446,7 @@ def condition1_check(dag, weight_config, truth, n_mc, seed=0, setup="global"):
     depths, ws, lam = plan.depths, plan.workspace, weight_config.lam
 
     nulls = np.flatnonzero(~nonnull)
-    mu = np.where(nonnull, _node_means(depths, setup), 0.0)
+    mu = _node_means(depths, setup, nonnull)
     totals = np.empty(n_mc)
     rows = max(1, _BLOCK_ENTRIES // max(dag.m, 1))
     for a in range(0, n_mc, rows):

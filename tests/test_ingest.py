@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -369,6 +371,138 @@ def test_split_and_csv_reader_give_the_same_result(body, block):
                 finally:
                     focusfdr_io._BLOCK = BLOCK
             assert got[0] == got[1], header
+
+
+def _where(path, record):
+    """The "path:line" on which record ``record`` starts (the header is
+    record 0), one line past where the record before it ends: a re-read
+    of the file by ``csv.reader``, as the readers once named a fault."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, record):
+            pass
+        return f"{path}:{reader.line_num + 1}"
+
+
+def _numbered(records):
+    """``records`` with each record's number (the header is record 0) in
+    place of the line it starts on."""
+    def numbered(fh):
+        at = 0
+        for cells, widths, _, error in records(fh):
+            at += len(widths)       # before a reader takes the header off
+            yield cells, widths, range(at - len(widths), at + 1), error
+    return numbered
+
+
+# rows of cells, some quoted, holding the separator, a quote, line breaks
+# or nothing, beside a lone quote and a cell over csv's field limit
+QUOTED_CELLS = ["a", "b", "0.5", "", " b\t", "\x00", '"a,b"', '"a""b"',
+                '"a\nb"', '"\r"', '"b\r\n"', '"\n\r"', '"\r\n\r\n"', '""',
+                '"a', "x" * (csv.field_size_limit() + 1)]
+QUOTED_ROWS = st.tuples(st.lists(st.sampled_from(QUOTED_CELLS), max_size=3)
+                        .map(",".join),
+                        st.sampled_from(["\n", "\r", "\r\n"])).map("".join)
+
+
+@given(body=st.lists(QUOTED_ROWS, max_size=12).map("".join),
+       block=st.sampled_from([1, 2, 3, 1024]))
+@settings(max_examples=300, deadline=None)
+def test_readers_name_the_line_a_re_read_names(body, block):
+    records = focusfdr_io._records
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "f.csv")
+        for header, read in PATH_READERS.items():
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(f"{header}\n{body}")
+            focusfdr_io._BLOCK = block
+            try:
+                got = _outcome(read, path)
+                focusfdr_io._records = _numbered(records)
+                want = _outcome(read, path)
+            finally:
+                focusfdr_io._BLOCK, focusfdr_io._records = BLOCK, records
+            fault = isinstance(want, tuple) and re.fullmatch(
+                re.escape(path) + r":(\d+): (.*)", str(want[1]), re.S)
+            if fault:
+                want = (want[0], f"{_where(path, int(fault[1]))}: {fault[2]}")
+            assert got == want, header
+
+
+# -------------------------------- inputs that cannot be read twice: pipes
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                                  reason="no /dev/fd")
+
+
+@pytest.fixture
+def pipe():
+    """A maker of "/dev/fd/<n>" paths, each the read end of a pipe that
+    holds the given text once."""
+    ends = []
+
+    def make(text):
+        end, into = os.pipe()
+        ends.append(end)
+        with os.fdopen(into, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return f"/dev/fd/{end}"
+    yield make
+    for end in ends:
+        os.close(end)
+
+
+@needs_dev_fd
+def test_a_piped_pvalue_file_names_the_faulty_line(tmp_path, capsys, pipe):
+    # the fault was named by a re-read of the drained pipe: line 1
+    dag = write(tmp_path / "e.csv", "parent,child\na,b\nb,c\n")
+    text = "node,p\na,0.1\nb,0.2\nc,1.5\n"
+    path = pipe(text)
+    with pytest.raises(ParseError) as info:
+        read_pvalue_csv(path, {"a": 0, "b": 1, "c": 2})
+    assert str(info.value) == f"{path}:4: p-value '1.5' not in [0, 1]"
+    path = pipe(text)
+    assert main(["analyze", "--dag", dag, "--pvalues", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}:4: p-value '1.5' not in [0, 1]\n")
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("rows,line,name", [
+    ("a,b\nb,c\nc,c\n", 4, "c"), ('a,b\n"x\ny","x\ny"\n', 3, "x\ny")],
+    ids=["split", "quoted"])
+def test_a_piped_edge_list_names_the_faulty_line(tmp_path, capsys, pipe,
+                                                  rows, line, name):
+    pv = write(tmp_path / "p.csv", "node,p\na,0.1\n")
+    message = f":{line}: self-loop at node {name!r}"
+    path = pipe("parent,child\n" + rows)
+    with pytest.raises(ParseError) as info:
+        read_edge_csv(path)
+    assert str(info.value) == path + message
+    path = pipe("parent,child\n" + rows)
+    assert main(["analyze", "--dag", path, "--pvalues", pv]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("reader,rows,message", LINE_CASES + [
+    ("edges", f"a,b\n{LONG},c\n", ":3: field larger"),
+    ("pvalues", f"{QUOTED},1.5\n", ":2: p-value '1.5'"),
+    ("annotations", f"{QUOTED},g\n\nzz,g\n", ":5: unknown node 'zz'")],
+    ids=LINE_IDS + ["edges-oversized", "pvalues-range", "annotations-blank"])
+def test_each_reader_opens_a_faulty_file_once(tmp_path, monkeypatch, reader,
+                                              rows, message):
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+    monkeypatch.setattr(focusfdr_io, "open", counted, raising=False)
+    header, read = READERS[reader]
+    path = write(tmp_path / "f.csv", f"{header}\n{rows}")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value).startswith(path + message)
+    assert opened == [path]
 
 
 # ------------------------------------------------- the array Dag, per edge

@@ -286,6 +286,37 @@ def test_custom_reshaping_validation():
     assert beta(1) == 0.5 and beta(2.0) == 1.5
 
 
+@pytest.mark.parametrize("table", [
+    5, ["x"], [0.0, True], ["0", "0.5"], "00", np.array([0.0, 0.5]),
+    {0.0: 1}, [0.0, None]],
+    ids=["int", "string-item", "bool-item", "numeric-strings", "string",
+         "array", "dict", "none-item"])
+@pytest.mark.parametrize("build", [
+    ReshapingFn.custom, lambda table: ReshapingFn("custom", table=table)],
+    ids=["custom", "constructor"])
+def test_custom_table_must_be_a_list_or_tuple_of_real_numbers(build, table):
+    # a bare TypeError or float()'s ValueError, or a table read as numbers
+    with pytest.raises(InvalidReshapingError,
+                       match=r"custom reshaping: table: need a list or tuple"
+                             r" of real numbers, got "):
+        build(table)
+
+
+def test_custom_table_is_frozen_as_floats():
+    # the record used to keep the caller's list: editing it after the
+    # checks gave beta(1) = 9, which passes the checks of no record
+    table = [0, 0.5, np.float32(1.0), 1.5]
+    beta = ReshapingFn("custom", table=table)
+    table[:] = [0, 9, 9, 9]
+    assert beta.table == (0.0, 0.5, 1.0, 1.5)
+    assert all(type(v) is float for v in beta.table)
+    assert beta(1) == 0.5
+    assert hash(beta) == hash(ReshapingFn.custom((0.0, 0.5, 1.0, 1.5)))
+    dag = build_dag(3, [(0, 1), (1, 2)])
+    p = np.array([0.04, 0.05, 0.06])
+    assert wfbh(dag, p, np.ones(3), DS, 0.05, beta).t_star == 0.0
+
+
 def test_yekutieli_tree_examples():
     dag = build_dag(2, [(0, 1)])
     assert yekutieli_tree(dag, np.array([0.001, 0.9]), 0.1) == {0}
@@ -496,7 +527,7 @@ def test_by_step_up_matches_trivial_filter_scan(seed, r, m, levels, q):
 @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1, 4]),
        m=st.integers(0, 30), outer=st.booleans(),
        beta=st.sampled_from([ReshapingFn.identity(), ReshapingFn.by(30),
-                             ReshapingFn.custom(range(31))]))
+                             ReshapingFn.custom(list(range(31)))]))
 @settings(max_examples=200, deadline=None)
 def test_block_scan_matches_interval_curve(seed, r, m, outer, beta):
     # ties, signed zeros and never-kept (+inf) nodes included
