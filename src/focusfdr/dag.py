@@ -3,14 +3,27 @@
 Nodes are dense integer ids in [0, m).  An edge (parent, child) points from
 the source hypothesis to its refinement.  A Dag keeps its edges as integer
 arrays only.  ``check_edges`` validates them in one vectorised pass (range
-masks, ``a == b`` and a stable sort of ``a * m + b``) that reports the
-first faulty edge in input order, and its sort gives the child CSR
-(compressed sparse row) arrays.  Kahn's algorithm then runs a level at a
-time over that CSR, which yields the topological order, the longest-path
-depths and cycle detection in one pass, and the edges are kept a second
-time ordered by child depth, each node's parents contiguous.  Depths,
-sibling groups (as membership arrays), ``level_sweep`` and the structure
-checks are O(m + E)-class passes over these arrays.
+masks, ``a == b`` and a sort of ``a * m + b``) that reports the first
+faulty edge in input order, and its sort gives the child CSR (compressed
+sparse row) arrays.  Kahn's algorithm then runs a level at a time over
+that CSR, which yields the topological order, the longest-path depths and
+cycle detection in one pass, and the edges are kept a second time ordered
+by child depth, each node's parents contiguous.  Depths, sibling groups
+(as membership arrays), ``level_sweep`` and the structure checks are
+O(m + E)-class passes over these arrays.
+
+Each structure key is put in order by the cheapest sort that gives the
+order a stable sort would:
+
+- distinct int64 keys (``parent * m + child`` in ``check_edges``, through
+  ``repeats``, and ``child * m + parent`` for the depth order of the
+  edges) by numpy's default argsort, which on distinct keys is that
+  order.  ``repeats`` sorts again stably only when two keys are equal,
+  which is an error, so the first faulty entry is still the one named;
+- depths (``topo_order``, the edges' child depths, and the sibling groups'
+  memberships, read in the child CSR's (parent, child) order) by a stable
+  argsort of the depths as the smallest unsigned type that holds them
+  (``_narrow``), which numpy runs as a radix sort up to 16 bits.
 
 ``children``, ``parents`` and ``edges`` are Python views of the arrays,
 built on first use for tests, oracles and tracing; no production path
@@ -114,12 +127,16 @@ class Dag:
         self.child_indices = _read_only(child)
         depth = self._levels(parent, n_kids, in_degree)
 
-        # stable over the (parent, child) order, so ties go by parent
-        by_depth = np.argsort(depth[child] * m + child, kind="stable")
+        # the edges by (child, parent), then stably by child depth: the
+        # keys are distinct, and the depths narrow enough to radix sort
+        by_child = np.argsort(child * m + parent)
+        narrow = _narrow(depth)
+        by_depth = by_child[np.argsort(narrow[child[by_child]],
+                                       kind="stable")]
         self.depth = _read_only(depth)
         self.edge_parent = _read_only(parent[by_depth])
         self.edge_child = _read_only(child[by_depth])
-        topo = np.argsort(depth, kind="stable")
+        topo = np.argsort(narrow, kind="stable")
         self.topo_order = _read_only(topo)
         self.node_ptr = _read_only(np.cumsum(np.bincount(depth, minlength=1)))
         # the edges into the nodes before each position of topo_order
@@ -299,10 +316,16 @@ def _edge_arrays(edges):
 
 def repeats(keys):
     """Mask of the entries of ``keys`` equal to an earlier entry, and the
-    stable order that sorts ``keys``."""
-    order = np.argsort(keys, kind="stable")
+    stable order that sorts ``keys``.  numpy's default sort gives that
+    order when the keys are distinct; only keys that repeat are sorted
+    again, stably, so that each first entry keeps its place."""
+    order = np.argsort(keys)
+    same = keys[order[1:]] == keys[order[:-1]]
+    if same.any():
+        order = np.argsort(keys, kind="stable")
+        same = keys[order[1:]] == keys[order[:-1]]
     out = np.zeros(keys.size, dtype=bool)
-    out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    out[order[1:]] = same
     return out, order
 
 
@@ -337,6 +360,12 @@ def _sorted_unique(keys):
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return np.compress(keep, keys)
+
+
+def _narrow(values):
+    """Non-negative integers as the smallest unsigned type that holds them
+    all: a stable argsort of 8- or 16-bit keys is a radix sort."""
+    return values.astype(np.min_scalar_type(int(values.max(initial=0))))
 
 
 def _segments(start, count):
@@ -457,9 +486,13 @@ def group_index(dag, depths):
     child of depth d.  Groups are ordered by (depth, parent) and memberships
     by (group, node); ``depth_sizes`` comes from the Dag's ``node_ptr``.
     """
-    parent = np.concatenate([np.full(dag.roots.size, -1), dag.edge_parent])
-    child = np.concatenate([dag.roots, dag.edge_child])
-    order = np.lexsort((child, parent, depths.depth[child]))
+    # the memberships by (parent, child), roots first: the child CSR's
+    # order, which a stable sort by child depth keeps within each depth
+    ptr = dag.child_indptr
+    parent = np.concatenate([np.full(dag.roots.size, -1),
+                             np.repeat(np.arange(dag.m), np.diff(ptr))])
+    child = np.concatenate([dag.roots, dag.child_indices])
+    order = np.argsort(_narrow(depths.depth)[child], kind="stable")
     parent, child = parent[order], child[order]
     child_depth = depths.depth[child]
     first = np.ones(child.size, dtype=bool)
@@ -483,19 +516,16 @@ def _canonical_lca_depth(canon, depth, max_depth, a, w):
     """Depth of lca(a[i], w[i]) in the forest ``canon`` (roots map to
     themselves), 0 when the two lie in different trees.  Needs
     depth[w] >= depth[a]; vectorized binary lifting over all pairs."""
-    a, w = a.copy(), w.copy()
     jumps = [canon]
     while (1 << len(jumps)) < max_depth:
         jumps.append(jumps[-1][jumps[-1]])
     gap = depth[w] - depth[a]
     for k, jump in enumerate(jumps):
-        lift = (gap >> k) & 1 == 1
-        w[lift] = jump[w[lift]]
+        w = np.where((gap >> k) & 1 == 1, jump[w], w)
     for jump in reversed(jumps):
         ja, jw = jump[a], jump[w]
         move = ja != jw
-        a[move] = ja[move]
-        w[move] = jw[move]
+        a, w = np.where(move, ja, a), np.where(move, jw, w)
     # a == w: a was an ancestor of w; otherwise the parents now agree
     # unless a and w are the distinct roots of two trees
     return np.where(a == w, depth[a],
@@ -518,9 +548,13 @@ def disjoint_descendant_depths(dag, depths):
     depth = np.asarray(depths.depth, dtype=np.intp)
     parent, child = dag.edge_parent, dag.edge_child
     tight = np.flatnonzero(depth[parent] == depth[child] - 1)
-    kids, first = np.unique(child[tight], return_index=True)
+    # the edges come grouped by child, parents ascending: each child's
+    # canonical parent is its first tight edge's
+    kids = child[tight]
+    first = np.ones(kids.size, dtype=bool)
+    np.not_equal(kids[1:], kids[:-1], out=first[1:])
     canon = np.arange(dag.m, dtype=np.intp)
-    canon[kids] = parent[tight[first]]
+    canon[kids[first]] = parent[tight[first]]
     extra = canon[child] != parent
     a, w = parent[extra], child[extra]
     low = _canonical_lca_depth(canon, depth, depths.max_depth, a, w)
@@ -568,8 +602,16 @@ def _check_items(value, what, kind=None):
 
 
 def _is_real(value):
-    """The type of every level: a real number, not a bool nor an array."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """The type of every level: a real number that a float can hold, not a
+    bool nor an array (an int beyond the largest float is refused here, so
+    that no check ends in ``float``'s ``OverflowError``)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _check_real(value, what, error=ValueError, interval="(0, 1)"):

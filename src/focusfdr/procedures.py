@@ -18,7 +18,6 @@ and the public procedures are their one-row calls.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -348,10 +347,9 @@ def check_procedure(name, q, reshaped=False, yk_divisor=YK_DIVISOR):
         _check_real(q, "target FDR level", QOutOfRangeError)
         return
     _check_real(yk_divisor, "yk-divisor", interval="(0, inf)")
-    # the level is q / yk_divisor, not q: q may pass 1, but must be a number
-    # a float can hold, else it is shown as it is
-    _check_real(q / yk_divisor
-                if _is_real(q) and abs(q) <= sys.float_info.max else q,
+    # the level is q / yk_divisor, not q: q may pass 1, but must be a real
+    # number, else it is shown as it is
+    _check_real(q / yk_divisor if _is_real(q) else q,
                 "yekutieli-tree level q / yk-divisor", LevelOutOfRangeError)
 
 

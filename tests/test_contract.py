@@ -2,8 +2,9 @@
 
 ``TABLE`` holds, for every public callable (and more public calls that
 take a p-vector, a count, a level or a list: ``ReshapingFn.by``,
-``brute_force_tstar``, ``check_procedure`` and ``check_superuniformity``,
-and the "identity", "by" and "custom" kinds of ``ReshapingFn``), a call on
+``ReshapingFn.custom``, ``brute_force_tstar``, ``check_procedure``,
+``check_superuniformity`` and ``RunParams`` at the top-down baseline, and
+the "identity", "by" and "custom" kinds of ``ReshapingFn``), a call on
 the chain 0 -> 1 -> 2, its valid arguments, and the kind of each argument
 it checks.  Each kind has its bad values:
 
@@ -16,6 +17,8 @@ it checks.  Each kind has its bad values:
   -1, "1" and, for a positive low, low - 1;
 - level (a real number in an interval, by ``dag._check_real``): NaN, a
   value outside its documented interval, True, False, None and "0.5";
+- a real number that no float can hold, 10**400, as the top-down
+  baseline's q or yk-divisor or in a custom reshaping table;
 - choice (a string that selects a policy, filter, combiner or graph family):
   5, None (where None is not itself valid) and a one-name list;
 - list (a non-empty list or tuple, by ``dag._check_items``): (), [], a
@@ -29,7 +32,8 @@ it checks.  Each kind has its bad values:
 
 Every bad value, put in place of its argument's valid one, must raise a
 ValueError subclass whose message names the argument.  A bare IndexError,
-TypeError or ZeroDivisionError, or a silent success, fails.  A public
+TypeError, OverflowError or ZeroDivisionError, or a silent success,
+fails.  A public
 callable missing from the table fails too.
 """
 
@@ -201,6 +205,9 @@ TABLE = {
         lambda table, scale: ReshapingFn("custom", scale, table=table),
         {"table": (0.0, 0.5, 1.0), "scale": 1.0},
         {"table": ("table", {"None": None}), "scale": SCALE_ONE}),
+    "ReshapingFn.custom": (ReshapingFn.custom, {"values": [0, 1]},
+                           {"values": ("table", {"[0, 10**400]":
+                                                 [0, 10**400]})}),
     "ReshapingFn.by": (ReshapingFn.by, {"m": M},
                        {"m": count(1, "by reshaping: m")}),
     "RunParams": (
@@ -214,6 +221,12 @@ TABLE = {
          "policy": choice("fixed:0.5", "lambda policy"),
          "filter_name": choice("ds", "filter"),
          "smoothing": choice("simes", "combiner", none=False)}),
+    "RunParams(yekutieli-tree)": (
+        lambda yk_divisor: RunParams(yk_divisor=yk_divisor).resolve(
+            [("yekutieli-tree", "trivial", False)], None),
+        {"yk_divisor": 2.88},
+        {"yk_divisor": ("yk-divisor", {
+            **level(-1.0, "")[1], "10**400": 10**400})}),
     "StructurePlan": (lambda lam, c, dw: StructurePlan(
         DAG, WeightConfig(lam, c, dw)).workspace, WEIGHTS, WEIGHT_KINDS),
     "bh": (bh, {"pvalues": P, "q": 0.1},

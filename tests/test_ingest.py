@@ -238,6 +238,64 @@ def test_cli_reports_first_faulty_pvalue_line(tmp_path, capsys, rows, error,
     assert capsys.readouterr().err == f"error: {pv}{message}\n"
 
 
+def with_rows(rows, inserted):
+    """``rows`` as file lines after a header, with each (line, row) of
+    ``inserted`` put on that line."""
+    rows = list(rows)
+    for line, row in sorted(inserted):
+        rows.insert(line - 2, row)
+    return "".join(row + "\n" for row in rows)
+
+
+# (line, repeated edge) pairs far apart, and the line of the first repeat:
+# a copy put before its original makes the original the repeat
+FAR_EDGE_REPEATS = [
+    ([(1500, 700), (3500, 10)], (1500, 700)),
+    ([(1500, 10), (3500, 700)], (1500, 10)),
+    ([(900, 899), (3999, 0)], (902, 899)),
+    ([(2, 3000), (4002, 3000)], (3003, 3000)),
+]
+
+
+@pytest.mark.parametrize("repeated, fault", FAR_EDGE_REPEATS)
+def test_the_first_of_two_far_repeated_edges_is_named(tmp_path, repeated,
+                                                      fault):
+    # thousands of distinct keys around the equal ones: the edge check
+    # must still name the first line that repeats an earlier edge
+    edges = [f"u{i},v{i}" for i in range(4000)]
+    rows = with_rows(edges, [(line, edges[k]) for line, k in repeated])
+    path = write(tmp_path / "e.csv", "parent,child\n" + rows)
+    with pytest.raises(ParseError) as info:
+        read_edge_csv(path)
+    line, k = fault
+    assert str(info.value) == (f"{path}:{line}: duplicate edge 'u{k}' -> "
+                               f"'v{k}'")
+
+
+# (line, repeated name) pairs: within the first block of 1,024 lines,
+# across blocks, and within the second block before a repeat across them
+FAR_PVALUE_REPEATS = [
+    ([(900, 40), (1000, 10)], (900, 40)),
+    ([(1500, 5), (1900, 1600)], (1500, 5)),
+    ([(1300, 1100), (1500, 5)], (1300, 1100)),
+    ([(1020, 1000), (1030, 1001)], (1020, 1000)),
+]
+
+
+@pytest.mark.parametrize("repeated, fault", FAR_PVALUE_REPEATS)
+def test_the_first_repeated_name_is_named_within_and_across_blocks(
+        tmp_path, repeated, fault):
+    names = [f"n{i}" for i in range(3000)]
+    rows = with_rows((f"{n},0.5" for n in names),
+                     [(line, f"{names[k]},0.25") for line, k in repeated])
+    path = write(tmp_path / "p.csv", "node,p\n" + rows)
+    with pytest.raises(ParseError) as info:
+        read_pvalue_csv(path, {n: i for i, n in enumerate(names)})
+    line, k = fault
+    assert str(info.value) == (f"{path}:{line}: duplicate p-value for "
+                               f"'{names[k]}'")
+
+
 # ------------------------------ both ways a file is read: split, csv.reader
 
 def quote_header(text):

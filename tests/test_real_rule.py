@@ -86,11 +86,13 @@ def test_numpy_and_python_numbers_are_judged_by_value(form, make, x):
 @pytest.mark.parametrize("value, shown", [
     (True, "True"), (False, "False"), ("0.5", "'0.5'"), (None, "None"),
     (np.array(0.5), "array(0.5)"), (np.bool_(True), "np.True_"),
-    (0.5 + 0j, "(0.5+0j)"), ([0.5], "[0.5]")],
+    (0.5 + 0j, "(0.5+0j)"), ([0.5], "[0.5]"), (10**400, str(10**400)),
+    (-10**400, str(-10**400))],
     ids=["True", "False", "str", "None", "0-d", "np.bool", "complex",
-         "list"])
+         "list", "10**400", "-10**400"])
 def test_anything_but_a_real_number_is_refused(form, value, shown):
-    # even where its value would lie inside the interval
+    # even where its value would lie inside the interval, as 10**400 lies
+    # in (0, inf) though no float can hold it
     with pytest.raises(RuleError) as err:
         _check_real(value, "rho", RuleError, form)
     assert str(err.value) == f"rho must be in {form}, got {shown}"
