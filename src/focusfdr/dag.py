@@ -604,14 +604,15 @@ def _check_items(value, what, kind=None):
 def _is_real(value):
     """The type of every level: a real number that a float can hold, not a
     bool nor an array (an int beyond the largest float is refused here, so
-    that no check ends in ``float``'s ``OverflowError``)."""
+    that no check ends in ``float``'s ``OverflowError``, and so is a
+    nonzero number whose float is 0.0, so that no division by it ends in a
+    ``ZeroDivisionError``)."""
     if not isinstance(value, Real) or isinstance(value, bool):
         return False
     try:
-        float(value)
+        return float(value) != 0.0 or not value
     except OverflowError:
         return False
-    return True
 
 
 def _check_real(value, what, error=ValueError, interval="(0, 1)"):

@@ -12,6 +12,15 @@ no quote, and read by ``csv.reader`` from the first quote on; its names
 become ids in an intp array, and its checks run as array operations.  An
 error names the first faulty line in file order, counted as the file is
 read once, with the message a check of each line in turn would give.
+
+``analyze`` runs its stages so that each one's data lives only while a
+later stage reads it: the graph's part of the report (its structure
+summary and whether the filter is monotonic on it) is computed before the
+p-values are read, the structure plan (sibling groups and weight
+workspace) is dropped once the procedure has run, and the report's
+``node_ids`` is ``read_dag``'s own name table.  ``write_report_json``
+encodes the report a block of items at a time and writes each piece as it
+is made, so that the whole text is never held at once.
 """
 
 from __future__ import annotations
@@ -414,8 +423,12 @@ def analyze(request):
             f"{request.dag_file}: the top-down baseline requires a tree, but "
             f"node {names[v]!r} has {dag.in_degree[v]} parents")
     plan = StructurePlan(dag, weight_config)
-    depths, groups = plan.depths, plan.groups
+    depths = plan.depths
     check_dw_depths(request.dw, depths.max_depth, request.dag_file)
+    # the graph's part of the report, while no p-value is held yet
+    filtered = request.method in FOCUSED
+    structure = structure_summary(dag, depths, plan.groups)
+    monotonic = is_monotonic(fspec, dag) if filtered else None
 
     try:
         if request.items_file is not None:
@@ -440,9 +453,9 @@ def analyze(request):
             f"contained in its parent {names[exc.parent]!r}",
             parent=exc.parent, child=exc.child) from None
 
-    filtered = request.method in FOCUSED
     result = run_procedure(plan, p_used, request.method, fspec, request.q,
                            reshaped, request.yk_divisor)
+    del plan                    # its groups and weight workspace
     rows = _discovery_rows(result, names, depths.depth, p_original, p_used)
 
     report = {
@@ -461,9 +474,9 @@ def analyze(request):
             "combiner": request.combiner,
             "reshaping": request.reshaping,
         },
-        "structure": structure_summary(dag, depths, groups),
-        "filter_monotonic": is_monotonic(fspec, dag) if filtered else None,
-        "node_ids": dict(name_to_id),
+        "structure": structure,
+        "filter_monotonic": monotonic,
+        "node_ids": name_to_id,     # read_dag's table: nothing else holds it
         "t_star": result.t_star,
         "fdp_hat_at_t_star": result.fdp_hat_at_tstar,
         "counts": {"base": len(result.base_set), "discoveries": len(rows)},
@@ -479,10 +492,11 @@ def write_report_json(report, stream):
     ``json`` indents only through its pure-Python encoder.  Here every
     non-empty dict or list whose items are all plain scalars, such as the
     ``node_ids`` map, and every list of such dicts, such as the discovery
-    rows, is encoded in one call of json's C encoder, with a comma, a line
-    break and the items' indent as the item separator.
+    rows, is encoded by json's C encoder a block at a time, written as
+    made, with a comma, a line break and the items' indent as the item
+    separator.
     """
-    stream.write(_json(report, "\n"))
+    stream.writelines(_json(report, "\n"))
     stream.write("\n")
 
 
@@ -496,16 +510,32 @@ def _items_on_lines(indent):
     return json.JSONEncoder(separators=("," + indent, ": "))
 
 
+def _blocks(value):
+    """``value``, a non-empty dict, list or tuple, in consecutive pieces of
+    the same type of at most ``_BLOCK`` items each."""
+    if type(value) is dict:
+        items = iter(value.items())
+        return iter(lambda: dict(islice(items, _BLOCK)), {})
+    return (value[at:at + _BLOCK] for at in range(0, len(value), _BLOCK))
+
+
 def _json(value, newline):
-    """``json.dumps(value, indent=2)`` with each line break replaced by
-    ``newline``: the break and the indent of the line ``value`` starts on."""
+    """Yield the pieces of ``json.dumps(value, indent=2)`` with each line
+    break replaced by ``newline``: the break and the indent of the line
+    ``value`` starts on."""
     kind = type(value)
     if (kind is dict or kind is list or kind is tuple) and value:
         inner = newline + "  "
         if _JSON_SCALARS.issuperset(map(type, value.values() if kind is dict
                                         else value)):
-            text = _items_on_lines(inner).encode(value)
-            return text[0] + inner + text[1:-1] + newline + text[-1]
+            encode = _items_on_lines(inner).encode
+            yield ("{" if kind is dict else "[") + inner
+            for at, block in enumerate(_blocks(value)):
+                if at:
+                    yield "," + inner
+                yield encode(block)[1:-1]
+            yield newline + ("}" if kind is dict else "]")
+            return
         if kind is not dict and all(
                 type(v) is dict and v
                 and _JSON_SCALARS.issuperset(map(type, v.values()))
@@ -513,20 +543,31 @@ def _json(value, newline):
             # rows of scalars, such as the discovery rows: an item break
             # followed by "{" starts a row, and gains the row's own lines
             row = inner + "  "
-            text = _items_on_lines(row).encode(value)
-            return ("[" + inner + "{" + row
-                    + text[2:-2].replace("}," + row + "{",
-                                         inner + "}," + inner + "{" + row)
-                    + inner + "}" + newline + "]")
+            split = inner + "}," + inner + "{" + row    # between two rows
+            encode = _items_on_lines(row).encode
+            yield "[" + inner + "{" + row
+            for at, block in enumerate(_blocks(value)):
+                if at:
+                    yield split
+                yield encode(block)[2:-2].replace("}," + row + "{", split)
+            yield inner + "}" + newline + "]"
+            return
         if kind is not dict:
-            return ("[" + ",".join([inner + _json(v, inner) for v in value])
-                    + newline + "]")
+            yield "["
+            for at, v in enumerate(value):
+                yield ("," + inner) if at else inner
+                yield from _json(v, inner)
+            yield newline + "]"
+            return
         if all(type(k) is str for k in value):
-            return ("{" + ",".join([inner + encode_basestring_ascii(k) + ": "
-                                    + _json(v, inner)
-                                    for k, v in value.items()])
-                    + newline + "}")
-    return json.dumps(value, indent=2).replace("\n", newline)
+            yield "{"
+            for at, (k, v) in enumerate(value.items()):
+                yield (("," + inner) if at else inner) + \
+                    encode_basestring_ascii(k) + ": "
+                yield from _json(v, inner)
+            yield newline + "}"
+            return
+    yield json.dumps(value, indent=2).replace("\n", newline)
 
 
 DISCOVERY_COLUMNS = ("node", "id", "depth", "p", "p_used", "weight",

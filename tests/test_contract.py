@@ -18,7 +18,8 @@ it checks.  Each kind has its bad values:
 - level (a real number in an interval, by ``dag._check_real``): NaN, a
   value outside its documented interval, True, False, None and "0.5";
 - a real number that no float can hold, 10**400, as the top-down
-  baseline's q or yk-divisor or in a custom reshaping table;
+  baseline's q or yk-divisor or in a custom reshaping table, and one whose
+  float is 0.0, Fraction(1, 10**400), as the yk-divisor;
 - choice (a string that selects a policy, filter, combiner or graph family):
   5, None (where None is not itself valid) and a one-name list;
 - list (a non-empty list or tuple, by ``dag._check_items``): (), [], a
@@ -38,6 +39,7 @@ callable missing from the table fails too.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +131,10 @@ def grid(named):
 FDR_LEVEL = level(1.0, "FDR level")
 LAMBDA = level(1.0, "lambda")
 SEED = count(0, "seed")
+# the top-down baseline's level is q / yk_divisor: a divisor whose float is
+# 0.0 would end in a ZeroDivisionError
+YK_DIVISOR = ("yk-divisor", {**level(-1.0, "")[1], "10**400": 10**400,
+                             "Fraction(1, 10**400)": Fraction(1, 10**400)})
 C = count(0, "c: the group-size threshold")
 SCALE_ONE = ("scale", {"True": True, "2.0": 2.0, "NaN": NAN, "None": None,
                        "'1'": "1"})
@@ -225,8 +231,7 @@ TABLE = {
         lambda yk_divisor: RunParams(yk_divisor=yk_divisor).resolve(
             [("yekutieli-tree", "trivial", False)], None),
         {"yk_divisor": 2.88},
-        {"yk_divisor": ("yk-divisor", {
-            **level(-1.0, "")[1], "10**400": 10**400})}),
+        {"yk_divisor": YK_DIVISOR}),
     "StructurePlan": (lambda lam, c, dw: StructurePlan(
         DAG, WeightConfig(lam, c, dw)).workspace, WEIGHTS, WEIGHT_KINDS),
     "bh": (bh, {"pvalues": P, "q": 0.1},
@@ -255,9 +260,12 @@ TABLE = {
                        {"p": P, "level": 0.1},
                        {"p": pvector(), "level": level(1.0, "level")}),
     "check_procedure": (
-        lambda q: check_procedure("yekutieli-tree", q), {"q": 0.1},
+        lambda q, yk_divisor: check_procedure("yekutieli-tree", q,
+                                              yk_divisor=yk_divisor),
+        {"q": 0.1, "yk_divisor": 2.88},
         {"q": ("yekutieli-tree level", {
-            **level(3.0, "")[1], "10**400": 10**400, "-10**400": -10**400})}),
+            **level(3.0, "")[1], "10**400": 10**400, "-10**400": -10**400}),
+         "yk_divisor": YK_DIVISOR}),
     "unity_weights": (unity_weights, {"m": M}, {"m": count(0, r"\bm\b")}),
     "MethodSpec": (lambda: MethodSpec("bh"), {}, {}),
     "SimConfig": (lambda: SimConfig(), {}, {}),

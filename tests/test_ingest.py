@@ -671,7 +671,7 @@ def test_array_dag_matches_per_edge_loop(case, form):
 # ------------------------------------------------------- the report writer
 
 NAMES = st.text(alphabet=st.sampled_from(['a', 'é', '"', '\\', '\n', ',',
-                                          '☃', '\U0001f600', ' ']),
+                                          '{', '}', '☃', '\U0001f600', ' ']),
                 max_size=6)
 FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 0.1]))
@@ -688,9 +688,11 @@ ROWS = st.fixed_dictionaries({"node": NAMES, "id": st.integers(0, 10**6),
        extra=st.recursive(SCALARS, lambda inner: st.one_of(
            st.lists(inner, max_size=3), st.tuples(inner, inner),
            st.dictionaries(st.one_of(NAMES, st.integers(0, 3)), inner,
-                           max_size=3)), max_leaves=8))
+                           max_size=3)), max_leaves=8),
+       block=st.sampled_from([1, 2, 3, 1024]))
 @settings(max_examples=300, deadline=None)
-def test_write_report_json_matches_json_dump(node_ids, rows, t_star, extra):
+def test_write_report_json_matches_json_dump(node_ids, rows, t_star, extra,
+                                             block):
     report = {"parameters": {"dag_file": "déjà.csv", "dw": [1, 2],
                              "combiner": None},
               "structure": {"depth_sizes": {"1": 3}, "is_tree": False},
@@ -701,8 +703,28 @@ def test_write_report_json_matches_json_dump(node_ids, rows, t_star, extra):
     json.dump(report, want, indent=2)
     want.write("\n")
     got = io.StringIO()
-    write_report_json(report, got)
+    focusfdr_io._BLOCK = block
+    try:
+        write_report_json(report, got)
+    finally:
+        focusfdr_io._BLOCK = BLOCK
     assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 1])
+def test_write_report_json_across_block_bounds(n):
+    node_ids = {f"GO:{{{k}}}": k for k in range(n)}
+    rows = [{"node": f"GO:{{{k}}}", "id": k, "depth": 1 + k % 7,
+             "p": k / 7e3, "p_used": k / 7e3, "weight": 1.5,
+             "weighted_p": k / 7e3 * 1.5} for k in range(n)]
+    ids = list(node_ids.values())
+    report = {"nested": {"node_ids": node_ids, "ids": ids,
+                         "discoveries": rows},
+              "listed": [node_ids, tuple(ids), rows]}
+    got = io.StringIO()
+    write_report_json(report, got)
+    assert got.getvalue() == json.dumps(report, indent=2) + "\n"
 
 
 def test_write_report_json_golden_shapes():

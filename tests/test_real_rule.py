@@ -8,6 +8,7 @@ package."""
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -87,12 +88,14 @@ def test_numpy_and_python_numbers_are_judged_by_value(form, make, x):
     (True, "True"), (False, "False"), ("0.5", "'0.5'"), (None, "None"),
     (np.array(0.5), "array(0.5)"), (np.bool_(True), "np.True_"),
     (0.5 + 0j, "(0.5+0j)"), ([0.5], "[0.5]"), (10**400, str(10**400)),
-    (-10**400, str(-10**400))],
+    (-10**400, str(-10**400)),
+    (Fraction(1, 10**400), repr(Fraction(1, 10**400)))],
     ids=["True", "False", "str", "None", "0-d", "np.bool", "complex",
-         "list", "10**400", "-10**400"])
+         "list", "10**400", "-10**400", "1/10**400"])
 def test_anything_but_a_real_number_is_refused(form, value, shown):
     # even where its value would lie inside the interval, as 10**400 lies
-    # in (0, inf) though no float can hold it
+    # in (0, inf) though no float can hold it, and 1/10**400 lies in
+    # (0, inf) though its float, 0.0, does not
     with pytest.raises(RuleError) as err:
         _check_real(value, "rho", RuleError, form)
     assert str(err.value) == f"rho must be in {form}, got {shown}"
