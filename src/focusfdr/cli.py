@@ -17,7 +17,7 @@ from functools import partial
 
 from . import io as fio
 from .checks import SUITES, UnknownSuiteError
-from .dag import compute_depths, group_index
+from .dag import _check_int, compute_depths, group_index
 from .procedures import PROCEDURES
 from .simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec, SimConfig,
                        run_simulation)
@@ -266,8 +266,7 @@ def _cmd_check(args):
             continue
         if name not in accepted:
             raise ValueError(f"{flag} does not apply to suite {args.suite!r}")
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+        _check_int(value, flag, least)
         kwargs[name] = value
     ok, lines = suite(**kwargs)
     status = "PASS" if ok else "FAIL"

@@ -2,15 +2,17 @@
 
 Input files are UTF-8 CSV, a leading byte-order mark skipped.  Edge lists
 have a ``parent,child`` header and string node names; a row with an empty
-child cell declares a node without an edge.  P-value files are
-``node,p``.  Intersection mode replaces the node p-value file with an
-item-level ``item,p`` file plus a ``node,item`` annotation file.  Node
-names map to dense internal ids in order of first appearance, and reports
-echo that mapping.  Each reader works through its file a block of lines at
-a time: a block is split at its line breaks and commas while the file holds
-no quote, and read by ``csv.reader`` from the first quote on; its names
-become ids in an intp array, and its checks run as array operations.  An
-error names the first faulty line in file order, counted as the file is
+child cell declares a node without an edge.  ``read_dag`` builds the Dag
+from an edge list's edges in file order, and the Dag's ``check_edges`` is
+their one check; ``read_edge_csv`` is that Dag's (parent, child) view.
+P-value files are ``node,p``.  Intersection mode replaces the node p-value
+file with an item-level ``item,p`` file plus a ``node,item`` annotation
+file.  Node names map to dense internal ids in order of first appearance,
+and reports echo that mapping.  Each reader works through its file a block
+of lines at a time: a block is split at its line breaks and commas while the
+file holds no quote, and read by ``csv.reader`` from the first quote on; its
+names become ids in an intp array, and its checks run as array operations.
+An error names the first faulty line in file order, counted as the file is
 read once, with the message a check of each line in turn would give.
 
 ``analyze`` runs its stages so that each one's data lives only while a
@@ -36,7 +38,7 @@ import numpy as np
 from .combine import (AnnotationNotNestedError, EmptyAnnotationError,
                       intersection_dag_pvalues, smooth_all_descendants)
 from .dag import (CycleDetectedError, DuplicateEdgeError, SelfLoopError,
-                  _is_int, build_dag, check_edges, disjoint_descendant_depths,
+                  _is_int, build_dag, disjoint_descendant_depths,
                   is_tree, repeats)
 from .filters import is_monotonic
 from .procedures import (FOCUSED, NotATreeError, RunParams, StructurePlan,
@@ -170,57 +172,56 @@ def _intern(names, table, start=None):
     return np.fromiter(ids, dtype=np.intp, count=len(names))
 
 
-def read_edge_csv(path):
-    """Parse a parent,child edge list; returns (names, name_to_id, edges).
-
-    Names map to dense ids in order of first appearance, and ``edges`` is
-    an (E, 2) intp array of (parent, child) ids in sorted order.  A row whose
-    child cell is empty declares its parent node without an edge.  Faults
-    are reported for the first faulty line: a wrong column count or an
-    empty parent ends the pass, but a self-loop or duplicate edge on an
-    earlier line, found afterwards by ``check_edges``, is reported first.
+def read_dag(path):
+    """Parse a parent,child edge list and build its Dag from the edges in
+    file order; returns (names, name_to_id, dag).  The Dag's
+    ``check_edges`` is the one check of the edges.  Faults are reported for
+    the first faulty line: a wrong column count or an empty parent ends the
+    pass, but a self-loop or duplicate edge on an earlier line is reported
+    first.  A cycle, reported last, is named by the file and a node on it.
     """
     ids = {"": -1}      # an empty child cell: no edge; names count from 0
-    blocks, spans, row_error = [np.empty(0, dtype=np.intp)], [], None
+    blocks, spans, fault = [np.empty(0, dtype=np.intp)], [], None
     try:
         for cells, lines in _table(path, ("parent", "child"), named=True):
             blocks.append(_intern(cells, ids, len(ids) - 1))
             spans.append(lines)
     except ParseError as exc:
-        row_error = exc
-    del ids[""]
+        fault = exc
     pairs = np.concatenate(blocks).reshape(-1, 2)
+    del ids[""], blocks     # the Dag is built without the blocks' copy
     is_edge = pairs[:, 1] >= 0
     edges = pairs if is_edge.all() else pairs[is_edge]
+    names = list(ids)
     try:
-        order = check_edges(len(ids), edges[:, 0], edges[:, 1])
+        dag = build_dag(len(names), edges)
     except (SelfLoopError, DuplicateEdgeError) as exc:
         row = np.flatnonzero(is_edge)[exc.index]
         at = f"{path}:{list(chain.from_iterable(spans))[row]}"
-        names = list(ids)
         parent, child = (names[v] for v in edges[exc.index])
         if isinstance(exc, SelfLoopError):
             raise ParseError(f"{at}: self-loop at node {parent!r}") from None
         raise ParseError(f"{at}: duplicate edge {parent!r} -> "
                          f"{child!r}") from None
-    if row_error is not None:
-        raise row_error
+    except CycleDetectedError as exc:
+        # a row fault, always on a later line, is reported first
+        fault = fault or CycleDetectedError(
+            f"{path}: edge set contains a directed cycle through node "
+            f"{names[exc.node]!r}", node=exc.node)
+    if fault is not None:
+        raise fault
     if not ids:
         raise ParseError(f"{path}: no edges found")
-    return list(ids), ids, edges[order]
-
-
-def read_dag(path):
-    """Parse an edge list and build its Dag; returns (names, name_to_id,
-    dag).  A cycle is reported with the file and a node name on it."""
-    names, ids, edges = read_edge_csv(path)
-    try:
-        dag = build_dag(len(names), edges)
-    except CycleDetectedError as exc:
-        raise CycleDetectedError(
-            f"{path}: edge set contains a directed cycle through node "
-            f"{names[exc.node]!r}", node=exc.node) from None
     return names, ids, dag
+
+
+def read_edge_csv(path):
+    """``read_dag``'s names and name table, and its Dag's edges read from
+    the child CSR: an (E, 2) intp array of (parent, child) ids in sorted
+    order.  Faults, a cycle included, are ``read_dag``'s."""
+    names, ids, dag = read_dag(path)
+    parent = np.repeat(np.arange(dag.m), np.diff(dag.child_indptr))
+    return names, ids, np.column_stack((parent, dag.child_indices))
 
 
 def _parse_floats(texts):
@@ -435,14 +436,12 @@ def analyze(request):
             _, item_to_id, item_p = read_item_pvalue_csv(request.pvalues_file)
             annotations = read_annotation_csv(request.items_file, name_to_id,
                                               item_to_id)
-            p_original = intersection_dag_pvalues(dag, annotations, item_p,
-                                                  comb)
-            p_used = p_original
+            p_original = p_used = intersection_dag_pvalues(
+                dag, annotations, item_p, comb)
         else:
             p_original = _pvalue_vector(request.pvalues_file, name_to_id)
-            p_used = p_original
-            if comb is not None:
-                p_used = smooth_all_descendants(dag, p_original, comb)
+            p_used = (p_original if comb is None
+                      else smooth_all_descendants(dag, p_original, comb))
     except EmptyAnnotationError as exc:
         raise EmptyAnnotationError(
             f"{request.items_file}: node {names[exc.node]!r} has no items",
@@ -479,7 +478,9 @@ def analyze(request):
         "node_ids": name_to_id,     # read_dag's table: nothing else holds it
         "t_star": result.t_star,
         "fdp_hat_at_t_star": result.fdp_hat_at_tstar,
-        "counts": {"base": len(result.base_set), "discoveries": len(rows)},
+        "counts": {"base": len(rows) if result.weighted_p is None else
+                   int(np.count_nonzero(result.weighted_p <= result.t_star)),
+                   "discoveries": len(rows)},
         "discoveries": rows,
     }
     return report

@@ -1066,7 +1066,8 @@ def test_cli_check_rejects_out_of_range_counts(capsys, suite, flag, value):
     assert main(["check", suite, flag, value]) == EXIT_INPUT
     captured = capsys.readouterr()
     least = 0 if flag == "--seed" else 1
-    assert f"error: {flag} must be >= {least}, got {value}" in captured.err
+    assert (f"error: {flag} must be an integer >= {least}, got {value}"
+            in captured.err)
     assert captured.out == ""
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focusfdr import (RunParams, StructurePlan, run_procedure,
-                      smooth_all_descendants)
+from focusfdr import (ProcedureResult, RunParams, StructurePlan,
+                      run_procedure, smooth_all_descendants)
 from focusfdr.cli import EXIT_OK, main
 from focusfdr.io import read_dag, read_pvalue_csv, write_simulation_csv
 from focusfdr.simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec,
@@ -96,6 +96,19 @@ def test_pooled_simulation_csv_matches_golden():
 @pytest.mark.parametrize("name,flags", ANALYZE_CASES,
                          ids=[name for name, _ in ANALYZE_CASES])
 def test_analyze_report_matches_golden(name, flags, tmp_path):
+    got = analyze_report(flags, tmp_path / "report.json")
+    assert got == (ANALYZE_GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name,flags", ANALYZE_CASES,
+                         ids=[name for name, _ in ANALYZE_CASES])
+def test_analyze_counts_base_set_without_building_it(name, flags, tmp_path,
+                                                     monkeypatch):
+    # the report counts the base set from its mask: the set of ids is
+    # never built
+    def unbuilt(result):
+        raise AssertionError("base_set built")
+    monkeypatch.setattr(ProcedureResult, "base_set", property(unbuilt))
     got = analyze_report(flags, tmp_path / "report.json")
     assert got == (ANALYZE_GOLDEN / f"{name}.json").read_bytes()
 

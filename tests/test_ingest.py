@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focusfdr.checks import random_dag
+import focusfdr.dag as focusfdr_dag
 import focusfdr.io as focusfdr_io
 from focusfdr.cli import EXIT_INPUT, main
 from focusfdr.dag import (CycleDetectedError, DagError, DuplicateEdgeError,
@@ -71,6 +72,11 @@ EDGE_FILE_FAULTS = [
     (" a , b \nb,c\na,b\n", ":4: duplicate edge 'a' -> 'b'"),
     ("a,b\nb,c\nc\nb,c\n", ":4: expected 2 columns"),
     ("a,b\nb,c\nc,d\nb,c\nd,d\n,\n", ":5: duplicate edge 'b' -> 'c'"),
+    # a cycle on the rows before a row fault: the row fault is reported,
+    # unless a self-loop or duplicate precedes it
+    ("a,b\nb,c\nc,a\nd,e,f\n", ":5: expected 2 columns"),
+    ("a,b\nb,a\nc,d\n,d\n", ":5: empty node name"),
+    ("a,b\nb,a\nb,a\n,x\n", ":4: duplicate edge 'b' -> 'a'"),
 ]
 
 
@@ -775,6 +781,30 @@ def test_export_then_read_round_trips_isolated_nodes(tmp_path):
         {(names[a], names[b]) for a, b in dag.edges}
 
 
+@pytest.mark.parametrize("reader", [read_dag, read_edge_csv])
+def test_readers_refuse_a_cycle_naming_file_and_node(tmp_path, reader):
+    path = write(tmp_path / "e.csv", "parent,child\na,b\nb,c\nc,a\n")
+    with pytest.raises(CycleDetectedError) as info:
+        reader(path)
+    node = info.value.node
+    assert node in (0, 1, 2)
+    assert str(info.value) == (f"{path}: edge set contains a directed cycle "
+                               f"through node {'abc'[node]!r}")
+
+
+@pytest.mark.parametrize("reader", [read_dag, read_edge_csv])
+def test_readers_check_the_edges_once(tmp_path, monkeypatch, reader):
+    calls, check_edges = [], focusfdr_dag.check_edges
+
+    def counted(*args):
+        calls.append(args)
+        return check_edges(*args)
+    monkeypatch.setattr(focusfdr_dag, "check_edges", counted)
+    monkeypatch.setattr(focusfdr_io, "check_edges", counted, raising=False)
+    reader(write(tmp_path / "e.csv", "parent,child\na,b\nb,c\na,c\nd,\n"))
+    assert len(calls) == 1
+
+
 DAG_ARRAYS = ("child_indptr", "child_indices", "depth", "edge_parent",
               "edge_child", "topo_order", "node_ptr", "level_ptr",
               "parent_start", "in_degree", "roots", "leaves")
@@ -792,6 +822,7 @@ def test_read_dag_of_shuffled_file_matches_file_order_build(tmp_path, seed):
     path = write(tmp_path / "e.csv", "\n".join(["parent,child", *rows, ""]))
     names, ids, edges = read_edge_csv(path)
     in_file = [(ids[a], ids[b]) for a, b in (r.split(",") for r in rows) if b]
+    assert edges.dtype == np.intp and edges.shape == (len(in_file), 2)
     assert edges.tolist() == sorted(map(list, in_file))
     got, want = read_dag(path)[2], build_dag(len(names), in_file)
     for name in DAG_ARRAYS:
