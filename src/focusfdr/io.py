@@ -22,7 +22,8 @@ p-values are read, the structure plan (sibling groups and weight
 workspace) is dropped once the procedure has run, and the report's
 ``node_ids`` is ``read_dag``'s own name table.  ``write_report_json``
 encodes the report a block of items at a time and writes each piece as it
-is made, so that the whole text is never held at once.
+is made, so that the whole text is never held at once; the discovery
+rows are encoded a column at a time, each distinct float of a block once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -490,25 +492,19 @@ def write_report_json(report, stream):
     """Write ``report`` as ``json.dump(report, stream, indent=2)`` would,
     byte for byte, then a newline.
 
-    ``json`` indents only through its pure-Python encoder.  Here every
-    non-empty dict or list whose items are all plain scalars, such as the
-    ``node_ids`` map, and every list of such dicts, such as the discovery
-    rows, is encoded by json's C encoder a block at a time, written as
-    made, with a comma, a line break and the items' indent as the item
-    separator.
+    ``json`` indents only through its pure-Python encoder.  Here json's C
+    encoder encodes a block of items at a time, written as made: every
+    non-empty dict or list of plain scalars, such as the ``node_ids`` map,
+    with a comma, a line break and the items' indent between items, and
+    every list of dicts with the same str keys and scalar values, such as
+    the discovery rows, a column at a time, each distinct float of a block
+    once.
     """
     stream.writelines(_json(report, "\n"))
     stream.write("\n")
 
 
 _JSON_SCALARS = {str, int, float, bool, type(None)}
-
-
-def _items_on_lines(indent):
-    """json's C encoder with each item on a line of its own at ``indent``
-    (a line break and spaces).  The encoder escapes line breaks in
-    strings, so that its output holds none but these."""
-    return json.JSONEncoder(separators=("," + indent, ": "))
 
 
 def _blocks(value):
@@ -520,6 +516,41 @@ def _blocks(value):
     return (value[at:at + _BLOCK] for at in range(0, len(value), _BLOCK))
 
 
+def _columns(rows):
+    """The keys of ``rows``, a non-empty list or tuple of dicts with the
+    first row's str keys in its order, and whether each column holds floats
+    alone; None for other rows, or a column, checked once, of non-scalars."""
+    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
+    if not (keys and all(type(k) is str for k in keys)
+            and set(map(type, rows)) == {dict}
+            and all(map(keys.__eq__, map(tuple, rows)))):
+        return None
+    kinds = [set(map(type, map(itemgetter(key), rows))) for key in keys]
+    if not all(map(_JSON_SCALARS.issuperset, kinds)):
+        return None
+    return keys, [kind == {float} for kind in kinds]
+
+
+def _block_text(rows, keys, floats, joints, encode, first):
+    """A block of rows, each item led by its joint (the first item not, if
+    ``first``), encoded a column at a time by ``encode``, which puts a line
+    break between items and escapes those in strings: one call a column,
+    and one for the all-float columns' distinct bit patterns, so that 0.0
+    and -0.0 keep their own texts.  Each item's text lives only while the
+    block is joined."""
+    columns = [list(map(itemgetter(key), rows)) for key in keys]
+    pooled = np.array([c for c, f in zip(columns, floats) if f], dtype=float)
+    bits, index = np.unique(pooled.view(np.int64), return_inverse=True)
+    words = np.array(encode(bits.view(float).tolist())[1:-1].split("\n"),
+                     dtype=object)
+    pooled = iter(words[index.reshape(pooled.shape)].tolist())
+    texts = [next(pooled) if f else encode(column)[1:-1].split("\n")
+             for column, f in zip(columns, floats)]
+    pieces = chain.from_iterable(zip(*chain.from_iterable(
+        zip(map(repeat, joints), texts))))
+    return "".join(islice(pieces, 1 if first else 0, None))
+
+
 def _json(value, newline):
     """Yield the pieces of ``json.dumps(value, indent=2)`` with each line
     break replaced by ``newline``: the break and the indent of the line
@@ -529,7 +560,7 @@ def _json(value, newline):
         inner = newline + "  "
         if _JSON_SCALARS.issuperset(map(type, value.values() if kind is dict
                                         else value)):
-            encode = _items_on_lines(inner).encode
+            encode = json.JSONEncoder(separators=("," + inner, ": ")).encode
             yield ("{" if kind is dict else "[") + inner
             for at, block in enumerate(_blocks(value)):
                 if at:
@@ -537,20 +568,19 @@ def _json(value, newline):
                 yield encode(block)[1:-1]
             yield newline + ("}" if kind is dict else "]")
             return
-        if kind is not dict and all(
-                type(v) is dict and v
-                and _JSON_SCALARS.issuperset(map(type, v.values()))
-                for v in value):
-            # rows of scalars, such as the discovery rows: an item break
-            # followed by "{" starts a row, and gains the row's own lines
+        if kind is not dict and (shape := _columns(value)):
+            # rows of scalars, such as the discovery rows: joints[j] goes
+            # before a row's item j, and joints[0] closes the row before
+            keys, floats = shape
             row = inner + "  "
-            split = inner + "}," + inner + "{" + row    # between two rows
-            encode = _items_on_lines(row).encode
-            yield "[" + inner + "{" + row
+            heads = [encode_basestring_ascii(k) + ": " for k in keys]
+            joints = [inner + "}," + inner + "{" + row + heads[0]]
+            joints += ["," + row + head for head in heads[1:]]
+            encode = json.JSONEncoder(separators=("\n", ": ")).encode
+            yield "[" + inner + "{" + row + heads[0]
             for at, block in enumerate(_blocks(value)):
-                if at:
-                    yield split
-                yield encode(block)[2:-2].replace("}," + row + "{", split)
+                yield _block_text(block, keys, floats, joints, encode,
+                                  at == 0)
             yield inner + "}" + newline + "]"
             return
         if kind is not dict:

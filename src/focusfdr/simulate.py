@@ -363,8 +363,7 @@ def resolve_workers(n_workers=None):
             return 1
         try:
             n = int(env)
-            if n < 0:
-                raise ValueError
+            _check_int(n, "FOCUSFDR_THREADS", 0)
         except ValueError:
             raise ValueError("FOCUSFDR_THREADS must be a nonnegative integer "
                              f"(0 = all cores), got {env!r}") from None

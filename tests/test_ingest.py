@@ -8,12 +8,13 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from focusfdr.checks import random_dag
 import focusfdr.dag as focusfdr_dag
@@ -679,18 +680,89 @@ def test_array_dag_matches_per_edge_loop(case, form):
 NAMES = st.text(alphabet=st.sampled_from(['a', 'é', '"', '\\', '\n', ',',
                                           '{', '}', '☃', '\U0001f600', ' ']),
                 max_size=6)
+# quiet NaNs of either sign with and without payload bits, and a signalling
+# NaN: the writer pools floats by bit pattern, and each must read NaN
+NANS = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+        for bits in (0x7FF8000000000000, 0x7FF8000000000001,
+                     0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF,
+                     0x7FF0000000000001)]
 FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
-                   st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 0.1]))
+                   st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 0.1, *NANS]))
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
                     FLOATS, NAMES)
-ROWS = st.fixed_dictionaries({"node": NAMES, "id": st.integers(0, 10**6),
+# ids in an int column, bools among them, and ints no double holds
+IDS = st.one_of(st.integers(0, 10**6), st.booleans(),
+                st.integers(-2**70, 2**70))
+ROWS = st.fixed_dictionaries({"node": NAMES, "id": IDS,
                               "depth": st.integers(1, 20), "p": FLOATS,
                               "p_used": FLOATS, "weight": FLOATS,
                               "weighted_p": FLOATS})
 
 
+@st.composite
+def row_lists(draw):
+    """Discovery-like rows: p_used may be p, the weights may take 1-3
+    values, and one row may lose a key, have its keys reordered or gain a
+    key that is not a str."""
+    rows = draw(st.lists(ROWS, max_size=6))
+    weights = draw(st.lists(FLOATS, min_size=1, max_size=3))
+    same_p, few_weights = draw(st.booleans()), draw(st.booleans())
+    for row in rows:
+        if same_p:
+            row["p_used"] = row["p"]
+        if few_weights:
+            row["weight"] = draw(st.sampled_from(weights))
+    if rows:
+        row = draw(st.sampled_from(rows))
+        change = draw(st.sampled_from(["none", "drop", "reorder", "key"]))
+        if change == "drop":
+            del row[draw(st.sampled_from(sorted(row)))]
+        elif change == "reorder":
+            items = draw(st.permutations(list(row.items())))
+            row.clear()
+            row.update(items)
+        elif change == "key":
+            row[draw(st.sampled_from([0, 2.5, None, True]))] = 1
+    return rows
+
+
+def _row(k, p, **changed):
+    row = {"node": f"GO:{k}", "id": k, "depth": 1 + k % 3, "p": p,
+           "p_used": p, "weight": 1.0, "weighted_p": p}
+    row.update(changed)
+    return row
+
+
+# each byte-equal to json.dump, over blocks of 2 rows
+EDGE_ROWS = [
+    [_row(k, k / 7) for k in range(5)],                         # p_used is p
+    [_row(k, k / 7, weight=(0.5, 1.0, 1.5)[k % 3],              # 3 weights
+          weighted_p=k / 7 * (0.5, 1.0, 1.5)[k % 3]) for k in range(7)],
+    [_row(0, 0.0, p_used=-0.0), _row(1, -0.0, weighted_p=0.0),  # signed 0
+     _row(2, 0.0, weight=-0.0)],
+    [_row(k, nan, p_used=NANS[-1 - k]) for k, nan in enumerate(NANS)],
+    [_row(0, 0.1, id=True), _row(1, 0.2, id=False), _row(2, 0.3, id=5)],
+    [_row(0, 0.1, id=2**53 + 1), _row(1, 0.2, id=-2**64 - 3),
+     _row(2, 0.3, id=10**30)],
+    [_row(0, 0.1), dict(reversed(_row(1, 0.2).items())), _row(2, 0.3)],
+    [_row(0, 0.1), _row(1, 0.2, extra=1), _row(2, 0.3)],
+    [{"node": "a"}, _row(1, 0.2), _row(2, 0.3)],
+    [{1: 0.5, "a": 2}, {1: 0.5, "a": 3}, {1: 0.5, "a": 4}],
+    [{"a": 0.5, None: 2}, {"a": 0.5, None: 3}, {"a": 1.5, None: 4}],
+    [{}, {}], [{"a": [1.5]}, {"a": 2.5}], [{"a": {"b": 1}}, {"a": 2}],
+]
+
+
+def _edge_examples(test):
+    for rows in EDGE_ROWS:
+        test = example(node_ids={}, rows=rows, t_star=None, extra=None,
+                       block=2)(test)
+    return test
+
+
+@_edge_examples
 @given(node_ids=st.dictionaries(NAMES, st.integers(0, 10**6), max_size=8),
-       rows=st.lists(ROWS, max_size=4), t_star=st.one_of(st.none(), FLOATS),
+       rows=row_lists(), t_star=st.one_of(st.none(), FLOATS),
        extra=st.recursive(SCALARS, lambda inner: st.one_of(
            st.lists(inner, max_size=3), st.tuples(inner, inner),
            st.dictionaries(st.one_of(NAMES, st.integers(0, 3)), inner,

@@ -3,8 +3,8 @@ probabilities and scales, checked against a predicate written here for
 each of its five interval forms; ``_check_int`` for counts and seeds; and
 ``_check_items`` for lists.  Two guards keep a hand-rolled interval check,
 such as ``0.0 < x < 1.0``, and a hand-written count check, an ``if`` on
-``_is_int(x, low)`` that raises, from coming back anywhere else in the
-package."""
+``_is_int(x, low)`` or on a comparison such as ``value < least`` that
+raises, from coming back anywhere else in the package."""
 
 import ast
 import math
@@ -201,17 +201,51 @@ def _is_count_call(node):
             and all(k.arg != "high" for k in node.keywords))
 
 
+def _is_count_operand(node):
+    """A bare name or an int literal, signed or not."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub,
+                                                              ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Name) or (isinstance(node, ast.Constant)
+                                          and type(node.value) is int)
+
+
+def _is_count_compare(node):
+    """One order comparison of a bare name with an int literal or another
+    bare name, such as ``value < least``: a bound on a count."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+            and any(isinstance(side, ast.Name)
+                    for side in (node.left, node.comparators[0]))
+            and all(map(_is_count_operand, (node.left, node.comparators[0]))))
+
+
+def _clauses(test):
+    """``test`` and, through ``not``, ``and`` and ``or``, its clauses."""
+    yield test
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        yield from _clauses(test.operand)
+    elif isinstance(test, ast.BoolOp):
+        for value in test.values:
+            yield from _clauses(value)
+
+
 def hand_rolled_counts(source, filename="<source>"):
-    """The lines of every ``if`` that tests ``_is_int`` without an upper
-    bound and raises: a count check written out by hand, outside the
-    rule ``_check_int`` itself.  Id checks, with an upper bound, pass."""
+    """The lines of every ``if`` that raises and tests a count by hand,
+    outside the rule ``_check_int`` itself: by ``_is_int`` without an upper
+    bound (id checks, with one, pass), or by ``_is_count_compare`` in its
+    test or a clause of it under ``not``, ``and`` or ``or``.  A comparison
+    inside a call, such as the array check ``(sizes < 1).any()``, or inside
+    a conditional expression, such as ``_check_real``'s bounds, is not a
+    clause; no other site in the package is left out."""
     tree = ast.parse(source)
     rule = {id(node) for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef) and fn.name == "_check_int"
             for node in ast.walk(fn)}
     return [f"{filename}:{node.lineno}" for node in ast.walk(tree)
             if isinstance(node, ast.If) and id(node) not in rule
-            and any(map(_is_count_call, ast.walk(node.test)))
+            and (any(map(_is_count_call, ast.walk(node.test)))
+                 or any(map(_is_count_compare, _clauses(node.test))))
             and any(isinstance(sub, ast.Raise)
                     for stmt in node.body for sub in ast.walk(stmt))]
 
@@ -235,6 +269,27 @@ def test_the_guard_sees_a_hand_rolled_count_check():
     assert hand_rolled_counts(
         "def _check_int(value, what, low):\n"
         "    if not _is_int(value, low):\n        raise E") == []
+
+
+def test_the_guard_sees_a_count_compared_by_hand():
+    # the shape of a floor check once written in the CLI's check command
+    assert hand_rolled_counts(
+        "for flag, name, value, least in checks:\n"
+        "    if value is None:\n        continue\n"
+        "    if value < least:\n"
+        "        raise ValueError(f'{flag} must be >= {least}')") \
+        == ["<source>:4"]
+    assert hand_rolled_counts("if n <= 0:\n    raise E") == ["<source>:1"]
+    assert hand_rolled_counts("if n < -1:\n    raise E") == ["<source>:1"]
+    assert hand_rolled_counts(
+        "if n is not None and not (1 <= n):\n    raise E") == ["<source>:1"]
+    assert hand_rolled_counts(
+        "if x or n > high:\n    raise E") == ["<source>:1"]
+    assert hand_rolled_counts("if n < 0:\n    n = 0") == []
+    assert hand_rolled_counts("if x < 0.5:\n    raise E") == []
+    assert hand_rolled_counts("if n < len(s):\n    raise E") == []
+    assert hand_rolled_counts("if (sizes < 1).any():\n    raise E") == []
+    assert hand_rolled_counts("if 0 <= n < m:\n    raise E") == []
 
 
 def test_no_count_is_checked_outside_the_rule():
