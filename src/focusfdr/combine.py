@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dag import _check_int, _is_int
+from .dag import _check_int, _check_record, _is_int
 from .special import (DomainError, beta_cdf, chisq_survival, normal_cdf,
                       normal_quantile)
 
@@ -190,6 +190,7 @@ def combine(combiner, pvalues):
         EmptyInputError: for an empty sequence.
         ValueError: naming the shape, for input that is not 1-D.
     """
+    _check_record(combiner, "combiner", Combiner)
     arr = validate_pvector(pvalues)
     if arr.size == 0:
         raise EmptyInputError("need at least one p-value")
@@ -383,6 +384,7 @@ def smooth_all_descendants(dag, pvalues, combiner):
     ``pvalues`` is one (m,) vector or an (R, m) block of them, checked and
     then smoothed by ``smooth_rows``.
     """
+    _check_record(combiner, "combiner", Combiner)
     arr = validate_pvalues(pvalues)
     if arr.ndim not in (1, 2) or arr.shape[-1] != dag.m:
         raise LengthMismatchError(f"expected ({dag.m},) or (R, {dag.m}) "
@@ -398,6 +400,7 @@ def intersection_dag_pvalues(dag, annotations, item_pvalues, combiner):
     the nesting A_child <= A_parent.  Edges are checked in the Dag's stored
     order, so an input with several violations always names the same one.
     """
+    _check_record(combiner, "combiner", Combiner)
     items = validate_pvector(item_pvalues)
     if len(annotations) != dag.m:
         raise LengthMismatchError(

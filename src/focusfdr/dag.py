@@ -25,9 +25,9 @@ order a stable sort would:
   argsort of the depths as the smallest unsigned type that holds them
   (``_narrow``), which numpy runs as a radix sort up to 16 bits.
 
-``children``, ``parents`` and ``edges`` are Python views of the arrays,
-built on first use for tests, oracles and tracing; no production path
-reads them.  Closures are computed lazily and cached on the Dag:
+``edges`` is a Python view of the arrays, built on first use for tests
+and tracing; no production path reads it.  Closures are computed lazily
+and cached on the Dag:
 
 - ``descendant_closure``: every node followed by its strict descendants,
   ascending, as a CSR pair: an intp ``indptr`` and int32 ``indices``.  It
@@ -38,10 +38,11 @@ reads them.  Closures are computed lazily and cached on the Dag:
   owner's segment is found by a sorted search.  Smoothing combines its rows
   as they stand.
 - ``ancestor_masks`` / ``descendant_masks``: one integer bitmask per node,
-  O(m^2) bits in all.  They are oracle-only: ``apply_filter`` and the
-  checks and tests built on it use them as the independent reference, and
-  no production path (analysis, graph summaries, procedures, simulation)
-  touches them.
+  O(m^2) bits in all, built by one pass over the stored edges (forward
+  for ancestors, backward for descendants).  They are oracle-only:
+  ``apply_filter`` and the checks and tests built on it use them as the
+  independent reference, and no production path (analysis, graph
+  summaries, procedures, simulation) touches them.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class Dag:
     ``child_indices[child_indptr[v]:child_indptr[v + 1]]``.  ``roots`` and
     ``leaves`` are ascending id arrays.
 
-    ``children`` / ``parents`` (per-node tuples of ids) and ``edges`` (a
-    frozenset of pairs) are lazily built, cached views of these arrays.
+    ``edges``, a frozenset of (parent, child) pairs, is a lazily built,
+    cached view of these arrays.
     """
 
     def __init__(self, m, edges):
@@ -180,19 +181,6 @@ class Dag:
         return depth
 
     @cached_property
-    def children(self):
-        """Per-node tuple of children, ascending."""
-        ptr, kids = self.child_indptr.tolist(), self.child_indices.tolist()
-        return tuple(tuple(kids[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-    @cached_property
-    def parents(self):
-        """Per-node tuple of parents, ascending."""
-        par = self.edge_parent.tolist()
-        return tuple(tuple(par[a:a + n]) for a, n in
-                     zip(self.parent_start.tolist(), self.in_degree.tolist()))
-
-    @cached_property
     def edges(self):
         """The (parent, child) pairs."""
         return frozenset(zip(self.edge_parent.tolist(),
@@ -201,24 +189,20 @@ class Dag:
     @cached_property
     def ancestor_masks(self):
         """Per-node bitmask of strict ancestors (bit i set <=> i is an
-        ancestor)."""
+        ancestor): one pass over the edges by child depth, each parent's
+        mask complete before its children read it."""
         masks = [0] * self.m
-        for v in self.topo_order.tolist():
-            acc = 0
-            for p in self.parents[v]:
-                acc |= masks[p] | (1 << p)
-            masks[v] = acc
+        for p, c in zip(self.edge_parent.tolist(), self.edge_child.tolist()):
+            masks[c] |= masks[p] | (1 << p)
         return masks
 
     @cached_property
     def descendant_masks(self):
-        """Per-node bitmask of strict descendants."""
+        """Per-node bitmask of strict descendants: the same pass, backward."""
         masks = [0] * self.m
-        for v in reversed(self.topo_order.tolist()):
-            acc = 0
-            for c in self.children[v]:
-                acc |= masks[c] | (1 << c)
-            masks[v] = acc
+        for p, c in zip(reversed(self.edge_parent.tolist()),
+                        reversed(self.edge_child.tolist())):
+            masks[p] |= masks[c] | (1 << c)
         return masks
 
     @cached_property
@@ -599,6 +583,15 @@ def _check_items(value, what, kind=None):
         of = "" if kind is None else f" of {kind.__name__}"
         raise ValueError(f"{what}: need a non-empty list or tuple{of}, "
                          f"got {value!r}")
+
+
+def _check_record(value, what, kind, error=ValueError):
+    """Raise ``error`` naming ``what`` unless ``value`` is a ``kind``: the
+    one rule of every record argument (a combiner, filter, reshaping or
+    weight configuration), so that a name or None passed for one is
+    refused where it enters, not by a bare AttributeError further in."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def _is_real(value):

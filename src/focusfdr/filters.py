@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import validate_pvector
-from .dag import _check_real, fold_edges, is_tree, level_sweep, node_mask
+from .combine import LengthMismatchError, validate_pvector
+from .dag import (_check_real, _check_record, fold_edges, is_tree,
+                  level_sweep, node_mask)
+from .special import DomainError
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ def apply_filter(spec, dag, rejected, pvalues=None):
     sub-DAG); "outer" keeps nodes with no rejected descendant (the antichain
     of outermost rejections); "screen" intersects with {p <= threshold}.
     """
+    _check_record(spec, "filter", FilterSpec)
     mask = node_mask(dag.m, rejected)
     rejected = frozenset(np.flatnonzero(mask).tolist())
     # bit v set iff v is rejected, as in the Dag's closure masks
@@ -95,6 +98,7 @@ def is_monotonic(spec, dag):
     is monotonic on any DAG; the outer-nodes filter only on trees; trivial
     and screening filters always.
     """
+    _check_record(spec, "filter", FilterSpec)
     return spec.kind != "outer" or bool(is_tree(dag))
 
 
@@ -148,8 +152,21 @@ def filtered_count_curve(spec, dag, weighted_p, pvalues=None):
     to |F({i: wp_i <= t}, p)| for each t: ``interval_counts`` on the
     ``keep_intervals``, in O(m log m + edges) per call and O(log m) per
     threshold.
+
+    ``weighted_p`` holds one value per node, none NaN (values above 1 are
+    legal candidates); ``pvalues``, which "screen" needs, is checked as a
+    p-vector of length m whenever given.
     """
-    enter, leave = keep_intervals(spec, dag, weighted_p, pvalues)
+    _check_record(spec, "filter", FilterSpec)
+    wp = np.asarray(weighted_p, dtype=float)
+    if wp.shape != (dag.m,):
+        raise LengthMismatchError(
+            f"expected {dag.m} weighted p-values, got shape {wp.shape}")
+    if np.isnan(wp).any():
+        raise DomainError("weighted p-values must not be NaN")
+    if pvalues is not None or spec.kind == "screen":
+        pvalues = validate_pvector(pvalues, dag.m)
+    enter, leave = keep_intervals(spec, dag, wp, pvalues)
 
     def counts(ts):
         ts = np.asarray(ts, dtype=float)

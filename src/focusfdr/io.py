@@ -349,20 +349,6 @@ def read_annotation_csv(path, name_to_id, item_to_id):
     return sets
 
 
-def export_edge_csv(dag, names, path):
-    """Write a Dag back out in the edge-list format: its edges by (parent,
-    child), then a ``name,`` row for each node without any edge."""
-    ptr = dag.child_indptr
-    parent = np.repeat(np.arange(dag.m), np.diff(ptr))
-    alone = np.flatnonzero((dag.in_degree == 0) & (ptr[1:] == ptr[:-1]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parent", "child"])
-        writer.writerows([names[a], names[b]] for a, b in
-                         zip(parent.tolist(), dag.child_indices.tolist()))
-        writer.writerows([names[v], ""] for v in alone.tolist())
-
-
 def structure_summary(dag, depths, groups):
     """m, depths, group counts, tree-ness: the graph-info payload."""
     return {

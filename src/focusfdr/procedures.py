@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .combine import Combiner, validate_pvector
-from .dag import (_check_int, _check_real, _is_real, compute_depths,
-                  group_index, is_tree, level_sweep)
+from .dag import (_check_int, _check_real, _check_record, _is_real,
+                  compute_depths, group_index, is_tree, level_sweep)
 from .filters import (FilterSpec, apply_filter, interval_counts,
                       keep_intervals)
 from .weights import (WeightConfig, WeightWorkspace, parse_lambda_policy,
@@ -247,6 +247,7 @@ def wfbh(dag, pvalues, weights, filter_spec, q, reshaping=None):
     intervals: the discoveries are {v: enter_v <= t* < leave_v}.
     """
     _check_real(q, "target FDR level", QOutOfRangeError)
+    _check_record(filter_spec, "filter", FilterSpec)
     p = validate_pvector(pvalues, dag.m)
     w = _weights_array(weights, dag.m).reshape(1, -1)
     beta = _beta(reshaping)
@@ -259,17 +260,14 @@ def _beta(reshaping):
     """The ReshapingFn a scan applies: identity for None."""
     if reshaping is None:
         return ReshapingFn.identity()
-    if not isinstance(reshaping, ReshapingFn):
-        raise InvalidReshapingError(
-            f"reshaping must be a ReshapingFn, got {reshaping!r}")
+    _check_record(reshaping, "reshaping", ReshapingFn, InvalidReshapingError)
     return reshaping
 
 
 def weighted_reshaped_fbh(dag, pvalues, weights, filter_spec, q, beta):
     """Reshaped variant: identical scan with beta applied to the filtered
     count, hence never a larger threshold than the unreshaped run."""
-    if not isinstance(beta, ReshapingFn):
-        raise InvalidReshapingError("beta must be a ReshapingFn")
+    _check_record(beta, "beta", ReshapingFn, InvalidReshapingError)
     return wfbh(dag, pvalues, weights, filter_spec, q, reshaping=beta)
 
 
@@ -390,6 +388,7 @@ class StructurePlan:
     graph."""
 
     def __init__(self, dag, weight_config):
+        _check_record(weight_config, "weight configuration", WeightConfig)
         self.dag = dag
         self.weight_config = weight_config
         self.depths = compute_depths(dag)
@@ -445,6 +444,7 @@ def run_procedure(plan, p, name, fspec, q, reshaped=False,
     ProcedureResult.  This is ``run_rows`` on one row, after checking its
     arguments."""
     check_procedure(name, q, reshaped, yk_divisor)
+    _check_record(fspec, "filter", FilterSpec)
     p = validate_pvector(p, plan.dag.m)
     [(found, w, scan)] = run_rows(plan, p.reshape(1, -1),
                                   [(name, fspec, reshaped)], q, yk_divisor)

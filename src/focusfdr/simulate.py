@@ -193,11 +193,6 @@ def _node_means(depths, setup, nonnull):
     return np.where(nonnull, 2.0 + 1.5 * steps, 0.0)
 
 
-def signal_means(depths, truth, setup):
-    """Per-node normal means: 0 for nulls, setup-dependent for non-nulls."""
-    return _node_means(depths, setup, node_mask(len(depths.depth), truth))
-
-
 def sample_pvalues(dag, depths, truth, setup, rho, seed=0):
     """One-sided normal p-values p = 1 - Phi(X) with
     X = mu + (1 - rho) Z + rho Z0 (shared Z0; no variance renormalization).

@@ -1,11 +1,12 @@
 """Special functions for the testing procedures and the simulation harness.
 
 Hand-translated rational approximations (no SciPy dependency): Cody's
-Chebyshev fits for erf/erfc and Wichura's PPND16 for the normal quantile,
-plus exact series for the chi-square survival function with even degrees
-of freedom and the beta CDF with integer parameters.  All functions accept
-scalars or numpy arrays and target absolute error below 1e-12.  At +-inf
-erfc is exactly 0 and 2 (so normal_cdf is 1 and 0); NaN maps to NaN.
+Chebyshev fits for erfc, behind the normal CDF, and Wichura's PPND16 for
+the normal quantile, plus exact series for the chi-square survival
+function with even degrees of freedom and the beta CDF with integer
+parameters.  All functions accept scalars or numpy arrays and target
+absolute error below 1e-12.  At +-inf erfc is exactly 0 and 2 (so
+normal_cdf is 1 and 0); NaN maps to NaN.
 """
 
 from __future__ import annotations
@@ -91,21 +92,6 @@ def _erfc_array(x):
         big = (np.where(yc <= 4.0, _erfc_mid(yc), _erfc_tail(yc))
                * _exp_msq(yc))
     return np.where(y <= 0.46875, small, np.where(x < 0, 2.0 - big, big))
-
-
-def erfc(x):
-    """Complementary error function (vectorized)."""
-    res = _erfc_array(x)
-    return float(res) if np.ndim(x) == 0 else res
-
-
-def erf(x):
-    """Error function (vectorized)."""
-    x_arr = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        small = x_arr * _erf_small(x_arr * x_arr)
-    out = np.where(np.abs(x_arr) <= 0.46875, small, 1.0 - _erfc_array(x_arr))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def normal_cdf(x):

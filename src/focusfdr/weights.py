@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combine import EmptyInputError, validate_pvector
-from .dag import _check_int, _check_real, _is_int, _is_real
+from .dag import _check_int, _check_real, _check_record, _is_int, _is_real
 
 
 class LambdaOutOfRangeError(ValueError):
@@ -225,6 +225,7 @@ class WeightWorkspace:
 
 def dag_weights(dag, depths, groups, pvalues, config):
     """Data-adaptive weights per node under ``config``, an (m,) array."""
+    _check_record(config, "weight configuration", WeightConfig)
     arr = validate_pvector(pvalues, dag.m)
     ws = WeightWorkspace(groups, depths, resolve_dw(config, groups), config.c)
     return ws.node_weights(arr, config.lam)

@@ -26,6 +26,8 @@ from focusfdr.dag import build_dag, descendants
 from focusfdr.simulate import generate_graph
 from focusfdr.special import DomainError
 
+from helpers import children
+
 ALL_COMBINERS = [Combiner("fisher"), Combiner("stouffer"), Combiner("simes"),
                  Combiner("orderstat", 1), Combiner("orderstat", 2),
                  Combiner("bonferroni")]
@@ -446,10 +448,10 @@ def test_stouffer_smoothing_limits_are_exact(r):
 
 def nested_annotations(rng, dag, n_items):
     """Random item sets, each node's the union of its children's and its own."""
-    sets = [None] * dag.m
+    sets, kids = [None] * dag.m, children(dag)
     for v in reversed(dag.topo_order):
         own = rng.integers(0, n_items, size=int(rng.integers(1, 4)))
-        sets[v] = set(own.tolist()).union(*(sets[c] for c in dag.children[v]))
+        sets[v] = set(own.tolist()).union(*(sets[c] for c in kids[v]))
     return sets
 
 

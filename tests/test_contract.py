@@ -3,13 +3,17 @@
 ``TABLE`` holds, for every public callable (and more public calls that
 take a p-vector, a count, a level or a list: ``ReshapingFn.by``,
 ``ReshapingFn.custom``, ``brute_force_tstar``, ``check_procedure``,
-``check_superuniformity`` and ``RunParams`` at the top-down baseline, and
-the "identity", "by" and "custom" kinds of ``ReshapingFn``), a call on
+``check_superuniformity``, ``combine``, ``filtered_count_curve`` and
+``RunParams`` at the top-down baseline, the "identity", "by" and "custom"
+kinds of ``ReshapingFn``, and the calls given a weight configuration),
+a call on
 the chain 0 -> 1 -> 2, its valid arguments, and the kind of each argument
 it checks.  Each kind has its bad values:
 
 - p-vector: a (1, m) and an (m, 1) block, a 0-d array, a NaN, a 1.5 and,
   where the length is fixed, m + 1 entries;
+- weighted p-vector (a filter curve's): a (1, m), an (m, 1) and a 0-d
+  array, a NaN, and m + 1 and m - 1 entries;
 - p-block (the (m,) or (R, m) input of smoothing): an (m, 1), a 0-d and a
   3-D array, a NaN, a 1.5, and (R, m + 1) and (R, m - 1) blocks;
 - id in [low, high): True, 2.5, low - 1, high and "1";
@@ -25,6 +29,9 @@ it checks.  Each kind has its bad values:
 - list (a non-empty list or tuple, by ``dag._check_items``): (), [], a
   string, None, a bare item, a dict and an array of items and, where the
   items have a type, a 1-tuple of another;
+- record (a combiner, filter, reshaping or weight configuration, by
+  ``dag._check_record``): the name string that selects one, None and a
+  record of another type;
 - p_nonnull grid: each level value in a 1-tuple, and a list's bad values;
 - the scale of a kind of reshaping without one: anything but the number 1,
   True included;
@@ -59,6 +66,8 @@ from focusfdr import (Combiner, Dag, DepthIndex, FilterSpec, GroupIndex,
                       superuniformity_check, unity_weights,
                       weighted_reshaped_fbh, wfbh, yekutieli_tree)
 from focusfdr.checks import check_superuniformity
+from focusfdr.combine import combine
+from focusfdr.filters import filtered_count_curve
 from focusfdr.procedures import brute_force_tstar, check_procedure
 
 M = 3
@@ -79,6 +88,13 @@ def pvector(fixed=True):
     if fixed:
         bad["m + 1"] = np.full(M + 1, 0.5)
     return "p-value", bad
+
+
+def weighted():
+    return "weighted p-value", {
+        "(1, m)": np.full((1, M), 0.5), "(m, 1)": np.full((M, 1), 0.5),
+        "0-d": np.array(0.5), "NaN": [NAN, 0.5, 0.5],
+        "m + 1": np.full(M + 1, 0.5), "m - 1": np.full(M - 1, 0.5)}
 
 
 def pblock():
@@ -122,6 +138,11 @@ def items(item, named, wrong=None):
     return named, bad
 
 
+def record(name, named, other):
+    return named, {repr(name): name, "None": None,
+                   type(other).__name__: other}
+
+
 def grid(named):
     _, bad = level(0.0, named)
     return named, {**{k: (v,) for k, v in bad.items()},
@@ -138,6 +159,10 @@ YK_DIVISOR = ("yk-divisor", {**level(-1.0, "")[1], "10**400": 10**400,
 C = count(0, "c: the group-size threshold")
 SCALE_ONE = ("scale", {"True": True, "2.0": 2.0, "NaN": NAN, "None": None,
                        "'1'": "1"})
+SIMES = Combiner("simes")
+COMBINER = record("simes", "combiner", DS)
+FILTER = record("ds", "filter", SIMES)
+CONFIG = record("auto", "weight configuration", SIMES)
 # a WeightConfig's valid arguments and bad values
 WEIGHTS = {"lam": 0.5, "c": 1, "dw": "auto"}
 WEIGHT_KINDS = {"lam": LAMBDA, "c": C,
@@ -159,14 +184,17 @@ def _simulate(n_reps, seed, p_nonnull, rho, n_workers, family, methods):
 TABLE = {
     "Combiner": (lambda order: Combiner("orderstat", order), {"order": 1},
                  {"order": count(1, "combiner order")}),
+    "combine": (combine, {"combiner": SIMES, "pvalues": P},
+                {"combiner": COMBINER, "pvalues": pvector(fixed=False)}),
     "intersection_dag_pvalues": (
-        lambda item, items: intersection_dag_pvalues(
-            DAG, [{0, 1, 2}, {1, 2}, {item}], items, Combiner("simes")),
-        {"item": 2, "items": P},
-        {"item": ident(0, M, "item"), "items": pvector(fixed=False)}),
+        lambda item, items, combiner: intersection_dag_pvalues(
+            DAG, [{0, 1, 2}, {1, 2}, {item}], items, combiner),
+        {"item": 2, "items": P, "combiner": SIMES},
+        {"item": ident(0, M, "item"), "items": pvector(fixed=False),
+         "combiner": COMBINER}),
     "smooth_all_descendants": (
-        lambda p: smooth_all_descendants(DAG, p, Combiner("simes")),
-        {"p": P}, {"p": pblock()}),
+        lambda p, combiner: smooth_all_descendants(DAG, p, combiner),
+        {"p": P, "combiner": SIMES}, {"p": pblock(), "combiner": COMBINER}),
     "Dag": (lambda m, child: Dag(m, [(0, 1), (1, child)]),
             {"m": M, "child": 2},
             {"m": count(0, "node count"), "child": ident(0, M, "edge")}),
@@ -192,11 +220,18 @@ TABLE = {
     "FilterSpec": (lambda threshold: FilterSpec("screen", threshold),
                    {"threshold": 0.5},
                    {"threshold": level(1.5, "threshold")}),
-    "apply_filter": (lambda node, p: apply_filter(FilterSpec("screen", 0.5),
-                                                  DAG, {0, node}, p),
-                     {"node": 1, "p": P},
-                     {"node": ident(0, M, "node"), "p": pvector()}),
-    "is_monotonic": (lambda: is_monotonic(DS, DAG), {}, {}),
+    "apply_filter": (lambda spec, node, p: apply_filter(spec, DAG, {0, node},
+                                                        p),
+                     {"spec": FilterSpec("screen", 0.5), "node": 1, "p": P},
+                     {"spec": FILTER, "node": ident(0, M, "node"),
+                      "p": pvector()}),
+    "filtered_count_curve": (
+        lambda spec, wp, p: filtered_count_curve(spec, DAG, wp, p),
+        {"spec": FilterSpec("screen", 0.5), "wp": P, "p": P},
+        {"spec": FILTER, "wp": weighted(),
+         "p": ("p-value", {**pvector()[1], "None": None})}),
+    "is_monotonic": (lambda spec: is_monotonic(spec, DAG), {"spec": DS},
+                     {"spec": FILTER}),
     "ProcedureResult": (lambda: ProcedureResult(np.zeros(M, bool), ONES),
                         {}, {}),
     "ReshapingFn": (lambda kind, table: ReshapingFn(kind, table=table),
@@ -234,6 +269,9 @@ TABLE = {
         {"yk_divisor": YK_DIVISOR}),
     "StructurePlan": (lambda lam, c, dw: StructurePlan(
         DAG, WeightConfig(lam, c, dw)).workspace, WEIGHTS, WEIGHT_KINDS),
+    "StructurePlan(config)": (
+        lambda config: StructurePlan(DAG, config).workspace,
+        {"config": WeightConfig()}, {"config": CONFIG}),
     "bh": (bh, {"pvalues": P, "q": 0.1},
            {"pvalues": pvector(fixed=False), "q": FDR_LEVEL}),
     "by_procedure": (by_procedure, {"pvalues": P, "q": 0.1},
@@ -243,19 +281,25 @@ TABLE = {
                    "lam": LAMBDA}),
     "storey_pi0": (storey_pi0, {"pvalues": P, "lam": 0.5},
                    {"pvalues": pvector(fixed=False), "lam": LAMBDA}),
-    "fbh": (lambda p, q: fbh(DAG, p, DS, q), {"p": P, "q": 0.1},
-            {"p": pvector(), "q": FDR_LEVEL}),
-    "wfbh": (lambda p, q: wfbh(DAG, p, ONES, DS, q), {"p": P, "q": 0.1},
-             {"p": pvector(), "q": FDR_LEVEL}),
+    "fbh": (lambda p, spec, q: fbh(DAG, p, spec, q),
+            {"p": P, "spec": DS, "q": 0.1},
+            {"p": pvector(), "spec": FILTER, "q": FDR_LEVEL}),
+    "wfbh": (lambda p, spec, q: wfbh(DAG, p, ONES, spec, q),
+             {"p": P, "spec": DS, "q": 0.1},
+             {"p": pvector(), "spec": FILTER, "q": FDR_LEVEL}),
     "weighted_reshaped_fbh": (
-        lambda p, q: weighted_reshaped_fbh(DAG, p, ONES, DS, q,
-                                           ReshapingFn.by(M)),
-        {"p": P, "q": 0.1}, {"p": pvector(), "q": FDR_LEVEL}),
+        lambda p, q, beta: weighted_reshaped_fbh(DAG, p, ONES, DS, q, beta),
+        {"p": P, "q": 0.1, "beta": ReshapingFn.by(M)},
+        {"p": pvector(), "q": FDR_LEVEL,
+         "beta": record("by", "beta", SIMES)}),
     "brute_force_tstar": (
-        lambda p, q: brute_force_tstar(DAG, p, ONES, DS, q),
-        {"p": P, "q": 0.1}, {"p": pvector(), "q": FDR_LEVEL}),
-    "run_procedure": (lambda p, q: run_procedure(PLAN, p, "wfbh", DS, q),
-                      {"p": P, "q": 0.1}, {"p": pvector(), "q": FDR_LEVEL}),
+        lambda p, spec, q: brute_force_tstar(DAG, p, ONES, spec, q),
+        {"p": P, "spec": DS, "q": 0.1},
+        {"p": pvector(), "spec": FILTER, "q": FDR_LEVEL}),
+    "run_procedure": (lambda p, spec, q: run_procedure(PLAN, p, "wfbh", spec,
+                                                       q),
+                      {"p": P, "spec": DS, "q": 0.1},
+                      {"p": pvector(), "spec": FILTER, "q": FDR_LEVEL}),
     "yekutieli_tree": (lambda p, level: yekutieli_tree(DAG, p, level),
                        {"p": P, "level": 0.1},
                        {"p": pvector(), "level": level(1.0, "level")}),
@@ -325,6 +369,9 @@ TABLE = {
     "dag_weights": (lambda p, lam, c, dw: dag_weights(
         DAG, DEPTHS, GROUPS, p, WeightConfig(lam, c, dw)),
         {"p": P, **WEIGHTS}, {"p": pvector(), **WEIGHT_KINDS}),
+    "dag_weights(config)": (
+        lambda config: dag_weights(DAG, DEPTHS, GROUPS, P, config),
+        {"config": WeightConfig()}, {"config": CONFIG}),
 }
 
 PUBLIC = sorted(name for name in focusfdr.__all__

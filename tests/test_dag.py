@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focusfdr.dag as dag_module
-from focusfdr.checks import random_near_tree, random_tree
+from focusfdr.checks import random_tree
 from focusfdr.dag import (CycleDetectedError, Dag, DagError,
                           DuplicateEdgeError, NodeIdOutOfRangeError,
                           SelfLoopError, _edge_arrays, ancestors, build_dag,
                           check_heredity, compute_depths, descendants,
                           disjoint_descendant_depths, group_index, is_tree,
                           level_sweep)
-from focusfdr.simulate import assign_truth
+from focusfdr.simulate import assign_truth, generate_graph
+
+from helpers import children, parents, random_near_tree
 
 
 def chain3():
@@ -95,8 +97,8 @@ def test_node_lookups_take_only_node_ids(node):
 def test_build_diamond_tail():
     dag = diamond_tail()
     assert dag.roots.tolist() == [0, 1]
-    assert dag.children[2] == (3,)
-    assert dag.parents[2] == (0, 1)
+    assert children(dag)[2] == (3,)
+    assert parents(dag)[2] == (0, 1)
 
 
 def test_depths_chain():
@@ -110,18 +112,22 @@ def test_depths_diamond_tail():
     assert list(depths.depth) == [1, 1, 2, 3]
 
 
+def check_depth_recursion(dag, depths):
+    """Every edge goes at least one level down, each node lies one level
+    below its deepest parent, and the levels partition the nodes."""
+    for a, b in dag.edges:
+        assert depths.depth[b] >= depths.depth[a] + 1
+    for v, ps in enumerate(parents(dag)):
+        if ps:
+            assert depths.depth[v] == 1 + max(depths.depth[p] for p in ps)
+    assert sum(len(lvl) for lvl in depths.levels.values()) == dag.m
+
+
 def test_depths_edge_inequality_random():
     rng = np.random.default_rng(1)
     for _ in range(50):
         dag = random_dag(rng)
-        depths = compute_depths(dag)
-        for a, b in dag.edges:
-            assert depths.depth[b] >= depths.depth[a] + 1
-        for v in range(dag.m):
-            if dag.parents[v]:
-                assert depths.depth[v] == 1 + max(depths.depth[p]
-                                                  for p in dag.parents[v])
-        assert sum(len(lvl) for lvl in depths.levels.values()) == dag.m
+        check_depth_recursion(dag, compute_depths(dag))
 
 
 def test_ancestors_descendants_small():
@@ -178,24 +184,29 @@ def test_group_index_partition_and_membership_random():
             assert members == set(int(v) for v in depths.levels[d])
         # membership count = parent count (1 for roots via the dummy group)
         counts = np.bincount(groups.mem_node, minlength=dag.m)
+        par = parents(dag)
         for v in range(dag.m):
-            assert counts[v] == max(len(dag.parents[v]), 1)
+            assert counts[v] == max(len(par[v]), 1)
         # each membership joins a node to a group of its own depth under
         # one of its parents (the dummy one for roots)
         for v, g in zip(groups.mem_node, groups.mem_group):
             assert groups.group_depth[g] == depths.depth[v]
-            assert groups.group_parent[g] in (dag.parents[v] or (-1,))
-        # n_d formula: nodes at shallower depths with children at depth d;
-        # |H_d| counts the nodes of depth d; both 0 at depth 0
-        n_d = [0, 1] + [sum(1 for a in range(dag.m)
-                            if depths.depth[a] < d
-                            and any(depths.depth[c] == d
-                                    for c in dag.children[a]))
-                        for d in range(2, depths.max_depth + 1)]
-        assert groups.n_d.tolist() == n_d
-        assert groups.depth_sizes.tolist() == [
-            int(np.sum(depths.depth == d))
-            for d in range(depths.max_depth + 1)]
+            assert groups.group_parent[g] in (par[v] or (-1,))
+        check_n_d_formula(dag, depths, groups)
+
+
+def check_n_d_formula(dag, depths, groups):
+    """n_d counts the nodes at shallower depths with children at depth d
+    (the roots' dummy parent at depth 1), and |H_d| the nodes of depth d;
+    both are 0 at depth 0."""
+    kids = children(dag)
+    n_d = [0, 1] + [sum(1 for a in range(dag.m)
+                        if depths.depth[a] < d
+                        and any(depths.depth[c] == d for c in kids[a]))
+                    for d in range(2, depths.max_depth + 1)]
+    assert groups.n_d.tolist() == n_d
+    assert groups.depth_sizes.tolist() == [
+        int(np.sum(depths.depth == d)) for d in range(depths.max_depth + 1)]
 
 
 def test_group_index_tree_single_membership():
@@ -367,6 +378,38 @@ def test_disjoint_descendant_depths_deep_near_tree():
     assert got != set(depths.levels)
 
 
+def check_structure_oracles(dag):
+    """The depth recursion, the n_d formula, disjoint depths by popcount
+    and ``is_tree`` as at most one parent per node."""
+    depths = compute_depths(dag)
+    check_depth_recursion(dag, depths)
+    check_n_d_formula(dag, depths, group_index(dag, depths))
+    assert disjoint_descendant_depths(dag, depths) == \
+        popcount_disjoint_depths(dag, depths)
+    assert is_tree(dag) == all(len(p) <= 1 for p in parents(dag))
+
+
+# the fixed trees once, the random bipartite families over a few seeds
+FAMILY_CASES = ([("wide-tree", 0), ("deep-tree", 0)]
+                + [(family, seed) for family in ("bipartite1", "bipartite2")
+                   for seed in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("family, seed", FAMILY_CASES)
+def test_structure_oracles_on_the_simulation_families(family, seed):
+    check_structure_oracles(generate_graph(family, seed))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["path", "shared-levels"]),
+       max_m=st.sampled_from([2, 14, 60, 150, 300]))
+@settings(max_examples=60, deadline=None)
+def test_structure_oracles_on_paths_and_shared_levels(seed, shape, max_m):
+    # many levels, and children and shared descendants several levels down
+    check_structure_oracles(CLOSURE_GRAPHS[shape](
+        np.random.default_rng(seed), max_m))
+
+
 @given(seed=st.integers(0, 2**32 - 1), shape=SHAPES,
        max_m=st.sampled_from([2, 14, 40]))
 @settings(max_examples=100, deadline=None)
@@ -467,9 +510,10 @@ def group_oracle(dag, depth):
 
     if dag.m:
         add((-1, 1, tuple(v for v in range(dag.m) if depth[v] == 1)))
+    kids = children(dag)
     for a in range(dag.m):
         buckets = {}
-        for c in dag.children[a]:
+        for c in kids[a]:
             buckets.setdefault(depth[c], []).append(c)
         for d, members in sorted(buckets.items()):
             add((a, d, tuple(sorted(members))))
@@ -496,10 +540,9 @@ def test_level_pass_matches_per_node_loops(seed, shape, max_m, edge_prob):
     node_ptr = dag.node_ptr.tolist()
     assert node_ptr == [sum(x <= d for x in depth)
                         for d in range(depths.max_depth + 1)]
-    assert dag.roots.tolist() == [v for v in range(dag.m)
-                                  if not dag.parents[v]]
-    assert dag.leaves.tolist() == [v for v in range(dag.m)
-                                   if not dag.children[v]]
+    par, kids = parents(dag), children(dag)
+    assert dag.roots.tolist() == [v for v in range(dag.m) if not par[v]]
+    assert dag.leaves.tolist() == [v for v in range(dag.m) if not kids[v]]
 
     # every edge once, by (child depth, child, parent), cut at each level
     edges = list(zip(dag.edge_parent.tolist(), dag.edge_child.tolist()))
@@ -509,7 +552,7 @@ def test_level_pass_matches_per_node_loops(seed, shape, max_m, edge_prob):
     assert ptr[0] == 0 and ptr[-1] == len(edges)
     for d in range(1, len(ptr)):
         assert all(depth[c] == d for _, c in edges[ptr[d - 1]:ptr[d]])
-    assert is_tree(dag) == all(len(p) <= 1 for p in dag.parents)
+    assert is_tree(dag) == all(len(p) <= 1 for p in par)
 
     groups = group_index(dag, depths)
     flat, node_groups = group_oracle(dag, depth)
@@ -553,7 +596,8 @@ def test_assign_truth_matches_per_node_loop(seed, shape, max_m, edge_prob,
     assert len(drawn) == round(p_nonnull * len(dag.leaves))
     # the per-node loop, from the leaves the draw picked
     nonnull = [v in drawn for v in range(dag.m)]
+    kids = children(dag)
     for v in reversed(dag.topo_order):
-        if dag.children[v]:
-            nonnull[v] = any(nonnull[c] for c in dag.children[v])
+        if kids[v]:
+            nonnull[v] = any(nonnull[c] for c in kids[v])
     assert truth == {v for v in range(dag.m) if nonnull[v]}

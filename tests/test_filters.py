@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from focusfdr.checks import (check_filter_monotonicity,
                              find_outer_counterexample, random_dag,
-                             random_near_tree, random_tree)
+                             random_tree)
 from focusfdr.dag import (NodeIdOutOfRangeError, ancestors, build_dag,
                           descendants)
 from focusfdr.filters import (FilterSpec, apply_filter, filtered_count_curve,
                               is_monotonic, keep_intervals)
 from focusfdr.procedures import ReshapingFn, wfbh
+
+from helpers import random_near_tree
 
 
 def chain3():
@@ -130,6 +132,13 @@ def test_count_curve_matches_fresh_evaluation():
                                       set(np.flatnonzero(wp <= t)), p))
                      for t in cands]
             assert list(curve) == fresh
+
+
+def test_count_curve_takes_weighted_p_values_above_one():
+    # the curve's input checks refuse a NaN, but not a legal candidate
+    # above 1 (tests/test_contract.py holds the refused values)
+    curve = filtered_count_curve(FilterSpec("ds"), chain3(), [0.1, 2.5, 3.0])
+    assert curve([0.1, 2.5, 3.0]).tolist() == [1, 2, 3]
 
 
 GRAPHS = {"dag": random_dag, "tree": random_tree, "near-tree": random_near_tree}

@@ -23,10 +23,12 @@ from focusfdr.cli import EXIT_INPUT, main
 from focusfdr.dag import (CycleDetectedError, DagError, DuplicateEdgeError,
                           NodeIdOutOfRangeError, SelfLoopError, build_dag)
 from focusfdr.io import (AnalysisRequest, MissingPvalueError, ParseError,
-                         UnknownNodeInPvaluesError, analyze, export_edge_csv,
+                         UnknownNodeInPvaluesError, analyze,
                          read_annotation_csv, read_dag, read_edge_csv,
                          read_item_pvalue_csv, read_pvalue_csv,
                          write_report_json)
+
+from helpers import children, export_edge_csv, parents
 
 
 def write(path, text):
@@ -664,10 +666,11 @@ def test_array_dag_matches_per_edge_loop(case, form):
         == want["edge_order"]
     for name in ("topo_order", "roots", "leaves"):
         assert tuple(getattr(dag, name).tolist()) == want[name], name
-    for name in ("edges", "children", "parents"):
-        assert getattr(dag, name) == want[name], name
+    assert dag.edges == want["edges"]
+    assert children(dag) == want["children"]
+    assert parents(dag) == want["parents"]
     assert isinstance(dag.edges, frozenset)
-    assert dag.children is dag.children     # cached
+    assert dag.edges is dag.edges           # cached
     for array in (dag.depth, dag.edge_parent, dag.child_indices,
                   dag.parent_start, dag.topo_order, dag.node_ptr, dag.roots,
                   dag.leaves):

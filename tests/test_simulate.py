@@ -26,10 +26,12 @@ from focusfdr.simulate import (GRAPH_FAMILIES, SIGNAL_SETUPS, MethodSpec,
                                RhoOutOfRangeError, SimConfig,
                                UnknownFamilyError, assign_truth,
                                condition1_check, generate_graph,
-                               run_simulation, sample_pvalues, signal_means,
+                               run_simulation, sample_pvalues,
                                superuniformity_check)
 from focusfdr.special import normal_cdf
 from focusfdr.weights import WeightConfig, WeightWorkspace
+
+from helpers import children, parents
 
 
 def test_wide_tree_counts():
@@ -68,16 +70,16 @@ def test_bipartite1_counts():
     assert len(dag.roots) == 200 and len(dag.leaves) == 350
     assert depths.max_depth == 2
     assert not is_tree(dag)
-    assert all(len(dag.children[r]) == 10 for r in range(200))
+    assert all(len(kids) == 10 for kids in children(dag)[:200])
 
 
 def test_bipartite2_parent_multiset():
     dag = generate_graph("bipartite2", 11)
     assert dag.m == 551
     assert len(dag.roots) == 61 and len(dag.leaves) == 490
-    counts = Counter(len(dag.parents[v]) for v in range(61, 551))
+    counts = Counter(len(ps) for ps in parents(dag)[61:551])
     assert counts == {1: 370, 2: 120}
-    assert all(len(dag.children[r]) == 10 for r in range(61))
+    assert all(len(kids) == 10 for kids in children(dag)[:61])
 
 
 @pytest.mark.parametrize("family", ["wide-tree", "deep-tree"])
@@ -233,9 +235,10 @@ def test_assign_truth_chain_propagation():
 
 def test_assign_truth_counts_and_heredity():
     dag = generate_graph("wide-tree")
+    kids = children(dag)
     for seed, p in [(0, 0.1), (1, 0.3), (2, 0.5)]:
         truth = assign_truth(dag, p, seed)
-        n_leaves = sum(1 for v in truth if not dag.children[v])
+        n_leaves = sum(1 for v in truth if not kids[v])
         assert n_leaves == round(p * 500)
         assert check_heredity(dag, truth)
 
@@ -246,16 +249,30 @@ def test_assign_truth_near_one_marks_every_root():
     assert len(truth & set(dag.roots)) == 50
 
 
+def setup_means(depths, truth, setup):
+    """Each node's normal mean by its setup's formula: 0 for a null, and
+    for a non-null 2 ("global"), 2 + 1.5 (depth - 1) ("decremental") or
+    2 + 1.5 (max depth - depth) ("incremental")."""
+    steps = {"global": lambda d: 0, "decremental": lambda d: d - 1,
+             "incremental": lambda d: depths.max_depth - d}[setup]
+    return np.array([2.0 + 1.5 * steps(d) if v in truth else 0.0
+                     for v, d in enumerate(depths.depth.tolist())])
+
+
 def test_signal_means_setups():
+    # at rho = 0 each p-value is Phi(-(mu + z)), with mu by the formula of
+    # the setup; the deep tree's depths 1 to 3 tell the setups apart
     dag = generate_graph("deep-tree")
     depths = compute_depths(dag)
-    truth = frozenset(range(dag.m))
-    mu_g = signal_means(depths, truth, "global")
-    mu_d = signal_means(depths, truth, "decremental")
-    mu_i = signal_means(depths, truth, "incremental")
-    assert np.all(mu_g == 2.0)
-    assert mu_d[0] == 2.0 and mu_d[554] == pytest.approx(2 + 1.5 * 2)
-    assert mu_i[0] == pytest.approx(2 + 1.5 * 2) and mu_i[554] == 2.0
+    truth = assign_truth(dag, 0.5, 3)
+    assert depths.max_depth == 3 and len(truth) < dag.m
+    for setup in SIGNAL_SETUPS:
+        pv = sample_pvalues(dag, depths, truth, setup, 0.0, 7)
+        rng = np.random.default_rng(7)
+        rng.standard_normal()                 # the consumed shared draw
+        z = rng.standard_normal(dag.m)
+        mu = setup_means(depths, truth, setup)
+        assert np.array_equal(pv, normal_cdf(-(mu + z)))
 
 
 def test_null_pvalues_uniform():
@@ -302,7 +319,7 @@ def test_rho_zero_equals_independent_model():
     rng = np.random.default_rng(7)
     rng.standard_normal()                     # the consumed shared draw
     z = rng.standard_normal(dag.m)
-    mu = signal_means(depths, truth, "decremental")
+    mu = setup_means(depths, truth, "decremental")
     assert np.array_equal(pv, normal_cdf(-(mu + z)))
 
 
@@ -577,7 +594,7 @@ def test_condition1_blocks_match_per_replication_loop(family, p_nonnull,
     rng = np.random.default_rng(4)
     plan = StructurePlan(dag, config)
     ws = plan.workspace
-    mu = signal_means(plan.depths, truth, "decremental")
+    mu = setup_means(plan.depths, truth, "decremental")
     nulls = np.array(sorted(set(range(dag.m)) - truth), dtype=np.intp)
     totals = np.empty(n_mc)
     for r in range(n_mc):
@@ -601,7 +618,6 @@ def test_truth_sets_take_only_node_ids(bad):
     with mock.patch.object(np.random, "default_rng") as rng:
         for call in (
                 lambda: sample_pvalues(dag, depths, truth, "global", 0.0),
-                lambda: signal_means(depths, truth, "global"),
                 lambda: condition1_check(dag, WeightConfig(), truth, 10),
                 lambda: check_heredity(dag, truth)):
             with pytest.raises(NodeIdOutOfRangeError,

@@ -1,7 +1,8 @@
 """Accuracy tests for the special functions against independent references.
 
 Fixed expected values were computed with scipy 1.15 / mpmath (40 digits);
-the grid comparisons use the C library's erf/erfc as a second opinion.
+the grid comparison of the erfc kernel behind ``normal_cdf`` uses the C
+library's erfc as a second opinion.
 """
 
 import math
@@ -11,28 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focusfdr.special as sp
-from focusfdr.special import (DomainError, beta_cdf, chisq_survival, erf,
-                              erfc, normal_cdf, normal_quantile)
+from focusfdr.special import (DomainError, beta_cdf, chisq_survival,
+                              normal_cdf, normal_quantile)
 
 
 def test_erfc_matches_libm_on_grid():
     xs = np.concatenate([np.linspace(-10, 10, 4001),
                          np.linspace(-0.6, 0.6, 1201)])
     ref = np.array([math.erfc(v) for v in xs])
-    got = erfc(xs)
+    got = sp._erfc_array(xs)
     assert np.max(np.abs(got - ref)) < 1e-14
     rel = np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)
     assert rel.max() < 5e-15
 
 
-def test_erf_matches_libm_on_grid():
-    xs = np.linspace(-6, 6, 2001)
-    ref = np.array([math.erf(v) for v in xs])
-    assert np.max(np.abs(erf(xs) - ref)) < 1e-14
-
-
 @pytest.mark.parametrize("fn, at_inf, at_minus_inf", [
-    (erfc, 0.0, 2.0), (erf, 1.0, -1.0), (normal_cdf, 1.0, 0.0)])
+    (sp._erfc_array, 0.0, 2.0), (normal_cdf, 1.0, 0.0)])
 def test_limits_at_infinity_and_nan(fn, at_inf, at_minus_inf):
     x = np.array([np.inf, -np.inf, np.nan])
     got = fn(x)
@@ -41,7 +36,7 @@ def test_limits_at_infinity_and_nan(fn, at_inf, at_minus_inf):
     assert math.isnan(fn(np.nan))
 
 
-@pytest.mark.parametrize("fn", [erfc, erf, normal_cdf])
+@pytest.mark.parametrize("fn", [sp._erfc_array, normal_cdf])
 def test_huge_arguments_take_the_limits_without_warnings(fn):
     # every branch is evaluated on every entry, so the branches that do not
     # apply overflow or divide by zero; none of that may leak as a warning
@@ -49,7 +44,7 @@ def test_huge_arguments_take_the_limits_without_warnings(fn):
     x = np.array([1e300, -1e300, 1.7e308, -1.7e308, 0.0, -0.0, 5e-324])
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         fn(x)
-    expected = {erfc: [0.0, 2.0], erf: [1.0, -1.0], normal_cdf: [1.0, 0.0]}
+    expected = {sp._erfc_array: [0.0, 2.0], normal_cdf: [1.0, 0.0]}
     assert fn(x)[:4].tolist() == expected[fn] * 2
 
 

@@ -1,17 +1,27 @@
 """Guards for the package's sources: every name a ``src/focusfdr`` module
-imports is used in it, and every private module-level name one defines is
-used somewhere in the package.  No linter runs on this code, so an import
-or a helper left behind when code moves would go unnoticed.
-``from __future__`` imports and the names ``__init__`` re-exports through
-``__all__`` are exempt."""
+imports is used in it, every private module-level name one defines is
+used somewhere in the package, and every public top-level function or
+class is read by the package or the benchmark, or exported.  No linter
+runs on this code, so an import or a helper left behind when code moves
+would go unnoticed.  ``from __future__`` imports and the names
+``__init__`` re-exports through ``__all__`` are exempt."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src"
-                  / "focusfdr").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "focusfdr").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+# public names that nothing in the package, the benchmark or ``__all__``
+# reads, kept on purpose: the one-vector combiner is the library's scalar
+# entry point, the single-row form of what smoothing runs on blocks
+UNREAD_PUBLIC = {"combine.py": {"combine"}}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _imported(tree):
@@ -39,7 +49,7 @@ def _exported(tree):
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _parse(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= _exported(tree)
     unused = [f"{path.name}:{line}: {name}"
@@ -83,8 +93,7 @@ def _references(node):
 
 
 def test_every_private_definition_is_used():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
-                                  filename=str(path)) for path in SOURCES}
+    trees = {path.name: _parse(path) for path in SOURCES}
     # the names each top-level statement of the package reads
     reads = [(stmt, _references(stmt))
              for tree in trees.values() for stmt in tree.body]
@@ -95,3 +104,24 @@ def test_every_private_definition_is_used():
         if not any(private in names for where, names in reads
                    if where is not stmt)]
     assert not orphans, "unused private definitions: " + ", ".join(orphans)
+
+
+def test_every_public_definition_is_read_or_exported():
+    # a test-only helper belongs in the tests: code in src/ is run by the
+    # package, timed by the benchmark, or offered through focusfdr.__all__
+    trees = {path.name: _parse(path) for path in SOURCES}
+    reads = [(stmt, _references(stmt))
+             for tree in trees.values() for stmt in tree.body]
+    bench = set().union(*(_references(_parse(path)) for path in PERFBENCH))
+    exported = _exported(trees["__init__.py"])
+    unread = [
+        f"{module}:{stmt.lineno}: {stmt.name}"
+        for module, tree in trees.items() for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in exported | bench
+        and stmt.name not in UNREAD_PUBLIC.get(module, ())
+        and not any(stmt.name in names for where, names in reads
+                    if where is not stmt)]
+    assert not unread, "public definitions nothing reads: " + ", ".join(
+        unread)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfdr.checks import random_dag, random_near_tree, random_tree
+from focusfdr.checks import random_dag, random_tree
 from focusfdr.combine import EmptyInputError
 from focusfdr.dag import build_dag, compute_depths, group_index
 from focusfdr.filters import FilterSpec
@@ -17,6 +17,8 @@ from focusfdr.weights import (LambdaOutOfRangeError, NoEligibleGroupError,
                               check_dw_depths, dag_weights,
                               min_possible_weight, parse_lambda_policy,
                               resolve_dw, storey_pi0)
+
+from helpers import children, random_near_tree
 
 
 def _indexes(dag):
@@ -87,13 +89,13 @@ def per_depth_rule(dag, depths, lam, c):
     """The auto-dw rule as a literal loop over depths, from the children
     lists: per depth, (gated, minimum possible weight or None when no group
     there is larger than c)."""
-    depth = depths.depth.tolist()
+    depth, kids = depths.depth.tolist(), children(dag)
     out = {}
     for d in range(1, depths.max_depth + 1):
         if d == 1:
             groups = [[v for v in range(dag.m) if depth[v] == 1]]
         else:
-            groups = [[k for k in dag.children[a] if depth[k] == d]
+            groups = [[k for k in kids[a] if depth[k] == d]
                       for a in range(dag.m)]
             groups = [g for g in groups if g]
         size = sum(1 for v in range(dag.m) if depth[v] == d)
